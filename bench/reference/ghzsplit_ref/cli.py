@@ -1,0 +1,453 @@
+"""Command line interface.
+
+Three subcommands:
+
+* ``run``: execute protocol trials and emit transcripts plus a fidelity
+  summary. Exit status 0 only if every trial meets the fidelity threshold.
+* ``verify``: audit the published correction tables against brute-force
+  derived solutions. Exit status 0 only if no row mismatches and the active
+  basis has no Gram defects.
+* ``export``: dump a measurement basis or a correction table.
+
+Output is deterministic: no timestamps, hostnames, or filesystem paths appear
+in any document, so identical invocations are byte-identical. Configuration
+errors exit with status 2 and a structured JSON error on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import csv
+import io
+import json
+import os
+import sys
+
+from .oracle import derive_table, verify_table
+from .protocol import (
+    CANONICAL,
+    LITERAL,
+    SCHEMA_VERSION,
+    SecretSpec,
+    Variant,
+    VARIANT_SPECS,
+    build_alice_basis,
+    build_secret,
+    published_correction_table,
+    random_secret,
+    run_protocol,
+    substream,
+)
+from .statevec import NormalizationError
+
+DEFAULT_TOLERANCE = 1e-9
+SEED_ENV_VAR = "GHZSPLIT_SEED"
+
+_VARIANT_CHOICES = [v.value for v in Variant]
+
+
+def _emit_error(kind: str, message: str, **extra) -> None:
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "error": {"type": kind, "message": message, **extra},
+    }
+    print(json.dumps(doc, indent=2), file=sys.stderr)
+    raise SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    # route usage errors through the structured-error path (exit status 2)
+    def error(self, message):
+        _emit_error("usage", message)
+
+
+def _resolve_seed(value: int | None) -> int:
+    if value is not None:
+        return value
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        _emit_error(
+            "config",
+            f"{SEED_ENV_VAR} must be an integer, got {env!r}",
+        )
+
+
+def _parse_secret(text: str, variant: Variant) -> SecretSpec:
+    parts = [p.strip() for p in text.split(",")]
+    coeffs = []
+    for part in parts:
+        try:
+            coeffs.append(complex(part))
+        except ValueError:
+            _emit_error(
+                "config",
+                f"could not parse secret coefficient {part!r}; use Python "
+                "complex syntax such as 0.5 or 0.5+0.5j",
+            )
+    expected = VARIANT_SPECS[variant].coefficient_count
+    if len(coeffs) != expected:
+        _emit_error(
+            "config",
+            f"variant {variant.value} takes {expected} coefficients, "
+            f"got {len(coeffs)}",
+        )
+    spec = SecretSpec(variant, tuple(coeffs))
+    try:
+        build_secret(spec)
+    except NormalizationError as exc:
+        _emit_error("config", str(exc), deficit=exc.deficit)
+    return spec
+
+
+def _parse_forced(text: str, variant: Variant) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        _emit_error(
+            "config",
+            f"--forced takes 'alice_outcome,charlie_bit', got {text!r}",
+        )
+    try:
+        outcome, bit = int(parts[0]), int(parts[1])
+    except ValueError:
+        _emit_error("config", f"--forced components must be integers, got {text!r}")
+    limit = VARIANT_SPECS[variant].num_outcomes
+    if not 0 <= outcome < limit:
+        _emit_error(
+            "config",
+            f"forced outcome must be in [0, {limit}) for {variant.value}, "
+            f"got {outcome}",
+        )
+    if bit not in (0, 1):
+        _emit_error("config", f"forced charlie bit must be 0 or 1, got {bit}")
+    return outcome, bit
+
+
+def _deliver(payload: str, emit: str | None) -> None:
+    sys.stdout.write(payload)
+    if emit:
+        with open(emit, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+
+
+def _json_payload(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_payload(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _cmd_run(args) -> int:
+    variant = Variant.parse(args.variant)
+    seed = _resolve_seed(args.seed)
+    if args.trials < 1:
+        _emit_error("config", f"--trials must be at least 1, got {args.trials}")
+    secret_spec = (
+        _parse_secret(args.secret, variant) if args.secret is not None else None
+    )
+    forced = (
+        _parse_forced(args.forced, variant) if args.forced is not None else None
+    )
+    transcripts = []
+    for trial in range(args.trials):
+        rng = substream(seed, trial)
+        secret = (
+            secret_spec
+            if secret_spec is not None
+            else random_secret(variant, rng)
+        )
+        transcripts.append(
+            run_protocol(secret, variant=variant, rng=rng, forced=forced)
+        )
+    fidelities = [t.fidelity for t in transcripts]
+    threshold = 1.0 - args.tolerance
+    ok = all(f >= threshold for f in fidelities)
+    counts = collections.Counter(
+        (t.alice_outcome, t.charlie_bit) for t in transcripts
+    )
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "run",
+        "variant": variant.value,
+        "seed": seed,
+        "trials": args.trials,
+        "tolerance": args.tolerance,
+        "forced": None
+        if forced is None
+        else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
+        "transcripts": [t.to_dict() for t in transcripts],
+        "summary": {
+            "min_fidelity": min(fidelities),
+            "mean_fidelity": sum(fidelities) / len(fidelities),
+            "all_above_threshold": ok,
+            "outcome_counts": [
+                {"alice_outcome": i, "charlie_bit": b, "count": n}
+                for (i, b), n in sorted(counts.items())
+            ],
+        },
+    }
+    if args.format == "json":
+        payload = _json_payload(doc)
+    elif args.format == "csv":
+        payload = _csv_payload(
+            [
+                "trial",
+                "variant",
+                "alice_outcome",
+                "alice_cbits",
+                "charlie_bit",
+                "correction",
+                "fidelity",
+            ],
+            [
+                [
+                    trial,
+                    variant.value,
+                    t.alice_outcome,
+                    t.alice_cbits,
+                    t.charlie_bit,
+                    str(t.correction),
+                    repr(t.fidelity),
+                ]
+                for trial, t in enumerate(transcripts)
+            ],
+        )
+    else:
+        lines = [
+            f"trial {trial}: outcome={t.alice_outcome} cbits={t.alice_cbits} "
+            f"charlie={t.charlie_bit} correction={t.correction} "
+            f"fidelity={t.fidelity:.12f}"
+            for trial, t in enumerate(transcripts)
+        ]
+        lines.append(
+            f"summary: trials={args.trials} min_fidelity={min(fidelities):.12f} "
+            f"mean_fidelity={sum(fidelities) / len(fidelities):.12f} "
+            f"ok={'yes' if ok else 'no'}"
+        )
+        payload = "\n".join(lines) + "\n"
+    _deliver(payload, args.emit)
+    return 0 if ok else 1
+
+
+def _verify_text(report_dict: dict) -> list[str]:
+    counts = report_dict["status_counts"]
+    lines = [
+        f"variant={report_dict['variant']} encoding={report_dict['encoding']} "
+        f"MATCH={counts['MATCH']} PHASE_ONLY_MATCH={counts['PHASE_ONLY_MATCH']} "
+        f"MISMATCH={counts['MISMATCH']} "
+        f"basis_anomalies={len(report_dict['basis_anomalies'])} "
+        f"passed={'yes' if report_dict['passed'] else 'no'}"
+    ]
+    for row in report_dict["rows"]:
+        if row["status"] != "MISMATCH":
+            continue
+        sols = ",".join("*".join(s) for s in row["solutions"]) or "<none>"
+        lines.append(
+            f"  MISMATCH outcome={row['alice_outcome']} "
+            f"bit={row['charlie_bit']} published={'*'.join(row['published'])} "
+            f"solutions={sols}"
+        )
+    for anomaly in report_dict["basis_anomalies"]:
+        lines.append(
+            f"  basis_anomaly kind={anomaly['kind']} indices={anomaly['indices']}"
+        )
+    for note in report_dict["formula_inconsistencies"]:
+        lines.append(f"  note kind={note['kind']} indices={note['indices']}")
+    return lines
+
+
+def _cmd_verify(args) -> int:
+    variants = (
+        list(Variant) if args.all else [Variant.parse(args.variant)]
+    )
+    encoding = LITERAL if args.paper_literal else CANONICAL
+    reports = [verify_table(v, encoding=encoding) for v in variants]
+    passed = all(r.passed for r in reports)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "verify",
+        "encoding": encoding,
+        "passed": passed,
+        "reports": [r.to_dict() for r in reports],
+    }
+    if args.format == "json":
+        payload = _json_payload(doc)
+    else:
+        lines = []
+        for report_dict in doc["reports"]:
+            lines.extend(_verify_text(report_dict))
+        lines.append(f"verify: passed={'yes' if passed else 'no'}")
+        payload = "\n".join(lines) + "\n"
+    _deliver(payload, args.emit)
+    return 0 if passed else 1
+
+
+def _cmd_export(args) -> int:
+    variant = Variant.parse(args.variant)
+    encoding = LITERAL if args.paper_literal else CANONICAL
+    if args.what == "basis":
+        basis = build_alice_basis(variant, encoding)
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "export",
+            "what": "basis",
+            "variant": variant.value,
+            "encoding": encoding,
+            "target_qubits": list(basis.target_qubits),
+            "vectors": [
+                {"index": i, "amplitudes": vec.amplitude_pairs()}
+                for i, vec in enumerate(basis.vectors)
+            ],
+        }
+        if args.format == "json":
+            payload = _json_payload(doc)
+        else:
+            rows = []
+            width = basis.vectors[0].num_qubits
+            for i, vec in enumerate(basis.vectors):
+                for k, amp in enumerate(vec.amplitudes):
+                    if amp == 0:
+                        continue
+                    rows.append(
+                        [
+                            variant.value,
+                            encoding,
+                            i,
+                            k,
+                            format(k, f"0{width}b"),
+                            repr(float(amp.real)),
+                            repr(float(amp.imag)),
+                        ]
+                    )
+            payload = _csv_payload(
+                [
+                    "variant",
+                    "encoding",
+                    "vector_index",
+                    "component_index",
+                    "bitstring",
+                    "real",
+                    "imag",
+                ],
+                rows,
+            )
+    else:
+        if args.source == "published":
+            table = published_correction_table(variant)
+        else:
+            table = derive_table(variant).preferred_table()
+        table_dict = table.to_dict()
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "export",
+            "what": "table",
+            **table_dict,
+        }
+        if args.format == "json":
+            payload = _json_payload(doc)
+        else:
+            payload = _csv_payload(
+                [
+                    "variant",
+                    "source",
+                    "alice_outcome",
+                    "alice_cbits",
+                    "charlie_bit",
+                    "correction",
+                ],
+                [
+                    [
+                        variant.value,
+                        table.source,
+                        row["alice_outcome"],
+                        row["alice_cbits"],
+                        row["charlie_bit"],
+                        "*".join(row["correction"]),
+                    ]
+                    for row in table_dict["rows"]
+                ],
+            )
+    _deliver(payload, args.emit)
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="ghzsplit",
+        description="Quantum information splitting over a pair of GHZ "
+        "triplets: run protocol trials, audit correction tables, export "
+        "bases and tables.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    run = sub.add_parser("run", help="execute protocol trials")
+    run.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
+    run.add_argument("--trials", type=int, default=1)
+    run.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help=f"sampling seed; falls back to ${SEED_ENV_VAR}, then 0",
+    )
+    run.add_argument(
+        "--secret",
+        default=None,
+        help="comma-separated complex coefficients; omit for random secrets",
+    )
+    run.add_argument(
+        "--forced",
+        default=None,
+        help="force measurement outcomes as 'alice_outcome,charlie_bit'",
+    )
+    run.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    run.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    run.add_argument("--emit", default=None, help="also write output to this file")
+    run.set_defaults(func=_cmd_run)
+
+    verify = sub.add_parser("verify", help="audit published correction tables")
+    which = verify.add_mutually_exclusive_group(required=True)
+    which.add_argument("--variant", choices=_VARIANT_CHOICES)
+    which.add_argument("--all", action="store_true")
+    verify.add_argument(
+        "--paper-literal",
+        action="store_true",
+        help="audit against the literal published basis encoding instead of "
+        "the canonical one",
+    )
+    verify.add_argument("--format", choices=["json", "text"], default="json")
+    verify.add_argument("--emit", default=None)
+    verify.set_defaults(func=_cmd_verify)
+
+    export = sub.add_parser("export", help="dump a basis or correction table")
+    export.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
+    export.add_argument("--what", required=True, choices=["basis", "table"])
+    export.add_argument(
+        "--source",
+        choices=["published", "derived"],
+        default="published",
+        help="table export only: which table to dump",
+    )
+    export.add_argument("--paper-literal", action="store_true")
+    export.add_argument("--format", choices=["json", "csv"], default="json")
+    export.add_argument("--emit", default=None)
+    export.set_defaults(func=_cmd_export)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

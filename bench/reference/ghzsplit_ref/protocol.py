@@ -1,0 +1,551 @@
+"""Three-party information-splitting protocols over a pair of GHZ triplets.
+
+Three protocol variants are provided. In each one Alice holds a secret state
+from a restricted class, a six-qubit channel built from two GHZ triplets is
+distributed among Alice, Bob, and Charlie, Alice measures her five qubits in a
+16- or 4-vector product basis, Charlie measures his single qubit in the
+Hadamard basis, and Bob recovers the secret by applying a Pauli correction
+selected by the two classical messages.
+
+Variant ids (also the CLI spellings):
+
+* ``three-a``: 3-qubit secrets spanned by kets 000, 011, 100, 111; channel
+  qubits 0,1 to Alice, 2,3,4 to Bob, 5 to Charlie.
+* ``three-b``: 3-qubit secrets spanned by kets 000, 001, 110, 111; same
+  channel layout, but the two GHZ triplets are distributed differently.
+* ``four``: 4-qubit secrets a(|0000>+|0011>) + b(|1100>+|1111>); channel
+  qubit 0 to Alice, 1,2,3,4 to Bob, 5 to Charlie.
+
+The correction tables shipped here are verbatim transcriptions of the
+published reference tables, including rows known to be defective; the oracle
+module derives correct tables independently and reports every disagreement.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from .statevec import (
+    NormalizationError,
+    OrthonormalBasis,
+    PauliString,
+    StateVector,
+    apply_gate,
+    apply_pauli_string,
+    fidelity,
+    force_basis_outcome,
+    force_hadamard_outcome,
+    measure_hadamard,
+    measure_in_basis,
+    permute_qubits,
+    tensor_product,
+    PAULI_X,
+    PAULI_Z,
+    _split_measured,
+)
+
+SCHEMA_VERSION = 1
+FIDELITY_ATOL = 1e-9
+
+CANONICAL = "canonical"
+LITERAL = "literal"
+ENCODINGS = (CANONICAL, LITERAL)
+
+
+class Variant(str, Enum):
+    THREE_A = "three-a"
+    THREE_B = "three-b"
+    FOUR = "four"
+
+    @classmethod
+    def parse(cls, text: str) -> "Variant":
+        try:
+            return cls(text)
+        except ValueError:
+            raise ValueError(
+                f"unknown variant {text!r}; expected one of "
+                f"{', '.join(v.value for v in cls)}"
+            ) from None
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """Structural constants of one protocol variant."""
+
+    variant: Variant
+    secret_qubits: int
+    coefficient_count: int
+    coefficient_norm: float  # required sum of |c|^2
+    secret_kets: tuple[str, ...]
+    channel_permutation: tuple[int, ...]
+    party_layout: str
+    bob_qubits: int
+    num_outcomes: int
+
+
+# Channel permutations: qubit i of the dealt channel is qubit perm[i] of the
+# raw GHZ (x) GHZ product, whose order is (first triplet 0,1,2, second 3,4,5).
+VARIANT_SPECS = {
+    Variant.THREE_A: VariantSpec(
+        variant=Variant.THREE_A,
+        secret_qubits=3,
+        coefficient_count=4,
+        coefficient_norm=1.0,
+        secret_kets=("000", "011", "100", "111"),
+        channel_permutation=(0, 3, 1, 4, 5, 2),
+        party_layout="AABBBC",
+        bob_qubits=3,
+        num_outcomes=16,
+    ),
+    Variant.THREE_B: VariantSpec(
+        variant=Variant.THREE_B,
+        secret_qubits=3,
+        coefficient_count=4,
+        coefficient_norm=1.0,
+        secret_kets=("000", "001", "110", "111"),
+        channel_permutation=(0, 3, 1, 2, 4, 5),
+        party_layout="AABBBC",
+        bob_qubits=3,
+        num_outcomes=16,
+    ),
+    Variant.FOUR: VariantSpec(
+        variant=Variant.FOUR,
+        secret_qubits=4,
+        coefficient_count=2,
+        coefficient_norm=0.5,
+        secret_kets=("0000", "0011", "1100", "1111"),
+        channel_permutation=(0, 1, 2, 3, 4, 5),
+        party_layout="ABBBBC",
+        bob_qubits=4,
+        num_outcomes=4,
+    ),
+}
+
+ALICE_QUBIT_COUNT = 5  # secret qubits plus Alice's channel share, all variants
+
+
+@dataclass(frozen=True)
+class SecretSpec:
+    """Coefficients of a secret within a variant's restricted class."""
+
+    variant: Variant
+    coefficients: tuple[complex, ...]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "coefficients", tuple(complex(c) for c in self.coefficients)
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "variant": self.variant.value,
+            "coefficients": [[c.real, c.imag] for c in self.coefficients],
+        }
+
+
+def ghz_triplet() -> StateVector:
+    """(|000> + |111>) / sqrt(2)."""
+    s = 1.0 / np.sqrt(2.0)
+    return StateVector.from_terms(3, {"000": s, "111": s})
+
+
+@functools.cache
+def build_channel(variant: Variant) -> StateVector:
+    """Six-qubit channel: two GHZ triplets dealt out per the variant layout."""
+    pair = tensor_product(ghz_triplet(), ghz_triplet())
+    return permute_qubits(pair, VARIANT_SPECS[variant].channel_permutation)
+
+
+def build_secret(spec: SecretSpec) -> StateVector:
+    """Secret state from class coefficients; rejects bad normalization."""
+    vs = VARIANT_SPECS[spec.variant]
+    if len(spec.coefficients) != vs.coefficient_count:
+        raise ValueError(
+            f"{spec.variant.value} takes {vs.coefficient_count} coefficients, "
+            f"got {len(spec.coefficients)}"
+        )
+    total = sum(abs(c) ** 2 for c in spec.coefficients)
+    deficit = abs(total - vs.coefficient_norm)
+    if deficit > 1e-12:
+        raise NormalizationError(
+            f"coefficient weights must sum to {vs.coefficient_norm}", deficit
+        )
+    if spec.variant is Variant.FOUR:
+        a, b = spec.coefficients
+        terms = {"0000": a, "0011": a, "1100": b, "1111": b}
+    else:
+        terms = dict(zip(vs.secret_kets, spec.coefficients))
+    return StateVector.from_terms(vs.secret_qubits, terms)
+
+
+def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
+    """Normalized complex Gaussian coefficients inside the class."""
+    vs = VARIANT_SPECS[variant]
+    z = rng.normal(size=vs.coefficient_count) + 1j * rng.normal(
+        size=vs.coefficient_count
+    )
+    z *= np.sqrt(vs.coefficient_norm) / np.linalg.norm(z)
+    return SecretSpec(variant, tuple(z))
+
+
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for (seed, key...); order of creation is irrelevant."""
+    return np.random.default_rng([int(seed), *[int(k) for k in key]])
+
+
+# ---------------------------------------------------------------------------
+# Alice's measurement bases
+# ---------------------------------------------------------------------------
+
+# Anchor vectors: equal-weight four-ket superpositions on Alice's five qubits
+# (three secret qubits then her two channel qubits).
+_GENERATOR_ANCHOR = {
+    Variant.THREE_A: ("00000", "01101", "10010", "11111"),
+    Variant.THREE_B: ("00000", "00101", "11010", "11111"),
+}
+
+# Four-outcome basis for the four-qubit variant. The source's displayed final
+# vector duplicates the third one; the canonical encoding carries the minus
+# signs required for orthonormality (confirmed by the oracle), the literal
+# encoding reproduces the duplication verbatim.
+_FOUR_BASIS_TERMS = {
+    CANONICAL: (
+        {"00000": 0.5, "00110": 0.5, "11001": 0.5, "11111": 0.5},
+        {"00000": 0.5, "00110": 0.5, "11001": -0.5, "11111": -0.5},
+        {"00001": 0.5, "00111": 0.5, "11000": 0.5, "11110": 0.5},
+        {"00001": 0.5, "00111": 0.5, "11000": -0.5, "11110": -0.5},
+    ),
+    LITERAL: (
+        {"00000": 0.5, "00110": 0.5, "11001": 0.5, "11111": 0.5},
+        {"00000": 0.5, "00110": 0.5, "11001": -0.5, "11111": -0.5},
+        {"00001": 0.5, "00111": 0.5, "11000": 0.5, "11110": 0.5},
+        {"00001": 0.5, "00111": 0.5, "11000": 0.5, "11110": 0.5},
+    ),
+}
+
+
+def _three_qubit_basis_vector(
+    variant: Variant, index: int, encoding: str
+) -> StateVector:
+    """Vector ``index`` of the 16-outcome basis, canonical or literal form.
+
+    Canonical: bit-flip and phase-flip operators applied to the anchor, with
+    the low outcome bit driving the phase flip on Alice's last qubit.
+    Literal: the source's explicit sign expansion, which swaps the roles of
+    the two phase bits relative to the canonical form.
+    """
+    i3, i2, i1, i0 = (index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1
+    kets = _GENERATOR_ANCHOR[variant]
+    if encoding == LITERAL:
+        signs = (1, (-1) ** i1, (-1) ** i0, (-1) ** (i0 + i1))
+        vec = StateVector.from_terms(
+            5, {k: 0.5 * s for k, s in zip(kets, signs)}
+        )
+    else:
+        vec = StateVector.from_terms(5, {k: 0.5 for k in kets})
+        if i0:
+            vec = apply_gate(vec, 4, PAULI_Z)
+        if i1:
+            vec = apply_gate(vec, 3, PAULI_Z)
+    if i2:
+        vec = apply_gate(vec, 4, PAULI_X)
+    if i3:
+        vec = apply_gate(vec, 3, PAULI_X)
+    return vec
+
+
+@functools.cache
+def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> OrthonormalBasis:
+    """Alice's five-qubit measurement basis.
+
+    ``encoding="canonical"`` is the self-consistent form; ``"literal"``
+    reproduces the source expressions verbatim, including their defects, and
+    skips the orthonormality check.
+    """
+    if encoding not in ENCODINGS:
+        raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
+    targets = tuple(range(ALICE_QUBIT_COUNT))
+    if variant is Variant.FOUR:
+        vectors = tuple(
+            StateVector.from_terms(5, terms) for terms in _FOUR_BASIS_TERMS[encoding]
+        )
+    else:
+        vectors = tuple(
+            _three_qubit_basis_vector(variant, i, encoding) for i in range(16)
+        )
+    return OrthonormalBasis(targets, vectors, validate=(encoding == CANONICAL))
+
+
+# ---------------------------------------------------------------------------
+# Published correction tables (verbatim, defects included)
+# ---------------------------------------------------------------------------
+
+_PUBLISHED_ROWS = {
+    Variant.THREE_A: {
+        (0, 0): ("I", "I", "I"), (0, 1): ("Z", "I", "I"),
+        (1, 0): ("I", "Z", "I"), (1, 1): ("Z", "Z", "I"),
+        (2, 0): ("Z", "I", "I"), (2, 1): ("I", "I", "I"),
+        (3, 0): ("Z", "Z", "I"), (3, 1): ("I", "Z", "I"),
+        (4, 0): ("I", "X", "X"), (4, 1): ("Z", "X", "X"),
+        (5, 0): ("I", "iY", "X"), (5, 1): ("Z", "iY", "X"),
+        (6, 0): ("Z", "X", "X"), (6, 1): ("I", "X", "X"),
+        (7, 0): ("Z", "iY", "X"), (7, 1): ("I", "iY", "X"),
+        (8, 0): ("X", "I", "I"), (8, 1): ("iY", "I", "I"),
+        (9, 0): ("X", "Z", "I"), (9, 1): ("iY", "Z", "I"),
+        (10, 0): ("iY", "I", "I"), (10, 1): ("X", "I", "I"),
+        (11, 0): ("iY", "Z", "I"), (11, 1): ("X", "Z", "I"),
+        (12, 0): ("X", "X", "X"), (12, 1): ("iY", "X", "X"),
+        (13, 0): ("X", "iY", "X"), (13, 1): ("iY", "iY", "X"),
+        (14, 0): ("iY", "X", "X"), (14, 1): ("X", "X", "X"),
+        (15, 0): ("iY", "iY", "X"), (15, 1): ("X", "iY", "X"),
+    },
+    Variant.THREE_B: {
+        (0, 0): ("I", "I", "I"), (0, 1): ("I", "Z", "I"),
+        (1, 0): ("I", "I", "Z"), (1, 1): ("I", "Z", "Z"),
+        (2, 0): ("I", "Z", "I"), (2, 1): ("I", "I", "I"),
+        (3, 0): ("I", "Z", "Z"), (3, 1): ("I", "I", "Z"),
+        (4, 0): ("I", "I", "X"), (4, 1): ("I", "Z", "X"),
+        (5, 0): ("I", "I", "iY"), (5, 1): ("I", "Z", "iY"),
+        (6, 0): ("I", "Z", "X"), (6, 1): ("I", "I", "X"),
+        (7, 0): ("I", "Z", "iY"), (7, 1): ("I", "I", "iY"),
+        (8, 0): ("X", "X", "I"), (8, 1): ("X", "iY", "I"),
+        (9, 0): ("X", "X", "Z"), (9, 1): ("X", "iY", "Z"),
+        (10, 0): ("X", "iY", "I"), (10, 1): ("X", "X", "I"),
+        (11, 0): ("X", "iY", "Z"), (11, 1): ("X", "X", "Z"),
+        (12, 0): ("X", "X", "X"), (12, 1): ("X", "iY", "X"),
+        (13, 0): ("X", "X", "iY"), (13, 1): ("X", "iY", "iY"),
+        (14, 0): ("X", "iY", "X"), (14, 1): ("X", "X", "X"),
+        (15, 0): ("X", "iY", "iY"), (15, 1): ("X", "X", "iY"),
+    },
+    Variant.FOUR: {
+        (0, 0): ("I", "I", "I", "I"), (0, 1): ("I", "I", "Z", "I"),
+        (1, 0): ("I", "Z", "I", "I"), (1, 1): ("I", "Z", "Z", "I"),
+        (2, 0): ("X", "X", "I", "I"), (2, 1): ("X", "X", "Z", "I"),
+        (3, 0): ("X", "iY", "I", "I"), (3, 1): ("X", "iY", "Z", "I"),
+    },
+}
+
+
+@dataclass(frozen=True)
+class CorrectionTable:
+    """Mapping (alice_outcome, charlie_bit) -> Bob's Pauli correction."""
+
+    variant: Variant
+    source: str
+    rows: dict[tuple[int, int], PauliString]
+
+    def __getitem__(self, key: tuple[int, int]) -> PauliString:
+        outcome, bit = key
+        try:
+            return self.rows[(int(outcome), int(bit))]
+        except KeyError:
+            raise KeyError(
+                f"no row for outcome {outcome}, bit {bit} in "
+                f"{self.variant.value} table"
+            ) from None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def sorted_rows(self) -> list[tuple[int, int, PauliString]]:
+        return [(i, b, self.rows[(i, b)]) for i, b in sorted(self.rows)]
+
+    def to_dict(self) -> dict:
+        return {
+            "variant": self.variant.value,
+            "source": self.source,
+            "rows": [
+                {
+                    "alice_outcome": i,
+                    "alice_cbits": format(i, "04b"),
+                    "charlie_bit": b,
+                    "correction": list(p.labels),
+                }
+                for i, b, p in self.sorted_rows()
+            ],
+        }
+
+
+@functools.cache
+def published_correction_table(variant: Variant) -> CorrectionTable:
+    """The reference corrections exactly as tabulated in the source."""
+    rows = {
+        key: PauliString(labels)
+        for key, labels in _PUBLISHED_ROWS[variant].items()
+    }
+    return CorrectionTable(variant, "published", rows)
+
+
+# ---------------------------------------------------------------------------
+# Protocol execution
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OutcomeWeight:
+    alice_outcome: int
+    charlie_bit: int
+    probability: float
+
+    def to_dict(self) -> dict:
+        return {
+            "alice_outcome": self.alice_outcome,
+            "charlie_bit": self.charlie_bit,
+            "probability": self.probability,
+        }
+
+
+@dataclass(frozen=True)
+class Transcript:
+    """Full record of one protocol run."""
+
+    variant: Variant
+    secret: SecretSpec | StateVector
+    alice_outcome: int
+    alice_cbits: str
+    charlie_bit: int
+    correction: PauliString
+    bob_state_before: StateVector
+    bob_state_after: StateVector
+    fidelity: float
+    probabilities: tuple[OutcomeWeight, ...]
+
+    @property
+    def messages(self) -> dict[str, str]:
+        """Classical messages: four bits from Alice, one from Charlie."""
+        return {
+            "alice_to_bob": self.alice_cbits,
+            "charlie_to_bob": str(self.charlie_bit),
+        }
+
+    def to_dict(self) -> dict:
+        if isinstance(self.secret, SecretSpec):
+            secret = {"kind": "coefficients", **self.secret.to_dict()}
+        else:
+            secret = {
+                "kind": "state",
+                "variant": self.variant.value,
+                "amplitudes": self.secret.amplitude_pairs(),
+            }
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "variant": self.variant.value,
+            "secret": secret,
+            "alice_outcome": self.alice_outcome,
+            "alice_cbits": self.alice_cbits,
+            "charlie_bit": self.charlie_bit,
+            "messages": self.messages,
+            "correction": list(self.correction.labels),
+            "bob_state_before": self.bob_state_before.amplitude_pairs(),
+            "bob_state_after": self.bob_state_after.amplitude_pairs(),
+            "fidelity": self.fidelity,
+            "probabilities": [w.to_dict() for w in self.probabilities],
+        }
+
+
+def _resolve_secret(
+    secret: SecretSpec | StateVector, variant: Variant | None
+) -> tuple[Variant, StateVector, SecretSpec | StateVector]:
+    if isinstance(secret, SecretSpec):
+        if variant is not None and variant is not secret.variant:
+            raise ValueError("variant argument contradicts the secret's variant")
+        return secret.variant, build_secret(secret), secret
+    if variant is None:
+        raise ValueError("a raw state secret needs an explicit variant")
+    vs = VARIANT_SPECS[variant]
+    if secret.num_qubits != vs.secret_qubits:
+        raise ValueError(
+            f"{variant.value} secrets have {vs.secret_qubits} qubits, "
+            f"got {secret.num_qubits}"
+        )
+    return variant, secret, secret
+
+
+def _joint_distribution(
+    combined: StateVector, basis: OrthonormalBasis
+) -> tuple[OutcomeWeight, ...]:
+    m = _split_measured(combined, basis.target_qubits)
+    residuals = basis.matrix().conj() @ m
+    out = []
+    for i in range(residuals.shape[0]):
+        half = residuals[i].reshape(-1, 2)
+        plus = (half[:, 0] + half[:, 1]) / np.sqrt(2.0)
+        minus = (half[:, 0] - half[:, 1]) / np.sqrt(2.0)
+        out.append(OutcomeWeight(i, 0, float(np.sum(np.abs(plus) ** 2))))
+        out.append(OutcomeWeight(i, 1, float(np.sum(np.abs(minus) ** 2))))
+    return tuple(out)
+
+
+def outcome_distribution(
+    secret: SecretSpec | StateVector,
+    *,
+    variant: Variant | None = None,
+    basis: OrthonormalBasis | None = None,
+) -> tuple[OutcomeWeight, ...]:
+    """Exact joint probabilities of (alice_outcome, charlie_bit)."""
+    variant, secret_state, _ = _resolve_secret(secret, variant)
+    basis = basis if basis is not None else build_alice_basis(variant)
+    combined = tensor_product(secret_state, build_channel(variant))
+    return _joint_distribution(combined, basis)
+
+
+def run_protocol(
+    secret: SecretSpec | StateVector,
+    *,
+    variant: Variant | None = None,
+    rng: np.random.Generator | None = None,
+    seed: int | None = None,
+    forced: tuple[int, int] | None = None,
+    basis: OrthonormalBasis | None = None,
+    table: CorrectionTable | None = None,
+) -> Transcript:
+    """Execute one full splitting round and return its transcript.
+
+    Outcomes are sampled from ``rng`` (or a generator seeded with ``seed``)
+    unless ``forced=(alice_outcome, charlie_bit)`` pins them. The published
+    correction table is used unless ``table`` overrides it. Raises
+    OutOfSpanError when the secret lies outside the variant's restricted
+    class.
+    """
+    variant, secret_state, secret_record = _resolve_secret(secret, variant)
+    vs = VARIANT_SPECS[variant]
+    basis = basis if basis is not None else build_alice_basis(variant)
+    table = table if table is not None else published_correction_table(variant)
+    combined = tensor_product(secret_state, build_channel(variant))
+
+    if forced is not None:
+        alice_outcome, charlie_bit = int(forced[0]), int(forced[1])
+        alice = force_basis_outcome(combined, basis, alice_outcome)
+        charlie = force_hadamard_outcome(
+            alice.residual, alice.residual.num_qubits - 1, charlie_bit
+        )
+    else:
+        if rng is None:
+            if seed is None:
+                raise ValueError("need rng, seed, or forced outcomes")
+            rng = np.random.default_rng(seed)
+        alice = measure_in_basis(combined, basis, rng)
+        charlie = measure_hadamard(
+            alice.residual, alice.residual.num_qubits - 1, rng
+        )
+
+    correction = table[(alice.outcome, charlie.outcome)]
+    bob_after = apply_pauli_string(
+        charlie.residual, tuple(range(vs.bob_qubits)), correction
+    )
+    return Transcript(
+        variant=variant,
+        secret=secret_record,
+        alice_outcome=alice.outcome,
+        alice_cbits=format(alice.outcome, "04b"),
+        charlie_bit=charlie.outcome,
+        correction=correction,
+        bob_state_before=charlie.residual,
+        bob_state_after=bob_after,
+        fidelity=fidelity(bob_after, secret_state),
+        probabilities=_joint_distribution(combined, basis),
+    )
