@@ -21,12 +21,14 @@ import collections
 import csv
 import io
 import json
+import math
 import os
 import sys
 
 from .oracle import derive_table, verify_table
 from .protocol import (
     CANONICAL,
+    FIDELITY_ATOL,
     LITERAL,
     SCHEMA_VERSION,
     SecretSpec,
@@ -41,7 +43,6 @@ from .protocol import (
 )
 from .statevec import NormalizationError
 
-DEFAULT_TOLERANCE = 1e-9
 SEED_ENV_VAR = "GHZSPLIT_SEED"
 
 _VARIANT_CHOICES = [v.value for v in Variant]
@@ -89,6 +90,11 @@ def _parse_secret(text: str, variant: Variant) -> SecretSpec:
                 f"could not parse secret coefficient {part!r}; use Python "
                 "complex syntax such as 0.5 or 0.5+0.5j",
             )
+    # NaN passes the norm check, and inf or an overflowing weight sum leaves
+    # a deficit that JSON cannot carry
+    weight = sum(abs(c) for c in coeffs)
+    if not math.isfinite(weight * weight):
+        _emit_error("config", f"secret coefficients must be finite, got {text!r}")
     expected = VARIANT_SPECS[variant].coefficient_count
     if len(coeffs) != expected:
         _emit_error(
@@ -128,10 +134,14 @@ def _parse_forced(text: str, variant: Variant) -> tuple[int, int]:
 
 
 def _deliver(payload: str, emit: str | None) -> None:
-    sys.stdout.write(payload)
+    # the file first, so that a path that cannot be written leaves stdout empty
     if emit:
-        with open(emit, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(emit, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            _emit_error("config", f"cannot write --emit file {emit!r}: {exc.strerror}")
+    sys.stdout.write(payload)
 
 
 def _json_payload(doc: dict) -> str:
@@ -151,6 +161,10 @@ def _cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.trials < 1:
         _emit_error("config", f"--trials must be at least 1, got {args.trials}")
+    if not 0.0 <= args.tolerance < math.inf:
+        _emit_error(
+            "config", f"--tolerance must be finite and >= 0, got {args.tolerance}"
+        )
     secret_spec = (
         _parse_secret(args.secret, variant) if args.secret is not None else None
     )
@@ -409,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force measurement outcomes as 'alice_outcome,charlie_bit'",
     )
     run.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    run.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    run.add_argument("--tolerance", type=float, default=FIDELITY_ATOL)
     run.add_argument("--emit", default=None, help="also write output to this file")
     run.set_defaults(func=_cmd_run)
 

@@ -19,6 +19,7 @@ encodings, so defective source rows are surfaced as data rather than hidden.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ import numpy as np
 
 from .protocol import (
     CANONICAL,
+    FIDELITY_ATOL,
+    SCHEMA_VERSION,
     CorrectionTable,
     SecretSpec,
     Variant,
@@ -42,20 +45,23 @@ from .statevec import (
     PauliString,
     StateVector,
     basis_projection_probabilities,
-    force_basis_outcome,
+    collapse,
     force_hadamard_outcome,
+    project,
     tensor_product,
 )
 
-SCHEMA_VERSION = 1
-FIDELITY_ATOL = 1e-9
+# largest amplitude difference for a recovered state to count as exact
 EXACT_ATOL = 1e-12
+# least out-of-span mass for a secret to count as outside the restricted class
+OUT_OF_CLASS_MASS = 1e-6
 
 MATCH = "MATCH"
 PHASE_ONLY_MATCH = "PHASE_ONLY_MATCH"
 MISMATCH = "MISMATCH"
 
 DERIVE_SEED = 271828
+DERIVE_RANDOM_SECRETS = 10  # random test secrets on top of the unit ones
 SPAN_SEED = 314159
 
 
@@ -70,49 +76,28 @@ def _unit_secrets(variant: Variant) -> list[SecretSpec]:
     return out
 
 
-def _test_secrets(
-    variant: Variant, random_secrets: int, seed: int
-) -> list[SecretSpec]:
-    rng = substream(seed, list(Variant).index(variant))
+def _test_secrets(variant: Variant) -> list[SecretSpec]:
+    rng = substream(DERIVE_SEED, list(Variant).index(variant))
     return _unit_secrets(variant) + [
-        random_secret(variant, rng) for _ in range(random_secrets)
+        random_secret(variant, rng) for _ in range(DERIVE_RANDOM_SECRETS)
     ]
 
 
-def _candidate_paulis(num_qubits: int) -> list[tuple[PauliString, np.ndarray]]:
+@functools.cache
+def _candidate_paulis(num_qubits: int) -> tuple[tuple[PauliString, np.ndarray], ...]:
     out = []
     for labels in itertools.product(("I", "X", "Z", "iY"), repeat=num_qubits):
         p = PauliString(labels)
-        out.append((p, p.matrix()))
-    return out
-
-
-def _row_residuals(
-    variant: Variant,
-    basis: OrthonormalBasis,
-    secrets: list[SecretSpec],
-    outcome: int,
-    bit: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's pre-correction states and the targets, stacked one secret per row."""
-    channel = build_channel(variant)
-    pre, targets = [], []
-    for spec in secrets:
-        secret_state = build_secret(spec)
-        combined = tensor_product(secret_state, channel)
-        alice = force_basis_outcome(combined, basis, outcome)
-        charlie = force_hadamard_outcome(
-            alice.residual, alice.residual.num_qubits - 1, bit
-        )
-        pre.append(charlie.residual.amplitudes)
-        targets.append(secret_state.amplitudes)
-    return np.array(pre), np.array(targets)
+        matrix = p.matrix()
+        matrix.flags.writeable = False  # shared by every caller
+        out.append((p, matrix))
+    return tuple(out)
 
 
 def _solutions_for_row(
     pre: np.ndarray,
     targets: np.ndarray,
-    candidates: list[tuple[PauliString, np.ndarray]],
+    candidates: tuple[tuple[PauliString, np.ndarray], ...],
 ) -> list[PauliString]:
     sols = []
     for pauli, matrix in candidates:
@@ -123,21 +108,39 @@ def _solutions_for_row(
     return sols
 
 
+def _derived_rows(
+    variant: Variant, basis: OrthonormalBasis, keys: list[tuple[int, int]]
+):
+    """Yield ``(outcome, bit, pre, targets, solutions)`` for each row key, with
+    Bob's pre-correction states and the test secrets stacked one per row.
+    Each secret is projected onto Alice's basis once, for all rows."""
+    channel = build_channel(variant)
+    secrets = [build_secret(spec) for spec in _test_secrets(variant)]
+    projections = [project(tensor_product(s, channel), basis) for s in secrets]
+    targets = np.array([s.amplitudes for s in secrets])
+    candidates = _candidate_paulis(VARIANT_SPECS[variant].bob_qubits)
+    for outcome, bit in keys:
+        pre = []
+        for branches, probs in projections:
+            alice = collapse(branches, probs, outcome)
+            charlie = force_hadamard_outcome(
+                alice.residual, alice.residual.num_qubits - 1, bit
+            )
+            pre.append(charlie.residual.amplitudes)
+        pre = np.array(pre)
+        yield outcome, bit, pre, targets, _solutions_for_row(pre, targets, candidates)
+
+
+def _all_rows(variant: Variant) -> list[tuple[int, int]]:
+    return [(i, b) for i in range(VARIANT_SPECS[variant].num_outcomes) for b in (0, 1)]
+
+
 def derive_corrections(
-    variant: Variant,
-    outcome: int,
-    bit: int,
-    *,
-    basis: OrthonormalBasis | None = None,
-    random_secrets: int = 10,
-    seed: int = DERIVE_SEED,
+    variant: Variant, outcome: int, bit: int
 ) -> tuple[PauliString, ...]:
     """All Pauli corrections that recover every test secret for this row."""
-    vs = VARIANT_SPECS[variant]
-    basis = basis if basis is not None else build_alice_basis(variant)
-    secrets = _test_secrets(variant, random_secrets, seed)
-    pre, targets = _row_residuals(variant, basis, secrets, outcome, bit)
-    return tuple(_solutions_for_row(pre, targets, _candidate_paulis(vs.bob_qubits)))
+    rows = _derived_rows(variant, build_alice_basis(variant), [(outcome, bit)])
+    return tuple(next(rows)[-1])
 
 
 @dataclass(frozen=True)
@@ -199,30 +202,18 @@ class DerivedTable:
         }
 
 
-def derive_table(
-    variant: Variant,
-    *,
-    basis: OrthonormalBasis | None = None,
-    random_secrets: int = 10,
-    seed: int = DERIVE_SEED,
-) -> DerivedTable:
+def derive_table(variant: Variant) -> DerivedTable:
     """Exhaustively derive the correction table for every row of a variant."""
-    vs = VARIANT_SPECS[variant]
-    basis = basis if basis is not None else build_alice_basis(variant)
-    secrets = _test_secrets(variant, random_secrets, seed)
-    candidates = _candidate_paulis(vs.bob_qubits)
     solutions: dict[tuple[int, int], tuple[PauliString, ...]] = {}
     exact: dict[tuple[int, int], tuple[PauliString, ...]] = {}
-    for outcome in range(vs.num_outcomes):
-        for bit in (0, 1):
-            pre, targets = _row_residuals(variant, basis, secrets, outcome, bit)
-            sols = _solutions_for_row(pre, targets, candidates)
-            solutions[(outcome, bit)] = tuple(sols)
-            exact[(outcome, bit)] = tuple(
-                p
-                for p in sols
-                if np.max(np.abs(pre @ p.matrix().T - targets)) <= EXACT_ATOL
-            )
+    rows = _derived_rows(variant, build_alice_basis(variant), _all_rows(variant))
+    for outcome, bit, pre, targets, sols in rows:
+        solutions[(outcome, bit)] = tuple(sols)
+        exact[(outcome, bit)] = tuple(
+            p
+            for p in sols
+            if np.max(np.abs(pre @ p.matrix().T - targets)) <= EXACT_ATOL
+        )
     return DerivedTable(variant, solutions, exact)
 
 
@@ -230,29 +221,14 @@ def _basis_anomalies(basis: OrthonormalBasis) -> list[dict]:
     out = []
     for i, j, gram in basis.gram_defects(EXACT_ATOL):
         if i == j:
-            out.append(
-                {
-                    "kind": "unnormalized_vector",
-                    "indices": [i],
-                    "gram_entry": [gram.real, gram.imag],
-                }
-            )
+            kind, indices = "unnormalized_vector", [i]
         elif abs(abs(gram) - 1.0) <= FIDELITY_ATOL:
-            out.append(
-                {
-                    "kind": "duplicated_basis_vector",
-                    "indices": [i, j],
-                    "gram_entry": [gram.real, gram.imag],
-                }
-            )
+            kind, indices = "duplicated_basis_vector", [i, j]
         else:
-            out.append(
-                {
-                    "kind": "nonorthogonal_pair",
-                    "indices": [i, j],
-                    "gram_entry": [gram.real, gram.imag],
-                }
-            )
+            kind, indices = "nonorthogonal_pair", [i, j]
+        out.append(
+            {"kind": kind, "indices": indices, "gram_entry": [gram.real, gram.imag]}
+        )
     return out
 
 
@@ -336,20 +312,14 @@ def verify_table(
     *,
     encoding: str = CANONICAL,
     basis: OrthonormalBasis | None = None,
-    table: CorrectionTable | None = None,
-    random_secrets: int = 10,
-    seed: int = DERIVE_SEED,
 ) -> DiscrepancyReport:
     """Grade every published row against the exhaustively derived solutions."""
-    vs = VARIANT_SPECS[variant]
     basis = basis if basis is not None else build_alice_basis(variant, encoding)
-    table = table if table is not None else published_correction_table(variant)
-    secrets = _test_secrets(variant, random_secrets, seed)
-    candidates = _candidate_paulis(vs.bob_qubits)
+    table = published_correction_table(variant)
     findings = []
-    for outcome, bit, published in table.sorted_rows():
-        pre, targets = _row_residuals(variant, basis, secrets, outcome, bit)
-        sols = _solutions_for_row(pre, targets, candidates)
+    rows = _derived_rows(variant, basis, _all_rows(variant))
+    for outcome, bit, pre, targets, sols in rows:
+        published = table[(outcome, bit)]
         corrected = pre @ published.matrix().T
         overlaps = np.sum(targets.conj() * corrected, axis=1)
         min_fid = float(np.min(np.abs(overlaps) ** 2))
@@ -399,7 +369,7 @@ class SpanReport:
     def passed(self) -> bool:
         return (
             self.max_valid_deficit <= FIDELITY_ATOL
-            and self.min_invalid_out_of_span > 1e-6
+            and self.min_invalid_out_of_span > OUT_OF_CLASS_MASS
         )
 
     def to_dict(self) -> dict:
@@ -436,7 +406,7 @@ def random_arbitrary_secret(
         z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         z /= np.linalg.norm(z)
         state = StateVector(n, z)
-        if _class_mass(variant, state) < 1.0 - 1e-6:
+        if _class_mass(variant, state) < 1.0 - OUT_OF_CLASS_MASS:
             return state
 
 
@@ -451,18 +421,17 @@ def verify_span(
     basis = build_alice_basis(variant)
     channel = build_channel(variant)
     rng = substream(seed, list(Variant).index(variant))
-    valid = []
-    for _ in range(valid_trials):
-        state = build_secret(random_secret(variant, rng))
-        probs = basis_projection_probabilities(
-            tensor_product(state, channel), basis
-        )
-        valid.append(1.0 - float(np.sum(probs)))
-    invalid = []
-    for _ in range(invalid_trials):
-        state = random_arbitrary_secret(variant, rng)
-        probs = basis_projection_probabilities(
-            tensor_product(state, channel), basis
-        )
-        invalid.append(1.0 - float(np.sum(probs)))
+
+    def out_of_span(state: StateVector) -> float:
+        combined = tensor_product(state, channel)
+        return 1.0 - float(np.sum(basis_projection_probabilities(combined, basis)))
+
+    valid = [
+        out_of_span(build_secret(random_secret(variant, rng)))
+        for _ in range(valid_trials)
+    ]
+    invalid = [
+        out_of_span(random_arbitrary_secret(variant, rng))
+        for _ in range(invalid_trials)
+    ]
     return SpanReport(variant, tuple(valid), tuple(invalid))

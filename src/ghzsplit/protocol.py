@@ -30,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .statevec import (
+    NORM_ATOL,
     NormalizationError,
     OrthonormalBasis,
     PauliString,
@@ -42,13 +43,15 @@ from .statevec import (
     measure_hadamard,
     measure_in_basis,
     permute_qubits,
+    project,
     tensor_product,
     PAULI_X,
     PAULI_Z,
-    _split_measured,
 )
 
+# version of every JSON document the package writes
 SCHEMA_VERSION = 1
+# least 1 - fidelity that counts as a failed recovery of the secret
 FIDELITY_ATOL = 1e-9
 
 CANONICAL = "canonical"
@@ -170,7 +173,7 @@ def build_secret(spec: SecretSpec) -> StateVector:
         )
     total = sum(abs(c) ** 2 for c in spec.coefficients)
     deficit = abs(total - vs.coefficient_norm)
-    if deficit > 1e-12:
+    if not deficit <= NORM_ATOL:
         raise NormalizationError(
             f"coefficient weights must sum to {vs.coefficient_norm}", deficit
         )
@@ -465,14 +468,11 @@ def _resolve_secret(
     return variant, secret, secret
 
 
-def _joint_distribution(
-    combined: StateVector, basis: OrthonormalBasis
-) -> tuple[OutcomeWeight, ...]:
-    m = _split_measured(combined, basis.target_qubits)
-    residuals = basis.matrix().conj() @ m
+def _joint_distribution(branches: np.ndarray) -> tuple[OutcomeWeight, ...]:
+    """Joint weights from Alice's branches, Charlie's qubit last in each row."""
     out = []
-    for i in range(residuals.shape[0]):
-        half = residuals[i].reshape(-1, 2)
+    for i in range(branches.shape[0]):
+        half = branches[i].reshape(-1, 2)
         plus = (half[:, 0] + half[:, 1]) / np.sqrt(2.0)
         minus = (half[:, 0] - half[:, 1]) / np.sqrt(2.0)
         out.append(OutcomeWeight(i, 0, float(np.sum(np.abs(plus) ** 2))))
@@ -481,16 +481,13 @@ def _joint_distribution(
 
 
 def outcome_distribution(
-    secret: SecretSpec | StateVector,
-    *,
-    variant: Variant | None = None,
-    basis: OrthonormalBasis | None = None,
+    secret: SecretSpec | StateVector, *, variant: Variant | None = None
 ) -> tuple[OutcomeWeight, ...]:
     """Exact joint probabilities of (alice_outcome, charlie_bit)."""
     variant, secret_state, _ = _resolve_secret(secret, variant)
-    basis = basis if basis is not None else build_alice_basis(variant)
     combined = tensor_product(secret_state, build_channel(variant))
-    return _joint_distribution(combined, basis)
+    branches, _ = project(combined, build_alice_basis(variant))
+    return _joint_distribution(branches)
 
 
 def run_protocol(
@@ -547,5 +544,5 @@ def run_protocol(
         bob_state_before=charlie.residual,
         bob_state_after=bob_after,
         fidelity=fidelity(bob_after, secret_state),
-        probabilities=_joint_distribution(combined, basis),
+        probabilities=_joint_distribution(alice.branches),
     )

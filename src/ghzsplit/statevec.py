@@ -12,11 +12,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# largest |norm - 1| a state (or a secret's coefficient weight) may carry
 NORM_ATOL = 1e-12
+# largest probability mass a measured state may have outside the basis span
 SPAN_ATOL = 1e-9
 
 IDENTITY = np.array([[1, 0], [0, 1]], dtype=complex)
@@ -62,7 +65,7 @@ class StateVector:
                 f"{self.num_qubits} qubits, got {amps.shape[0]}"
             )
         deficit = abs(float(np.linalg.norm(amps)) - 1.0)
-        if deficit > NORM_ATOL:
+        if not deficit <= NORM_ATOL:  # also rejects NaN and inf amplitudes
             raise NormalizationError("state is not normalized", deficit)
         amps = amps.copy()
         amps.flags.writeable = False
@@ -249,6 +252,8 @@ class MeasurementResult:
     outcome: int
     probability: float
     residual: StateVector
+    # unnormalised post-measurement state of every outcome, one row each
+    branches: np.ndarray = field(repr=False, compare=False)
 
 
 def _split_measured(state: StateVector, targets: tuple[int, ...]) -> np.ndarray:
@@ -260,28 +265,41 @@ def _split_measured(state: StateVector, targets: tuple[int, ...]) -> np.ndarray:
     return t.reshape(2 ** len(targets), -1)
 
 
+def project(
+    state: StateVector, basis: OrthonormalBasis
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome's branch and probability, from one projection."""
+    m = _split_measured(state, basis.target_qubits)
+    branches = basis.matrix().conj() @ m
+    return branches, np.sum(np.abs(branches) ** 2, axis=1)
+
+
 def basis_projection_probabilities(
     state: StateVector, basis: OrthonormalBasis
 ) -> np.ndarray:
     """Per-vector projection probabilities; no completeness requirement."""
-    m = _split_measured(state, basis.target_qubits)
-    residuals = basis.matrix().conj() @ m
-    return np.sum(np.abs(residuals) ** 2, axis=1)
+    return project(state, basis)[1]
 
 
-def _collapse(state: StateVector, basis: OrthonormalBasis, outcome: int):
-    m = _split_measured(state, basis.target_qubits)
-    residuals = basis.matrix().conj() @ m
-    probs = np.sum(np.abs(residuals) ** 2, axis=1)
+def _check_span(probs: np.ndarray) -> None:
     missing = 1.0 - float(np.sum(probs))
-    if missing > SPAN_ATOL:
+    if not missing <= SPAN_ATOL:
         raise OutOfSpanError(missing)
+
+
+def collapse(
+    branches: np.ndarray, probs: np.ndarray, outcome: int
+) -> MeasurementResult:
+    """One outcome of a ``project`` result; the state must lie in the basis span."""
+    if not 0 <= outcome < len(probs):
+        raise ValueError(f"outcome {outcome} out of range")
+    _check_span(probs)
     p = float(probs[outcome])
     if p <= 0.0:
         raise ValueError(f"outcome {outcome} has zero probability")
-    n_rest = state.num_qubits - len(basis.target_qubits)
-    residual = StateVector(n_rest, residuals[outcome] / np.sqrt(p))
-    return probs, p, residual
+    n_rest = branches.shape[1].bit_length() - 1
+    residual = StateVector(n_rest, branches[outcome] / np.sqrt(p))
+    return MeasurementResult(outcome, p, residual, branches)
 
 
 def measure_in_basis(
@@ -292,25 +310,20 @@ def measure_in_basis(
     Raises OutOfSpanError when more than 1e-9 of the state's probability mass
     lies outside the span of the basis vectors.
     """
-    probs = basis_projection_probabilities(state, basis)
-    missing = 1.0 - float(np.sum(probs))
-    if missing > SPAN_ATOL:
-        raise OutOfSpanError(missing)
+    branches, probs = project(state, basis)
+    _check_span(probs)  # before sampling: an all-zero projection has no draw
     outcome = int(rng.choice(len(probs), p=probs / np.sum(probs)))
-    _, p, residual = _collapse(state, basis, outcome)
-    return MeasurementResult(outcome, p, residual)
+    return collapse(branches, probs, outcome)
 
 
 def force_basis_outcome(
     state: StateVector, basis: OrthonormalBasis, outcome: int
 ) -> MeasurementResult:
     """Deterministic collapse onto one basis vector (no sampling)."""
-    if not 0 <= outcome < len(basis.vectors):
-        raise ValueError(f"outcome {outcome} out of range")
-    _, p, residual = _collapse(state, basis, outcome)
-    return MeasurementResult(outcome, p, residual)
+    return collapse(*project(state, basis), outcome)
 
 
+@functools.cache
 def hadamard_basis(qubit: int) -> OrthonormalBasis:
     """(|0>+|1>)/sqrt(2), (|0>-|1>)/sqrt(2); outcome 0 is the plus state."""
     s = 1.0 / np.sqrt(2.0)

@@ -42,26 +42,35 @@ IDS = [v.value for v in ALL_VARIANTS]
 THREE_VARIANTS = [Variant.THREE_A, Variant.THREE_B]
 
 SECRETS_PER_ROW = 100
-_c1_elapsed: dict[Variant, float] = {}
+
+
+@pytest.fixture(scope="module")
+def c1_runs() -> dict[Variant, tuple[float, float]]:
+    """Worst fidelity and elapsed seconds of the C1 loop, per variant."""
+    out = {}
+    for variant in ALL_VARIANTS:
+        vs = VARIANT_SPECS[variant]
+        basis = build_alice_basis(variant)
+        table = published_correction_table(variant)
+        rng = substream(1001, ALL_VARIANTS.index(variant))
+        secrets = [random_secret(variant, rng) for _ in range(SECRETS_PER_ROW)]
+        start = time.perf_counter()
+        worst = 1.0
+        for spec in secrets:
+            for outcome in range(vs.num_outcomes):
+                for bit in (0, 1):
+                    t = run_protocol(
+                        spec, forced=(outcome, bit), basis=basis, table=table
+                    )
+                    worst = min(worst, t.fidelity)
+        out[variant] = (worst, time.perf_counter() - start)
+    return out
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
-def test_c1_published_tables_recover_every_row(variant, acceptance):
+def test_c1_published_tables_recover_every_row(variant, c1_runs, acceptance):
     vs = VARIANT_SPECS[variant]
-    basis = build_alice_basis(variant)
-    table = published_correction_table(variant)
-    rng = substream(1001, ALL_VARIANTS.index(variant))
-    secrets = [random_secret(variant, rng) for _ in range(SECRETS_PER_ROW)]
-    start = time.perf_counter()
-    worst = 1.0
-    for spec in secrets:
-        for outcome in range(vs.num_outcomes):
-            for bit in (0, 1):
-                t = run_protocol(
-                    spec, forced=(outcome, bit), basis=basis, table=table
-                )
-                worst = min(worst, t.fidelity)
-    _c1_elapsed[variant] = time.perf_counter() - start
+    worst, _ = c1_runs[variant]
     acceptance.check(
         "C1",
         f"{variant.value}: worst fidelity {worst:.3e} over "
@@ -70,9 +79,8 @@ def test_c1_published_tables_recover_every_row(variant, acceptance):
     )
 
 
-def test_c1_runtime_budget(acceptance):
-    assert len(_c1_elapsed) == len(ALL_VARIANTS), "row tests must run first"
-    total = sum(_c1_elapsed.values())
+def test_c1_runtime_budget(c1_runs, acceptance):
+    total = sum(elapsed for _, elapsed in c1_runs.values())
     acceptance.check("C1", f"total runtime {total:.2f}s within 10s", total < 10.0)
 
 

@@ -18,12 +18,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_cli_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert captured.out == ""
-    return exc.value.code, json.loads(captured.err)
+    return exc.value.code, json.loads(captured.err, parse_constant=_reject_constant)
 
 
 class TestRun:
@@ -161,6 +165,35 @@ class TestRunErrors:
         assert code == 2
         assert err["error"]["type"] == "config"
         assert err["error"]["deficit"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "secret", ["nan,0,0,0", "inf,0,0,0", "0,nan+1j,0,0", "1e200,0,0,0"]
+    )
+    def test_non_finite_coefficients_rejected(self, secret, capsys):
+        code, err = run_cli_error(
+            ["run", "--variant", "three-a", "--secret", secret], capsys
+        )
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "finite" in err["error"]["message"]
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_rejected(self, tolerance, capsys):
+        code, err = run_cli_error(
+            ["run", "--variant", "three-a", "--tolerance", tolerance], capsys
+        )
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "--tolerance" in err["error"]["message"]
+
+    def test_unwritable_emit_path_rejected(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, err = run_cli_error(
+            ["run", "--variant", "three-a", "--emit", str(target)], capsys
+        )
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert not target.exists()
 
     def test_forced_outcome_out_of_range(self, capsys):
         code, err = run_cli_error(

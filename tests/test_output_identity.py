@@ -1,0 +1,64 @@
+"""Stdout and exit status must match the frozen ghzsplit 0.1.0 copy.
+
+``bench/reference/ghzsplit_ref`` is a verbatim copy of the package as first
+released. Any change to the package must leave every document it prints
+byte-identical to that copy (C7 across versions), so refactors and speedups
+are checked here against the old code on the whole command grid.
+"""
+
+import contextlib
+import importlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from ghzsplit.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+VARIANTS = ("three-a", "three-b", "four")
+
+RUN_GRID = [
+    ["run", "--variant", v, "--trials", "6", "--seed", "11", "--format", fmt, *how]
+    for v in VARIANTS
+    for fmt in ("json", "csv", "text")
+    for how in ([], ["--forced", "3,1"])
+]
+VERIFY_GRID = [
+    ["verify", "--all", "--format", fmt, *encoding]
+    for fmt in ("json", "text")
+    for encoding in ([], ["--paper-literal"])
+]
+EXPORT_GRID = [
+    ["export", "--variant", v, "--what", "table", "--source", "derived"]
+    + ["--format", fmt]
+    for v in VARIANTS
+    for fmt in ("json", "csv")
+]
+GRID = RUN_GRID + VERIFY_GRID + EXPORT_GRID
+
+
+@pytest.fixture(scope="module")
+def reference_main():
+    sys.path.insert(0, str(REFERENCE))
+    try:
+        return importlib.import_module("ghzsplit_ref.cli").main
+    finally:
+        sys.path.remove(str(REFERENCE))
+
+
+def _call(entry, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = entry(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", GRID, ids="_".join)
+def test_stdout_and_exit_status_match_reference(argv, reference_main, monkeypatch):
+    monkeypatch.delenv("GHZSPLIT_SEED", raising=False)
+    code, out = _call(main, argv)
+    assert out
+    assert (code, out) == _call(reference_main, argv)

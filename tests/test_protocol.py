@@ -84,6 +84,11 @@ class TestSecrets:
             build_secret(SecretSpec(Variant.FOUR, (1, 0)))
         assert exc.value.deficit == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(NormalizationError):
+            build_secret(SecretSpec(Variant.THREE_A, (bad, 0, 0, 0)))
+
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_random_secret_is_valid(self, variant):
         rng = substream(17, 0)

@@ -56,6 +56,11 @@ class TestStateVector:
             StateVector(1, np.array([1.0, 1.0]))
         assert exc.value.deficit == pytest.approx(np.sqrt(2.0) - 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(NormalizationError):
+            StateVector(1, np.array([bad, 0.0]))
+
     def test_amplitudes_are_read_only(self):
         state = StateVector.ket("0")
         with pytest.raises(ValueError):
