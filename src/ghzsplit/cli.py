@@ -64,18 +64,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
+    source, text = "--seed", value
+    if value is None:
+        source, text = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(env)
+        seed = int(text)
     except ValueError:
+        seed = None
+    if seed is None or seed < 0:  # numpy takes non-negative seeds only
         _emit_error(
-            "config",
-            f"{SEED_ENV_VAR} must be an integer, got {env!r}",
+            "config", f"{source} must be a non-negative integer, got {text!r}"
         )
+    return seed
 
 
 def _parse_secret(text: str, variant: Variant) -> SecretSpec:
@@ -185,31 +185,31 @@ def _cmd_run(args) -> int:
     fidelities = [t.fidelity for t in transcripts]
     threshold = 1.0 - args.tolerance
     ok = all(f >= threshold for f in fidelities)
-    counts = collections.Counter(
-        (t.alice_outcome, t.charlie_bit) for t in transcripts
-    )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "run",
-        "variant": variant.value,
-        "seed": seed,
-        "trials": args.trials,
-        "tolerance": args.tolerance,
-        "forced": None
-        if forced is None
-        else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
-        "transcripts": [t.to_dict() for t in transcripts],
-        "summary": {
-            "min_fidelity": min(fidelities),
-            "mean_fidelity": sum(fidelities) / len(fidelities),
-            "all_above_threshold": ok,
-            "outcome_counts": [
-                {"alice_outcome": i, "charlie_bit": b, "count": n}
-                for (i, b), n in sorted(counts.items())
-            ],
-        },
-    }
     if args.format == "json":
+        counts = collections.Counter(
+            (t.alice_outcome, t.charlie_bit) for t in transcripts
+        )
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "run",
+            "variant": variant.value,
+            "seed": seed,
+            "trials": args.trials,
+            "tolerance": args.tolerance,
+            "forced": None
+            if forced is None
+            else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
+            "transcripts": [t.to_dict() for t in transcripts],
+            "summary": {
+                "min_fidelity": min(fidelities),
+                "mean_fidelity": sum(fidelities) / len(fidelities),
+                "all_above_threshold": ok,
+                "outcome_counts": [
+                    {"alice_outcome": i, "charlie_bit": b, "count": n}
+                    for (i, b), n in sorted(counts.items())
+                ],
+            },
+        }
         payload = _json_payload(doc)
     elif args.format == "csv":
         payload = _csv_payload(

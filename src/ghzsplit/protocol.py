@@ -24,6 +24,7 @@ module derives correct tables independently and reports every disagreement.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -171,7 +172,10 @@ def build_secret(spec: SecretSpec) -> StateVector:
             f"{spec.variant.value} takes {vs.coefficient_count} coefficients, "
             f"got {len(spec.coefficients)}"
         )
-    total = sum(abs(c) ** 2 for c in spec.coefficients)
+    try:
+        total = sum(abs(c) ** 2 for c in spec.coefficients)
+    except OverflowError:  # a weight beyond the float range
+        total = math.inf
     deficit = abs(total - vs.coefficient_norm)
     if not deficit <= NORM_ATOL:
         raise NormalizationError(
@@ -470,14 +474,18 @@ def _resolve_secret(
 
 def _joint_distribution(branches: np.ndarray) -> tuple[OutcomeWeight, ...]:
     """Joint weights from Alice's branches, Charlie's qubit last in each row."""
-    out = []
-    for i in range(branches.shape[0]):
-        half = branches[i].reshape(-1, 2)
-        plus = (half[:, 0] + half[:, 1]) / np.sqrt(2.0)
-        minus = (half[:, 0] - half[:, 1]) / np.sqrt(2.0)
-        out.append(OutcomeWeight(i, 0, float(np.sum(np.abs(plus) ** 2))))
-        out.append(OutcomeWeight(i, 1, float(np.sum(np.abs(minus) ** 2))))
-    return tuple(out)
+    half = branches.reshape(branches.shape[0], -1, 2)
+    plus = (half[:, :, 0] + half[:, :, 1]) / np.sqrt(2.0)
+    minus = (half[:, :, 0] - half[:, :, 1]) / np.sqrt(2.0)
+    weights = zip(
+        np.sum(np.abs(plus) ** 2, axis=1).tolist(),
+        np.sum(np.abs(minus) ** 2, axis=1).tolist(),
+    )
+    return tuple(
+        OutcomeWeight(i, bit, p)
+        for i, pair in enumerate(weights)
+        for bit, p in enumerate(pair)
+    )
 
 
 def outcome_distribution(

@@ -1,4 +1,11 @@
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
+
+# frozen copy of ghzsplit 0.1.0, the yardstick for byte-identical output
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 # One summary line is printed per criterion after the run. A criterion passes
 # only if every result recorded against it passed; criteria with no recorded
@@ -33,6 +40,20 @@ class AcceptanceRecorder:
 @pytest.fixture
 def acceptance() -> AcceptanceRecorder:
     return AcceptanceRecorder()
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """Import ``ghzsplit_ref.<name>`` from the frozen reference copy."""
+
+    def load(name: str):
+        sys.path.insert(0, str(REFERENCE))
+        try:
+            return importlib.import_module(f"ghzsplit_ref.{name}")
+        finally:
+            sys.path.remove(str(REFERENCE))
+
+    return load
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

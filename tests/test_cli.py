@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ghzsplit.cli import main
+from ghzsplit.protocol import Transcript
 
 
 @pytest.fixture(autouse=True)
@@ -141,6 +142,18 @@ class TestRun:
         secret = json.loads(out)["transcripts"][0]["secret"]
         assert secret["coefficients"][1] == [0.0, 0.5]
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_tabular_run_builds_no_transcript_dicts(self, fmt, capsys, monkeypatch):
+        # csv and text print a few fields; the JSON document is never built
+        argv = ["run", "--variant", "three-b", "--trials", "5", "--format", fmt]
+        usual = run_cli(argv, capsys)
+
+        def refuse(self):
+            raise AssertionError("Transcript.to_dict called")
+
+        monkeypatch.setattr(Transcript, "to_dict", refuse)
+        assert run_cli(argv, capsys) == usual
+
 
 class TestRunErrors:
     def test_unparseable_coefficient(self, capsys):
@@ -247,11 +260,21 @@ class TestSeedResolution:
         _, out, _ = run_cli(["run", "--variant", "three-a"], capsys)
         assert json.loads(out)["seed"] == 0
 
-    def test_invalid_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("GHZSPLIT_SEED", "soon")
+    @pytest.mark.parametrize("value", ["soon", "-5"])
+    def test_invalid_env_seed(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GHZSPLIT_SEED", value)
         code, err = run_cli_error(["run", "--variant", "three-a"], capsys)
         assert code == 2
+        assert err["error"]["type"] == "config"
         assert "GHZSPLIT_SEED" in err["error"]["message"]
+
+    def test_negative_seed_flag(self, capsys):
+        code, err = run_cli_error(
+            ["run", "--variant", "three-a", "--seed", "-1"], capsys
+        )
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "--seed" in err["error"]["message"]
 
 
 class TestVerify:

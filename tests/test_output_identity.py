@@ -7,16 +7,11 @@ are checked here against the old code on the whole command grid.
 """
 
 import contextlib
-import importlib
 import io
-import sys
-from pathlib import Path
 
 import pytest
 
 from ghzsplit.cli import main
-
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 VARIANTS = ("three-a", "three-b", "four")
 
@@ -25,6 +20,10 @@ RUN_GRID = [
     for v in VARIANTS
     for fmt in ("json", "csv", "text")
     for how in ([], ["--forced", "3,1"])
+] + [
+    # hundreds of sampled trials: probabilities, corrections and fidelities
+    ["run", "--variant", v, "--trials", "300", "--seed", "2026", "--format", "json"]
+    for v in VARIANTS
 ]
 VERIFY_GRID = [
     ["verify", "--all", "--format", fmt, *encoding]
@@ -41,12 +40,8 @@ GRID = RUN_GRID + VERIFY_GRID + EXPORT_GRID
 
 
 @pytest.fixture(scope="module")
-def reference_main():
-    sys.path.insert(0, str(REFERENCE))
-    try:
-        return importlib.import_module("ghzsplit_ref.cli").main
-    finally:
-        sys.path.remove(str(REFERENCE))
+def reference_main(reference):
+    return reference("cli").main
 
 
 def _call(entry, argv):

@@ -89,6 +89,13 @@ class TestSecrets:
         with pytest.raises(NormalizationError):
             build_secret(SecretSpec(Variant.THREE_A, (bad, 0, 0, 0)))
 
+    @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
+    def test_overflowing_weight_rejected(self, huge):
+        # |c|**2 beyond the float range was a bare OverflowError
+        with pytest.raises(NormalizationError) as exc:
+            build_secret(SecretSpec(Variant.FOUR, (huge, 0)))
+        assert exc.value.deficit == float("inf")
+
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_random_secret_is_valid(self, variant):
         rng = substream(17, 0)

@@ -1,8 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ghzsplit.protocol import (
+    VARIANT_SPECS,
+    Variant,
+    published_correction_table,
+    random_secret,
+    run_protocol,
+    substream,
+)
 from ghzsplit.statevec import (
     HADAMARD,
     NormalizationError,
@@ -128,6 +138,32 @@ class TestGateApplication:
     def test_pauli_string_duplicate_targets(self):
         with pytest.raises(ValueError, match="duplicate"):
             apply_pauli_string(StateVector.ket("00"), (0, 0), PauliString(("X", "X")))
+
+    def test_pauli_string_qubit_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_pauli_string(StateVector.ket("00"), (0, 2), PauliString(("I", "X")))
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_bits_match_reference_on_every_bob_state(self, variant, reference):
+        # every candidate correction on the forced Bob state of every row;
+        # the bit patterns must agree, signed zeros included
+        ref = reference("statevec")
+        k = VARIANT_SPECS[variant].bob_qubits
+        targets = tuple(range(k))
+        secret = random_secret(variant, substream(2026, 0))
+        candidates = list(itertools.product(("I", "X", "Z", "iY"), repeat=k))
+        for row in published_correction_table(variant).rows:
+            bob = run_protocol(secret, forced=row).bob_state_before
+            ref_bob = ref.StateVector(k, bob.amplitudes)
+            for labels in candidates:
+                got = apply_pauli_string(bob, targets, PauliString(labels))
+                want = ref.apply_pauli_string(
+                    ref_bob, targets, ref.PauliString(labels)
+                )
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (
+                    row,
+                    labels,
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(
