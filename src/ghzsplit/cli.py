@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterator
 
 from .oracle import derive_table, verify_table
 from .protocol import (
@@ -32,6 +34,7 @@ from .protocol import (
     LITERAL,
     SCHEMA_VERSION,
     SecretSpec,
+    TrialChunk,
     Variant,
     VARIANT_SPECS,
     build_alice_basis,
@@ -39,6 +42,7 @@ from .protocol import (
     published_correction_table,
     random_secret,
     run_protocol,
+    run_trials,
     substream,
 )
 from .statevec import NormalizationError
@@ -133,27 +137,94 @@ def _parse_forced(text: str, variant: Variant) -> tuple[int, int]:
     return outcome, bit
 
 
-def _deliver(payload: str, emit: str | None) -> None:
-    # the file first, so that a path that cannot be written leaves stdout empty
-    if emit:
+def _emit_write_error(emit: str, exc: OSError) -> None:
+    _emit_error("config", f"cannot write --emit file {emit!r}: {exc.strerror}")
+
+
+@contextlib.contextmanager
+def _output(emit: str | None) -> Iterator[Callable[[str], None]]:
+    """A writer to stdout and, with ``--emit``, to that file too.
+
+    Each piece reaches the file (flushed) before stdout, so a path that
+    cannot be opened or written gives the ``config`` error before stdout
+    gets that piece; stdout keeps only the pieces written before it.
+    """
+    if not emit:
+        yield sys.stdout.write
+        return
+    try:
+        fh = open(emit, "w", encoding="utf-8")
+    except OSError as exc:
+        _emit_write_error(emit, exc)
+
+    def write(text: str) -> None:
         try:
-            with open(emit, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            fh.write(text)
+            fh.flush()  # a full disk shows here, not after stdout
         except OSError as exc:
-            _emit_error("config", f"cannot write --emit file {emit!r}: {exc.strerror}")
-    sys.stdout.write(payload)
+            with contextlib.suppress(OSError):
+                fh.close()  # closes even when its own flush fails again
+            _emit_write_error(emit, exc)
+        sys.stdout.write(text)
+
+    try:
+        yield write
+    finally:
+        try:
+            fh.close()  # a no-op when write() already closed it
+        except OSError as exc:
+            _emit_write_error(emit, exc)
+
+
+def _deliver(payload: str, emit: str | None) -> None:
+    with _output(emit) as write:
+        write(payload)
 
 
 def _json_payload(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    # the documents are trees of fresh dicts and lists, so the encoder's
+    # per-container cycle bookkeeping is skipped; the bytes are the same
+    return json.dumps(doc, indent=2, check_circular=False) + "\n"
 
 
-def _csv_payload(header: list[str], rows: list[list]) -> str:
+def _csv_payload(rows: list[list]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+_RUN_CSV_HEADER = [
+    "trial",
+    "variant",
+    "alice_outcome",
+    "alice_cbits",
+    "charlie_bit",
+    "correction",
+    "fidelity",
+]
+
+
+def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
+    """CSV rows or text lines of one chunk, whose first trial is ``first``."""
+    trials = zip(
+        range(first, first + len(chunk.fidelities)),
+        chunk.alice_outcomes,
+        chunk.charlie_bits,
+        chunk.corrections,
+        chunk.fidelities,
+    )
+    if fmt == "csv":
+        return _csv_payload(
+            [
+                [trial, chunk.variant.value, i, format(i, "04b"), b, str(p), repr(f)]
+                for trial, i, b, p, f in trials
+            ]
+        )
+    return "".join(
+        f"trial {trial}: outcome={i} cbits={i:04b} charlie={b} correction={p} "
+        f"fidelity={f:.12f}\n"
+        for trial, i, b, p, f in trials
+    )
 
 
 def _cmd_run(args) -> int:
@@ -165,30 +236,25 @@ def _cmd_run(args) -> int:
         _emit_error(
             "config", f"--tolerance must be finite and >= 0, got {args.tolerance}"
         )
-    secret_spec = (
-        _parse_secret(args.secret, variant) if args.secret is not None else None
-    )
+    secret = _parse_secret(args.secret, variant) if args.secret is not None else None
     forced = (
         _parse_forced(args.forced, variant) if args.forced is not None else None
     )
-    transcripts = []
-    for trial in range(args.trials):
-        rng = substream(seed, trial)
-        secret = (
-            secret_spec
-            if secret_spec is not None
-            else random_secret(variant, rng)
-        )
-        transcripts.append(
-            run_protocol(secret, variant=variant, rng=rng, forced=forced)
-        )
-    fidelities = [t.fidelity for t in transcripts]
     threshold = 1.0 - args.tolerance
-    ok = all(f >= threshold for f in fidelities)
+    # every fidelity is kept for the summary: a running total is not sum(),
+    # which compensates its rounding on Python >= 3.12
+    fidelities = []
     if args.format == "json":
-        counts = collections.Counter(
-            (t.alice_outcome, t.charlie_bit) for t in transcripts
-        )
+        # the document holds whole transcripts, one run_protocol call each
+        transcripts, counts = [], collections.Counter()
+        for trial in range(args.trials):
+            rng = substream(seed, trial)
+            spec = secret if secret is not None else random_secret(variant, rng)
+            t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
+            fidelities.append(t.fidelity)
+            counts[t.alice_outcome, t.charlie_bit] += 1
+            transcripts.append(t.to_dict())
+        ok = all(f >= threshold for f in fidelities)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "run",
@@ -199,7 +265,7 @@ def _cmd_run(args) -> int:
             "forced": None
             if forced is None
             else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
-            "transcripts": [t.to_dict() for t in transcripts],
+            "transcripts": transcripts,
             "summary": {
                 "min_fidelity": min(fidelities),
                 "mean_fidelity": sum(fidelities) / len(fidelities),
@@ -210,45 +276,22 @@ def _cmd_run(args) -> int:
                 ],
             },
         }
-        payload = _json_payload(doc)
-    elif args.format == "csv":
-        payload = _csv_payload(
-            [
-                "trial",
-                "variant",
-                "alice_outcome",
-                "alice_cbits",
-                "charlie_bit",
-                "correction",
-                "fidelity",
-            ],
-            [
-                [
-                    trial,
-                    variant.value,
-                    t.alice_outcome,
-                    t.alice_cbits,
-                    t.charlie_bit,
-                    str(t.correction),
-                    repr(t.fidelity),
-                ]
-                for trial, t in enumerate(transcripts)
-            ],
-        )
-    else:
-        lines = [
-            f"trial {trial}: outcome={t.alice_outcome} cbits={t.alice_cbits} "
-            f"charlie={t.charlie_bit} correction={t.correction} "
-            f"fidelity={t.fidelity:.12f}"
-            for trial, t in enumerate(transcripts)
-        ]
-        lines.append(
-            f"summary: trials={args.trials} min_fidelity={min(fidelities):.12f} "
-            f"mean_fidelity={sum(fidelities) / len(fidelities):.12f} "
-            f"ok={'yes' if ok else 'no'}"
-        )
-        payload = "\n".join(lines) + "\n"
-    _deliver(payload, args.emit)
+        _deliver(_json_payload(doc), args.emit)
+        return 0 if ok else 1
+    chunks = run_trials(variant, seed, args.trials, secret=secret, forced=forced)
+    with _output(args.emit) as write:
+        if args.format == "csv":
+            write(_csv_payload([_RUN_CSV_HEADER]))
+        for chunk in chunks:
+            write(_run_rows(chunk, len(fidelities), args.format))
+            fidelities.extend(chunk.fidelities)
+        ok = all(f >= threshold for f in fidelities)
+        if args.format == "text":
+            write(
+                f"summary: trials={args.trials} min_fidelity={min(fidelities):.12f} "
+                f"mean_fidelity={sum(fidelities) / len(fidelities):.12f} "
+                f"ok={'yes' if ok else 'no'}\n"
+            )
     return 0 if ok else 1
 
 
@@ -342,7 +385,7 @@ def _cmd_export(args) -> int:
                             repr(float(amp.imag)),
                         ]
                     )
-            payload = _csv_payload(
+            payload = _csv_payload([
                 [
                     "variant",
                     "encoding",
@@ -352,8 +395,8 @@ def _cmd_export(args) -> int:
                     "real",
                     "imag",
                 ],
-                rows,
-            )
+                *rows,
+            ])
     else:
         if args.source == "published":
             table = published_correction_table(variant)
@@ -369,7 +412,7 @@ def _cmd_export(args) -> int:
         if args.format == "json":
             payload = _json_payload(doc)
         else:
-            payload = _csv_payload(
+            payload = _csv_payload([
                 [
                     "variant",
                     "source",
@@ -378,7 +421,7 @@ def _cmd_export(args) -> int:
                     "charlie_bit",
                     "correction",
                 ],
-                [
+                *(
                     [
                         variant.value,
                         table.source,
@@ -388,8 +431,8 @@ def _cmd_export(args) -> int:
                         "*".join(row["correction"]),
                     ]
                     for row in table_dict["rows"]
-                ],
-            )
+                ),
+            ])
     _deliver(payload, args.emit)
     return 0
 

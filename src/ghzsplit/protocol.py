@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,7 @@ from .statevec import (
     StateVector,
     apply_gate,
     apply_pauli_string,
+    check_normalized,
     fidelity,
     force_basis_outcome,
     force_hadamard_outcome,
@@ -181,12 +183,29 @@ def build_secret(spec: SecretSpec) -> StateVector:
         raise NormalizationError(
             f"coefficient weights must sum to {vs.coefficient_norm}", deficit
         )
-    if spec.variant is Variant.FOUR:
-        a, b = spec.coefficients
-        terms = {"0000": a, "0011": a, "1100": b, "1111": b}
-    else:
-        terms = dict(zip(vs.secret_kets, spec.coefficients))
-    return StateVector.from_terms(vs.secret_qubits, terms)
+    return StateVector(vs.secret_qubits, _secret_rows(spec.variant, [spec])[0])
+
+
+@functools.cache
+def _secret_layout(variant: Variant) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude index of each class ket and the coefficient weighing it:
+    coefficient j weighs an equal run of the kets (kets 0..3 one each in the
+    three-qubit variants, kets 0,1 and 2,3 in ``four``)."""
+    vs = VARIANT_SPECS[variant]
+    slots = np.array([int(k, 2) for k in vs.secret_kets])
+    picks = np.arange(len(slots)) * vs.coefficient_count // len(slots)
+    slots.flags.writeable = False
+    picks.flags.writeable = False
+    return slots, picks
+
+
+def _secret_rows(variant: Variant, specs: list[SecretSpec]) -> np.ndarray:
+    """Amplitude rows of in-class secrets, one per spec (no checks)."""
+    slots, picks = _secret_layout(variant)
+    coeffs = np.array([spec.coefficients for spec in specs], dtype=complex)
+    rows = np.zeros((len(specs), 2 ** VARIANT_SPECS[variant].secret_qubits), complex)
+    rows[:, slots] += coeffs[:, picks]  # 0 + c, as StateVector.from_terms adds
+    return rows
 
 
 def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
@@ -472,18 +491,25 @@ def _resolve_secret(
     return variant, secret, secret
 
 
-def _joint_distribution(branches: np.ndarray) -> tuple[OutcomeWeight, ...]:
-    """Joint weights from Alice's branches, Charlie's qubit last in each row."""
-    half = branches.reshape(branches.shape[0], -1, 2)
-    plus = (half[:, :, 0] + half[:, :, 1]) / np.sqrt(2.0)
-    minus = (half[:, :, 0] - half[:, :, 1]) / np.sqrt(2.0)
-    weights = zip(
-        np.sum(np.abs(plus) ** 2, axis=1).tolist(),
-        np.sum(np.abs(minus) ** 2, axis=1).tolist(),
+def _joint_weights(branches: np.ndarray) -> np.ndarray:
+    """Joint weights ``[..., outcome, bit]`` from Alice's (stacked) branches,
+    Charlie's qubit last in each branch."""
+    half = branches.reshape(*branches.shape[:-1], -1, 2)
+    plus = (half[..., 0] + half[..., 1]) / np.sqrt(2.0)
+    minus = (half[..., 0] - half[..., 1]) / np.sqrt(2.0)
+    return np.stack(
+        [
+            np.add.reduce(np.abs(plus) ** 2, axis=-1),
+            np.add.reduce(np.abs(minus) ** 2, axis=-1),
+        ],
+        axis=-1,
     )
+
+
+def _outcome_weights(weights: np.ndarray) -> tuple[OutcomeWeight, ...]:
     return tuple(
         OutcomeWeight(i, bit, p)
-        for i, pair in enumerate(weights)
+        for i, pair in enumerate(weights.tolist())
         for bit, p in enumerate(pair)
     )
 
@@ -495,7 +521,126 @@ def outcome_distribution(
     variant, secret_state, _ = _resolve_secret(secret, variant)
     combined = tensor_product(secret_state, build_channel(variant))
     branches, _ = project(combined, build_alice_basis(variant))
-    return _joint_distribution(branches)
+    return _outcome_weights(_joint_weights(branches))
+
+
+# trials the kernel stacks per call: a chunk's arrays stay within 1-2 MiB
+TRIAL_CHUNK = 128
+
+
+@dataclass(frozen=True, eq=False)
+class TrialChunk:
+    """Consecutive trials run as one stack; entry or row t is the chunk's trial t."""
+
+    variant: Variant
+    secrets: tuple[SecretSpec | StateVector, ...]
+    alice_outcomes: list[int]
+    charlie_bits: list[int]
+    corrections: list[PauliString]
+    bob_before: np.ndarray
+    bob_after: np.ndarray
+    fidelities: list[float]
+    alice_branches: np.ndarray
+
+    def transcripts(self) -> list[Transcript]:
+        bob = VARIANT_SPECS[self.variant].bob_qubits
+        weights = _joint_weights(self.alice_branches)
+        return [
+            Transcript(
+                variant=self.variant,
+                secret=secret,
+                alice_outcome=outcome,
+                alice_cbits=format(outcome, "04b"),
+                charlie_bit=bit,
+                correction=correction,
+                bob_state_before=StateVector(bob, before),
+                bob_state_after=StateVector(bob, after),
+                fidelity=fid,
+                probabilities=_outcome_weights(w),
+            )
+            for secret, outcome, bit, correction, before, after, fid, w in zip(
+                self.secrets, self.alice_outcomes, self.charlie_bits,
+                self.corrections, self.bob_before, self.bob_after,
+                self.fidelities, weights,
+            )
+        ]
+
+
+def _run_chunk(
+    variant: Variant,
+    secrets: tuple[SecretSpec | StateVector, ...],
+    secret_rows: np.ndarray,
+    rngs: list[np.random.Generator],
+    forced: tuple[int, int] | None,
+    basis: OrthonormalBasis,
+    table: CorrectionTable,
+) -> TrialChunk:
+    """The trial kernel: one protocol round per secret row, all stacked.
+
+    Trial t samples from ``rngs[t]`` (one ``random()`` for Alice, then one
+    for Charlie) unless ``forced`` pins both outcomes. Every step is the
+    same floating-point operation per row as on a single state.
+    """
+    # np.kron of each secret row with the channel, as one outer product
+    channel = build_channel(variant).amplitudes
+    combined = (secret_rows[:, :, None] * channel).reshape(len(secret_rows), -1)
+    check_normalized(combined)
+    bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
+    if forced is None:
+        alice = measure_in_basis(combined, basis, rngs)
+        charlie = measure_hadamard(alice.residual, bob, rngs)
+    else:
+        alice = force_basis_outcome(combined, basis, forced[0])
+        charlie = force_hadamard_outcome(alice.residual, bob, forced[1])
+
+    keys = list(zip(alice.outcome.tolist(), charlie.outcome.tolist()))
+    corrections = [table[key] for key in keys]
+    bob_after = apply_pauli_string(charlie.residual, tuple(range(bob)), corrections)
+    check_normalized(bob_after)
+    return TrialChunk(
+        variant=variant,
+        secrets=tuple(secrets),
+        alice_outcomes=[i for i, _ in keys],
+        charlie_bits=[b for _, b in keys],
+        corrections=corrections,
+        bob_before=charlie.residual,
+        bob_after=bob_after,
+        fidelities=fidelity(bob_after, secret_rows),
+        alice_branches=alice.branches,
+    )
+
+
+def run_trials(
+    variant: Variant,
+    seed: int,
+    trials: int,
+    *,
+    secret: SecretSpec | None = None,
+    forced: tuple[int, int] | None = None,
+) -> Iterator[TrialChunk]:
+    """Trials ``0 .. trials - 1`` with the published table, ``TRIAL_CHUNK`` at a time.
+
+    Trial t draws from ``substream(seed, t)`` alone: its random secret
+    (unless ``secret`` fixes one for every trial), then its outcomes (unless
+    ``forced`` pins them). A trial's result therefore does not depend on the
+    chunking or on the other trials.
+    """
+    fixed = None if secret is None else build_secret(secret)
+    basis = build_alice_basis(variant)
+    table = published_correction_table(variant)
+    for start in range(0, trials, TRIAL_CHUNK):
+        rngs = [
+            substream(seed, trial)
+            for trial in range(start, min(start + TRIAL_CHUNK, trials))
+        ]
+        if secret is None:
+            secrets = [random_secret(variant, rng) for rng in rngs]
+            rows = _secret_rows(variant, secrets)
+            check_normalized(rows)  # what StateVector checks of build_secret's
+        else:
+            secrets = [secret] * len(rngs)
+            rows = np.repeat(fixed.amplitudes[None], len(rngs), axis=0)
+        yield _run_chunk(variant, secrets, rows, rngs, forced, basis, table)
 
 
 def run_protocol(
@@ -514,43 +659,22 @@ def run_protocol(
     unless ``forced=(alice_outcome, charlie_bit)`` pins them. The published
     correction table is used unless ``table`` overrides it. Raises
     OutOfSpanError when the secret lies outside the variant's restricted
-    class.
+    class. This is the trial kernel run on a single trial.
     """
     variant, secret_state, secret_record = _resolve_secret(secret, variant)
-    vs = VARIANT_SPECS[variant]
-    basis = basis if basis is not None else build_alice_basis(variant)
-    table = table if table is not None else published_correction_table(variant)
-    combined = tensor_product(secret_state, build_channel(variant))
-
     if forced is not None:
-        alice_outcome, charlie_bit = int(forced[0]), int(forced[1])
-        alice = force_basis_outcome(combined, basis, alice_outcome)
-        charlie = force_hadamard_outcome(
-            alice.residual, alice.residual.num_qubits - 1, charlie_bit
-        )
-    else:
-        if rng is None:
-            if seed is None:
-                raise ValueError("need rng, seed, or forced outcomes")
-            rng = np.random.default_rng(seed)
-        alice = measure_in_basis(combined, basis, rng)
-        charlie = measure_hadamard(
-            alice.residual, alice.residual.num_qubits - 1, rng
-        )
-
-    correction = table[(alice.outcome, charlie.outcome)]
-    bob_after = apply_pauli_string(
-        charlie.residual, tuple(range(vs.bob_qubits)), correction
+        forced = (int(forced[0]), int(forced[1]))
+    elif rng is None:
+        if seed is None:
+            raise ValueError("need rng, seed, or forced outcomes")
+        rng = np.random.default_rng(seed)
+    chunk = _run_chunk(
+        variant,
+        (secret_record,),
+        secret_state.amplitudes[None],
+        [rng],
+        forced,
+        basis if basis is not None else build_alice_basis(variant),
+        table if table is not None else published_correction_table(variant),
     )
-    return Transcript(
-        variant=variant,
-        secret=secret_record,
-        alice_outcome=alice.outcome,
-        alice_cbits=format(alice.outcome, "04b"),
-        charlie_bit=charlie.outcome,
-        correction=correction,
-        bob_state_before=charlie.residual,
-        bob_state_after=bob_after,
-        fidelity=fidelity(bob_after, secret_state),
-        probabilities=_joint_distribution(alice.branches),
-    )
+    return chunk.transcripts()[0]

@@ -8,6 +8,11 @@ Conventions used throughout the package:
 * Amplitudes are complex128 arrays of length ``2**num_qubits``.
 * States are validated to unit norm on construction (tolerance ``NORM_ATOL``)
   and are never silently renormalized.
+* The measurement, correction and fidelity functions also take a
+  ``(rows, 2**n)`` stack of amplitude rows in place of a StateVector and then
+  do the same floating-point work on every row at once, with the same span
+  and probability checks. Of a stack's norms only the collapsed rows are
+  checked; the caller checks the rest with ``check_normalized``.
 """
 
 from __future__ import annotations
@@ -64,9 +69,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got {amps.shape[0]}"
             )
-        deficit = abs(float(np.linalg.norm(amps)) - 1.0)
-        if not deficit <= NORM_ATOL:  # also rejects NaN and inf amplitudes
-            raise NormalizationError("state is not normalized", deficit)
+        check_normalized(amps)
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -103,7 +106,7 @@ class StateVector:
 
     def amplitude_pairs(self) -> list[list[float]]:
         """Amplitudes as ``[re, im]`` pairs for JSON serialization."""
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
+        return self.amplitudes.view(np.float64).reshape(-1, 2).tolist()
 
 
 @dataclass(frozen=True)
@@ -181,16 +184,15 @@ def _xor_sign_tables(
     return source, sign
 
 
-def apply_pauli_string(
-    state: StateVector, qubits: tuple[int, ...], pauli: PauliString
-) -> StateVector:
-    """Apply each factor of ``pauli`` to the corresponding entry of ``qubits``.
+def pauli_masks(
+    num_qubits: int, qubits: tuple[int, ...], pauli: PauliString
+) -> tuple[int, int]:
+    """Index masks of ``pauli`` applied factor by factor to ``qubits``.
 
     Every factor is ``Z**z X**x`` with a real sign (iY = Z X), so the whole
     string is one permutation and sign flip of the amplitudes:
     ``out[k] = (-1)**popcount(k & zmask) * in[k ^ xmask]``.
     """
-    n = state.num_qubits
     if len(qubits) != len(pauli):
         raise ValueError(
             f"{len(pauli)} Pauli factors but {len(qubits)} target qubits"
@@ -199,16 +201,37 @@ def apply_pauli_string(
         raise ValueError(f"duplicate target qubits in {qubits}")
     xmask = zmask = 0
     for q, lab in zip(qubits, pauli.labels):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-        bit = 1 << (n - 1 - q)
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
+        bit = 1 << (num_qubits - 1 - q)
         if lab in _FLIPS:
             xmask |= bit
         if lab in _PHASES:
             zmask |= bit
-    source, sign = _xor_sign_tables(state.dim, xmask, zmask)
+    return xmask, zmask
+
+
+def apply_pauli_string(
+    state: StateVector | np.ndarray,
+    qubits: tuple[int, ...],
+    pauli: PauliString | list[PauliString],
+) -> StateVector | np.ndarray:
+    """Apply each factor of ``pauli`` to the corresponding entry of ``qubits``.
+
+    On a stack of amplitude rows ``pauli`` holds one string per row, and the
+    result is the stack of corrected rows (their norms are not checked).
+    """
+    stacked = not isinstance(state, StateVector)
+    rows = state if stacked else state.amplitudes[None]
+    paulis = pauli if stacked else [pauli]
+    n = rows.shape[1].bit_length() - 1
+    masks = {p: pauli_masks(n, qubits, p) for p in set(paulis)}
+    tables = [_xor_sign_tables(rows.shape[1], *masks[p]) for p in paulis]
+    source = np.array([t[0] for t in tables])
+    sign = np.array([t[1] for t in tables])
     # + 0.0 turns the -0.0 a sign flip leaves on a zero component into 0.0
-    return StateVector(n, sign * state.amplitudes[source] + 0.0)
+    out = sign * rows[np.arange(len(rows))[:, None], source] + 0.0
+    return out if stacked else StateVector(n, out[0])
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -220,9 +243,17 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, insensitive to global phase."""
-    return abs(inner_product(a, b)) ** 2
+def fidelity(
+    a: StateVector | np.ndarray, b: StateVector | np.ndarray
+) -> float | list[float]:
+    """|<a|b>|^2, insensitive to global phase.
+
+    On two stacks of amplitude rows, one fidelity per pair of rows, each
+    from its own ``np.vdot`` (a batched sum would round differently).
+    """
+    if isinstance(a, StateVector):
+        return abs(inner_product(a, b)) ** 2
+    return [abs(complex(np.vdot(x, y))) ** 2 for x, y in zip(a, b)]
 
 
 @dataclass(frozen=True)
@@ -265,6 +296,13 @@ class OrthonormalBasis:
         """Vectors stacked as rows, shape (num_vectors, 2**k)."""
         return np.array([v.amplitudes for v in self.vectors])
 
+    @functools.cached_property
+    def bras(self) -> np.ndarray:
+        """``matrix().conj()``, built once; read-only."""
+        bras = self.matrix().conj()
+        bras.flags.writeable = False
+        return bras
+
     def gram_defects(self, atol: float = NORM_ATOL) -> list[tuple[int, int, complex]]:
         """Entries (i, j, <vi|vj>) where the Gram matrix deviates from identity."""
         b = self.matrix()
@@ -279,29 +317,55 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class MeasurementResult:
-    outcome: int
-    probability: float
-    residual: StateVector
+    """Outcome, its probability and the normalised post-measurement state.
+
+    For a stack of measured states every field has a leading rows axis:
+    outcome and probability arrays, and ``residual`` a stack of amplitude rows.
+    """
+
+    outcome: int | np.ndarray
+    probability: float | np.ndarray
+    residual: StateVector | np.ndarray
     # unnormalised post-measurement state of every outcome, one row each
     branches: np.ndarray = field(repr=False, compare=False)
 
 
-def _split_measured(state: StateVector, targets: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes as a (2**k, 2**rest) matrix, measured qubits on the rows."""
-    n = state.num_qubits
+def check_normalized(amps: np.ndarray) -> None:
+    """Raise NormalizationError unless the amplitudes of a state, or every row
+    of a stack of them, have unit norm (to ``NORM_ATOL``)."""
+    # re, im interleaved along the last axis
+    parts = np.ascontiguousarray(amps).view(np.float64)
+    norms = np.sqrt(np.add.reduce(parts * parts, axis=-1))
+    # the worst row decides; a NaN or inf amplitude propagates and fails
+    deficit = float(np.maximum.reduce(np.abs(norms - 1.0), axis=None))
+    if not deficit <= NORM_ATOL:
+        raise NormalizationError("state is not normalized", deficit)
+
+
+def _split_measured(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes ``(..., 2**n)`` as ``(..., 2**k, 2**rest)``: one matrix per
+    state, the measured qubits on its rows."""
+    lead = amps.shape[:-1]
+    n = amps.shape[-1].bit_length() - 1
     rest = [q for q in range(n) if q not in targets]
-    t = state.amplitudes.reshape([2] * n)
-    t = np.transpose(t, list(targets) + rest)
-    return t.reshape(2 ** len(targets), -1)
+    k = len(lead)
+    t = amps.reshape(*lead, *[2] * n)
+    t = t.transpose(*range(k), *[k + q for q in (*targets, *rest)])
+    return t.reshape(*lead, 2 ** len(targets), -1)
 
 
 def project(
-    state: StateVector, basis: OrthonormalBasis
+    state: StateVector | np.ndarray, basis: OrthonormalBasis
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every outcome's branch and probability, from one projection."""
-    m = _split_measured(state, basis.target_qubits)
-    branches = basis.matrix().conj() @ m
-    return branches, np.sum(np.abs(branches) ** 2, axis=1)
+    """Every outcome's branch and probability, from one projection.
+
+    ``state`` is a StateVector, giving (outcomes, 2**rest) branches and
+    (outcomes,) probabilities, or a (rows, 2**n) stack of amplitude rows,
+    giving those arrays with a leading rows axis from one stacked matmul.
+    """
+    amps = state.amplitudes if isinstance(state, StateVector) else state
+    branches = basis.bras @ _split_measured(amps, basis.target_qubits)
+    return branches, np.add.reduce(np.abs(branches) ** 2, axis=-1)
 
 
 def basis_projection_probabilities(
@@ -312,44 +376,102 @@ def basis_projection_probabilities(
 
 
 def _check_span(probs: np.ndarray) -> None:
-    missing = 1.0 - float(np.sum(probs))
+    sums = np.add.reduce(probs, axis=-1)  # one per row of a stack
+    # the worst row decides; a NaN sum propagates and fails the check
+    missing = 1.0 - float(np.minimum.reduce(sums, axis=None))
     if not missing <= SPAN_ATOL:
         raise OutOfSpanError(missing)
 
 
+# Generator.choice's tolerance on the sum of its probabilities
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def sample_outcomes(p: np.ndarray, uniforms) -> np.ndarray:
+    """Outcome per row of ``p`` (last axis) for one uniform draw in [0, 1) each.
+
+    The draw maps to an outcome exactly as ``Generator.choice(len(row),
+    p=row)`` maps its own ``random()`` draw, and bad rows raise ValueError as
+    there: NaN, a negative entry, or a sum off 1 by more than sqrt(eps).
+    """
+    # ufunc methods rather than np.sum/np.any, whose Python-level wrappers
+    # cost more than the arithmetic on a few rows
+    total = np.add.reduce(p, axis=-1)
+    if np.logical_or.reduce(np.isnan(total), axis=None):
+        raise ValueError("probabilities contain NaN")
+    if np.logical_or.reduce(p < 0, axis=None):
+        raise ValueError("probabilities are not non-negative")
+    if np.logical_or.reduce(np.abs(total - 1.0) > _CHOICE_ATOL, axis=None):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.add.accumulate(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    # searchsorted(cdf, u, side="right") on each non-decreasing row
+    below = cdf <= np.asarray(uniforms)[..., None]
+    return np.add.reduce(below, axis=-1, dtype=np.intp)
+
+
 def collapse(
-    branches: np.ndarray, probs: np.ndarray, outcome: int
+    branches: np.ndarray, probs: np.ndarray, outcome: int | np.ndarray
 ) -> MeasurementResult:
-    """One outcome of a ``project`` result; the state must lie in the basis span."""
-    if not 0 <= outcome < len(probs):
-        raise ValueError(f"outcome {outcome} out of range")
+    """The normalised ``outcome`` branch of a ``project`` result; the state
+    must lie in the basis span.
+
+    For a stacked result ``outcome`` is one outcome per row, or one for all.
+    """
+    if probs.ndim == 1:
+        # the same checks and divide as below, without the gathers of a
+        # stack, which doubled the time of the oracle's per-state calls
+        if not 0 <= outcome < len(probs):
+            raise ValueError(f"outcome {outcome} out of range")
+        _check_span(probs)
+        p = float(probs[outcome])
+        if p <= 0.0:
+            raise ValueError(f"outcome {outcome} has zero probability")
+        n_rest = branches.shape[1].bit_length() - 1
+        residual = StateVector(n_rest, branches[outcome] / np.sqrt(p))
+        return MeasurementResult(outcome, p, residual, branches)
+    outcomes = np.zeros(len(probs), dtype=int) + outcome
+    bad = (outcomes < 0) | (outcomes >= probs.shape[1])
+    if np.logical_or.reduce(bad):
+        raise ValueError(f"outcome {outcomes[bad][0]} out of range")
     _check_span(probs)
-    p = float(probs[outcome])
-    if p <= 0.0:
-        raise ValueError(f"outcome {outcome} has zero probability")
-    n_rest = branches.shape[1].bit_length() - 1
-    residual = StateVector(n_rest, branches[outcome] / np.sqrt(p))
-    return MeasurementResult(outcome, p, residual, branches)
+    picked = np.arange(len(outcomes))
+    p = probs[picked, outcomes]
+    if np.logical_or.reduce(p <= 0.0):
+        raise ValueError(f"outcome {outcomes[p <= 0.0][0]} has zero probability")
+    residual = branches[picked, outcomes] / np.sqrt(p)[:, None]
+    check_normalized(residual)
+    return MeasurementResult(outcomes, p, residual, branches)
 
 
 def measure_in_basis(
-    state: StateVector, basis: OrthonormalBasis, rng: np.random.Generator
+    state: StateVector | np.ndarray,
+    basis: OrthonormalBasis,
+    rng: np.random.Generator | list[np.random.Generator],
 ) -> MeasurementResult:
     """Sample one projective outcome and collapse the measured qubits.
 
+    A stack of amplitude rows takes one generator per row. Each generator
+    gives one ``random()`` draw, mapped to an outcome by ``sample_outcomes``.
     Raises OutOfSpanError when more than ``SPAN_ATOL`` of the state's
-    probability mass lies outside the span of the basis vectors.
+    probability mass lies outside the span of the basis vectors; no
+    generator is drawn from then.
     """
     branches, probs = project(state, basis)
-    _check_span(probs)  # before sampling: an all-zero projection has no draw
-    outcome = int(rng.choice(len(probs), p=probs / np.sum(probs)))
-    return collapse(branches, probs, outcome)
+    stacked = probs.ndim == 2
+    rows = probs if stacked else probs[None]
+    _check_span(rows)  # before sampling: an all-zero projection has no draw
+    uniforms = np.array([r.random() for r in (rng if stacked else [rng])])
+    p = rows / np.add.reduce(rows, axis=-1, keepdims=True)
+    outcomes = sample_outcomes(p, uniforms)
+    return collapse(branches, probs, outcomes if stacked else int(outcomes[0]))
 
 
 def force_basis_outcome(
-    state: StateVector, basis: OrthonormalBasis, outcome: int
+    state: StateVector | np.ndarray, basis: OrthonormalBasis, outcome: int
 ) -> MeasurementResult:
-    """Deterministic collapse onto one basis vector (no sampling)."""
+    """Deterministic collapse onto one basis vector (no sampling); a stack of
+    amplitude rows is collapsed onto it row by row."""
     return collapse(*project(state, basis), outcome)
 
 
@@ -363,12 +485,14 @@ def hadamard_basis(qubit: int) -> OrthonormalBasis:
 
 
 def measure_hadamard(
-    state: StateVector, qubit: int, rng: np.random.Generator
+    state: StateVector | np.ndarray,
+    qubit: int,
+    rng: np.random.Generator | list[np.random.Generator],
 ) -> MeasurementResult:
     return measure_in_basis(state, hadamard_basis(qubit), rng)
 
 
 def force_hadamard_outcome(
-    state: StateVector, qubit: int, bit: int
+    state: StateVector | np.ndarray, qubit: int, bit: int
 ) -> MeasurementResult:
     return force_basis_outcome(state, hadamard_basis(qubit), bit)

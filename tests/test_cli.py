@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
 from ghzsplit.cli import main
-from ghzsplit.protocol import Transcript
+from ghzsplit.protocol import TRIAL_CHUNK, Transcript
 
 
 @pytest.fixture(autouse=True)
@@ -144,15 +145,29 @@ class TestRun:
 
     @pytest.mark.parametrize("fmt", ["csv", "text"])
     def test_tabular_run_builds_no_transcript_dicts(self, fmt, capsys, monkeypatch):
-        # csv and text print a few fields; the JSON document is never built
+        # csv and text print a few fields straight from the kernel's arrays:
+        # neither a Transcript nor the JSON document is ever built
         argv = ["run", "--variant", "three-b", "--trials", "5", "--format", fmt]
         usual = run_cli(argv, capsys)
 
-        def refuse(self):
-            raise AssertionError("Transcript.to_dict called")
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("Transcript built")
 
         monkeypatch.setattr(Transcript, "to_dict", refuse)
+        monkeypatch.setattr(Transcript, "__init__", refuse)
         assert run_cli(argv, capsys) == usual
+
+    def test_emit_equals_streamed_stdout(self, capsys, tmp_path):
+        target = tmp_path / "trials.csv"
+        trials = 2 * TRIAL_CHUNK + 1
+        code, out, _ = run_cli(
+            ["run", "--variant", "four", "--trials", str(trials), "--format", "csv"]
+            + ["--emit", str(target)],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == trials + 1
+        assert target.read_text(encoding="utf-8") == out
 
 
 class TestRunErrors:
@@ -207,6 +222,37 @@ class TestRunErrors:
         assert code == 2
         assert err["error"]["type"] == "config"
         assert not target.exists()
+
+    def test_unwritable_emit_path_leaves_streamed_stdout_empty(self, capsys, tmp_path):
+        # the file is opened before the first row; run_cli_error also checks
+        # that nothing reached stdout
+        target = tmp_path / "missing" / "out.csv"
+        code, err = run_cli_error(
+            ["run", "--variant", "three-a", "--trials", "300", "--format", "csv"]
+            + ["--emit", str(target)],
+            capsys,
+        )
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert not target.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--variant", "four", "--trials", "300", "--format", "csv"],
+            ["run", "--variant", "four", "--trials", "3", "--format", "json"],
+            ["verify", "--variant", "four"],
+        ],
+        ids=["streamed-csv", "json", "verify"],
+    )
+    def test_emit_write_failure_leaves_stdout_empty(self, argv, capsys):
+        # /dev/full opens, but every write to it fails with ENOSPC; the error
+        # shows before stdout gets the first piece (run_cli_error checks it)
+        code, err = run_cli_error(argv + ["--emit", "/dev/full"], capsys)
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "/dev/full" in err["error"]["message"]
 
     def test_forced_outcome_out_of_range(self, capsys):
         code, err = run_cli_error(

@@ -12,8 +12,10 @@ import io
 import pytest
 
 from ghzsplit.cli import main
+from ghzsplit.protocol import TRIAL_CHUNK
 
 VARIANTS = ("three-a", "three-b", "four")
+SECRETS = {"three-a": "0.5,0.5j,-0.5,0.5", "three-b": "0.6,0,0,0.8j", "four": "0.5,-0.5j"}
 
 RUN_GRID = [
     ["run", "--variant", v, "--trials", "6", "--seed", "11", "--format", fmt, *how]
@@ -24,6 +26,19 @@ RUN_GRID = [
     # hundreds of sampled trials: probabilities, corrections and fidelities
     ["run", "--variant", v, "--trials", "300", "--seed", "2026", "--format", "json"]
     for v in VARIANTS
+] + [
+    # streamed output across two chunk boundaries
+    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", "8"]
+    + ["--format", fmt]
+    for v in VARIANTS
+    for fmt in ("csv", "text")
+] + [
+    # one fixed secret for every trial
+    ["run", "--variant", v, "--trials", "5", "--secret", SECRETS[v], "--format", fmt]
+    + how
+    for v in VARIANTS
+    for fmt in ("json", "csv", "text")
+    for how in ([], ["--forced", "1,1"])
 ]
 VERIFY_GRID = [
     ["verify", "--all", "--format", fmt, *encoding]

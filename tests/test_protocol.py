@@ -14,9 +14,11 @@ from ghzsplit.protocol import (
     build_secret,
     ghz_triplet,
     outcome_distribution,
+    TRIAL_CHUNK,
     published_correction_table,
     random_secret,
     run_protocol,
+    run_trials,
     substream,
 )
 from ghzsplit.statevec import NormalizationError, OutOfSpanError, StateVector
@@ -321,6 +323,68 @@ class TestRunProtocol:
             + 0.8j * e3.bob_state_after.amplitudes
         )
         np.testing.assert_allclose(t.bob_state_after.amplitudes, combined, atol=1e-9)
+
+
+def _same_bits(got, want):
+    """Two transcripts agree bit for bit, signed zeros included."""
+    assert got.secret.to_dict() == want.secret.to_dict()
+    assert (got.alice_outcome, got.charlie_bit) == (
+        want.alice_outcome,
+        want.charlie_bit,
+    )
+    assert got.correction.labels == want.correction.labels
+    for state in ("bob_state_before", "bob_state_after"):
+        a = getattr(got, state).amplitudes.view(np.uint64)
+        b = getattr(want, state).amplitudes.view(np.uint64)
+        assert np.array_equal(a, b), state
+    assert got.fidelity.hex() == want.fidelity.hex()
+    assert [w.probability.hex() for w in got.probabilities] == [
+        w.probability.hex() for w in want.probabilities
+    ]
+
+
+class TestTrialKernel:
+    """The batched kernel against the frozen scalar ``run_protocol``."""
+
+    SEED = 5150
+    TRIALS = 1000
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_sampled_trials_match_reference(self, variant, reference):
+        ref = reference("protocol")
+        ref_variant = ref.Variant(variant.value)
+        got = [
+            t
+            for chunk in run_trials(variant, self.SEED, self.TRIALS)
+            for t in chunk.transcripts()
+        ]
+        assert len(got) == self.TRIALS > 2 * TRIAL_CHUNK
+        for trial, t in enumerate(got):
+            rng = ref.substream(self.SEED, trial)
+            want = ref.run_protocol(ref.random_secret(ref_variant, rng), rng=rng)
+            _same_bits(t, want)
+            if trial < 50:  # the kernel's one-trial case
+                rng = substream(self.SEED, trial)
+                _same_bits(run_protocol(random_secret(variant, rng), rng=rng), want)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_every_forced_row_matches_reference(self, variant, reference):
+        ref = reference("protocol")
+        ref_variant = ref.Variant(variant.value)
+        for row in published_correction_table(variant).rows:
+            (chunk,) = run_trials(variant, self.SEED, 3, forced=row)
+            for trial, t in enumerate(chunk.transcripts()):
+                spec = ref.random_secret(ref_variant, ref.substream(self.SEED, trial))
+                want = ref.run_protocol(spec, forced=row)
+                _same_bits(t, want)
+                _same_bits(run_protocol(t.secret, forced=row), want)
+
+    def test_fixed_secret_every_trial(self):
+        spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
+        chunks = list(run_trials(Variant.FOUR, 1, TRIAL_CHUNK + 1, secret=spec))
+        assert [len(c.fidelities) for c in chunks] == [TRIAL_CHUNK, 1]
+        for trial, t in enumerate(chunks[1].transcripts(), start=TRIAL_CHUNK):
+            _same_bits(t, run_protocol(spec, rng=substream(1, trial)))
 
 
 class TestOutcomeDistribution:

@@ -6,8 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzsplit.protocol import (
+    LITERAL,
     VARIANT_SPECS,
     Variant,
+    build_alice_basis,
+    build_channel,
+    build_secret,
     published_correction_table,
     random_secret,
     run_protocol,
@@ -25,6 +29,7 @@ from ghzsplit.statevec import (
     apply_gate,
     apply_pauli_string,
     basis_projection_probabilities,
+    check_normalized,
     fidelity,
     force_basis_outcome,
     force_hadamard_outcome,
@@ -32,6 +37,8 @@ from ghzsplit.statevec import (
     inner_product,
     measure_in_basis,
     permute_qubits,
+    project,
+    sample_outcomes,
     tensor_product,
 )
 
@@ -348,3 +355,114 @@ class TestHadamardMeasurement:
         np.testing.assert_allclose(
             sampled.residual.amplitudes, forced.residual.amplitudes, atol=1e-15
         )
+
+
+class TestSampleOutcomes:
+    @staticmethod
+    def distributions():
+        rng = np.random.default_rng(77)
+        for k in (1, 2, 3, 4, 16, 32):
+            for _ in range(60):
+                p = rng.random(k) ** 4  # skewed, with tiny entries
+                yield p / np.sum(p)
+        # zero entries: the literal four basis vectors' squared amplitudes
+        # (4 of 32 nonzero), and an outcome distribution of that basis
+        four = build_alice_basis(Variant.FOUR, LITERAL)
+        for vec in four.vectors:
+            yield np.abs(vec.amplitudes) ** 2
+        secret = build_secret(random_secret(Variant.FOUR, substream(9, 0)))
+        probs = project(tensor_product(secret, build_channel(Variant.FOUR)), four)[1]
+        yield probs / np.sum(probs)
+        yield np.array([0.0, 1.0, 0.0])
+        yield np.array([0.5, 0.0, 0.5])
+
+    def test_matches_generator_choice(self):
+        # one random() draw per row gives the outcome choice() would pick
+        # from the same generator state
+        dists = list(self.distributions())
+        assert any(np.any(p == 0.0) for p in dists)
+        for seed, p in enumerate(dists):
+            for key in range(20):
+                want = substream(seed, key).choice(len(p), p=p)
+                got = sample_outcomes(p, substream(seed, key).random())
+                assert got == want, (seed, key, p)
+
+    def test_rows_sample_independently(self):
+        dists = [p for p in self.distributions() if len(p) == 16][:40]
+        rngs = [substream(3, t) for t in range(len(dists))]
+        got = sample_outcomes(np.array(dists), np.array([r.random() for r in rngs]))
+        want = [substream(3, t).choice(16, p=p) for t, p in enumerate(dists)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ([0.5, -0.1, 0.6], "non-negative"),
+            ([0.5, 0.4], "sum to 1"),
+            ([0.5, np.nan], "NaN"),
+        ],
+    )
+    def test_rejects_what_choice_rejects(self, p, message):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+        with pytest.raises(ValueError, match=message):
+            sample_outcomes(np.array(p), 0.3)
+
+
+class TestStackedRows:
+    """A stack of amplitude rows gives, row by row, the bits of single states."""
+
+    @staticmethod
+    def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_measurements_match_single_states(self):
+        variant = Variant.THREE_A
+        basis = build_alice_basis(variant)
+        states = [
+            tensor_product(
+                build_secret(random_secret(variant, substream(4, t))),
+                build_channel(variant),
+            )
+            for t in range(12)
+        ]
+        rows = np.array([s.amplitudes for s in states])
+        alice = measure_in_basis(rows, basis, [substream(5, t) for t in range(12)])
+        charlie = force_hadamard_outcome(alice.residual, 3, 1)
+        for t, state in enumerate(states):
+            one = measure_in_basis(state, basis, substream(5, t))
+            assert alice.outcome[t] == one.outcome
+            assert float(alice.probability[t]).hex() == one.probability.hex()
+            assert self.same_bits(alice.residual[t], one.residual.amplitudes)
+            assert self.same_bits(alice.branches[t], one.branches)
+            one = force_hadamard_outcome(one.residual, 3, 1)
+            assert self.same_bits(charlie.residual[t], one.residual.amplitudes)
+
+    def test_correction_and_fidelity_match_single_states(self):
+        rng = np.random.default_rng(8)
+        labels = list(itertools.product(("I", "X", "Z", "iY"), repeat=3))
+        states = [random_state(3, rng) for _ in labels]
+        paulis = [PauliString(lab) for lab in labels]
+        rows = np.array([s.amplitudes for s in states])
+        corrected = apply_pauli_string(rows, (2, 0, 1), paulis)
+        fids = fidelity(corrected, rows)
+        for t, (state, pauli) in enumerate(zip(states, paulis)):
+            one = apply_pauli_string(state, (2, 0, 1), pauli)
+            assert self.same_bits(corrected[t], one.amplitudes)
+            assert fids[t].hex() == fidelity(one, state).hex()
+
+    def test_one_bad_row_fails_the_stack(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        computational = OrthonormalBasis(
+            (0,), (StateVector.ket("0"), StateVector.ket("1"))
+        )
+        with pytest.raises(ValueError, match="outcome 1 has zero probability"):
+            force_basis_outcome(rows, computational, 1)
+        partial = OrthonormalBasis((0,), (StateVector.ket("0"),))
+        with pytest.raises(OutOfSpanError):
+            measure_in_basis(rows, partial, [substream(1, 0), substream(1, 1)])
+        check_normalized(rows)
+        with pytest.raises(NormalizationError):
+            check_normalized(np.vstack([rows[:1], 2 * rows[1:]]))
+        with pytest.raises(NormalizationError):
+            check_normalized(np.vstack([rows[:1], np.nan * rows[1:]]))
