@@ -8,10 +8,6 @@ force and grades the published ones row by row.
 """
 
 from .oracle import (
-    DerivedTable,
-    DiscrepancyReport,
-    RowFinding,
-    SpanReport,
     derive_corrections,
     derive_table,
     random_arbitrary_secret,
@@ -19,86 +15,35 @@ from .oracle import (
     verify_table,
 )
 from .protocol import (
-    CANONICAL,
-    LITERAL,
-    CorrectionTable,
-    OutcomeWeight,
     SecretSpec,
-    Transcript,
     Variant,
-    VariantSpec,
-    VARIANT_SPECS,
     build_alice_basis,
     build_channel,
     build_secret,
     outcome_distribution,
-    published_correction_table,
-    random_secret,
     run_protocol,
     substream,
 )
-from .statevec import (
-    NormalizationError,
-    OrthonormalBasis,
-    OutOfSpanError,
-    PauliString,
-    StateVector,
-    apply_gate,
-    apply_pauli_string,
-    fidelity,
-    force_basis_outcome,
-    force_hadamard_outcome,
-    hadamard_basis,
-    inner_product,
-    measure_hadamard,
-    measure_in_basis,
-    permute_qubits,
-    tensor_product,
-)
+from .statevec import NormalizationError, OutOfSpanError, PauliString, StateVector
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CANONICAL",
-    "CorrectionTable",
-    "DerivedTable",
-    "DiscrepancyReport",
-    "LITERAL",
     "NormalizationError",
-    "OrthonormalBasis",
     "OutOfSpanError",
-    "OutcomeWeight",
     "PauliString",
-    "RowFinding",
     "SecretSpec",
-    "SpanReport",
     "StateVector",
-    "Transcript",
-    "VARIANT_SPECS",
     "Variant",
-    "VariantSpec",
-    "apply_gate",
-    "apply_pauli_string",
     "build_alice_basis",
     "build_channel",
     "build_secret",
     "derive_corrections",
     "derive_table",
-    "fidelity",
-    "force_basis_outcome",
-    "force_hadamard_outcome",
-    "hadamard_basis",
-    "inner_product",
-    "measure_hadamard",
-    "measure_in_basis",
     "outcome_distribution",
-    "permute_qubits",
-    "published_correction_table",
     "random_arbitrary_secret",
-    "random_secret",
     "run_protocol",
     "substream",
-    "tensor_product",
     "verify_span",
     "verify_table",
 ]

@@ -33,9 +33,9 @@ from .protocol import (
     SecretSpec,
     Variant,
     VARIANT_SPECS,
+    _combined_rows,
+    _secret_rows,
     build_alice_basis,
-    build_channel,
-    build_secret,
     published_correction_table,
     random_secret,
     substream,
@@ -45,10 +45,10 @@ from .statevec import (
     PauliString,
     StateVector,
     basis_projection_probabilities,
+    check_normalized,
     collapse,
     force_hadamard_outcome,
     project,
-    tensor_product,
 )
 
 # largest amplitude difference for a recovered state to count as exact
@@ -111,24 +111,32 @@ def _solutions_for_row(
 def _derived_rows(
     variant: Variant, basis: OrthonormalBasis, keys: list[tuple[int, int]]
 ):
-    """Yield ``(outcome, bit, pre, targets, solutions)`` for each row key, with
-    Bob's pre-correction states and the test secrets stacked one per row.
-    Each secret is projected onto Alice's basis once, for all rows."""
-    channel = build_channel(variant)
-    secrets = [build_secret(spec) for spec in _test_secrets(variant)]
-    projections = [project(tensor_product(s, channel), basis) for s in secrets]
-    targets = np.array([s.amplitudes for s in secrets])
-    candidates = _candidate_paulis(VARIANT_SPECS[variant].bob_qubits)
+    """Yield ``(outcome, bit, pre, targets, solutions)`` for each row key.
+
+    ``targets`` is the stack of test secrets, one amplitude row each, and
+    ``pre`` the stack of Bob's pre-correction states for the row. One
+    ``project`` call projects every secret onto Alice's basis; each row is
+    then one stacked ``collapse`` and one stacked Hadamard collapse of
+    Charlie's qubit, which follows Bob's.
+    """
+    targets = _secret_rows(variant, _test_secrets(variant))
+    check_normalized(targets)
+    branches, probs = project(_combined_rows(variant, targets), basis)
+    bob = VARIANT_SPECS[variant].bob_qubits
+    candidates = _candidate_paulis(bob)
     for outcome, bit in keys:
-        pre = []
-        for branches, probs in projections:
-            alice = collapse(branches, probs, outcome)
-            charlie = force_hadamard_outcome(
-                alice.residual, alice.residual.num_qubits - 1, bit
-            )
-            pre.append(charlie.residual.amplitudes)
-        pre = np.array(pre)
+        alice = collapse(branches, probs, outcome)
+        pre = force_hadamard_outcome(alice.residual, bob, bit).residual
         yield outcome, bit, pre, targets, _solutions_for_row(pre, targets, candidates)
+
+
+def _corrected(
+    pre: np.ndarray, targets: np.ndarray, pauli: PauliString
+) -> tuple[np.ndarray, bool]:
+    """``pauli`` applied to every pre-correction state, and whether that
+    reproduces every test secret exactly, amplitude for amplitude."""
+    corrected = pre @ pauli.matrix().T
+    return corrected, bool(np.max(np.abs(corrected - targets)) <= EXACT_ATOL)
 
 
 def _all_rows(variant: Variant) -> list[tuple[int, int]]:
@@ -210,9 +218,7 @@ def derive_table(variant: Variant) -> DerivedTable:
     for outcome, bit, pre, targets, sols in rows:
         solutions[(outcome, bit)] = tuple(sols)
         exact[(outcome, bit)] = tuple(
-            p
-            for p in sols
-            if np.max(np.abs(pre @ p.matrix().T - targets)) <= EXACT_ATOL
+            p for p in sols if _corrected(pre, targets, p)[1]
         )
     return DerivedTable(variant, solutions, exact)
 
@@ -320,12 +326,12 @@ def verify_table(
     rows = _derived_rows(variant, basis, _all_rows(variant))
     for outcome, bit, pre, targets, sols in rows:
         published = table[(outcome, bit)]
-        corrected = pre @ published.matrix().T
+        corrected, exact = _corrected(pre, targets, published)
         overlaps = np.sum(targets.conj() * corrected, axis=1)
         min_fid = float(np.min(np.abs(overlaps) ** 2))
         if not any(published.labels == s.labels for s in sols):
             status, phase = MISMATCH, None
-        elif np.max(np.abs(corrected - targets)) <= EXACT_ATOL:
+        elif exact:
             status, phase = MATCH, None
         else:
             status, phase = PHASE_ONLY_MATCH, complex(overlaps[0])
@@ -418,20 +424,22 @@ def verify_span(
     seed: int = SPAN_SEED,
 ) -> SpanReport:
     """Check that Alice's basis captures the class exactly and nothing more."""
-    basis = build_alice_basis(variant)
-    channel = build_channel(variant)
+    if valid_trials < 1 or invalid_trials < 1:
+        raise ValueError(
+            "verify_span needs at least one secret of each kind, got "
+            f"{valid_trials} valid and {invalid_trials} invalid"
+        )
     rng = substream(seed, list(Variant).index(variant))
-
-    def out_of_span(state: StateVector) -> float:
-        combined = tensor_product(state, channel)
-        return 1.0 - float(np.sum(basis_projection_probabilities(combined, basis)))
-
-    valid = [
-        out_of_span(build_secret(random_secret(variant, rng)))
-        for _ in range(valid_trials)
-    ]
+    valid = _secret_rows(
+        variant, [random_secret(variant, rng) for _ in range(valid_trials)]
+    )
     invalid = [
-        out_of_span(random_arbitrary_secret(variant, rng))
+        random_arbitrary_secret(variant, rng).amplitudes
         for _ in range(invalid_trials)
     ]
-    return SpanReport(variant, tuple(valid), tuple(invalid))
+    combined = _combined_rows(variant, np.vstack([valid, *invalid]))
+    probs = basis_projection_probabilities(combined, build_alice_basis(variant))
+    out_of_span = tuple(1.0 - float(np.sum(row)) for row in probs)
+    return SpanReport(
+        variant, out_of_span[:valid_trials], out_of_span[valid_trials:]
+    )

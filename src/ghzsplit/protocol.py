@@ -208,6 +208,15 @@ def _secret_rows(variant: Variant, specs: list[SecretSpec]) -> np.ndarray:
     return rows
 
 
+def _combined_rows(variant: Variant, secret_rows: np.ndarray) -> np.ndarray:
+    """Each secret row tensored with the channel, norm-checked: np.kron's
+    values, as one outer product."""
+    channel = build_channel(variant).amplitudes
+    combined = (secret_rows[:, :, None] * channel).reshape(len(secret_rows), -1)
+    check_normalized(combined)
+    return combined
+
+
 def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
     """Normalized complex Gaussian coefficients inside the class."""
     vs = VARIANT_SPECS[variant]
@@ -581,10 +590,7 @@ def _run_chunk(
     for Charlie) unless ``forced`` pins both outcomes. Every step is the
     same floating-point operation per row as on a single state.
     """
-    # np.kron of each secret row with the channel, as one outer product
-    channel = build_channel(variant).amplitudes
-    combined = (secret_rows[:, :, None] * channel).reshape(len(secret_rows), -1)
-    check_normalized(combined)
+    combined = _combined_rows(variant, secret_rows)
     bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
     if forced is None:
         alice = measure_in_basis(combined, basis, rngs)

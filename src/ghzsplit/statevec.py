@@ -63,6 +63,8 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.num_qubits < 0:
+            raise ValueError(f"num_qubits must be at least 0, got {self.num_qubits}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != 2**self.num_qubits:
             raise ValueError(
@@ -77,8 +79,10 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = int(amps.shape[0]).bit_length() - 1
-        return cls(n, amps)
+        length = amps.shape[0]
+        if length == 0 or length & (length - 1):
+            raise ValueError(f"amplitude count {length} is not a power of two")
+        return cls(length.bit_length() - 1, amps)
 
     @classmethod
     def ket(cls, bits: str) -> "StateVector":
@@ -369,9 +373,10 @@ def project(
 
 
 def basis_projection_probabilities(
-    state: StateVector, basis: OrthonormalBasis
+    state: StateVector | np.ndarray, basis: OrthonormalBasis
 ) -> np.ndarray:
-    """Per-vector projection probabilities; no completeness requirement."""
+    """Per-vector projection probabilities; no completeness requirement. A
+    stack of amplitude rows gives one row of probabilities per state."""
     return project(state, basis)[1]
 
 
@@ -417,30 +422,28 @@ def collapse(
     must lie in the basis span.
 
     For a stacked result ``outcome`` is one outcome per row, or one for all.
+    A single state's result is collapsed as a one-row stack and unwrapped
+    into an int outcome, a float probability and a StateVector residual.
     """
-    if probs.ndim == 1:
-        # the same checks and divide as below, without the gathers of a
-        # stack, which doubled the time of the oracle's per-state calls
-        if not 0 <= outcome < len(probs):
-            raise ValueError(f"outcome {outcome} out of range")
-        _check_span(probs)
-        p = float(probs[outcome])
-        if p <= 0.0:
-            raise ValueError(f"outcome {outcome} has zero probability")
-        n_rest = branches.shape[1].bit_length() - 1
-        residual = StateVector(n_rest, branches[outcome] / np.sqrt(p))
-        return MeasurementResult(outcome, p, residual, branches)
-    outcomes = np.zeros(len(probs), dtype=int) + outcome
-    bad = (outcomes < 0) | (outcomes >= probs.shape[1])
-    if np.logical_or.reduce(bad):
+    single = probs.ndim == 1
+    rows, stack = (probs[None], branches[None]) if single else (probs, branches)
+    # range-checked before the int64 cast, which a huge int would overflow
+    outcomes = np.asarray(outcome)
+    bad = (outcomes < 0) | (outcomes >= rows.shape[1])
+    if np.logical_or.reduce(bad, axis=None):
         raise ValueError(f"outcome {outcomes[bad][0]} out of range")
-    _check_span(probs)
+    outcomes = np.zeros(len(rows), dtype=int) + outcomes
+    _check_span(rows)
     picked = np.arange(len(outcomes))
-    p = probs[picked, outcomes]
+    p = rows[picked, outcomes]
     if np.logical_or.reduce(p <= 0.0):
         raise ValueError(f"outcome {outcomes[p <= 0.0][0]} has zero probability")
-    residual = branches[picked, outcomes] / np.sqrt(p)[:, None]
+    residual = stack[picked, outcomes] / np.sqrt(p)[:, None]
     check_normalized(residual)
+    if single:
+        n_rest = residual.shape[1].bit_length() - 1
+        residual = StateVector(n_rest, residual[0])
+        return MeasurementResult(int(outcomes[0]), float(p[0]), residual, branches)
     return MeasurementResult(outcomes, p, residual, branches)
 
 

@@ -213,6 +213,12 @@ class TestVerifySpan:
         assert len(report.invalid_out_of_span) == 10
         json.dumps(report.to_dict())
 
+    @pytest.mark.parametrize("valid, invalid", [(0, 3), (3, 0), (0, 0)])
+    def test_needs_secrets_on_both_sides(self, valid, invalid):
+        # the report's worst deficit and least escape need one secret each
+        with pytest.raises(ValueError, match=f"got {valid} valid and {invalid}"):
+            verify_span(Variant.FOUR, valid_trials=valid, invalid_trials=invalid)
+
     def test_arbitrary_secret_is_outside_class(self):
         rng = substream(43, 0)
         for variant in ALL_VARIANTS:

@@ -13,7 +13,7 @@ import pytest
 
 from ghzsplit import statevec
 from ghzsplit.cli import main
-from ghzsplit.oracle import verify_table
+from ghzsplit.oracle import verify_span, verify_table
 from ghzsplit.protocol import TRIAL_CHUNK, SecretSpec, Variant, run_protocol
 
 
@@ -63,5 +63,13 @@ def test_json_run_projects_once_per_party_per_trial(projections, capsys):
 
 
 def test_oracle_projects_each_test_secret_once_per_call(projections):
+    # the 14 test secrets (4 unit, 10 seeded random) as one stacked projection
+    # onto Alice's basis, then one stacked Hadamard projection per row
     verify_table(Variant.THREE_A)
-    assert projections[5] == 14  # 4 unit secrets plus 10 seeded random ones
+    assert projections == {5: 1, 1: 32}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_span_check_projects_its_secrets_as_one_stack(variant, projections):
+    verify_span(variant)
+    assert projections == {5: 1}

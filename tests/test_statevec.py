@@ -68,6 +68,16 @@ class TestStateVector:
         with pytest.raises(ValueError, match="expected 4 amplitudes"):
             StateVector(2, np.array([1.0, 0.0]))
 
+    def test_negative_qubit_count_rejected(self):
+        with pytest.raises(ValueError, match="num_qubits must be at least 0, got -1"):
+            StateVector(-1, np.array([1.0]))
+
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    def test_from_amplitudes_needs_a_power_of_two(self, length):
+        amps = np.zeros(length, dtype=complex)
+        with pytest.raises(ValueError, match=f"amplitude count {length} is not"):
+            StateVector.from_amplitudes(amps)
+
     def test_normalization_enforced(self):
         with pytest.raises(NormalizationError) as exc:
             StateVector(1, np.array([1.0, 1.0]))
@@ -315,8 +325,9 @@ class TestOrthonormalBasis:
             force_basis_outcome(state, basis, 1)
 
     def test_outcome_range_checked(self):
-        with pytest.raises(ValueError, match="out of range"):
-            force_hadamard_outcome(StateVector.ket("0"), 0, 2)
+        for outcome in (2, -1, 2**70):  # the last one overflows an int64
+            with pytest.raises(ValueError, match=f"outcome {outcome} out of range"):
+                force_hadamard_outcome(StateVector.ket("0"), 0, outcome)
 
 
 class TestHadamardMeasurement:
