@@ -34,6 +34,7 @@ from .protocol import (
     Variant,
     VARIANT_SPECS,
     _combined_rows,
+    _secret_layout,
     _secret_rows,
     build_alice_basis,
     published_correction_table,
@@ -44,6 +45,7 @@ from .statevec import (
     OrthonormalBasis,
     PauliString,
     StateVector,
+    _check_span,
     basis_projection_probabilities,
     check_normalized,
     collapse,
@@ -115,13 +117,14 @@ def _derived_rows(
 
     ``targets`` is the stack of test secrets, one amplitude row each, and
     ``pre`` the stack of Bob's pre-correction states for the row. One
-    ``project`` call projects every secret onto Alice's basis; each row is
-    then one stacked ``collapse`` and one stacked Hadamard collapse of
-    Charlie's qubit, which follows Bob's.
+    ``project`` call projects every secret onto Alice's basis, and its span
+    is checked once; each row is then one stacked ``collapse`` and one
+    stacked Hadamard collapse of Charlie's qubit, which follows Bob's.
     """
     targets = _secret_rows(variant, _test_secrets(variant))
     check_normalized(targets)
     branches, probs = project(_combined_rows(variant, targets), basis)
+    _check_span(probs)
     bob = VARIANT_SPECS[variant].bob_qubits
     candidates = _candidate_paulis(bob)
     for outcome, bit in keys:
@@ -391,16 +394,14 @@ class SpanReport:
         }
 
 
-def _class_mass(variant: Variant, state: StateVector) -> float:
-    """Probability mass of a raw secret inside the variant's restricted class."""
-    vs = VARIANT_SPECS[variant]
-    if variant is Variant.FOUR:
-        u = StateVector.from_terms(4, {"0000": np.sqrt(0.5), "0011": np.sqrt(0.5)})
-        v = StateVector.from_terms(4, {"1100": np.sqrt(0.5), "1111": np.sqrt(0.5)})
-        return sum(
-            abs(np.vdot(b.amplitudes, state.amplitudes)) ** 2 for b in (u, v)
-        )
-    return sum(abs(state.amplitudes[int(k, 2)]) ** 2 for k in vs.secret_kets)
+def _class_mass(variant: Variant, amplitudes: np.ndarray) -> float:
+    """Probability mass of a raw secret's amplitude row inside the variant's
+    restricted class: the class vector of coefficient j is the equal-weight
+    sum of the kets it weighs."""
+    slots, picks = _secret_layout(variant)
+    overlaps = np.zeros(VARIANT_SPECS[variant].coefficient_count, dtype=complex)
+    np.add.at(overlaps, picks, amplitudes[slots])
+    return float(np.sum(np.abs(overlaps) ** 2 / np.bincount(picks)))
 
 
 def random_arbitrary_secret(
@@ -411,9 +412,8 @@ def random_arbitrary_secret(
     while True:
         z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         z /= np.linalg.norm(z)
-        state = StateVector(n, z)
-        if _class_mass(variant, state) < 1.0 - OUT_OF_CLASS_MASS:
-            return state
+        if _class_mass(variant, z) < 1.0 - OUT_OF_CLASS_MASS:
+            return StateVector(n, z)
 
 
 def verify_span(

@@ -529,8 +529,8 @@ def outcome_distribution(
     """Exact joint probabilities of (alice_outcome, charlie_bit)."""
     variant, secret_state, _ = _resolve_secret(secret, variant)
     combined = tensor_product(secret_state, build_channel(variant))
-    branches, _ = project(combined, build_alice_basis(variant))
-    return _outcome_weights(_joint_weights(branches))
+    branches, _ = project(combined.amplitudes[None], build_alice_basis(variant))
+    return _outcome_weights(_joint_weights(branches)[0])
 
 
 # trials the kernel stacks per call: a chunk's arrays stay within 1-2 MiB

@@ -6,18 +6,22 @@ Conventions used throughout the package:
   maps to the most significant bit of the amplitude index, so ``|01>`` has its
   amplitude at index 1 and ``|10>`` at index 2.
 * Amplitudes are complex128 arrays of length ``2**num_qubits``.
-* States are validated to unit norm on construction (tolerance ``NORM_ATOL``)
-  and are never silently renormalized.
-* The measurement, correction and fidelity functions also take a
-  ``(rows, 2**n)`` stack of amplitude rows in place of a StateVector and then
-  do the same floating-point work on every row at once, with the same span
-  and probability checks. Of a stack's norms only the collapsed rows are
-  checked; the caller checks the rest with ``check_normalized``.
+* A StateVector is validated to unit norm on construction (tolerance
+  ``NORM_ATOL``) and never silently renormalized; it is the value at the
+  package's edges (secrets, channels, basis vectors, transcripts).
+* The projection, measurement, correction and fidelity functions take and
+  return only ``(rows, 2**n)`` stacks of amplitude rows, doing the same
+  floating-point work on every row; a single state is the one-row stack
+  ``state.amplitudes[None]``, and only ``basis_projection_probabilities``
+  also takes a StateVector. Each projection's span is checked once, right
+  after ``project``. Of a stack's norms only the collapsed rows are checked;
+  the caller checks the rest with ``check_normalized``.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +67,14 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.num_qubits < 0:
-            raise ValueError(f"num_qubits must be at least 0, got {self.num_qubits}")
+        n = self.num_qubits
+        if type(n) is not int:  # a bool is refused, a numpy integer stored as int
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValueError(f"num_qubits must be an integer, got {n!r}")
+            n = int(n)
+            object.__setattr__(self, "num_qubits", n)
+        if n < 0:
+            raise ValueError(f"num_qubits must be at least 0, got {n}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != 2**self.num_qubits:
             raise ValueError(
@@ -216,48 +226,26 @@ def pauli_masks(
 
 
 def apply_pauli_string(
-    state: StateVector | np.ndarray,
-    qubits: tuple[int, ...],
-    pauli: PauliString | list[PauliString],
-) -> StateVector | np.ndarray:
-    """Apply each factor of ``pauli`` to the corresponding entry of ``qubits``.
-
-    On a stack of amplitude rows ``pauli`` holds one string per row, and the
-    result is the stack of corrected rows (their norms are not checked).
-    """
-    stacked = not isinstance(state, StateVector)
-    rows = state if stacked else state.amplitudes[None]
-    paulis = pauli if stacked else [pauli]
+    rows: np.ndarray, qubits: tuple[int, ...], paulis: list[PauliString]
+) -> np.ndarray:
+    """Apply ``paulis[t]`` to row t of a stack of amplitude rows, factor by
+    factor onto ``qubits``; the corrected rows' norms are not checked."""
+    _check_one_per_row(rows, paulis, "Pauli strings")
     n = rows.shape[1].bit_length() - 1
     masks = {p: pauli_masks(n, qubits, p) for p in set(paulis)}
     tables = [_xor_sign_tables(rows.shape[1], *masks[p]) for p in paulis]
     source = np.array([t[0] for t in tables])
     sign = np.array([t[1] for t in tables])
     # + 0.0 turns the -0.0 a sign flip leaves on a zero component into 0.0
-    out = sign * rows[np.arange(len(rows))[:, None], source] + 0.0
-    return out if stacked else StateVector(n, out[0])
+    return sign * rows[np.arange(len(rows))[:, None], source] + 0.0
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the left argument conjugated."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+def fidelity(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """|<a|b>|^2 per pair of rows of two stacks, insensitive to global phase.
 
-
-def fidelity(
-    a: StateVector | np.ndarray, b: StateVector | np.ndarray
-) -> float | list[float]:
-    """|<a|b>|^2, insensitive to global phase.
-
-    On two stacks of amplitude rows, one fidelity per pair of rows, each
-    from its own ``np.vdot`` (a batched sum would round differently).
+    Each from its own ``np.vdot`` (a batched sum would round differently).
     """
-    if isinstance(a, StateVector):
-        return abs(inner_product(a, b)) ** 2
-    return [abs(complex(np.vdot(x, y))) ** 2 for x, y in zip(a, b)]
+    return [abs(complex(np.vdot(x, y))) ** 2 for x, y in zip(a, b, strict=True)]
 
 
 @dataclass(frozen=True)
@@ -321,17 +309,21 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class MeasurementResult:
-    """Outcome, its probability and the normalised post-measurement state.
+    """Measurement of a stack of states, one entry per measured row: the
+    outcome and probability arrays, and ``residual``, the stack of
+    normalised post-measurement rows."""
 
-    For a stack of measured states every field has a leading rows axis:
-    outcome and probability arrays, and ``residual`` a stack of amplitude rows.
-    """
-
-    outcome: int | np.ndarray
-    probability: float | np.ndarray
-    residual: StateVector | np.ndarray
-    # unnormalised post-measurement state of every outcome, one row each
+    outcome: np.ndarray
+    probability: np.ndarray
+    residual: np.ndarray
+    # (rows, outcomes, 2**rest): every outcome's unnormalised branch per row
     branches: np.ndarray = field(repr=False, compare=False)
+
+
+def _check_one_per_row(rows: np.ndarray, items: list, what: str) -> None:
+    # numpy would broadcast a single item over every row
+    if len(items) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(items)} {what}")
 
 
 def check_normalized(amps: np.ndarray) -> None:
@@ -359,16 +351,12 @@ def _split_measured(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
 
 
 def project(
-    state: StateVector | np.ndarray, basis: OrthonormalBasis
+    rows: np.ndarray, basis: OrthonormalBasis
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every outcome's branch and probability, from one projection.
-
-    ``state`` is a StateVector, giving (outcomes, 2**rest) branches and
-    (outcomes,) probabilities, or a (rows, 2**n) stack of amplitude rows,
-    giving those arrays with a leading rows axis from one stacked matmul.
-    """
-    amps = state.amplitudes if isinstance(state, StateVector) else state
-    branches = basis.bras @ _split_measured(amps, basis.target_qubits)
+    """Every outcome's branch and probability for each row of a stack, from
+    one stacked matmul: (rows, outcomes, 2**rest) branches and (rows,
+    outcomes) probabilities. The span is not checked."""
+    branches = basis.bras @ _split_measured(rows, basis.target_qubits)
     return branches, np.add.reduce(np.abs(branches) ** 2, axis=-1)
 
 
@@ -376,12 +364,17 @@ def basis_projection_probabilities(
     state: StateVector | np.ndarray, basis: OrthonormalBasis
 ) -> np.ndarray:
     """Per-vector projection probabilities; no completeness requirement. A
-    stack of amplitude rows gives one row of probabilities per state."""
+    stack of amplitude rows gives one row of them per state; a StateVector,
+    the one other input taken here, gives one (vectors,) array."""
+    if isinstance(state, StateVector):
+        return project(state.amplitudes[None], basis)[1][0]
     return project(state, basis)[1]
 
 
 def _check_span(probs: np.ndarray) -> None:
-    sums = np.add.reduce(probs, axis=-1)  # one per row of a stack
+    """Raise OutOfSpanError if any row's probabilities fall short of 1 by
+    more than ``SPAN_ATOL``."""
+    sums = np.add.reduce(probs, axis=-1)
     # the worst row decides; a NaN sum propagates and fails the check
     missing = 1.0 - float(np.minimum.reduce(sums, axis=None))
     if not missing <= SPAN_ATOL:
@@ -418,64 +411,48 @@ def sample_outcomes(p: np.ndarray, uniforms) -> np.ndarray:
 def collapse(
     branches: np.ndarray, probs: np.ndarray, outcome: int | np.ndarray
 ) -> MeasurementResult:
-    """The normalised ``outcome`` branch of a ``project`` result; the state
-    must lie in the basis span.
-
-    For a stacked result ``outcome`` is one outcome per row, or one for all.
-    A single state's result is collapsed as a one-row stack and unwrapped
-    into an int outcome, a float probability and a StateVector residual.
-    """
-    single = probs.ndim == 1
-    rows, stack = (probs[None], branches[None]) if single else (probs, branches)
+    """The normalised ``outcome`` branch of each row of a ``project`` result:
+    one outcome per row, or one for all. The caller has checked the span."""
     # range-checked before the int64 cast, which a huge int would overflow
     outcomes = np.asarray(outcome)
-    bad = (outcomes < 0) | (outcomes >= rows.shape[1])
+    bad = (outcomes < 0) | (outcomes >= probs.shape[1])
     if np.logical_or.reduce(bad, axis=None):
         raise ValueError(f"outcome {outcomes[bad][0]} out of range")
-    outcomes = np.zeros(len(rows), dtype=int) + outcomes
-    _check_span(rows)
+    outcomes = np.zeros(len(probs), dtype=int) + outcomes
     picked = np.arange(len(outcomes))
-    p = rows[picked, outcomes]
+    p = probs[picked, outcomes]
     if np.logical_or.reduce(p <= 0.0):
         raise ValueError(f"outcome {outcomes[p <= 0.0][0]} has zero probability")
-    residual = stack[picked, outcomes] / np.sqrt(p)[:, None]
+    residual = branches[picked, outcomes] / np.sqrt(p)[:, None]
     check_normalized(residual)
-    if single:
-        n_rest = residual.shape[1].bit_length() - 1
-        residual = StateVector(n_rest, residual[0])
-        return MeasurementResult(int(outcomes[0]), float(p[0]), residual, branches)
     return MeasurementResult(outcomes, p, residual, branches)
 
 
 def measure_in_basis(
-    state: StateVector | np.ndarray,
-    basis: OrthonormalBasis,
-    rng: np.random.Generator | list[np.random.Generator],
+    rows: np.ndarray, basis: OrthonormalBasis, rngs: list[np.random.Generator]
 ) -> MeasurementResult:
-    """Sample one projective outcome and collapse the measured qubits.
+    """Sample one projective outcome per row and collapse the measured qubits.
 
-    A stack of amplitude rows takes one generator per row. Each generator
-    gives one ``random()`` draw, mapped to an outcome by ``sample_outcomes``.
-    Raises OutOfSpanError when more than ``SPAN_ATOL`` of the state's
-    probability mass lies outside the span of the basis vectors; no
-    generator is drawn from then.
+    Row t takes one ``random()`` draw from ``rngs[t]``, mapped to an outcome
+    by ``sample_outcomes``. Raises OutOfSpanError when more than
+    ``SPAN_ATOL`` of a row's probability mass lies outside the span of the
+    basis vectors; no generator is drawn from then.
     """
-    branches, probs = project(state, basis)
-    stacked = probs.ndim == 2
-    rows = probs if stacked else probs[None]
-    _check_span(rows)  # before sampling: an all-zero projection has no draw
-    uniforms = np.array([r.random() for r in (rng if stacked else [rng])])
-    p = rows / np.add.reduce(rows, axis=-1, keepdims=True)
-    outcomes = sample_outcomes(p, uniforms)
-    return collapse(branches, probs, outcomes if stacked else int(outcomes[0]))
+    _check_one_per_row(rows, rngs, "generators")
+    branches, probs = project(rows, basis)
+    _check_span(probs)  # before sampling: an all-zero projection has no draw
+    uniforms = np.array([rng.random() for rng in rngs])
+    p = probs / np.add.reduce(probs, axis=-1, keepdims=True)
+    return collapse(branches, probs, sample_outcomes(p, uniforms))
 
 
 def force_basis_outcome(
-    state: StateVector | np.ndarray, basis: OrthonormalBasis, outcome: int
+    rows: np.ndarray, basis: OrthonormalBasis, outcome: int
 ) -> MeasurementResult:
-    """Deterministic collapse onto one basis vector (no sampling); a stack of
-    amplitude rows is collapsed onto it row by row."""
-    return collapse(*project(state, basis), outcome)
+    """Deterministic collapse of every row onto one basis vector (no sampling)."""
+    branches, probs = project(rows, basis)
+    _check_span(probs)
+    return collapse(branches, probs, outcome)
 
 
 @functools.cache
@@ -488,14 +465,10 @@ def hadamard_basis(qubit: int) -> OrthonormalBasis:
 
 
 def measure_hadamard(
-    state: StateVector | np.ndarray,
-    qubit: int,
-    rng: np.random.Generator | list[np.random.Generator],
+    rows: np.ndarray, qubit: int, rngs: list[np.random.Generator]
 ) -> MeasurementResult:
-    return measure_in_basis(state, hadamard_basis(qubit), rng)
+    return measure_in_basis(rows, hadamard_basis(qubit), rngs)
 
 
-def force_hadamard_outcome(
-    state: StateVector | np.ndarray, qubit: int, bit: int
-) -> MeasurementResult:
-    return force_basis_outcome(state, hadamard_basis(qubit), bit)
+def force_hadamard_outcome(rows: np.ndarray, qubit: int, bit: int) -> MeasurementResult:
+    return force_basis_outcome(rows, hadamard_basis(qubit), bit)

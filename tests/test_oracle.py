@@ -7,6 +7,7 @@ from ghzsplit.oracle import (
     MATCH,
     MISMATCH,
     PHASE_ONLY_MATCH,
+    _class_mass,
     derive_corrections,
     derive_table,
     random_arbitrary_secret,
@@ -18,11 +19,12 @@ from ghzsplit.protocol import (
     Variant,
     VARIANT_SPECS,
     build_alice_basis,
+    build_secret,
     random_secret,
     run_protocol,
     substream,
 )
-from ghzsplit.statevec import OrthonormalBasis, StateVector
+from ghzsplit.statevec import NORM_ATOL, OrthonormalBasis, StateVector
 
 ALL_VARIANTS = list(Variant)
 IDS = [v.value for v in ALL_VARIANTS]
@@ -229,15 +231,23 @@ class TestVerifySpan:
     def test_in_class_state_not_arbitrary(self):
         # a state fully inside the class must never be returned; the redraw
         # loop keys on class mass, spot-check the mass computation instead
-        from ghzsplit.oracle import _class_mass
-
         inside = StateVector.from_terms(
             3, {"000": np.sqrt(0.5), "111": np.sqrt(0.5)}
         )
-        assert _class_mass(Variant.THREE_A, inside) == pytest.approx(1.0)
+        assert _class_mass(Variant.THREE_A, inside.amplitudes) == pytest.approx(1.0)
         outside = StateVector.ket("010")
-        assert _class_mass(Variant.THREE_A, outside) == pytest.approx(0.0)
+        assert _class_mass(Variant.THREE_A, outside.amplitudes) == pytest.approx(0.0)
         four_inside = StateVector.from_terms(
             4, {"0000": 0.5, "0011": 0.5, "1100": 0.5, "1111": 0.5}
         )
-        assert _class_mass(Variant.FOUR, four_inside) == pytest.approx(1.0)
+        assert _class_mass(Variant.FOUR, four_inside.amplitudes) == pytest.approx(1.0)
+        # |0000> is half of the class vector |0000> + |0011>
+        four_half = StateVector.ket("0000")
+        assert _class_mass(Variant.FOUR, four_half.amplitudes) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_in_class_secrets_have_unit_class_mass(self, variant):
+        rng = substream(44, 0)
+        for _ in range(200):
+            secret = build_secret(random_secret(variant, rng))
+            assert abs(_class_mass(variant, secret.amplitudes) - 1.0) <= NORM_ATOL

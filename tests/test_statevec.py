@@ -34,7 +34,6 @@ from ghzsplit.statevec import (
     force_basis_outcome,
     force_hadamard_outcome,
     hadamard_basis,
-    inner_product,
     measure_in_basis,
     permute_qubits,
     project,
@@ -71,6 +70,11 @@ class TestStateVector:
     def test_negative_qubit_count_rejected(self):
         with pytest.raises(ValueError, match="num_qubits must be at least 0, got -1"):
             StateVector(-1, np.array([1.0]))
+        for count in (1.5, 1.0, True, np.bool_(True), "1"):
+            with pytest.raises(ValueError, match="num_qubits must be an integer"):
+                StateVector(count, np.array([1.0, 0.0]))
+        state = StateVector(np.int64(1), np.array([1.0, 0.0]))
+        assert type(state.num_qubits) is int and state.num_qubits == 1
 
     @pytest.mark.parametrize("length", [0, 3, 6])
     def test_from_amplitudes_needs_a_power_of_two(self, length):
@@ -144,21 +148,26 @@ class TestGateApplication:
     def test_phase_flip_on_superposition(self):
         s = 1.0 / np.sqrt(2.0)
         state = StateVector.from_terms(3, {"000": s, "100": s})
-        out = apply_pauli_string(state, (0, 1, 2), PauliString(("Z", "I", "I")))
+        out = apply_pauli_string(
+            state.amplitudes[None], (0, 1, 2), [PauliString(("Z", "I", "I"))]
+        )
         expected = StateVector.from_terms(3, {"000": s, "100": -s})
-        np.testing.assert_array_equal(out.amplitudes, expected.amplitudes)
+        np.testing.assert_array_equal(out[0], expected.amplitudes)
 
     def test_pauli_string_length_mismatch(self):
+        rows = StateVector.ket("00").amplitudes[None]
         with pytest.raises(ValueError, match="Pauli factors"):
-            apply_pauli_string(StateVector.ket("00"), (0,), PauliString(("X", "X")))
+            apply_pauli_string(rows, (0,), [PauliString(("X", "X"))])
 
     def test_pauli_string_duplicate_targets(self):
+        rows = StateVector.ket("00").amplitudes[None]
         with pytest.raises(ValueError, match="duplicate"):
-            apply_pauli_string(StateVector.ket("00"), (0, 0), PauliString(("X", "X")))
+            apply_pauli_string(rows, (0, 0), [PauliString(("X", "X"))])
 
     def test_pauli_string_qubit_out_of_range(self):
+        rows = StateVector.ket("00").amplitudes[None]
         with pytest.raises(ValueError, match="out of range"):
-            apply_pauli_string(StateVector.ket("00"), (0, 2), PauliString(("I", "X")))
+            apply_pauli_string(rows, (0, 2), [PauliString(("I", "X"))])
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_bits_match_reference_on_every_bob_state(self, variant, reference):
@@ -173,11 +182,13 @@ class TestGateApplication:
             bob = run_protocol(secret, forced=row).bob_state_before
             ref_bob = ref.StateVector(k, bob.amplitudes)
             for labels in candidates:
-                got = apply_pauli_string(bob, targets, PauliString(labels))
+                got = apply_pauli_string(
+                    bob.amplitudes[None], targets, [PauliString(labels)]
+                )
                 want = ref.apply_pauli_string(
                     ref_bob, targets, ref.PauliString(labels)
                 )
-                assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (
+                assert got[0].tobytes() == want.amplitudes.tobytes(), (
                     row,
                     labels,
                 )
@@ -233,21 +244,13 @@ class TestTensorAndPermute:
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-15)
 
 
-class TestInnerProduct:
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            inner_product(StateVector.ket("0"), StateVector.ket("00"))
-
-    def test_left_argument_conjugated(self):
-        plus_i = StateVector.from_amplitudes([1, 1j] / np.sqrt(2.0))
-        zero = StateVector.ket("0")
-        assert inner_product(plus_i, zero) == pytest.approx(1 / np.sqrt(2.0))
-
+class TestFidelity:
     def test_fidelity_ignores_global_phase(self):
         rng = np.random.default_rng(5)
-        state = random_state(2, rng)
-        rotated = StateVector(2, np.exp(0.7j) * state.amplitudes)
-        assert fidelity(state, rotated) == pytest.approx(1.0, abs=1e-12)
+        rows = np.array([random_state(2, rng).amplitudes for _ in range(3)])
+        phases = np.exp(np.array([0.7j, -2.1j, 3.0j]))[:, None]
+        fids = fidelity(rows, phases * rows)
+        assert fids == [pytest.approx(1.0, abs=1e-12)] * 3
 
 
 class TestOrthonormalBasis:
@@ -293,10 +296,10 @@ class TestOrthonormalBasis:
         for outcome, vec in enumerate(basis.vectors):
             projected = np.einsum("k,akc->ac", vec.amplitudes.conj(), tensor)
             p = float(np.sum(np.abs(projected) ** 2))
-            result = force_basis_outcome(state, basis, outcome)
-            assert result.probability == pytest.approx(p, abs=1e-12)
+            result = force_basis_outcome(state.amplitudes[None], basis, outcome)
+            assert result.probability[0] == pytest.approx(p, abs=1e-12)
             np.testing.assert_allclose(
-                result.residual.amplitudes,
+                result.residual[0],
                 projected.reshape(-1) / np.sqrt(p),
                 atol=1e-12,
             )
@@ -309,63 +312,60 @@ class TestOrthonormalBasis:
 
     def test_out_of_span_raises(self):
         basis = OrthonormalBasis((0, 1), (StateVector.ket("00"),))
-        state = StateVector.ket("111")
+        rows = StateVector.ket("111").amplitudes[None]
         with pytest.raises(OutOfSpanError) as exc:
-            force_basis_outcome(state, basis, 0)
+            force_basis_outcome(rows, basis, 0)
         assert exc.value.missing_mass == pytest.approx(1.0)
         with pytest.raises(OutOfSpanError):
-            measure_in_basis(state, basis, np.random.default_rng(0))
+            measure_in_basis(rows, basis, [np.random.default_rng(0)])
 
     def test_zero_probability_outcome_rejected(self):
         basis = OrthonormalBasis(
             (0, 1), (StateVector.ket("00"), StateVector.ket("01"))
         )
-        state = StateVector.ket("000")
+        rows = StateVector.ket("000").amplitudes[None]
         with pytest.raises(ValueError, match="zero probability"):
-            force_basis_outcome(state, basis, 1)
+            force_basis_outcome(rows, basis, 1)
 
     def test_outcome_range_checked(self):
+        rows = StateVector.ket("0").amplitudes[None]
         for outcome in (2, -1, 2**70):  # the last one overflows an int64
             with pytest.raises(ValueError, match=f"outcome {outcome} out of range"):
-                force_hadamard_outcome(StateVector.ket("0"), 0, outcome)
+                force_hadamard_outcome(rows, 0, outcome)
 
 
 class TestHadamardMeasurement:
     def test_forced_outcomes_on_plus(self):
         s = 1.0 / np.sqrt(2.0)
-        plus = StateVector.from_amplitudes([s, s])
+        plus = np.array([[s, s]], dtype=complex)
         result = force_hadamard_outcome(plus, 0, 0)
-        assert result.probability == pytest.approx(1.0, abs=1e-12)
+        assert result.probability[0] == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="zero probability"):
             force_hadamard_outcome(plus, 0, 1)
 
     def test_equal_split_on_basis_state(self):
-        result = force_hadamard_outcome(StateVector.ket("0"), 0, 1)
-        assert result.probability == pytest.approx(0.5, abs=1e-12)
-        assert result.residual.num_qubits == 0
+        result = force_hadamard_outcome(StateVector.ket("0").amplitudes[None], 0, 1)
+        assert result.probability[0] == pytest.approx(0.5, abs=1e-12)
+        assert result.residual.shape == (1, 1)  # no qubit left
 
     def test_sampling_statistics(self):
         # p(plus) = |a + b|^2 / 2 for amplitudes (a, b); 3 sigma band
         a, b = np.sqrt(0.25), np.sqrt(0.75)
-        state = StateVector.from_amplitudes([a, b])
         p = abs(a + b) ** 2 / 2.0
-        rng = np.random.default_rng(2024)
         n = 4096
-        basis = hadamard_basis(0)
-        hits = sum(
-            measure_in_basis(state, basis, rng).outcome == 0 for _ in range(n)
-        )
+        rows = np.repeat(np.array([[a, b]], dtype=complex), n, axis=0)
+        # one generator for every row: row t takes its t-th draw
+        rngs = [np.random.default_rng(2024)] * n
+        hits = int(np.sum(measure_in_basis(rows, hadamard_basis(0), rngs).outcome == 0))
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(hits - n * p) <= 3 * sigma
 
     def test_sampled_residual_consistent_with_forced(self):
         rng = np.random.default_rng(8)
-        state = random_state(2, rng)
-        sampled = measure_in_basis(state, hadamard_basis(1), rng)
-        forced = force_hadamard_outcome(state, 1, sampled.outcome)
-        np.testing.assert_allclose(
-            sampled.residual.amplitudes, forced.residual.amplitudes, atol=1e-15
-        )
+        rows = random_state(2, rng).amplitudes[None]
+        sampled = measure_in_basis(rows, hadamard_basis(1), [rng])
+        forced = force_hadamard_outcome(rows, 1, sampled.outcome)
+        np.testing.assert_allclose(sampled.residual, forced.residual, atol=1e-15)
 
 
 class TestSampleOutcomes:
@@ -382,7 +382,8 @@ class TestSampleOutcomes:
         for vec in four.vectors:
             yield np.abs(vec.amplitudes) ** 2
         secret = build_secret(random_secret(Variant.FOUR, substream(9, 0)))
-        probs = project(tensor_product(secret, build_channel(Variant.FOUR)), four)[1]
+        combined = tensor_product(secret, build_channel(Variant.FOUR))
+        probs = project(combined.amplitudes[None], four)[1][0]
         yield probs / np.sum(probs)
         yield np.array([0.0, 1.0, 0.0])
         yield np.array([0.5, 0.0, 0.5])
@@ -421,46 +422,56 @@ class TestSampleOutcomes:
 
 
 class TestStackedRows:
-    """A stack of amplitude rows gives, row by row, the bits of single states."""
+    """A stack of amplitude rows gives, row by row, the bits each row gives
+    as a one-row stack: the result does not depend on the chunking."""
 
     @staticmethod
     def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
-    def test_measurements_match_single_states(self):
+    def test_measurements_match_one_row_stacks(self):
         variant = Variant.THREE_A
         basis = build_alice_basis(variant)
-        states = [
-            tensor_product(
-                build_secret(random_secret(variant, substream(4, t))),
-                build_channel(variant),
-            )
-            for t in range(12)
-        ]
-        rows = np.array([s.amplitudes for s in states])
+        rows = np.array(
+            [
+                tensor_product(
+                    build_secret(random_secret(variant, substream(4, t))),
+                    build_channel(variant),
+                ).amplitudes
+                for t in range(12)
+            ]
+        )
         alice = measure_in_basis(rows, basis, [substream(5, t) for t in range(12)])
         charlie = force_hadamard_outcome(alice.residual, 3, 1)
-        for t, state in enumerate(states):
-            one = measure_in_basis(state, basis, substream(5, t))
-            assert alice.outcome[t] == one.outcome
-            assert float(alice.probability[t]).hex() == one.probability.hex()
-            assert self.same_bits(alice.residual[t], one.residual.amplitudes)
-            assert self.same_bits(alice.branches[t], one.branches)
+        for t in range(12):
+            one = measure_in_basis(rows[t : t + 1], basis, [substream(5, t)])
+            assert alice.outcome[t] == one.outcome[0]
+            assert float(alice.probability[t]).hex() == float(one.probability[0]).hex()
+            assert self.same_bits(alice.residual[t], one.residual[0])
+            assert self.same_bits(alice.branches[t], one.branches[0])
             one = force_hadamard_outcome(one.residual, 3, 1)
-            assert self.same_bits(charlie.residual[t], one.residual.amplitudes)
+            assert self.same_bits(charlie.residual[t], one.residual[0])
 
-    def test_correction_and_fidelity_match_single_states(self):
+    def test_correction_and_fidelity_match_one_row_stacks(self):
         rng = np.random.default_rng(8)
         labels = list(itertools.product(("I", "X", "Z", "iY"), repeat=3))
-        states = [random_state(3, rng) for _ in labels]
+        rows = np.array([random_state(3, rng).amplitudes for _ in labels])
         paulis = [PauliString(lab) for lab in labels]
-        rows = np.array([s.amplitudes for s in states])
         corrected = apply_pauli_string(rows, (2, 0, 1), paulis)
         fids = fidelity(corrected, rows)
-        for t, (state, pauli) in enumerate(zip(states, paulis)):
-            one = apply_pauli_string(state, (2, 0, 1), pauli)
-            assert self.same_bits(corrected[t], one.amplitudes)
-            assert fids[t].hex() == fidelity(one, state).hex()
+        for t, pauli in enumerate(paulis):
+            one = apply_pauli_string(rows[t : t + 1], (2, 0, 1), [pauli])
+            assert self.same_bits(corrected[t], one[0])
+            assert fids[t].hex() == fidelity(one, rows[t : t + 1])[0].hex()
+
+    def test_one_generator_or_pauli_per_row(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="2 rows but 1 generators"):
+            measure_in_basis(rows, hadamard_basis(0), [substream(1, 0)])
+        with pytest.raises(ValueError, match="2 rows but 1 Pauli strings"):
+            apply_pauli_string(rows, (0,), [PauliString(("X",))])
+        with pytest.raises(ValueError):
+            fidelity(rows, rows[:1])
 
     def test_one_bad_row_fails_the_stack(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
