@@ -9,6 +9,11 @@ Three subcommands:
   basis has no Gram defects.
 * ``export``: dump a measurement basis or a correction table.
 
+Every command writes through one writer, to stdout and to the ``--emit``
+file. ``run`` streams: csv and text rows go out chunk by chunk, and the JSON
+document goes out as its header, then each transcript as its trial ends,
+then the summary, in the bytes ``json.dumps(document, indent=2)`` gives.
+
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
 errors exit with status 2 and a structured JSON error on stderr.
@@ -37,13 +42,13 @@ from .protocol import (
     TrialChunk,
     Variant,
     VARIANT_SPECS,
+    alice_cbits,
     build_alice_basis,
     build_secret,
     published_correction_table,
-    random_secret,
     run_protocol,
     run_trials,
-    substream,
+    trial_draws,
 )
 from .statevec import NormalizationError
 
@@ -176,15 +181,12 @@ def _output(emit: str | None) -> Iterator[Callable[[str], None]]:
             _emit_write_error(emit, exc)
 
 
-def _deliver(payload: str, emit: str | None) -> None:
-    with _output(emit) as write:
-        write(payload)
-
-
-def _json_payload(doc: dict) -> str:
-    # the documents are trees of fresh dicts and lists, so the encoder's
-    # per-container cycle bookkeeping is skipped; the bytes are the same
-    return json.dumps(doc, indent=2, check_circular=False) + "\n"
+def _json_text(value, depth: int = 0) -> str:
+    """``value`` as ``json.dumps(doc, indent=2)`` writes it ``depth`` levels
+    inside ``doc``: no JSON string holds a raw newline, so each line break
+    just gains the outer indent. Values are fresh trees: no cycle checks."""
+    text = json.dumps(value, indent=2, check_circular=False)
+    return text.replace("\n", "\n" + "  " * depth)
 
 
 def _csv_payload(rows: list[list]) -> str:
@@ -216,12 +218,12 @@ def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     if fmt == "csv":
         return _csv_payload(
             [
-                [trial, chunk.variant.value, i, format(i, "04b"), b, str(p), repr(f)]
+                [trial, chunk.variant.value, i, alice_cbits(i), b, str(p), repr(f)]
                 for trial, i, b, p, f in trials
             ]
         )
     return "".join(
-        f"trial {trial}: outcome={i} cbits={i:04b} charlie={b} correction={p} "
+        f"trial {trial}: outcome={i} cbits={alice_cbits(i)} charlie={b} correction={p} "
         f"fidelity={f:.12f}\n"
         for trial, i, b, p, f in trials
     )
@@ -240,57 +242,56 @@ def _cmd_run(args) -> int:
     forced = (
         _parse_forced(args.forced, variant) if args.forced is not None else None
     )
-    threshold = 1.0 - args.tolerance
     # every fidelity is kept for the summary: a running total is not sum(),
     # which compensates its rounding on Python >= 3.12
-    fidelities = []
-    if args.format == "json":
-        # the document holds whole transcripts, one run_protocol call each
-        transcripts, counts = [], collections.Counter()
-        for trial in range(args.trials):
-            rng = substream(seed, trial)
-            spec = secret if secret is not None else random_secret(variant, rng)
-            t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
-            fidelities.append(t.fidelity)
-            counts[t.alice_outcome, t.charlie_bit] += 1
-            transcripts.append(t.to_dict())
-        ok = all(f >= threshold for f in fidelities)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "run",
-            "variant": variant.value,
-            "seed": seed,
-            "trials": args.trials,
-            "tolerance": args.tolerance,
-            "forced": None
-            if forced is None
-            else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
-            "transcripts": transcripts,
-            "summary": {
-                "min_fidelity": min(fidelities),
-                "mean_fidelity": sum(fidelities) / len(fidelities),
+    fidelities, counts = [], collections.Counter()
+    with _output(args.emit) as write:
+        if args.format == "json":
+            header = {
+                "schema_version": SCHEMA_VERSION,
+                "command": "run",
+                "variant": variant.value,
+                "seed": seed,
+                "trials": args.trials,
+                "tolerance": args.tolerance,
+                "forced": None
+                if forced is None
+                else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
+            }
+            write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
+            for rngs, secrets in trial_draws(variant, seed, args.trials, secret):
+                for rng, spec in zip(rngs, secrets):
+                    t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
+                    sep = ",\n    " if fidelities else "\n    "
+                    write(sep + _json_text(t.to_dict(), 2))
+                    fidelities.append(t.fidelity)
+                    counts[t.alice_outcome, t.charlie_bit] += 1
+        else:
+            if args.format == "csv":
+                write(_csv_payload([_RUN_CSV_HEADER]))
+            chunks = run_trials(
+                variant, seed, args.trials, secret=secret, forced=forced
+            )
+            for chunk in chunks:
+                write(_run_rows(chunk, len(fidelities), args.format))
+                fidelities.extend(chunk.fidelities)
+        low, mean = min(fidelities), sum(fidelities) / len(fidelities)
+        ok = low >= 1.0 - args.tolerance
+        if args.format == "json":
+            summary = {
+                "min_fidelity": low,
+                "mean_fidelity": mean,
                 "all_above_threshold": ok,
                 "outcome_counts": [
                     {"alice_outcome": i, "charlie_bit": b, "count": n}
                     for (i, b), n in sorted(counts.items())
                 ],
-            },
-        }
-        _deliver(_json_payload(doc), args.emit)
-        return 0 if ok else 1
-    chunks = run_trials(variant, seed, args.trials, secret=secret, forced=forced)
-    with _output(args.emit) as write:
-        if args.format == "csv":
-            write(_csv_payload([_RUN_CSV_HEADER]))
-        for chunk in chunks:
-            write(_run_rows(chunk, len(fidelities), args.format))
-            fidelities.extend(chunk.fidelities)
-        ok = all(f >= threshold for f in fidelities)
-        if args.format == "text":
+            }
+            write('\n  ],\n  "summary": ' + _json_text(summary, 1) + "\n}\n")
+        elif args.format == "text":
             write(
-                f"summary: trials={args.trials} min_fidelity={min(fidelities):.12f} "
-                f"mean_fidelity={sum(fidelities) / len(fidelities):.12f} "
-                f"ok={'yes' if ok else 'no'}\n"
+                f"summary: trials={args.trials} min_fidelity={low:.12f} "
+                f"mean_fidelity={mean:.12f} ok={'yes' if ok else 'no'}\n"
             )
     return 0 if ok else 1
 
@@ -336,15 +337,13 @@ def _cmd_verify(args) -> int:
         "passed": passed,
         "reports": [r.to_dict() for r in reports],
     }
-    if args.format == "json":
-        payload = _json_payload(doc)
-    else:
-        lines = []
-        for report_dict in doc["reports"]:
-            lines.extend(_verify_text(report_dict))
-        lines.append(f"verify: passed={'yes' if passed else 'no'}")
-        payload = "\n".join(lines) + "\n"
-    _deliver(payload, args.emit)
+    with _output(args.emit) as write:
+        if args.format == "json":
+            write(_json_text(doc) + "\n")
+        else:
+            lines = [line for report in doc["reports"] for line in _verify_text(report)]
+            lines.append(f"verify: passed={'yes' if passed else 'no'}")
+            write("\n".join(lines) + "\n")
     return 0 if passed else 1
 
 
@@ -365,38 +364,25 @@ def _cmd_export(args) -> int:
                 for i, vec in enumerate(basis.vectors)
             ],
         }
-        if args.format == "json":
-            payload = _json_payload(doc)
-        else:
-            rows = []
-            width = basis.vectors[0].num_qubits
-            for i, vec in enumerate(basis.vectors):
-                for k, amp in enumerate(vec.amplitudes):
-                    if amp == 0:
-                        continue
-                    rows.append(
-                        [
-                            variant.value,
-                            encoding,
-                            i,
-                            k,
-                            format(k, f"0{width}b"),
-                            repr(float(amp.real)),
-                            repr(float(amp.imag)),
-                        ]
-                    )
-            payload = _csv_payload([
-                [
-                    "variant",
-                    "encoding",
-                    "vector_index",
-                    "component_index",
-                    "bitstring",
-                    "real",
-                    "imag",
-                ],
-                *rows,
-            ])
+        header = [
+            "variant",
+            "encoding",
+            "vector_index",
+            "component_index",
+            "bitstring",
+            "real",
+            "imag",
+        ]
+        width = basis.vectors[0].num_qubits
+        rows = (
+            [
+                variant.value, encoding, i, k, format(k, f"0{width}b"),
+                repr(float(amp.real)), repr(float(amp.imag)),
+            ]
+            for i, vec in enumerate(basis.vectors)
+            for k, amp in enumerate(vec.amplitudes)
+            if amp != 0
+        )
     else:
         if args.source == "published":
             table = published_correction_table(variant)
@@ -409,31 +395,26 @@ def _cmd_export(args) -> int:
             "what": "table",
             **table_dict,
         }
+        header = [
+            "variant",
+            "source",
+            "alice_outcome",
+            "alice_cbits",
+            "charlie_bit",
+            "correction",
+        ]
+        rows = (
+            [
+                variant.value, table.source, row["alice_outcome"],
+                row["alice_cbits"], row["charlie_bit"], "*".join(row["correction"]),
+            ]
+            for row in table_dict["rows"]
+        )
+    with _output(args.emit) as write:
         if args.format == "json":
-            payload = _json_payload(doc)
+            write(_json_text(doc) + "\n")
         else:
-            payload = _csv_payload([
-                [
-                    "variant",
-                    "source",
-                    "alice_outcome",
-                    "alice_cbits",
-                    "charlie_bit",
-                    "correction",
-                ],
-                *(
-                    [
-                        variant.value,
-                        table.source,
-                        row["alice_outcome"],
-                        row["alice_cbits"],
-                        row["charlie_bit"],
-                        "*".join(row["correction"]),
-                    ]
-                    for row in table_dict["rows"]
-                ),
-            ])
-    _deliver(payload, args.emit)
+            write(_csv_payload([header, *rows]))
     return 0
 
 

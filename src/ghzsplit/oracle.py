@@ -254,7 +254,7 @@ def _encoding_inconsistencies(variant: Variant) -> list[dict]:
     ]
     if not differing:
         return []
-    if variant is Variant.FOUR:
+    if literal.gram_defects(EXACT_ATOL):  # four's literal basis repeats a vector
         return [
             {
                 "kind": "duplicated_basis_vector_in_literal_encoding",

@@ -88,7 +88,6 @@ class VariantSpec:
     coefficient_norm: float  # required sum of |c|^2
     secret_kets: tuple[str, ...]
     channel_permutation: tuple[int, ...]
-    party_layout: str
     bob_qubits: int
     num_outcomes: int
 
@@ -103,7 +102,6 @@ VARIANT_SPECS = {
         coefficient_norm=1.0,
         secret_kets=("000", "011", "100", "111"),
         channel_permutation=(0, 3, 1, 4, 5, 2),
-        party_layout="AABBBC",
         bob_qubits=3,
         num_outcomes=16,
     ),
@@ -114,7 +112,6 @@ VARIANT_SPECS = {
         coefficient_norm=1.0,
         secret_kets=("000", "001", "110", "111"),
         channel_permutation=(0, 3, 1, 2, 4, 5),
-        party_layout="AABBBC",
         bob_qubits=3,
         num_outcomes=16,
     ),
@@ -125,7 +122,6 @@ VARIANT_SPECS = {
         coefficient_norm=0.5,
         secret_kets=("0000", "0011", "1100", "1111"),
         channel_permutation=(0, 1, 2, 3, 4, 5),
-        party_layout="ABBBBC",
         bob_qubits=4,
         num_outcomes=4,
     ),
@@ -230,6 +226,11 @@ def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key...); order of creation is irrelevant."""
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
+
+
+def alice_cbits(outcome: int) -> str:
+    """The four classical bits Alice broadcasts for her outcome."""
+    return format(outcome, "04b")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,7 @@ class CorrectionTable:
             "rows": [
                 {
                     "alice_outcome": i,
-                    "alice_cbits": format(i, "04b"),
+                    "alice_cbits": alice_cbits(i),
                     "charlie_bit": b,
                     "correction": list(p.labels),
                 }
@@ -559,7 +560,7 @@ class TrialChunk:
                 variant=self.variant,
                 secret=secret,
                 alice_outcome=outcome,
-                alice_cbits=format(outcome, "04b"),
+                alice_cbits=alice_cbits(outcome),
                 charlie_bit=bit,
                 correction=correction,
                 bob_state_before=StateVector(bob, before),
@@ -616,6 +617,26 @@ def _run_chunk(
     )
 
 
+def trial_draws(
+    variant: Variant, seed: int, trials: int, secret: SecretSpec | None = None
+) -> Iterator[tuple[list[np.random.Generator], list[SecretSpec]]]:
+    """Generators and secrets of trials ``0 .. trials - 1``, ``TRIAL_CHUNK``
+    at a time.
+
+    Trial t draws from ``substream(seed, t)`` alone: first its random secret
+    (unless ``secret`` fixes one for every trial), then its outcomes. A
+    trial's result therefore does not depend on the chunking or on the other
+    trials.
+    """
+    for start in range(0, trials, TRIAL_CHUNK):
+        stop = min(start + TRIAL_CHUNK, trials)
+        rngs = [substream(seed, t) for t in range(start, stop)]
+        if secret is None:
+            yield rngs, [random_secret(variant, rng) for rng in rngs]
+        else:
+            yield rngs, [secret] * len(rngs)
+
+
 def run_trials(
     variant: Variant,
     seed: int,
@@ -624,27 +645,16 @@ def run_trials(
     secret: SecretSpec | None = None,
     forced: tuple[int, int] | None = None,
 ) -> Iterator[TrialChunk]:
-    """Trials ``0 .. trials - 1`` with the published table, ``TRIAL_CHUNK`` at a time.
-
-    Trial t draws from ``substream(seed, t)`` alone: its random secret
-    (unless ``secret`` fixes one for every trial), then its outcomes (unless
-    ``forced`` pins them). A trial's result therefore does not depend on the
-    chunking or on the other trials.
-    """
+    """Trials ``0 .. trials - 1`` with the published table, drawn as
+    ``trial_draws`` says and run a chunk at a time."""
     fixed = None if secret is None else build_secret(secret)
     basis = build_alice_basis(variant)
     table = published_correction_table(variant)
-    for start in range(0, trials, TRIAL_CHUNK):
-        rngs = [
-            substream(seed, trial)
-            for trial in range(start, min(start + TRIAL_CHUNK, trials))
-        ]
+    for rngs, secrets in trial_draws(variant, seed, trials, secret):
         if secret is None:
-            secrets = [random_secret(variant, rng) for rng in rngs]
             rows = _secret_rows(variant, secrets)
             check_normalized(rows)  # what StateVector checks of build_secret's
         else:
-            secrets = [secret] * len(rngs)
             rows = np.repeat(fixed.amplitudes[None], len(rngs), axis=0)
         yield _run_chunk(variant, secrets, rows, rngs, forced, basis, table)
 

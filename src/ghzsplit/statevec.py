@@ -59,6 +59,17 @@ class OutOfSpanError(ValueError):
         self.missing_mass = missing_mass
 
 
+def _qubit_count(n) -> int:
+    """``n`` as an int; anything but a non-negative integer is refused."""
+    if type(n) is not int:  # a bool is refused, a numpy integer stored as int
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"num_qubits must be an integer, got {n!r}")
+        n = int(n)
+    if n < 0:
+        raise ValueError(f"num_qubits must be at least 0, got {n}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Immutable pure state on ``num_qubits`` qubits."""
@@ -67,14 +78,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = self.num_qubits
-        if type(n) is not int:  # a bool is refused, a numpy integer stored as int
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise ValueError(f"num_qubits must be an integer, got {n!r}")
-            n = int(n)
-            object.__setattr__(self, "num_qubits", n)
-        if n < 0:
-            raise ValueError(f"num_qubits must be at least 0, got {n}")
+        object.__setattr__(self, "num_qubits", _qubit_count(self.num_qubits))
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != 2**self.num_qubits:
             raise ValueError(
@@ -104,6 +108,7 @@ class StateVector:
     @classmethod
     def from_terms(cls, num_qubits: int, terms: dict[str, complex]) -> "StateVector":
         """State from ``{bit string: amplitude}``; must come out normalized."""
+        num_qubits = _qubit_count(num_qubits)
         amps = np.zeros(2**num_qubits, dtype=complex)
         for bits, coeff in terms.items():
             if len(bits) != num_qubits:

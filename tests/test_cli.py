@@ -1,12 +1,21 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ghzsplit
+from ghzsplit import cli
 from ghzsplit.cli import main
-from ghzsplit.protocol import TRIAL_CHUNK, Transcript
+from ghzsplit.protocol import TRIAL_CHUNK, Transcript, run_protocol
+
+# the directory that holds the package under test, for child interpreters
+SRC = str(Path(ghzsplit.__file__).resolve().parents[1])
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +31,28 @@ def run_cli(argv, capsys):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
+
+
+def _json_run_peak_rss_mib(trials: int) -> float:
+    """Peak RSS of a fresh interpreter that runs ``run --format json``."""
+    child = (
+        "import contextlib, os, resource, sys\n"
+        "from ghzsplit.cli import main\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    argv = ["run", "--variant", "three-a", "--trials", str(trials), "--format", "json"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    return int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def run_cli_error(argv, capsys):
@@ -157,17 +188,44 @@ class TestRun:
         monkeypatch.setattr(Transcript, "__init__", refuse)
         assert run_cli(argv, capsys) == usual
 
-    def test_emit_equals_streamed_stdout(self, capsys, tmp_path):
-        target = tmp_path / "trials.csv"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_equals_streamed_stdout(self, fmt, capsys, tmp_path):
+        target = tmp_path / f"trials.{fmt}"
         trials = 2 * TRIAL_CHUNK + 1
         code, out, _ = run_cli(
-            ["run", "--variant", "four", "--trials", str(trials), "--format", "csv"]
+            ["run", "--variant", "four", "--trials", str(trials), "--format", fmt]
             + ["--emit", str(target)],
             capsys,
         )
         assert code == 0
-        assert len(out.splitlines()) == trials + 1
+        if fmt == "csv":
+            assert len(out.splitlines()) == trials + 1
+        else:
+            assert len(json.loads(out)["transcripts"]) == trials
         assert target.read_text(encoding="utf-8") == out
+
+    def test_json_transcript_written_when_its_trial_ends(self, monkeypatch):
+        # stdout as each run_protocol call starts; the first transcript is
+        # out before the third trial begins
+        argv = ["run", "--variant", "four", "--trials", "3", "--format", "json"]
+        out, seen = io.StringIO(), []
+
+        def spy(*args, **kwargs):
+            seen.append(out.getvalue())
+            return run_protocol(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol", spy)
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0 and len(seen) == 3
+        first = json.loads(out.getvalue())["transcripts"][0]
+        assert json.dumps(first, indent=2).replace("\n", "\n    ") in seen[2]
+
+    def test_json_peak_memory_flat_in_trials(self):
+        # a document held whole grows by about 80 MiB from 200 to 2000 trials
+        pytest.importorskip("resource")
+        growth = _json_run_peak_rss_mib(2000) - _json_run_peak_rss_mib(200)
+        assert growth < 10, f"peak RSS grew by {growth:.1f} MiB"
 
 
 class TestRunErrors:

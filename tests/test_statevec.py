@@ -73,6 +73,10 @@ class TestStateVector:
         for count in (1.5, 1.0, True, np.bool_(True), "1"):
             with pytest.raises(ValueError, match="num_qubits must be an integer"):
                 StateVector(count, np.array([1.0, 0.0]))
+        # from_terms checks the count before it sizes the amplitude array
+        for count, message in ((1.5, "an integer, got"), (-1, "at least 0, got")):
+            with pytest.raises(ValueError, match=f"num_qubits must be {message}"):
+                StateVector.from_terms(count, {})
         state = StateVector(np.int64(1), np.array([1.0, 0.0]))
         assert type(state.num_qubits) is int and state.num_qubits == 1
 
