@@ -44,7 +44,6 @@ from .protocol import (
     VARIANT_SPECS,
     alice_cbits,
     build_alice_basis,
-    build_secret,
     published_correction_table,
     run_protocol,
     run_trials,
@@ -53,6 +52,8 @@ from .protocol import (
 from .statevec import NormalizationError
 
 SEED_ENV_VAR = "GHZSPLIT_SEED"
+# the run summary keeps one float per trial (about 32 B): at most ~320 MB
+MAX_TRIALS = 10**7
 
 _VARIANT_CHOICES = [v.value for v in Variant]
 
@@ -104,18 +105,13 @@ def _parse_secret(text: str, variant: Variant) -> SecretSpec:
     weight = sum(abs(c) for c in coeffs)
     if not math.isfinite(weight * weight):
         _emit_error("config", f"secret coefficients must be finite, got {text!r}")
-    expected = VARIANT_SPECS[variant].coefficient_count
-    if len(coeffs) != expected:
-        _emit_error(
-            "config",
-            f"variant {variant.value} takes {expected} coefficients, "
-            f"got {len(coeffs)}",
-        )
     spec = SecretSpec(variant, tuple(coeffs))
     try:
-        build_secret(spec)
+        spec.state  # checks count and norm; built once, for every trial
     except NormalizationError as exc:
         _emit_error("config", str(exc), deficit=exc.deficit)
+    except ValueError as exc:  # a wrong coefficient count
+        _emit_error("config", str(exc))
     return spec
 
 
@@ -232,8 +228,8 @@ def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
 def _cmd_run(args) -> int:
     variant = Variant.parse(args.variant)
     seed = _resolve_seed(args.seed)
-    if args.trials < 1:
-        _emit_error("config", f"--trials must be at least 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        _emit_error("config", f"--trials must be 1 to {MAX_TRIALS}, got {args.trials}")
     if not 0.0 <= args.tolerance < math.inf:
         _emit_error(
             "config", f"--tolerance must be finite and >= 0, got {args.tolerance}"
@@ -350,6 +346,10 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     variant = Variant.parse(args.variant)
     encoding = LITERAL if args.paper_literal else CANONICAL
+    if args.what == "basis" and args.source is not None:
+        _emit_error("config", "--source applies to --what table only")
+    if args.what == "table" and args.paper_literal:
+        _emit_error("config", "--paper-literal applies to --what basis only")
     if args.what == "basis":
         basis = build_alice_basis(variant, encoding)
         doc = {
@@ -384,10 +384,10 @@ def _cmd_export(args) -> int:
             if amp != 0
         )
     else:
-        if args.source == "published":
-            table = published_correction_table(variant)
-        else:
+        if args.source == "derived":
             table = derive_table(variant).preferred_table()
+        else:  # published, also when --source is not given
+            table = published_correction_table(variant)
         table_dict = table.to_dict()
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -471,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--source",
         choices=["published", "derived"],
-        default="published",
-        help="table export only: which table to dump",
+        default=None,
+        help="table export only: which table to dump (default published)",
     )
     export.add_argument("--paper-literal", action="store_true")
     export.add_argument("--format", choices=["json", "csv"], default="json")

@@ -16,6 +16,10 @@ Variant ids (also the CLI spellings):
 * ``four``: 4-qubit secrets a(|0000>+|0011>) + b(|1100>+|1111>); channel
   qubit 0 to Alice, 1,2,3,4 to Bob, 5 to Charlie.
 
+Alice's basis vectors are Pauli frames on one anchor vector per variant
+(``build_alice_basis``). The literal encoding keeps the source's two basis
+defects: reversed phase qubits and a repeated last ``four`` vector.
+
 The correction tables shipped here are verbatim transcriptions of the
 published reference tables, including rows known to be defective; the oracle
 module derives correct tables independently and reports every disagreement.
@@ -37,7 +41,6 @@ from .statevec import (
     OrthonormalBasis,
     PauliString,
     StateVector,
-    apply_gate,
     apply_pauli_string,
     check_normalized,
     fidelity,
@@ -48,8 +51,6 @@ from .statevec import (
     permute_qubits,
     project,
     tensor_product,
-    PAULI_X,
-    PAULI_Z,
 )
 
 # version of every JSON document the package writes
@@ -89,7 +90,15 @@ class VariantSpec:
     secret_kets: tuple[str, ...]
     channel_permutation: tuple[int, ...]
     bob_qubits: int
-    num_outcomes: int
+    # Alice's basis (see build_alice_basis): anchor kets on her secret qubits
+    # and channel share, and the qubits her outcome bits flip and phase-flip
+    alice_anchor: tuple[str, ...]
+    alice_flips: tuple[int, ...]
+    alice_phases: tuple[int, ...]
+
+    @property
+    def num_outcomes(self) -> int:
+        return 2 ** (len(self.alice_flips) + len(self.alice_phases))
 
 
 # Channel permutations: qubit i of the dealt channel is qubit perm[i] of the
@@ -103,7 +112,9 @@ VARIANT_SPECS = {
         secret_kets=("000", "011", "100", "111"),
         channel_permutation=(0, 3, 1, 4, 5, 2),
         bob_qubits=3,
-        num_outcomes=16,
+        alice_anchor=("00000", "01101", "10010", "11111"),
+        alice_flips=(3, 4),
+        alice_phases=(3, 4),
     ),
     Variant.THREE_B: VariantSpec(
         variant=Variant.THREE_B,
@@ -113,7 +124,9 @@ VARIANT_SPECS = {
         secret_kets=("000", "001", "110", "111"),
         channel_permutation=(0, 3, 1, 2, 4, 5),
         bob_qubits=3,
-        num_outcomes=16,
+        alice_anchor=("00000", "00101", "11010", "11111"),
+        alice_flips=(3, 4),
+        alice_phases=(3, 4),
     ),
     Variant.FOUR: VariantSpec(
         variant=Variant.FOUR,
@@ -123,11 +136,11 @@ VARIANT_SPECS = {
         secret_kets=("0000", "0011", "1100", "1111"),
         channel_permutation=(0, 1, 2, 3, 4, 5),
         bob_qubits=4,
-        num_outcomes=4,
+        alice_anchor=("00000", "00110", "11001", "11111"),
+        alice_flips=(4,),
+        alice_phases=(0,),
     ),
 }
-
-ALICE_QUBIT_COUNT = 5  # secret qubits plus Alice's channel share, all variants
 
 
 @dataclass(frozen=True)
@@ -141,6 +154,12 @@ class SecretSpec:
         object.__setattr__(
             self, "coefficients", tuple(complex(c) for c in self.coefficients)
         )
+
+    @functools.cached_property
+    def state(self) -> StateVector:
+        """``build_secret(self)``, built once per spec object: specs that
+        differ only in a signed zero compare equal but do not share it."""
+        return build_secret(self)
 
     def to_dict(self) -> dict:
         return {
@@ -237,83 +256,41 @@ def alice_cbits(outcome: int) -> str:
 # Alice's measurement bases
 # ---------------------------------------------------------------------------
 
-# Anchor vectors: equal-weight four-ket superpositions on Alice's five qubits
-# (three secret qubits then her two channel qubits).
-_GENERATOR_ANCHOR = {
-    Variant.THREE_A: ("00000", "01101", "10010", "11111"),
-    Variant.THREE_B: ("00000", "00101", "11010", "11111"),
-}
-
-# Four-outcome basis for the four-qubit variant. The source's displayed final
-# vector duplicates the third one; the canonical encoding carries the minus
-# signs required for orthonormality (confirmed by the oracle), the literal
-# encoding reproduces the duplication verbatim.
-_FOUR_BASIS_TERMS = {
-    CANONICAL: (
-        {"00000": 0.5, "00110": 0.5, "11001": 0.5, "11111": 0.5},
-        {"00000": 0.5, "00110": 0.5, "11001": -0.5, "11111": -0.5},
-        {"00001": 0.5, "00111": 0.5, "11000": 0.5, "11110": 0.5},
-        {"00001": 0.5, "00111": 0.5, "11000": -0.5, "11110": -0.5},
-    ),
-    LITERAL: (
-        {"00000": 0.5, "00110": 0.5, "11001": 0.5, "11111": 0.5},
-        {"00000": 0.5, "00110": 0.5, "11001": -0.5, "11111": -0.5},
-        {"00001": 0.5, "00111": 0.5, "11000": 0.5, "11110": 0.5},
-        {"00001": 0.5, "00111": 0.5, "11000": 0.5, "11110": 0.5},
-    ),
-}
-
-
-def _three_qubit_basis_vector(
-    variant: Variant, index: int, encoding: str
-) -> StateVector:
-    """Vector ``index`` of the 16-outcome basis, canonical or literal form.
-
-    Canonical: bit-flip and phase-flip operators applied to the anchor, with
-    the low outcome bit driving the phase flip on Alice's last qubit.
-    Literal: the source's explicit sign expansion, which swaps the roles of
-    the two phase bits relative to the canonical form.
-    """
-    i3, i2, i1, i0 = (index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1
-    kets = _GENERATOR_ANCHOR[variant]
-    if encoding == LITERAL:
-        signs = (1, (-1) ** i1, (-1) ** i0, (-1) ** (i0 + i1))
-        vec = StateVector.from_terms(
-            5, {k: 0.5 * s for k, s in zip(kets, signs)}
-        )
-    else:
-        vec = StateVector.from_terms(5, {k: 0.5 for k in kets})
-        if i0:
-            vec = apply_gate(vec, 4, PAULI_Z)
-        if i1:
-            vec = apply_gate(vec, 3, PAULI_Z)
-    if i2:
-        vec = apply_gate(vec, 4, PAULI_X)
-    if i3:
-        vec = apply_gate(vec, 3, PAULI_X)
-    return vec
-
 
 @functools.cache
 def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> OrthonormalBasis:
-    """Alice's five-qubit measurement basis.
+    """Alice's five-qubit measurement basis, one Pauli frame per outcome.
 
-    ``encoding="canonical"`` is the self-consistent form; ``"literal"``
-    reproduces the source expressions verbatim, including their defects, and
-    skips the orthonormality check.
+    Vector i is ``X**x Z**z`` on the equal superposition of the variant's
+    ``alice_anchor`` kets: ``0.5 * (-1)**popcount(k & z)`` at index ``k ^ x``
+    for each anchor ket k, where the high bits of i set x on the
+    ``alice_flips`` qubits and its low bits set z on the ``alice_phases``.
+    ``encoding="literal"`` reproduces the source verbatim, unchecked for
+    orthonormality, with its two defects: its sign expansion reverses the
+    phase qubits (a label swap in the 16-outcome bases), and its ``four``
+    basis repeats vector 2 as vector 3.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
-    targets = tuple(range(ALICE_QUBIT_COUNT))
-    if variant is Variant.FOUR:
-        vectors = tuple(
-            StateVector.from_terms(5, terms) for terms in _FOUR_BASIS_TERMS[encoding]
-        )
-    else:
-        vectors = tuple(
-            _three_qubit_basis_vector(variant, i, encoding) for i in range(16)
-        )
-    return OrthonormalBasis(targets, vectors, validate=(encoding == CANONICAL))
+    vs = VARIANT_SPECS[variant]
+    width = len(vs.alice_anchor[0])
+    phases = vs.alice_phases[::-1] if encoding == LITERAL else vs.alice_phases
+    # bit j of i, most significant first, drives qubit frame[j]
+    frame = (*vs.alice_flips, *phases)
+    vectors = []
+    for i in range(vs.num_outcomes):
+        bits = format(i, f"0{len(frame)}b")
+        on = [1 << (width - 1 - q) if b == "1" else 0 for q, b in zip(frame, bits)]
+        x, z = sum(on[: len(vs.alice_flips)]), sum(on[len(vs.alice_flips) :])
+        amps = np.zeros(2**width, dtype=complex)
+        for k in (int(ket, 2) for ket in vs.alice_anchor):
+            amps[k ^ x] = 0.5 * (-1) ** bin(k & z).count("1")
+        vectors.append(StateVector(width, amps))
+    if encoding == LITERAL and variant is Variant.FOUR:
+        vectors[3] = vectors[2]
+    return OrthonormalBasis(
+        tuple(range(width)), tuple(vectors), validate=(encoding == CANONICAL)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +466,7 @@ def _resolve_secret(
     if isinstance(secret, SecretSpec):
         if variant is not None and variant is not secret.variant:
             raise ValueError("variant argument contradicts the secret's variant")
-        return secret.variant, build_secret(secret), secret
+        return secret.variant, secret.state, secret
     if variant is None:
         raise ValueError("a raw state secret needs an explicit variant")
     vs = VARIANT_SPECS[variant]
@@ -647,7 +624,7 @@ def run_trials(
 ) -> Iterator[TrialChunk]:
     """Trials ``0 .. trials - 1`` with the published table, drawn as
     ``trial_draws`` says and run a chunk at a time."""
-    fixed = None if secret is None else build_secret(secret)
+    fixed = None if secret is None else secret.state
     basis = build_alice_basis(variant)
     table = published_correction_table(variant)
     for rngs, secrets in trial_draws(variant, seed, trials, secret):

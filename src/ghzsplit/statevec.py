@@ -36,7 +36,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # i * sigma_y kept in its exact real form so corrections stay real-valued
 PAULI_IY = np.array([[0, 1], [-1, 0]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 PAULI_GATES = {"I": IDENTITY, "X": PAULI_X, "Z": PAULI_Z, "iY": PAULI_IY}
 
@@ -172,18 +171,6 @@ def permute_qubits(state: StateVector, perm: tuple[int, ...]) -> StateVector:
         raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
     t = state.amplitudes.reshape([2] * n)
     return StateVector(n, np.transpose(t, perm).reshape(-1))
-
-
-def apply_gate(state: StateVector, qubit: int, gate: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit of the state."""
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    t = state.amplitudes.reshape([2] * n)
-    t = np.moveaxis(t, qubit, 0)
-    t = np.tensordot(np.asarray(gate, dtype=complex), t, axes=([1], [0]))
-    t = np.moveaxis(t, 0, qubit)
-    return StateVector(n, t.reshape(-1))
 
 
 # factors that flip their qubit (X, iY) and that negate its 1-slice (Z, iY)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ghzsplit
-from ghzsplit import cli
+from ghzsplit import cli, protocol
 from ghzsplit.cli import main
 from ghzsplit.protocol import TRIAL_CHUNK, Transcript, run_protocol
 
@@ -228,7 +228,37 @@ class TestRun:
         assert growth < 10, f"peak RSS grew by {growth:.1f} MiB"
 
 
+def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, reference):
+    # every ghzsplit namespace that holds build_secret gets the counting copy
+    calls = []
+    original = protocol.build_secret
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghzsplit.") and vars(module).get("build_secret") is original:
+            monkeypatch.setattr(module, "build_secret", counting)
+    argv = ["run", "--variant", "three-a", "--trials", "50", "--seed", "4"]
+    argv += ["--secret", "0.5,0.5j,-0.5,0.5", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) <= 2
+    reference("cli").main(argv)
+    assert out == capsys.readouterr().out
+
+
 class TestRunErrors:
+    @pytest.mark.parametrize("trials", ["10000001", "99999999999999999999"])
+    def test_trials_above_the_cap_rejected(self, trials, capsys):
+        code, err = run_cli_error(
+            ["run", "--variant", "three-a", "--trials", trials], capsys
+        )
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert str(cli.MAX_TRIALS) in err["error"]["message"]
+
     def test_unparseable_coefficient(self, capsys):
         code, err = run_cli_error(
             ["run", "--variant", "three-a", "--secret", "1,0,0,zebra"], capsys
@@ -544,6 +574,21 @@ class TestExport:
         )
         assert code == 0
         assert target.read_text(encoding="utf-8") == out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--what", "basis", "--source", "published"],
+            ["--what", "basis", "--source", "derived"],
+            ["--what", "table", "--paper-literal"],
+            ["--what", "table", "--source", "derived", "--paper-literal"],
+        ],
+    )
+    def test_flags_without_effect_rejected(self, flags, capsys):
+        code, err = run_cli_error(["export", "--variant", "three-a", *flags], capsys)
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "applies to --what" in err["error"]["message"]
 
     def test_what_is_required(self, capsys):
         code, err = run_cli_error(["export", "--variant", "four"], capsys)

@@ -175,6 +175,17 @@ class TestAliceBasis:
         with pytest.raises(ValueError, match="encoding"):
             build_alice_basis(Variant.THREE_A, "verbose")
 
+    @pytest.mark.parametrize("encoding", [CANONICAL, LITERAL])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_bits_match_reference(self, variant, encoding, reference):
+        # the frame rule against the frozen gate-by-gate and term-table
+        # builder, signed zeros included
+        ref = reference("protocol")
+        got = build_alice_basis(variant, encoding).matrix()
+        want = ref.build_alice_basis(ref.Variant(variant.value), encoding).matrix()
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestPublishedTables:
     @pytest.mark.parametrize(

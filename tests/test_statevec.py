@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from ghzsplit.protocol import (
     LITERAL,
@@ -18,7 +16,6 @@ from ghzsplit.protocol import (
     substream,
 )
 from ghzsplit.statevec import (
-    HADAMARD,
     NormalizationError,
     OrthonormalBasis,
     OutOfSpanError,
@@ -26,7 +23,6 @@ from ghzsplit.statevec import (
     PAULI_IY,
     PauliString,
     StateVector,
-    apply_gate,
     apply_pauli_string,
     basis_projection_probabilities,
     check_normalized,
@@ -141,14 +137,6 @@ class TestPauliString:
 
 
 class TestGateApplication:
-    def test_x_on_qubit_zero(self):
-        out = apply_gate(StateVector.ket("00"), 0, PAULI_GATES["X"])
-        np.testing.assert_array_equal(out.amplitudes, StateVector.ket("10").amplitudes)
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_gate(StateVector.ket("0"), 1, PAULI_GATES["X"])
-
     def test_phase_flip_on_superposition(self):
         s = 1.0 / np.sqrt(2.0)
         state = StateVector.from_terms(3, {"000": s, "100": s})
@@ -196,21 +184,6 @@ class TestGateApplication:
                     row,
                     labels,
                 )
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        re=st.lists(st.floats(-1, 1), min_size=8, max_size=8),
-        im=st.lists(st.floats(-1, 1), min_size=8, max_size=8),
-        label=st.sampled_from(["I", "X", "Z", "iY", "H"]),
-        qubit=st.integers(0, 2),
-    )
-    def test_gates_preserve_norm(self, re, im, label, qubit):
-        amps = np.array(re) + 1j * np.array(im)
-        assume(np.linalg.norm(amps) > 1e-3)
-        state = StateVector(3, amps / np.linalg.norm(amps))
-        gate = HADAMARD if label == "H" else PAULI_GATES[label]
-        out = apply_gate(state, qubit, gate)
-        assert abs(out.norm() - 1.0) <= 1e-12
 
 
 class TestTensorAndPermute:
