@@ -16,7 +16,8 @@ then the summary, in the bytes ``json.dumps(document, indent=2)`` gives.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
-errors exit with status 2 and a structured JSON error on stderr.
+errors, a closed stdout among them, exit with status 2 and a structured JSON
+error on stderr.
 """
 
 from __future__ import annotations
@@ -147,10 +148,11 @@ def _output(emit: str | None) -> Iterator[Callable[[str], None]]:
     """A writer to stdout and, with ``--emit``, to that file too.
 
     Each piece reaches the file (flushed) before stdout, so a path that
-    cannot be opened or written gives the ``config`` error before stdout
-    gets that piece; stdout keeps only the pieces written before it.
+    cannot be opened or written (an empty one included) gives the ``config``
+    error before stdout gets that piece; stdout keeps only the pieces
+    written before it.
     """
-    if not emit:
+    if emit is None:
         yield sys.stdout.write
         return
     try:
@@ -484,7 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError as exc:
+        # the reader closed stdout (``| head``): what is still buffered, and
+        # the flush at exit, go to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _emit_error("config", f"cannot write to stdout: {exc.strerror}")
+    return code
 
 
 if __name__ == "__main__":

@@ -579,7 +579,7 @@ def _run_chunk(
 
     keys = list(zip(alice.outcome.tolist(), charlie.outcome.tolist()))
     corrections = [table[key] for key in keys]
-    bob_after = apply_pauli_string(charlie.residual, tuple(range(bob)), corrections)
+    bob_after = apply_pauli_string(charlie.residual, corrections)
     check_normalized(bob_after)
     return TrialChunk(
         variant=variant,
@@ -643,7 +643,6 @@ def run_protocol(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     forced: tuple[int, int] | None = None,
-    basis: OrthonormalBasis | None = None,
     table: CorrectionTable | None = None,
 ) -> Transcript:
     """Execute one full splitting round and return its transcript.
@@ -667,7 +666,7 @@ def run_protocol(
         secret_state.amplitudes[None],
         [rng],
         forced,
-        basis if basis is not None else build_alice_basis(variant),
+        build_alice_basis(variant),
         table if table is not None else published_correction_table(variant),
     )
     return chunk.transcripts()[0]

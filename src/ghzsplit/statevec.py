@@ -1,4 +1,4 @@
-"""Dense state-vector core: kets, gates, Pauli strings, and projective measurement.
+"""Dense state-vector core: kets, Pauli strings, and projective measurement.
 
 Conventions used throughout the package:
 
@@ -6,6 +6,9 @@ Conventions used throughout the package:
   maps to the most significant bit of the amplitude index, so ``|01>`` has its
   amplitude at index 1 and ``|10>`` at index 2.
 * Amplitudes are complex128 arrays of length ``2**num_qubits``.
+* A Pauli string acts by one rule: its ``(xmask, zmask)`` bits take
+  amplitude ``k ^ xmask`` to index k with sign ``(-1)**popcount(k & zmask)``.
+  Corrections, candidate searches and ``PauliString.matrix`` all use it.
 * A StateVector is validated to unit norm on construction (tolerance
   ``NORM_ATOL``) and never silently renormalized; it is the value at the
   package's edges (secrets, channels, basis vectors, transcripts).
@@ -31,13 +34,8 @@ NORM_ATOL = 1e-12
 # largest probability mass a measured state may have outside the basis span
 SPAN_ATOL = 1e-9
 
-IDENTITY = np.array([[1, 0], [0, 1]], dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-# i * sigma_y kept in its exact real form so corrections stay real-valued
-PAULI_IY = np.array([[0, 1], [-1, 0]], dtype=complex)
-
-PAULI_GATES = {"I": IDENTITY, "X": PAULI_X, "Z": PAULI_Z, "iY": PAULI_IY}
+# each factor is Z**z X**x: (x, z) per label; iY = ZX stays exactly real
+_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "iY": (1, 1)}
 
 
 class NormalizationError(ValueError):
@@ -134,7 +132,7 @@ class PauliString:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        bad = [lab for lab in self.labels if lab not in PAULI_GATES]
+        bad = [lab for lab in self.labels if lab not in _PAULI_BITS]
         if bad:
             raise ValueError(f"unknown Pauli labels {bad}; allowed: I, X, Z, iY")
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -145,10 +143,22 @@ class PauliString:
     def __str__(self) -> str:
         return "*".join(self.labels)
 
-    def matrix(self) -> np.ndarray:
-        m = np.array([[1.0 + 0j]])
+    @functools.cached_property
+    def masks(self) -> tuple[int, int]:
+        """``(xmask, zmask)``: the flipped bits and the phase bits, qubit 0
+        the most significant bit."""
+        xmask = zmask = 0
         for lab in self.labels:
-            m = np.kron(m, PAULI_GATES[lab])
+            x, z = _PAULI_BITS[lab]
+            xmask, zmask = 2 * xmask + x, 2 * zmask + z
+        return xmask, zmask
+
+    def matrix(self) -> np.ndarray:
+        """Dense form of the rule: ``M[k, k ^ x] = (-1)**popcount(k & z)``."""
+        dim = 2 ** len(self.labels)
+        source, sign = _xor_sign_tables(dim, *self.masks)
+        m = np.zeros((dim, dim), dtype=complex)
+        m[np.arange(dim), source] = sign
         return m
 
 
@@ -173,11 +183,6 @@ def permute_qubits(state: StateVector, perm: tuple[int, ...]) -> StateVector:
     return StateVector(n, np.transpose(t, perm).reshape(-1))
 
 
-# factors that flip their qubit (X, iY) and that negate its 1-slice (Z, iY)
-_FLIPS = frozenset({"X", "iY"})
-_PHASES = frozenset({"Z", "iY"})
-
-
 @functools.cache
 def _xor_sign_tables(
     dim: int, xmask: int, zmask: int
@@ -190,44 +195,27 @@ def _xor_sign_tables(
     return source, sign
 
 
-def pauli_masks(
-    num_qubits: int, qubits: tuple[int, ...], pauli: PauliString
-) -> tuple[int, int]:
-    """Index masks of ``pauli`` applied factor by factor to ``qubits``.
-
-    Every factor is ``Z**z X**x`` with a real sign (iY = Z X), so the whole
-    string is one permutation and sign flip of the amplitudes:
-    ``out[k] = (-1)**popcount(k & zmask) * in[k ^ xmask]``.
-    """
-    if len(qubits) != len(pauli):
-        raise ValueError(
-            f"{len(pauli)} Pauli factors but {len(qubits)} target qubits"
-        )
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate target qubits in {qubits}")
-    xmask = zmask = 0
-    for q, lab in zip(qubits, pauli.labels):
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
-        bit = 1 << (num_qubits - 1 - q)
-        if lab in _FLIPS:
-            xmask |= bit
-        if lab in _PHASES:
-            zmask |= bit
-    return xmask, zmask
-
-
-def apply_pauli_string(
-    rows: np.ndarray, qubits: tuple[int, ...], paulis: list[PauliString]
-) -> np.ndarray:
-    """Apply ``paulis[t]`` to row t of a stack of amplitude rows, factor by
-    factor onto ``qubits``; the corrected rows' norms are not checked."""
-    _check_one_per_row(rows, paulis, "Pauli strings")
-    n = rows.shape[1].bit_length() - 1
-    masks = {p: pauli_masks(n, qubits, p) for p in set(paulis)}
-    tables = [_xor_sign_tables(rows.shape[1], *masks[p]) for p in paulis]
+def _pauli_tables(
+    paulis: tuple[PauliString, ...] | list[PauliString], dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_xor_sign_tables`` of each string on ``dim`` amplitudes, stacked:
+    (strings, dim) source indices and signs, read-only so a cache may share
+    them."""
+    widths = {len(p) for p in paulis} - {dim.bit_length() - 1}
+    if widths:
+        raise ValueError(f"{widths.pop()} Pauli factors on rows of {dim} amplitudes")
+    tables = [_xor_sign_tables(dim, *p.masks) for p in paulis]
     source = np.array([t[0] for t in tables])
     sign = np.array([t[1] for t in tables])
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
+
+
+def apply_pauli_string(rows: np.ndarray, paulis: list[PauliString]) -> np.ndarray:
+    """Apply ``paulis[t]``, one factor per qubit, to row t of a stack of
+    amplitude rows; the corrected rows' norms are not checked."""
+    _check_one_per_row(rows, paulis, "Pauli strings")
+    source, sign = _pauli_tables(paulis, rows.shape[1])
     # + 0.0 turns the -0.0 a sign flip leaves on a zero component into 0.0
     return sign * rows[np.arange(len(rows))[:, None], source] + 0.0
 

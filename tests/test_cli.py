@@ -342,6 +342,42 @@ class TestRunErrors:
         assert err["error"]["type"] == "config"
         assert "/dev/full" in err["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--variant", "four", "--trials", "3"],
+            ["verify", "--variant", "four"],
+            ["export", "--variant", "four", "--what", "table"],
+        ],
+        ids=["run", "verify", "export"],
+    )
+    def test_empty_emit_path_rejected(self, argv, capsys):
+        # --emit "$OUT" with OUT unset must not read as "no --emit"
+        code, err = run_cli_error(argv + ["--emit", ""], capsys)
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "--emit" in err["error"]["message"]
+
+    def test_closed_stdout_is_a_config_error(self):
+        # `run ... | head -1`: the reader goes away after the first line
+        argv = ["run", "--variant", "four", "--trials", "20000", "--format", "csv"]
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ghzsplit", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"trial,variant,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert "Traceback" not in err
+        doc = json.loads(err, parse_constant=_reject_constant)
+        assert doc["error"]["type"] == "config"
+        assert "stdout" in doc["error"]["message"]
+
     def test_forced_outcome_out_of_range(self, capsys):
         code, err = run_cli_error(
             ["run", "--variant", "four", "--forced", "4,0"], capsys

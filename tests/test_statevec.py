@@ -19,8 +19,6 @@ from ghzsplit.statevec import (
     NormalizationError,
     OrthonormalBasis,
     OutOfSpanError,
-    PAULI_GATES,
-    PAULI_IY,
     PauliString,
     StateVector,
     apply_pauli_string,
@@ -36,6 +34,15 @@ from ghzsplit.statevec import (
     sample_outcomes,
     tensor_product,
 )
+
+
+# the four factors as literal 2x2 matrices; iY = i * sigma_y, exactly real
+PAULIS = {
+    "I": np.array([[1, 0], [0, 1]]),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+    "iY": np.array([[0, 1], [-1, 0]]),
+}
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
@@ -118,48 +125,54 @@ class TestPauliString:
         with pytest.raises(ValueError, match="unknown Pauli labels"):
             PauliString(("Y",))
 
-    def test_iy_is_exactly_real(self):
-        np.testing.assert_array_equal(PAULI_IY, np.array([[0, 1], [-1, 0]]))
+    def test_masks_put_qubit_zero_first(self):
+        # X and iY flip their qubit, Z and iY negate its 1-slice
+        assert PauliString(("X", "Z", "iY")).masks == (0b101, 0b011)
+        assert PauliString(("I", "I")).masks == (0, 0)
 
-    @pytest.mark.parametrize("label", sorted(PAULI_GATES))
+    def test_iy_is_exactly_real(self):
+        m = PauliString(("iY",)).matrix()
+        np.testing.assert_array_equal(m, np.array([[0, 1], [-1, 0]]))
+        assert m.imag.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("label", sorted(PAULIS))
     def test_gates_are_unitary(self, label):
-        g = PAULI_GATES[label]
+        g = PauliString((label,)).matrix()
+        np.testing.assert_array_equal(g, PAULIS[label])
         np.testing.assert_array_equal(g.conj().T @ g, np.eye(2))
 
     @pytest.mark.parametrize("label,sign", [("I", 1), ("X", 1), ("Z", 1), ("iY", -1)])
     def test_square_is_plus_minus_identity(self, label, sign):
-        g = PAULI_GATES[label]
+        g = PauliString((label,)).matrix()
         np.testing.assert_array_equal(g @ g, sign * np.eye(2))
 
     def test_matrix_kron_order(self):
         m = PauliString(("Z", "X")).matrix()
-        np.testing.assert_array_equal(m, np.kron(PAULI_GATES["Z"], PAULI_GATES["X"]))
+        np.testing.assert_array_equal(m, np.kron(PAULIS["Z"], PAULIS["X"]))
+
+    def test_matrix_matches_reference(self, reference):
+        ref = reference("statevec")
+        for n in range(1, 5):
+            for labels in itertools.product(("I", "X", "Z", "iY"), repeat=n):
+                np.testing.assert_array_equal(
+                    PauliString(labels).matrix(), ref.PauliString(labels).matrix()
+                )
 
 
 class TestGateApplication:
     def test_phase_flip_on_superposition(self):
         s = 1.0 / np.sqrt(2.0)
         state = StateVector.from_terms(3, {"000": s, "100": s})
-        out = apply_pauli_string(
-            state.amplitudes[None], (0, 1, 2), [PauliString(("Z", "I", "I"))]
-        )
+        out = apply_pauli_string(state.amplitudes[None], [PauliString(("Z", "I", "I"))])
         expected = StateVector.from_terms(3, {"000": s, "100": -s})
         np.testing.assert_array_equal(out[0], expected.amplitudes)
 
     def test_pauli_string_length_mismatch(self):
         rows = StateVector.ket("00").amplitudes[None]
         with pytest.raises(ValueError, match="Pauli factors"):
-            apply_pauli_string(rows, (0,), [PauliString(("X", "X"))])
-
-    def test_pauli_string_duplicate_targets(self):
-        rows = StateVector.ket("00").amplitudes[None]
-        with pytest.raises(ValueError, match="duplicate"):
-            apply_pauli_string(rows, (0, 0), [PauliString(("X", "X"))])
-
-    def test_pauli_string_qubit_out_of_range(self):
-        rows = StateVector.ket("00").amplitudes[None]
-        with pytest.raises(ValueError, match="out of range"):
-            apply_pauli_string(rows, (0, 2), [PauliString(("I", "X"))])
+            apply_pauli_string(rows, [PauliString(("X",))])
+        with pytest.raises(ValueError, match="Pauli factors"):
+            apply_pauli_string(rows, [PauliString(("X", "X", "X"))])
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_bits_match_reference_on_every_bob_state(self, variant, reference):
@@ -167,18 +180,15 @@ class TestGateApplication:
         # the bit patterns must agree, signed zeros included
         ref = reference("statevec")
         k = VARIANT_SPECS[variant].bob_qubits
-        targets = tuple(range(k))
         secret = random_secret(variant, substream(2026, 0))
         candidates = list(itertools.product(("I", "X", "Z", "iY"), repeat=k))
         for row in published_correction_table(variant).rows:
             bob = run_protocol(secret, forced=row).bob_state_before
             ref_bob = ref.StateVector(k, bob.amplitudes)
             for labels in candidates:
-                got = apply_pauli_string(
-                    bob.amplitudes[None], targets, [PauliString(labels)]
-                )
+                got = apply_pauli_string(bob.amplitudes[None], [PauliString(labels)])
                 want = ref.apply_pauli_string(
-                    ref_bob, targets, ref.PauliString(labels)
+                    ref_bob, tuple(range(k)), ref.PauliString(labels)
                 )
                 assert got[0].tobytes() == want.amplitudes.tobytes(), (
                     row,
@@ -434,10 +444,10 @@ class TestStackedRows:
         labels = list(itertools.product(("I", "X", "Z", "iY"), repeat=3))
         rows = np.array([random_state(3, rng).amplitudes for _ in labels])
         paulis = [PauliString(lab) for lab in labels]
-        corrected = apply_pauli_string(rows, (2, 0, 1), paulis)
+        corrected = apply_pauli_string(rows, paulis)
         fids = fidelity(corrected, rows)
         for t, pauli in enumerate(paulis):
-            one = apply_pauli_string(rows[t : t + 1], (2, 0, 1), [pauli])
+            one = apply_pauli_string(rows[t : t + 1], [pauli])
             assert self.same_bits(corrected[t], one[0])
             assert fids[t].hex() == fidelity(one, rows[t : t + 1])[0].hex()
 
@@ -446,7 +456,7 @@ class TestStackedRows:
         with pytest.raises(ValueError, match="2 rows but 1 generators"):
             measure_in_basis(rows, hadamard_basis(0), [substream(1, 0)])
         with pytest.raises(ValueError, match="2 rows but 1 Pauli strings"):
-            apply_pauli_string(rows, (0,), [PauliString(("X",))])
+            apply_pauli_string(rows, [PauliString(("X",))])
         with pytest.raises(ValueError):
             fidelity(rows, rows[:1])
 
