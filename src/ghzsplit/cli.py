@@ -13,6 +13,9 @@ Every command writes through one writer, to stdout and to the ``--emit``
 file. ``run`` streams: csv and text rows go out chunk by chunk, and the JSON
 document goes out as its header, then each transcript as its trial ends,
 then the summary, in the bytes ``json.dumps(document, indent=2)`` gives.
+Transcripts share one shape per variant and secret kind, so each is filled
+into a ``%`` template built once per shape, leaf by leaf as ``json.dumps``
+writes leaves; its pure-Python indenting encoder does not run per trial.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -31,7 +34,8 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Hashable, Iterator
+from json.encoder import encode_basestring_ascii
 
 from .oracle import derive_table, verify_table
 from .protocol import (
@@ -187,6 +191,77 @@ def _json_text(value, depth: int = 0) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
+# what json.dumps writes for the floats whose repr is not JSON
+_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# stands in for every leaf of a template's skeleton; JSON writes it escaped
+_LEAF = "\x00"
+
+
+def _leaf_text(value) -> str:
+    """A scalar as ``json.dumps`` writes it, in its order of type tests."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_CONSTANTS.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _leaf_texts(value: dict | list | tuple, out: list[str]) -> list[str]:
+    """Append the JSON text of each leaf under ``value``, in document order."""
+    for item in value.values() if isinstance(value, dict) else value:
+        kind = type(item)
+        if kind is float:  # most leaves: probabilities and amplitudes
+            text = float.__repr__(item)
+            out.append(_FLOAT_CONSTANTS.get(text, text))
+        elif kind is int:
+            out.append(int.__repr__(item))
+        elif isinstance(item, (dict, list, tuple)):
+            _leaf_texts(item, out)
+        else:
+            out.append(_leaf_text(item))
+    return out
+
+
+def _skeleton(value):
+    """``value`` with every leaf replaced by ``_LEAF``."""
+    if isinstance(value, dict):
+        return {key: _skeleton(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_skeleton(item) for item in value]
+    return _LEAF
+
+
+def _filled_json(value: dict, depth: int, shape: Hashable, templates: dict) -> str:
+    """``_json_text(value, depth)``, filled into a ``%`` template.
+
+    ``templates`` keeps one template per ``(shape, depth)``, built from the
+    first value of that shape; ``shape`` must fix every key and list length
+    of ``value``. A value whose leaf count does not fit its template raises
+    ValueError instead of writing other bytes.
+    """
+    leaves = _leaf_texts(value, [])
+    key = (shape, depth)
+    if key not in templates:
+        text = _json_text(_skeleton(value), depth).replace("%", "%%")
+        slot = json.dumps(_LEAF)
+        templates[key] = (text.replace(slot, "%s"), text.count(slot))
+    template, count = templates[key]
+    if len(leaves) != count:
+        raise ValueError(
+            f"{len(leaves)} leaves do not fit the {count}-leaf template of {key!r}"
+        )
+    return template % tuple(leaves)
+
+
 def _csv_payload(rows: list[list]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -257,11 +332,14 @@ def _cmd_run(args) -> int:
                 else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
             }
             write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
+            templates = {}  # of this run's transcripts, by shape
             for rngs, secrets in trial_draws(variant, seed, args.trials, secret):
                 for rng, spec in zip(rngs, secrets):
                     t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
                     sep = ",\n    " if fidelities else "\n    "
-                    write(sep + _json_text(t.to_dict(), 2))
+                    doc = t.to_dict()
+                    shape = (variant, doc["secret"]["kind"])
+                    write(sep + _filled_json(doc, 2, shape, templates))
                     fidelities.append(t.fidelity)
                     counts[t.alice_outcome, t.charlie_bit] += 1
         else:

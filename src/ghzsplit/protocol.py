@@ -32,6 +32,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .statevec import (
     OrthonormalBasis,
     PauliString,
     StateVector,
+    _xor_sign_tables,
     apply_pauli_string,
     check_normalized,
     fidelity,
@@ -262,9 +264,10 @@ def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> Orthonorma
     """Alice's five-qubit measurement basis, one Pauli frame per outcome.
 
     Vector i is ``X**x Z**z`` on the equal superposition of the variant's
-    ``alice_anchor`` kets: ``0.5 * (-1)**popcount(k & z)`` at index ``k ^ x``
-    for each anchor ket k, where the high bits of i set x on the
+    ``alice_anchor`` kets, where the high bits of i set x on the
     ``alice_flips`` qubits and its low bits set z on the ``alice_phases``.
+    That is ``(-1)**popcount(x & z)`` times the anchor under statevec's
+    Pauli rule for the masks (x, z), which applies ``Z**z X**x``.
     ``encoding="literal"`` reproduces the source verbatim, unchecked for
     orthonormality, with its two defects: its sign expansion reverses the
     phase qubits (a label swap in the 16-outcome bases), and its ``four``
@@ -277,15 +280,17 @@ def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> Orthonorma
     phases = vs.alice_phases[::-1] if encoding == LITERAL else vs.alice_phases
     # bit j of i, most significant first, drives qubit frame[j]
     frame = (*vs.alice_flips, *phases)
+    anchor = np.zeros(2**width)
+    anchor[[int(ket, 2) for ket in vs.alice_anchor]] = 0.5
     vectors = []
     for i in range(vs.num_outcomes):
         bits = format(i, f"0{len(frame)}b")
         on = [1 << (width - 1 - q) if b == "1" else 0 for q, b in zip(frame, bits)]
         x, z = sum(on[: len(vs.alice_flips)]), sum(on[len(vs.alice_flips) :])
-        amps = np.zeros(2**width, dtype=complex)
-        for k in (int(ket, 2) for ket in vs.alice_anchor):
-            amps[k ^ x] = 0.5 * (-1) ** bin(k & z).count("1")
-        vectors.append(StateVector(width, amps))
+        source, sign = _xor_sign_tables(2**width, x, z)
+        order = (-1.0) ** bin(x & z).count("1")  # X**x Z**z = order * Z**z X**x
+        # + 0.0 turns the -0.0 a sign flip leaves on a zero component into 0.0
+        vectors.append(StateVector(width, order * sign * anchor[source] + 0.0))
     if encoding == LITERAL and variant is Variant.FOUR:
         vectors[3] = vectors[2]
     return OrthonormalBasis(
@@ -398,8 +403,7 @@ def published_correction_table(variant: Variant) -> CorrectionTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutcomeWeight:
+class OutcomeWeight(NamedTuple):
     alice_outcome: int
     charlie_bit: int
     probability: float

@@ -1,18 +1,30 @@
 import contextlib
 import csv
+import enum
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ghzsplit
 from ghzsplit import cli, protocol
 from ghzsplit.cli import main
-from ghzsplit.protocol import TRIAL_CHUNK, Transcript, run_protocol
+from ghzsplit.protocol import (
+    TRIAL_CHUNK,
+    SecretSpec,
+    Transcript,
+    Variant,
+    random_secret,
+    run_protocol,
+    substream,
+)
 
 # the directory that holds the package under test, for child interpreters
 SRC = str(Path(ghzsplit.__file__).resolve().parents[1])
@@ -221,11 +233,95 @@ class TestRun:
         first = json.loads(out.getvalue())["transcripts"][0]
         assert json.dumps(first, indent=2).replace("\n", "\n    ") in seen[2]
 
+    def test_json_run_calls_json_dumps_a_fixed_number_of_times(
+        self, monkeypatch, capsys
+    ):
+        # the header, the summary and one template per transcript shape;
+        # none per trial
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return json.dumps(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=counting))
+        made = {}
+        for trials in (30, 300):
+            calls.clear()
+            argv = ["run", "--variant", "three-a", "--trials", str(trials)]
+            code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+            assert code == 0 and len(json.loads(out)["transcripts"]) == trials
+            made[trials] = len(calls)
+        assert made[30] == made[300], made
+
     def test_json_peak_memory_flat_in_trials(self):
         # a document held whole grows by about 80 MiB from 200 to 2000 trials
         pytest.importorskip("resource")
         growth = _json_run_peak_rss_mib(2000) - _json_run_peak_rss_mib(200)
         assert growth < 10, f"peak RSS grew by {growth:.1f} MiB"
+
+
+# a fixed in-class secret per variant
+FIXED_COEFFICIENTS = {
+    Variant.THREE_A: (0.5, 0.5j, -0.5, 0.5),
+    Variant.THREE_B: (0.5, 0.5j, -0.5, 0.5),
+    Variant.FOUR: (0.5, -0.5j),
+}
+
+
+class TestFilledJson:
+    """``_filled_json`` writes the bytes ``_json_text`` writes."""
+
+    @staticmethod
+    def transcripts(variant: Variant) -> dict[str, Transcript]:
+        rng = substream(11, 0)
+        fixed = SecretSpec(variant, FIXED_COEFFICIENTS[variant])
+        return {
+            "sampled": run_protocol(random_secret(variant, rng), rng=rng),
+            "forced": run_protocol(random_secret(variant, rng), forced=(1, 1)),
+            "fixed": run_protocol(fixed, seed=3),
+            "state": run_protocol(fixed.state, variant=variant, seed=3),
+        }
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_transcripts_match_json_text(self, variant, depth):
+        templates = {}
+        for how, t in self.transcripts(variant).items():
+            doc = t.to_dict()
+            shape = (variant, doc["secret"]["kind"])
+            filled = cli._filled_json(doc, depth, shape, templates)
+            assert filled == cli._json_text(doc, depth), how
+        # one template for the coefficient secrets, one for the raw state
+        assert len(templates) == 2
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_edge_leaves_match_json_text(self, depth):
+        doc = {
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e22],
+            "numpy": [np.float64(0.1), np.float64(-0.0), np.float64(math.nan)],
+            "scalars": [0, -7, 2**70, True, False, None],
+            "subclasses": [enum.IntEnum("Level", "LOW").LOW, Variant.FOUR],
+            "strings": ["h\u00e9llo \u2603", 'a " and a \\', "100%s", "\x00", ""],
+            "empty": {"list": [], "dict": {}},
+            "nested": [[{"key%s": (1.5, "x")}]],
+        }
+        templates = {}
+        for _ in range(2):  # builds the template, then fills the cached one
+            filled = cli._filled_json(doc, depth, "edge", templates)
+            assert filled == cli._json_text(doc, depth)
+
+    @pytest.mark.parametrize("other", [[1.0], [1.0, 2.0, 3.0]], ids=["fewer", "more"])
+    def test_leaf_count_off_its_template_raises(self, other):
+        templates = {}
+        cli._filled_json({"a": [1.0, 2.0]}, 0, "shape", templates)
+        with pytest.raises(ValueError, match="leaves"):
+            cli._filled_json({"a": other}, 0, "shape", templates)
+
+    def test_key_that_reads_as_a_slot_raises(self):
+        # the skeleton's leaf stand-in as a key adds a slot to the template
+        with pytest.raises(ValueError, match="leaves"):
+            cli._filled_json({"\x00": 1}, 0, "shape", {})
 
 
 def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, reference):
