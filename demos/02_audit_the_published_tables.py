@@ -1,11 +1,15 @@
 """
-Auditing the published correction tables by brute force
-=======================================================
+Auditing the published correction tables exactly
+================================================
 
 Nothing in this package trusts the published lookup tables. For every
 (alice_outcome, charlie_bit) branch the oracle enumerates all 64 three-qubit
-Pauli strings (256 for the four-qubit variant), keeps the ones that recover
-every test secret, and grades the published row against that solution set.
+Pauli strings (256 for the four-qubit variant) and keeps the ones that
+recover every secret of the class. Each verdict is an exact integer
+identity: the branch's map, scaled to integers, takes the class to plus or
+minus itself under the correction. The published row is graded against that
+solution set. The seeded test secrets feed only the reported fidelity of a
+published row and its phase.
 
 Two of the three variants check out completely. The third does not: all 16
 minus-branch rows of its table apply the wrong sign correction, because the

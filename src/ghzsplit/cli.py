@@ -215,17 +215,28 @@ def _leaf_text(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _leaf_texts(value: dict | list | tuple, out: list[str]) -> list[str]:
-    """Append the JSON text of each leaf under ``value``, in document order."""
+def _leaf_texts(
+    value: dict | list | tuple, out: list[str], floats: dict[float, str]
+) -> list[str]:
+    """Append the JSON text of each leaf under ``value``, in document order.
+
+    ``floats`` memoizes the text of nonzero floats: a transcript repeats
+    many values. Zero stays out, because 0.0 == -0.0 but their texts differ.
+    """
     for item in value.values() if isinstance(value, dict) else value:
         kind = type(item)
         if kind is float:  # most leaves: probabilities and amplitudes
-            text = float.__repr__(item)
-            out.append(_FLOAT_CONSTANTS.get(text, text))
+            text = floats.get(item)
+            if text is None:
+                text = float.__repr__(item)
+                text = _FLOAT_CONSTANTS.get(text, text)
+                if item:
+                    floats[item] = text
+            out.append(text)
         elif kind is int:
             out.append(int.__repr__(item))
         elif isinstance(item, (dict, list, tuple)):
-            _leaf_texts(item, out)
+            _leaf_texts(item, out, floats)
         else:
             out.append(_leaf_text(item))
     return out
@@ -248,7 +259,7 @@ def _filled_json(value: dict, depth: int, shape: Hashable, templates: dict) -> s
     of ``value``. A value whose leaf count does not fit its template raises
     ValueError instead of writing other bytes.
     """
-    leaves = _leaf_texts(value, [])
+    leaves = _leaf_texts(value, [], {})
     key = (shape, depth)
     if key not in templates:
         text = _json_text(_skeleton(value), depth).replace("%", "%%")

@@ -311,6 +311,23 @@ class TestFilledJson:
             filled = cli._filled_json(doc, depth, "edge", templates)
             assert filled == cli._json_text(doc, depth)
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_repeated_floats_and_signed_zeros_match_json_text(self, depth):
+        # repeated values reuse their memoized text; 0.0 and -0.0 compare
+        # equal, so neither may take the other's text, in either order
+        nan = math.nan
+        doc = {
+            "repeats": [0.1, -0.1, 0.1, 1 / 3, -0.1, 1 / 3, 0.1, 1e-300, 1e-300],
+            "zero_first": [0.0, -0.0, 0.0, -0.0],
+            "minus_zero_first": {"a": -0.0, "b": 0.0, "c": [-0.0, 0.0]},
+            "constants": [nan, nan, math.inf, -math.inf, math.inf, -math.inf],
+            "numpy": [np.float64(0.1), 0.1, np.float64(-0.0), 0.0],
+        }
+        templates = {}
+        for _ in range(2):
+            filled = cli._filled_json(doc, depth, "repeats", templates)
+            assert filled == cli._json_text(doc, depth)
+
     @pytest.mark.parametrize("other", [[1.0], [1.0, 2.0, 3.0]], ids=["fewer", "more"])
     def test_leaf_count_off_its_template_raises(self, other):
         templates = {}

@@ -8,6 +8,7 @@ from ghzsplit.oracle import (
     MISMATCH,
     PHASE_ONLY_MATCH,
     _class_mass,
+    _derived_table,
     derive_corrections,
     derive_table,
     random_arbitrary_secret,
@@ -15,6 +16,7 @@ from ghzsplit.oracle import (
     verify_table,
 )
 from ghzsplit.protocol import (
+    ENCODINGS,
     LITERAL,
     Variant,
     VARIANT_SPECS,
@@ -44,6 +46,11 @@ class TestDeriveCorrections:
         sols = derive_corrections(variant, outcome, bit)
         assert len(sols) == count
         assert labels in {s.labels for s in sols}
+
+    @pytest.mark.parametrize("outcome,bit,bad", [(16, 0, 16), (-1, 0, -1), (0, 2, 2)])
+    def test_row_out_of_range_rejected(self, outcome, bit, bad):
+        with pytest.raises(ValueError, match=f"outcome {bad} out of range"):
+            derive_corrections(Variant.THREE_A, outcome, bit)
 
     def test_three_a_identity_row_partner(self):
         # Bob's two same-triplet qubits stay correlated, so Z on both of
@@ -251,3 +258,80 @@ class TestVerifySpan:
         for _ in range(200):
             secret = build_secret(random_secret(variant, rng))
             assert abs(_class_mass(variant, secret.amplitudes) - 1.0) <= NORM_ATOL
+
+
+def _duplicated_first_vector(basis, basis_type):
+    vectors = list(basis.vectors)
+    vectors[0] = vectors[1]
+    return basis_type(basis.target_qubits, tuple(vectors), validate=False)
+
+
+class TestExactOracleAgainstReference:
+    """The integer oracle grades every row as the frozen sampled one does."""
+
+    CASES = [(v, e) for v in ALL_VARIANTS for e in ENCODINGS] + [
+        (Variant.THREE_A, "duplicated")
+    ]
+
+    @staticmethod
+    def bases(variant, encoding, reference):
+        ref_protocol = reference("protocol")
+        ref_variant = ref_protocol.Variant(variant.value)
+        if encoding != "duplicated":
+            return (
+                build_alice_basis(variant, encoding),
+                ref_protocol.build_alice_basis(ref_variant, encoding),
+            )
+        return (
+            _duplicated_first_vector(build_alice_basis(variant), OrthonormalBasis),
+            _duplicated_first_vector(
+                ref_protocol.build_alice_basis(ref_variant),
+                reference("statevec").OrthonormalBasis,
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "variant,encoding", CASES, ids=[f"{v.value}-{e}" for v, e in CASES]
+    )
+    def test_rows_match_reference(self, variant, encoding, reference):
+        ref_oracle = reference("oracle")
+        ref_variant = reference("protocol").Variant(variant.value)
+        basis, ref_basis = self.bases(variant, encoding, reference)
+        ours = verify_table(variant, basis=basis)
+        theirs = ref_oracle.verify_table(ref_variant, basis=ref_basis)
+        derived = _derived_table(variant, basis)
+        ref_derived = ref_oracle.derive_table(ref_variant, basis=ref_basis)
+
+        def labels(paulis):
+            return [p.labels for p in paulis]
+
+        assert len(ours.rows) == len(theirs.rows)
+        for row, ref_row in zip(ours.rows, theirs.rows):
+            # status, solutions, and the sampled fidelity and phase, bytewise
+            key = (row.alice_outcome, row.charlie_bit)
+            assert json.dumps(row.to_dict()) == json.dumps(ref_row.to_dict()), key
+            assert labels(derived.solutions[key]) == labels(row.solutions), key
+            assert labels(derived.exact[key]) == labels(ref_derived.exact[key]), key
+        if encoding == "duplicated":  # the defect reaches the verdicts
+            assert ours.status_counts[MISMATCH] > 0
+
+    def test_basis_missing_a_vector_raises(self):
+        good = build_alice_basis(Variant.FOUR)
+        short = OrthonormalBasis(good.target_qubits, good.vectors[:-1])
+        with pytest.raises(ValueError, match="needs 4 basis vectors, got 3"):
+            verify_table(Variant.FOUR, basis=short)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_non_pauli_frame_basis_raises(self, variant):
+        # rotating two basis vectors into each other keeps the basis
+        # orthonormal, but its Kraus operators are no longer integral
+        good = build_alice_basis(variant)
+        c, s = np.cos(0.3), np.sin(0.3)
+        a, b = good.vectors[0].amplitudes, good.vectors[1].amplitudes
+        n = good.vectors[0].num_qubits
+        vectors = list(good.vectors)
+        vectors[0] = StateVector(n, c * a + s * b)
+        vectors[1] = StateVector(n, c * b - s * a)
+        rotated = OrthonormalBasis(good.target_qubits, tuple(vectors))
+        with pytest.raises(ValueError, match="integer Kraus operators"):
+            verify_table(variant, basis=rotated)

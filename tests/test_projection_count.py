@@ -1,5 +1,6 @@
 """Each measurement projects the state onto its basis exactly once; ``run``
-with csv or text output projects a whole chunk of trials at once.
+with csv or text output projects a whole chunk of trials at once, and the
+oracle projects each stack of secrets once.
 
 Every basis projection goes through ``statevec._split_measured``; wrapping it
 in each ghzsplit module that holds it counts projections by the number of
@@ -13,9 +14,9 @@ import sys
 
 import pytest
 
-from ghzsplit import statevec
+from ghzsplit import oracle, statevec
 from ghzsplit.cli import main
-from ghzsplit.oracle import verify_span, verify_table
+from ghzsplit.oracle import derive_table, verify_span, verify_table
 from ghzsplit.protocol import TRIAL_CHUNK, SecretSpec, Variant, run_protocol
 
 
@@ -83,11 +84,35 @@ def test_json_run_projects_once_per_party_per_trial(projections, capsys):
     assert projections == {5: 5, 1: 5}
 
 
+@pytest.fixture
+def integer_operators():
+    """Empty ``oracle._class_images``'s cache before and after the test."""
+    oracle._class_images.cache_clear()
+    yield
+    oracle._class_images.cache_clear()
+
+
+def test_integer_operators_take_one_projection_per_basis(
+    integer_operators, projections
+):
+    # the secret's unit kets, stacked, projected onto Alice's basis once per
+    # (variant, basis); derive_table itself projects nothing
+    derive_table(Variant.THREE_A)
+    assert projections == {5: 1}
+    derive_table(Variant.THREE_A)
+    assert projections == {5: 1}
+    # another basis: its operators, then its test secrets and their Hadamard
+    verify_table(Variant.THREE_A, encoding="literal")
+    assert projections == {5: 3, 1: 1}
+
+
 def test_oracle_projects_each_test_secret_once_per_call(projections):
     # the 14 test secrets (4 unit, 10 seeded random) as one stacked projection
-    # onto Alice's basis, then one stacked Hadamard projection per row
+    # onto Alice's basis, then one stacked Hadamard projection for all rows
+    verify_table(Variant.THREE_A)  # builds the integer operators if need be
+    projections.clear()
     verify_table(Variant.THREE_A)
-    assert projections == {5: 1, 1: 32}
+    assert projections == {5: 1, 1: 1}
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -107,6 +132,7 @@ def test_a_trial_checks_each_span_once(how, span_checks):
 
 def test_oracle_checks_each_span_once(span_checks):
     # the stacked projection of the 14 test secrets onto Alice's basis once,
-    # then each row's Hadamard projection of Charlie's qubit
+    # then the Hadamard projection of Charlie's qubit for all 32 rows x 14
+    # secrets; building the integer operators checks no span
     verify_table(Variant.THREE_A)
-    assert span_checks == [(14, 16)] + [(14, 2)] * 32
+    assert span_checks == [(14, 16), (32 * 14, 2)]
