@@ -14,8 +14,9 @@ file. ``run`` streams: csv and text rows go out chunk by chunk, and the JSON
 document goes out as its header, then each transcript as its trial ends,
 then the summary, in the bytes ``json.dumps(document, indent=2)`` gives.
 Transcripts share one shape per variant and secret kind, so each is filled
-into a ``%`` template built once per shape, leaf by leaf as ``json.dumps``
-writes leaves; its pure-Python indenting encoder does not run per trial.
+into a ``%`` template built once per shape from that shape's first
+``Transcript.to_dict`` tree. Every transcript then gives its leaves straight
+from its fields and arrays: no trial builds a tree or runs ``json.dumps``.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -30,12 +31,15 @@ import collections
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .oracle import derive_table, verify_table
 from .protocol import (
@@ -45,6 +49,7 @@ from .protocol import (
     SCHEMA_VERSION,
     SecretSpec,
     TrialChunk,
+    Transcript,
     Variant,
     VARIANT_SPECS,
     alice_cbits,
@@ -197,49 +202,29 @@ _FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _LEAF = "\x00"
 
 
-def _leaf_text(value) -> str:
-    """A scalar as ``json.dumps`` writes it, in its order of type tests."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+class _FloatTexts(dict):
+    """The JSON text of each float looked up, memoized for nonzero floats:
+    a transcript repeats many values. Zero stays out, because 0.0 == -0.0
+    but their texts differ."""
+
+    def __missing__(self, value: float) -> str:
         text = float.__repr__(value)
-        return _FLOAT_CONSTANTS.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        text = _FLOAT_CONSTANTS.get(text, text)
+        if value:
+            self[value] = text
+        return text
 
 
-def _leaf_texts(
-    value: dict | list | tuple, out: list[str], floats: dict[float, str]
-) -> list[str]:
-    """Append the JSON text of each leaf under ``value``, in document order.
+class _ScalarTexts(dict):
+    """The JSON text of each string or int looked up, made once."""
 
-    ``floats`` memoizes the text of nonzero floats: a transcript repeats
-    many values. Zero stays out, because 0.0 == -0.0 but their texts differ.
-    """
-    for item in value.values() if isinstance(value, dict) else value:
-        kind = type(item)
-        if kind is float:  # most leaves: probabilities and amplitudes
-            text = floats.get(item)
-            if text is None:
-                text = float.__repr__(item)
-                text = _FLOAT_CONSTANTS.get(text, text)
-                if item:
-                    floats[item] = text
-            out.append(text)
-        elif kind is int:
-            out.append(int.__repr__(item))
-        elif isinstance(item, (dict, list, tuple)):
-            _leaf_texts(item, out, floats)
+    def __missing__(self, value: str | int) -> str:
+        if isinstance(value, str):
+            text = encode_basestring_ascii(value)
         else:
-            out.append(_leaf_text(item))
-    return out
+            text = int.__repr__(value)
+        self[value] = text
+        return text
 
 
 def _skeleton(value):
@@ -251,21 +236,47 @@ def _skeleton(value):
     return _LEAF
 
 
-def _filled_json(value: dict, depth: int, shape: Hashable, templates: dict) -> str:
-    """``_json_text(value, depth)``, filled into a ``%`` template.
+def _transcript_json(
+    t: Transcript, depth: int, templates: dict, scalars: _ScalarTexts
+) -> str:
+    """``_json_text(t.to_dict(), depth)``, filled into a ``%`` template.
 
-    ``templates`` keeps one template per ``(shape, depth)``, built from the
-    first value of that shape; ``shape`` must fix every key and list length
-    of ``value``. A value whose leaf count does not fit its template raises
+    ``templates`` keeps one template per (variant, secret kind, depth), built
+    from the ``to_dict`` tree of the first such transcript: that method alone
+    defines the shape and key order. Each transcript gives its leaves in
+    document order straight from its fields and arrays. ``scalars`` keeps
+    the text of the few distinct strings and ints, for every transcript of
+    a run. A transcript whose leaf count does not fit its template raises
     ValueError instead of writing other bytes.
     """
-    leaves = _leaf_texts(value, [], {})
-    key = (shape, depth)
+    if isinstance(t.secret, SecretSpec):
+        secret = ["coefficients", t.secret.variant.value]
+        secret_floats = [x for c in t.secret.coefficients for x in (c.real, c.imag)]
+    else:
+        secret = ["state", t.variant.value]
+        secret_floats = t.secret.amplitudes.view(np.float64).tolist()
+    key = (t.variant, secret[0], depth)
     if key not in templates:
-        text = _json_text(_skeleton(value), depth).replace("%", "%%")
+        text = _json_text(_skeleton(t.to_dict()), depth).replace("%", "%%")
         slot = json.dumps(_LEAF)
         templates[key] = (text.replace(slot, "%s"), text.count(slot))
     template, count = templates[key]
+    scalar, floats = scalars.__getitem__, _FloatTexts().__getitem__
+    # (alice_outcome, charlie_bit, probability) per joint weight
+    weights = list(itertools.chain.from_iterable(t.probabilities))
+    weights[0::3] = map(scalar, weights[0::3])
+    weights[1::3] = map(scalar, weights[1::3])
+    weights[2::3] = map(floats, weights[2::3])
+    leaves = [
+        *map(scalar, [SCHEMA_VERSION, t.variant.value, *secret]),
+        *map(floats, secret_floats),
+        *map(scalar, [t.alice_outcome, t.alice_cbits, t.charlie_bit]),
+        *map(scalar, [*t.messages.values(), *t.correction.labels]),
+        *map(floats, t.bob_state_before.amplitudes.view(np.float64).tolist()),
+        *map(floats, t.bob_state_after.amplitudes.view(np.float64).tolist()),
+        floats(t.fidelity),
+        *weights,
+    ]
     if len(leaves) != count:
         raise ValueError(
             f"{len(leaves)} leaves do not fit the {count}-leaf template of {key!r}"
@@ -343,14 +354,12 @@ def _cmd_run(args) -> int:
                 else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
             }
             write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
-            templates = {}  # of this run's transcripts, by shape
+            templates, scalars = {}, _ScalarTexts()  # of this run's transcripts
             for rngs, secrets in trial_draws(variant, seed, args.trials, secret):
                 for rng, spec in zip(rngs, secrets):
                     t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
                     sep = ",\n    " if fidelities else "\n    "
-                    doc = t.to_dict()
-                    shape = (variant, doc["secret"]["kind"])
-                    write(sep + _filled_json(doc, 2, shape, templates))
+                    write(sep + _transcript_json(t, 2, templates, scalars))
                     fidelities.append(t.fidelity)
                     counts[t.alice_outcome, t.charlie_bit] += 1
         else:

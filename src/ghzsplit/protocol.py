@@ -259,9 +259,9 @@ def alice_cbits(outcome: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> OrthonormalBasis:
-    """Alice's five-qubit measurement basis, one Pauli frame per outcome.
+    """Alice's five-qubit measurement basis, one Pauli frame per outcome,
+    built once per (variant, encoding) however the call spells them.
 
     Vector i is ``X**x Z**z`` on the equal superposition of the variant's
     ``alice_anchor`` kets, where the high bits of i set x on the
@@ -273,6 +273,11 @@ def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> Orthonorma
     phase qubits (a label swap in the 16-outcome bases), and its ``four``
     basis repeats vector 2 as vector 3.
     """
+    return _alice_basis(variant, encoding)
+
+
+@functools.cache
+def _alice_basis(variant: Variant, encoding: str) -> OrthonormalBasis:
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
     vs = VARIANT_SPECS[variant]
@@ -296,6 +301,10 @@ def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> Orthonorma
     return OrthonormalBasis(
         tuple(range(width)), tuple(vectors), validate=(encoding == CANONICAL)
     )
+
+
+# the cache's hits and misses, read through the public name
+build_alice_basis.cache_info = _alice_basis.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +495,24 @@ def _joint_weights(branches: np.ndarray) -> np.ndarray:
     """Joint weights ``[..., outcome, bit]`` from Alice's (stacked) branches,
     Charlie's qubit last in each branch."""
     half = branches.reshape(*branches.shape[:-1], -1, 2)
-    plus = (half[..., 0] + half[..., 1]) / np.sqrt(2.0)
-    minus = (half[..., 0] - half[..., 1]) / np.sqrt(2.0)
-    return np.stack(
-        [
-            np.add.reduce(np.abs(plus) ** 2, axis=-1),
-            np.add.reduce(np.abs(minus) ** 2, axis=-1),
-        ],
-        axis=-1,
-    )
+    # Charlie's |+> and |-> components side by side, then one reduction
+    signed = np.empty((*half.shape[:-2], 2, half.shape[-2]), complex)
+    np.add(half[..., 0], half[..., 1], out=signed[..., 0, :])
+    np.subtract(half[..., 0], half[..., 1], out=signed[..., 1, :])
+    signed /= np.sqrt(2.0)
+    return np.add.reduce(np.abs(signed) ** 2, axis=-1)
+
+
+@functools.cache
+def _outcome_keys(outcomes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (alice_outcome, charlie_bit) of each joint weight, as two columns."""
+    return tuple(i for i in range(outcomes) for _ in (0, 1)), (0, 1) * outcomes
 
 
 def _outcome_weights(weights: np.ndarray) -> tuple[OutcomeWeight, ...]:
-    return tuple(
-        OutcomeWeight(i, bit, p)
-        for i, pair in enumerate(weights.tolist())
-        for bit, p in enumerate(pair)
-    )
+    outcomes, bits = _outcome_keys(len(weights))
+    rows = zip(outcomes, bits, weights.ravel().tolist())
+    return tuple(map(OutcomeWeight._make, rows))
 
 
 def outcome_distribution(

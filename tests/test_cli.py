@@ -1,6 +1,6 @@
 import contextlib
 import csv
-import enum
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +18,7 @@ from ghzsplit import cli, protocol
 from ghzsplit.cli import main
 from ghzsplit.protocol import (
     TRIAL_CHUNK,
+    OutcomeWeight,
     SecretSpec,
     Transcript,
     Variant,
@@ -25,6 +26,7 @@ from ghzsplit.protocol import (
     run_protocol,
     substream,
 )
+from ghzsplit.statevec import StateVector
 
 # the directory that holds the package under test, for child interpreters
 SRC = str(Path(ghzsplit.__file__).resolve().parents[1])
@@ -254,6 +256,26 @@ class TestRun:
             made[trials] = len(calls)
         assert made[30] == made[300], made
 
+    def test_json_run_calls_to_dict_once_per_shape(self, monkeypatch, capsys):
+        # the first transcript of a shape gives its template's skeleton;
+        # every other one is filled from its fields
+        calls = []
+        to_dict = Transcript.to_dict
+
+        def counting(self):
+            calls.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(Transcript, "to_dict", counting)
+        made = {}
+        for trials in (30, 300):
+            calls.clear()
+            argv = ["run", "--variant", "three-b", "--trials", str(trials)]
+            code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+            assert code in (0, 1) and len(json.loads(out)["transcripts"]) == trials
+            made[trials] = len(calls)
+        assert made == {30: 1, 300: 1}
+
     def test_json_peak_memory_flat_in_trials(self):
         # a document held whole grows by about 80 MiB from 200 to 2000 trials
         pytest.importorskip("resource")
@@ -269,8 +291,18 @@ FIXED_COEFFICIENTS = {
 }
 
 
+def _hand_built(variant: Variant = Variant.THREE_A, **fields) -> Transcript:
+    """A forced transcript with some fields replaced; no field is checked."""
+    fixed = SecretSpec(variant, FIXED_COEFFICIENTS[variant])
+    return dataclasses.replace(run_protocol(fixed, forced=(1, 1)), **fields)
+
+
+def _weights(*probabilities: float) -> tuple[OutcomeWeight, ...]:
+    return tuple(OutcomeWeight(k // 2, k % 2, p) for k, p in enumerate(probabilities))
+
+
 class TestFilledJson:
-    """``_filled_json`` writes the bytes ``_json_text`` writes."""
+    """``_transcript_json`` writes the bytes ``_json_text`` writes."""
 
     @staticmethod
     def transcripts(variant: Variant) -> dict[str, Transcript]:
@@ -283,62 +315,88 @@ class TestFilledJson:
             "state": run_protocol(fixed.state, variant=variant, seed=3),
         }
 
+    @staticmethod
+    def assert_filled(t: Transcript, depth: int, templates: dict):
+        filled = cli._transcript_json(t, depth, templates, cli._ScalarTexts())
+        assert filled == cli._json_text(t.to_dict(), depth)
+
     @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_transcripts_match_json_text(self, variant, depth):
-        templates = {}
-        for how, t in self.transcripts(variant).items():
-            doc = t.to_dict()
-            shape = (variant, doc["secret"]["kind"])
-            filled = cli._filled_json(doc, depth, shape, templates)
-            assert filled == cli._json_text(doc, depth), how
+        templates, scalars = {}, cli._ScalarTexts()
+        for _ in range(2):  # builds the templates, then fills the cached ones
+            for how, t in self.transcripts(variant).items():
+                filled = cli._transcript_json(t, depth, templates, scalars)
+                assert filled == cli._json_text(t.to_dict(), depth), how
         # one template for the coefficient secrets, one for the raw state
         assert len(templates) == 2
 
     @pytest.mark.parametrize("depth", [0, 2])
-    def test_edge_leaves_match_json_text(self, depth):
-        doc = {
-            "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e22],
-            "numpy": [np.float64(0.1), np.float64(-0.0), np.float64(math.nan)],
-            "scalars": [0, -7, 2**70, True, False, None],
-            "subclasses": [enum.IntEnum("Level", "LOW").LOW, Variant.FOUR],
-            "strings": ["h\u00e9llo \u2603", 'a " and a \\', "100%s", "\x00", ""],
-            "empty": {"list": [], "dict": {}},
-            "nested": [[{"key%s": (1.5, "x")}]],
-        }
+    def test_edge_floats_and_strings_match_json_text(self, depth):
+        # a NaN fidelity, a -0.0 amplitude, JSON's float constants, and a
+        # leaf string with a "%" and non-ASCII text
+        nan, inf = math.nan, math.inf
+        amps = np.array([0.5, -0.0, 0.5, complex(0.0, -0.0), -0.5, 0, 0, -0.5j])
+        coefficients = (complex(nan, -0.0), complex(inf, -inf), -0.0j, 1e-300)
+        t = _hand_built(
+            secret=SecretSpec(Variant.THREE_A, coefficients),
+            alice_cbits="10%s \u2603",
+            bob_state_before=StateVector(3, amps),
+            fidelity=nan,
+            probabilities=_weights(inf, -inf, nan, 1e22, -0.0, 0.0, 0.1),
+        )
         templates = {}
-        for _ in range(2):  # builds the template, then fills the cached one
-            filled = cli._filled_json(doc, depth, "edge", templates)
-            assert filled == cli._json_text(doc, depth)
+        for _ in range(2):
+            self.assert_filled(t, depth, templates)
+        state = dataclasses.replace(t, secret=StateVector(3, -amps))
+        self.assert_filled(state, depth, templates)
+        assert len(templates) == 2
 
     @pytest.mark.parametrize("depth", [0, 2])
     def test_repeated_floats_and_signed_zeros_match_json_text(self, depth):
         # repeated values reuse their memoized text; 0.0 and -0.0 compare
         # equal, so neither may take the other's text, in either order
         nan = math.nan
-        doc = {
-            "repeats": [0.1, -0.1, 0.1, 1 / 3, -0.1, 1 / 3, 0.1, 1e-300, 1e-300],
-            "zero_first": [0.0, -0.0, 0.0, -0.0],
-            "minus_zero_first": {"a": -0.0, "b": 0.0, "c": [-0.0, 0.0]},
-            "constants": [nan, nan, math.inf, -math.inf, math.inf, -math.inf],
-            "numpy": [np.float64(0.1), 0.1, np.float64(-0.0), 0.0],
-        }
         templates = {}
-        for _ in range(2):
-            filled = cli._filled_json(doc, depth, "repeats", templates)
-            assert filled == cli._json_text(doc, depth)
+        for weights in (
+            (0.1, -0.1, 0.1, 1 / 3, -0.1, 1 / 3, 0.1, 1e-300, 1e-300),
+            (0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0),
+            (-0.0, 0.0, -0.0, 0.0, nan, nan, math.inf, -math.inf, math.inf),
+            (np.float64(0.1), 0.1, np.float64(-0.0), 0.0, -0.0, 0.1, 0.0, nan, 0.1),
+        ):
+            t = _hand_built(fidelity=weights[0], probabilities=_weights(*weights))
+            self.assert_filled(t, depth, templates)
 
-    @pytest.mark.parametrize("other", [[1.0], [1.0, 2.0, 3.0]], ids=["fewer", "more"])
-    def test_leaf_count_off_its_template_raises(self, other):
+    def test_percent_and_non_ascii_in_the_template(self, monkeypatch):
+        # the template's text comes from to_dict's keys: escape it for %
+        to_dict = Transcript.to_dict
+
+        def renamed(self):
+            doc = to_dict(self)
+            return {("v%s \u00e9" if k == "variant" else k): v for k, v in doc.items()}
+
+        monkeypatch.setattr(Transcript, "to_dict", renamed)
         templates = {}
-        cli._filled_json({"a": [1.0, 2.0]}, 0, "shape", templates)
+        for t in self.transcripts(Variant.FOUR).values():
+            self.assert_filled(t, 2, templates)
+
+    @pytest.mark.parametrize("count", [7, 9], ids=["fewer", "more"])
+    def test_leaf_count_off_its_template_raises(self, count):
+        templates = {}
+        eight = _hand_built(probabilities=_weights(*[0.5] * 8))
+        self.assert_filled(eight, 0, templates)
+        other = _hand_built(probabilities=_weights(*[0.5] * count))
         with pytest.raises(ValueError, match="leaves"):
-            cli._filled_json({"a": other}, 0, "shape", templates)
+            cli._transcript_json(other, 0, templates, cli._ScalarTexts())
 
-    def test_key_that_reads_as_a_slot_raises(self):
+    def test_key_that_reads_as_a_slot_raises(self, monkeypatch):
         # the skeleton's leaf stand-in as a key adds a slot to the template
+        to_dict = Transcript.to_dict
+        monkeypatch.setattr(
+            Transcript, "to_dict", lambda self: {"\x00": 1, **to_dict(self)}
+        )
         with pytest.raises(ValueError, match="leaves"):
-            cli._filled_json({"\x00": 1}, 0, "shape", {})
+            cli._transcript_json(_hand_built(), 0, {}, cli._ScalarTexts())
 
 
 def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, reference):

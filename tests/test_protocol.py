@@ -175,6 +175,15 @@ class TestAliceBasis:
         with pytest.raises(ValueError, match="encoding"):
             build_alice_basis(Variant.THREE_A, "verbose")
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_one_canonical_basis_however_spelled(self, variant):
+        # a cache keyed on the basis object builds once per variant
+        basis = build_alice_basis(variant)
+        assert build_alice_basis(variant, CANONICAL) is basis
+        assert build_alice_basis(variant, encoding=CANONICAL) is basis
+        assert build_alice_basis(variant, LITERAL) is not basis
+        assert build_alice_basis.cache_info().currsize >= 2
+
     @pytest.mark.parametrize("encoding", [CANONICAL, LITERAL])
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_bits_match_reference(self, variant, encoding, reference):
