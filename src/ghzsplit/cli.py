@@ -52,6 +52,7 @@ from .protocol import (
     Transcript,
     Variant,
     VARIANT_SPECS,
+    _trial_secrets,
     alice_cbits,
     build_alice_basis,
     published_correction_table,
@@ -355,8 +356,9 @@ def _cmd_run(args) -> int:
             }
             write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
             templates, scalars = {}, _ScalarTexts()  # of this run's transcripts
-            for rngs, secrets in trial_draws(variant, seed, args.trials, secret):
-                for rng, spec in zip(rngs, secrets):
+            for rngs, coefficients in trial_draws(variant, seed, args.trials, secret):
+                specs = _trial_secrets(variant, secret, coefficients, len(rngs))
+                for rng, spec in zip(rngs, specs):
                     t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
                     sep = ",\n    " if fidelities else "\n    "
                     write(sep + _transcript_json(t, 2, templates, scalars))

@@ -374,7 +374,9 @@ def _sampled_rows(
     picked by index, and one stacked Hadamard collapse of Charlie's qubit,
     which follows Bob's.
     """
-    secrets = _secret_rows(variant, _test_secrets(variant))
+    secrets = _secret_rows(
+        variant, [spec.coefficients for spec in _test_secrets(variant)]
+    )
     check_normalized(secrets)
     branches, probs = project(_combined_rows(variant, secrets), basis)
     _check_span(probs)
@@ -508,7 +510,8 @@ def verify_span(
         )
     rng = substream(SPAN_SEED, list(Variant).index(variant))
     valid = _secret_rows(
-        variant, [random_secret(variant, rng) for _ in range(valid_trials)]
+        variant,
+        [random_secret(variant, rng).coefficients for _ in range(valid_trials)],
     )
     invalid = [
         random_arbitrary_secret(variant, rng).amplitudes

@@ -154,7 +154,7 @@ class SecretSpec:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coefficients", tuple(complex(c) for c in self.coefficients)
+            self, "coefficients", tuple(map(complex, self.coefficients))
         )
 
     @functools.cached_property
@@ -200,7 +200,8 @@ def build_secret(spec: SecretSpec) -> StateVector:
         raise NormalizationError(
             f"coefficient weights must sum to {vs.coefficient_norm}", deficit
         )
-    return StateVector(vs.secret_qubits, _secret_rows(spec.variant, [spec])[0])
+    rows = _secret_rows(spec.variant, [spec.coefficients])
+    return StateVector(vs.secret_qubits, rows[0])
 
 
 @functools.cache
@@ -216,11 +217,14 @@ def _secret_layout(variant: Variant) -> tuple[np.ndarray, np.ndarray]:
     return slots, picks
 
 
-def _secret_rows(variant: Variant, specs: list[SecretSpec]) -> np.ndarray:
-    """Amplitude rows of in-class secrets, one per spec (no checks)."""
+def _secret_rows(
+    variant: Variant, coefficients: np.ndarray | list[tuple[complex, ...]]
+) -> np.ndarray:
+    """Amplitude rows of in-class secrets, one per row of class coefficients
+    (no checks)."""
     slots, picks = _secret_layout(variant)
-    coeffs = np.array([spec.coefficients for spec in specs], dtype=complex)
-    rows = np.zeros((len(specs), 2 ** VARIANT_SPECS[variant].secret_qubits), complex)
+    coeffs = np.asarray(coefficients, dtype=complex)
+    rows = np.zeros((len(coeffs), 2 ** VARIANT_SPECS[variant].secret_qubits), complex)
     rows[:, slots] += coeffs[:, picks]  # 0 + c, as StateVector.from_terms adds
     return rows
 
@@ -234,14 +238,37 @@ def _combined_rows(variant: Variant, secret_rows: np.ndarray) -> np.ndarray:
     return combined
 
 
-def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
-    """Normalized complex Gaussian coefficients inside the class."""
+def _draw_coefficients(
+    variant: Variant, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Normalized complex Gaussian class coefficients, one row per generator:
+    (len(rngs), coefficient_count).
+
+    Row t reads one ``normal(size=2 * count)`` from ``rngs[t]``, real parts
+    first: the stream of two ``size=count`` calls. Each row is then scaled
+    to the class norm by its ``np.linalg.norm``, taken with that function's
+    floating-point operations: ``vecdot`` makes the dot products on real and
+    imaginary parts 16 bytes apart, as ``norm`` does on a complex row's
+    ``.real`` and ``.imag``. BLAS sums contiguous slices in another order,
+    and the last bit would drift.
+    """
     vs = VARIANT_SPECS[variant]
-    z = rng.normal(size=vs.coefficient_count) + 1j * rng.normal(
-        size=vs.coefficient_count
-    )
-    z *= np.sqrt(vs.coefficient_norm) / np.linalg.norm(z)
-    return SecretSpec(variant, tuple(z))
+    count = vs.coefficient_count
+    draws = np.array([rng.normal(size=2 * count) for rng in rngs])
+    # (trials, count, 2): each real part beside its imaginary part, the
+    # floats of a + 1j * b, since normal() never returns -0.0
+    parts = draws.reshape(-1, 2, count).transpose(0, 2, 1).copy()
+    re, im = parts[..., 0], parts[..., 1]
+    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    # a real factor on the floats: the bits of the complex product
+    parts *= (math.sqrt(vs.coefficient_norm) / norms)[:, None, None]
+    return parts.view(complex)[..., 0]
+
+
+def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
+    """Normalized complex Gaussian coefficients inside the class: the
+    one-generator case of the stacked draw that ``trial_draws`` makes."""
+    return SecretSpec(variant, _draw_coefficients(variant, [rng])[0].tolist())
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -531,10 +558,16 @@ TRIAL_CHUNK = 128
 
 @dataclass(frozen=True, eq=False)
 class TrialChunk:
-    """Consecutive trials run as one stack; entry or row t is the chunk's trial t."""
+    """Consecutive trials run as one stack; entry or row t is the chunk's trial t.
+
+    ``secret`` is every trial's secret, or None when each trial drew its
+    own: row t of ``coefficients`` then holds trial t's class coefficients,
+    and only ``transcripts`` builds a ``SecretSpec`` from it.
+    """
 
     variant: Variant
-    secrets: tuple[SecretSpec | StateVector, ...]
+    secret: SecretSpec | StateVector | None
+    coefficients: np.ndarray | None
     alice_outcomes: list[int]
     charlie_bits: list[int]
     corrections: list[PauliString]
@@ -544,8 +577,15 @@ class TrialChunk:
     alice_branches: np.ndarray
 
     def transcripts(self) -> list[Transcript]:
+        """One Transcript per trial. Bob's rows become StateVectors without a
+        second norm check: ``collapse`` checked every ``bob_before`` row and
+        ``_run_chunk`` every ``bob_after`` row."""
         bob = VARIANT_SPECS[self.variant].bob_qubits
         weights = _joint_weights(self.alice_branches)
+        secrets = _trial_secrets(
+            self.variant, self.secret, self.coefficients, len(self.fidelities)
+        )
+        state = StateVector._from_checked
         return [
             Transcript(
                 variant=self.variant,
@@ -554,22 +594,36 @@ class TrialChunk:
                 alice_cbits=alice_cbits(outcome),
                 charlie_bit=bit,
                 correction=correction,
-                bob_state_before=StateVector(bob, before),
-                bob_state_after=StateVector(bob, after),
+                bob_state_before=state(bob, before),
+                bob_state_after=state(bob, after),
                 fidelity=fid,
                 probabilities=_outcome_weights(w),
             )
             for secret, outcome, bit, correction, before, after, fid, w in zip(
-                self.secrets, self.alice_outcomes, self.charlie_bits,
+                secrets, self.alice_outcomes, self.charlie_bits,
                 self.corrections, self.bob_before, self.bob_after,
                 self.fidelities, weights,
             )
         ]
 
 
+def _trial_secrets(
+    variant: Variant,
+    secret: SecretSpec | StateVector | None,
+    coefficients: np.ndarray | None,
+    trials: int,
+) -> list[SecretSpec | StateVector]:
+    """The secret of each of ``trials`` trials: ``secret`` for every trial,
+    or, when it is None, a SecretSpec per row of ``coefficients``."""
+    if secret is not None:
+        return [secret] * trials
+    return [SecretSpec(variant, row) for row in coefficients.tolist()]
+
+
 def _run_chunk(
     variant: Variant,
-    secrets: tuple[SecretSpec | StateVector, ...],
+    secret: SecretSpec | StateVector | None,
+    coefficients: np.ndarray | None,
     secret_rows: np.ndarray,
     rngs: list[np.random.Generator],
     forced: tuple[int, int] | None,
@@ -578,9 +632,10 @@ def _run_chunk(
 ) -> TrialChunk:
     """The trial kernel: one protocol round per secret row, all stacked.
 
-    Trial t samples from ``rngs[t]`` (one ``random()`` for Alice, then one
-    for Charlie) unless ``forced`` pins both outcomes. Every step is the
-    same floating-point operation per row as on a single state.
+    ``secret`` and ``coefficients`` record the secrets as ``TrialChunk``
+    keeps them. Trial t samples from ``rngs[t]`` (one ``random()`` for
+    Alice, then one for Charlie) unless ``forced`` pins both outcomes. Every
+    step is the same floating-point operation per row as on a single state.
     """
     combined = _combined_rows(variant, secret_rows)
     bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
@@ -597,7 +652,8 @@ def _run_chunk(
     check_normalized(bob_after)
     return TrialChunk(
         variant=variant,
-        secrets=tuple(secrets),
+        secret=secret,
+        coefficients=coefficients,
         alice_outcomes=[i for i, _ in keys],
         charlie_bits=[b for _, b in keys],
         corrections=corrections,
@@ -610,22 +666,22 @@ def _run_chunk(
 
 def trial_draws(
     variant: Variant, seed: int, trials: int, secret: SecretSpec | None = None
-) -> Iterator[tuple[list[np.random.Generator], list[SecretSpec]]]:
-    """Generators and secrets of trials ``0 .. trials - 1``, ``TRIAL_CHUNK``
-    at a time.
+) -> Iterator[tuple[list[np.random.Generator], np.ndarray | None]]:
+    """Generators and secret coefficient rows of trials ``0 .. trials - 1``,
+    ``TRIAL_CHUNK`` at a time; the rows are None when ``secret`` fixes one
+    secret for every trial.
 
-    Trial t draws from ``substream(seed, t)`` alone: first its random secret
-    (unless ``secret`` fixes one for every trial), then its outcomes. A
-    trial's result therefore does not depend on the chunking or on the other
-    trials.
+    Trial t draws from ``substream(seed, t)`` alone: first its random
+    secret, then its outcomes. A chunk's secrets are one stacked draw
+    (``_draw_coefficients``), row t bit for bit ``random_secret``'s on the
+    same generator, so no trial builds a ``SecretSpec`` until a transcript
+    needs one. A trial's result therefore does not depend on the chunking
+    or on the other trials.
     """
     for start in range(0, trials, TRIAL_CHUNK):
         stop = min(start + TRIAL_CHUNK, trials)
         rngs = [substream(seed, t) for t in range(start, stop)]
-        if secret is None:
-            yield rngs, [random_secret(variant, rng) for rng in rngs]
-        else:
-            yield rngs, [secret] * len(rngs)
+        yield rngs, _draw_coefficients(variant, rngs) if secret is None else None
 
 
 def run_trials(
@@ -641,13 +697,15 @@ def run_trials(
     fixed = None if secret is None else secret.state
     basis = build_alice_basis(variant)
     table = published_correction_table(variant)
-    for rngs, secrets in trial_draws(variant, seed, trials, secret):
-        if secret is None:
-            rows = _secret_rows(variant, secrets)
-            check_normalized(rows)  # what StateVector checks of build_secret's
-        else:
+    for rngs, coefficients in trial_draws(variant, seed, trials, secret):
+        if coefficients is None:
             rows = np.repeat(fixed.amplitudes[None], len(rngs), axis=0)
-        yield _run_chunk(variant, secrets, rows, rngs, forced, basis, table)
+        else:
+            rows = _secret_rows(variant, coefficients)
+            check_normalized(rows)  # what StateVector checks of build_secret's
+        yield _run_chunk(
+            variant, secret, coefficients, rows, rngs, forced, basis, table
+        )
 
 
 def run_protocol(
@@ -676,7 +734,8 @@ def run_protocol(
         rng = np.random.default_rng(seed)
     chunk = _run_chunk(
         variant,
-        (secret_record,),
+        secret_record,
+        None,
         secret_state.amplitudes[None],
         [rng],
         forced,

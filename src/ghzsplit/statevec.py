@@ -11,7 +11,9 @@ Conventions used throughout the package:
   Corrections, candidate searches and ``PauliString.matrix`` all use it.
 * A StateVector is validated to unit norm on construction (tolerance
   ``NORM_ATOL``) and never silently renormalized; it is the value at the
-  package's edges (secrets, channels, basis vectors, transcripts).
+  package's edges (secrets, channels, basis vectors, transcripts). Only
+  ``StateVector._from_checked`` skips the check, for a row of a stack
+  whose norms were checked already.
 * The projection, measurement, correction and fidelity functions take and
   return only ``(rows, 2**n)`` stacks of amplitude rows, doing the same
   floating-point work on every row; a single state is the one-row stack
@@ -86,6 +88,17 @@ class StateVector:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _from_checked(cls, num_qubits: int, amplitudes: np.ndarray) -> "StateVector":
+        """A read-only copy of one amplitude row whose count and norm the
+        caller has already checked: no second ``check_normalized``."""
+        state = object.__new__(cls)
+        amps = amplitudes.copy()
+        amps.flags.writeable = False
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -418,6 +419,39 @@ def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, refer
     assert len(calls) <= 2
     reference("cli").main(argv)
     assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_random_secrets_are_one_draw_per_chunk(fmt, monkeypatch, capsys):
+    # csv keeps each chunk's secrets as coefficient rows: no random_secret
+    # call and no SecretSpec. JSON builds one SecretSpec per trial for its
+    # run_protocol call, and validates only that secret's StateVector.
+    argv = ["run", "--variant", "three-a", "--seed", "6", "--format", fmt]
+    run_cli([*argv, "--trials", "1"], capsys)  # fills the caches first
+    counts = collections.Counter()
+    original = protocol.random_secret
+
+    def counting(*args):
+        counts["random_secret"] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        held = vars(module).get("random_secret")
+        if name.startswith("ghzsplit") and held is original:
+            monkeypatch.setattr(module, "random_secret", counting)
+    for cls in (SecretSpec, StateVector):
+        init = cls.__post_init__
+
+        def wrapped(self, init=init, key=cls.__name__):
+            counts[key] += 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", wrapped)
+    code, out, _ = run_cli([*argv, "--trials", "300"], capsys)
+    assert code == 0 and out
+    per_trial = 0 if fmt == "csv" else 300
+    got = [counts[key] for key in ("random_secret", "SecretSpec", "StateVector")]
+    assert got == [0, per_trial, per_trial]
 
 
 class TestRunErrors:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzsplit.protocol import (
     CANONICAL,
@@ -20,6 +22,7 @@ from ghzsplit.protocol import (
     run_protocol,
     run_trials,
     substream,
+    trial_draws,
 )
 from ghzsplit.statevec import NormalizationError, OutOfSpanError, StateVector
 
@@ -111,6 +114,41 @@ class TestSecrets:
         assert a == b
         c = random_secret(Variant.THREE_A, substream(17, 4))
         assert a != c
+
+
+class TestStackedSecretDraw:
+    """A chunk's secrets, drawn as one stack by ``trial_draws``, against one
+    ``random_secret`` per trial and the frozen two-call draw of 0.1.0."""
+
+    TRIALS = (0, 127, 128, 256)  # both ends of the first chunk, then the third
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**128)))
+    @example(seed=0)
+    @example(seed=2**64)
+    def test_rows_are_each_trials_own_draw(self, variant, seed, reference):
+        ref = reference("protocol")
+        chunks = list(trial_draws(variant, seed, max(self.TRIALS) + 1))
+        for t in self.TRIALS:
+            rngs, rows = chunks[t // TRIAL_CHUNK]
+            stacked, rng = rows[t % TRIAL_CHUNK], rngs[t % TRIAL_CHUNK]
+            one, frozen = substream(seed, t), ref.substream(seed, t)
+            want = np.array(random_secret(variant, one).coefficients)
+            spec = ref.random_secret(ref.Variant(variant.value), frozen)
+            assert np.array_equal(stacked.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(
+                want.view(np.uint64), np.array(spec.coefficients).view(np.uint64)
+            )
+            state = rng.bit_generator.state
+            assert state == one.bit_generator.state == frozen.bit_generator.state
+
+    def test_a_fixed_secret_draws_no_rows(self):
+        spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
+        draws = list(trial_draws(Variant.FOUR, 1, TRIAL_CHUNK + 1, spec))
+        assert [(len(rngs), rows) for rngs, rows in draws] == [
+            (TRIAL_CHUNK, None), (1, None)
+        ]
 
 
 class TestAliceBasis:
