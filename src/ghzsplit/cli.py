@@ -52,7 +52,6 @@ from .protocol import (
     Transcript,
     Variant,
     VARIANT_SPECS,
-    _trial_secrets,
     alice_cbits,
     build_alice_basis,
     published_correction_table,
@@ -357,7 +356,11 @@ def _cmd_run(args) -> int:
             write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
             templates, scalars = {}, _ScalarTexts()  # of this run's transcripts
             for rngs, coefficients in trial_draws(variant, seed, args.trials, secret):
-                specs = _trial_secrets(variant, secret, coefficients, len(rngs))
+                specs = (
+                    [secret] * len(rngs)
+                    if coefficients is None
+                    else [SecretSpec(variant, row) for row in coefficients.tolist()]
+                )
                 for rng, spec in zip(rngs, specs):
                     t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
                     sep = ",\n    " if fidelities else "\n    "

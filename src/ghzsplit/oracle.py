@@ -40,7 +40,6 @@ from .protocol import (
     FIDELITY_ATOL,
     SCHEMA_VERSION,
     CorrectionTable,
-    SecretSpec,
     Variant,
     VARIANT_SPECS,
     _combined_rows,
@@ -56,6 +55,7 @@ from .statevec import (
     PauliString,
     StateVector,
     _check_span,
+    _integer,
     _pauli_tables,
     _xor_sign_tables,
     basis_projection_probabilities,
@@ -82,22 +82,15 @@ TEST_RANDOM_SECRETS = 10  # random test secrets on top of the unit ones
 SPAN_SEED = 314159
 
 
-def _unit_secrets(variant: Variant) -> list[SecretSpec]:
+def _test_secrets(variant: Variant) -> np.ndarray:
+    """Class coefficient rows of the test secrets: each unit secret, then
+    ``TEST_RANDOM_SECRETS`` random ones."""
     vs = VARIANT_SPECS[variant]
-    scale = np.sqrt(vs.coefficient_norm)
-    out = []
-    for j in range(vs.coefficient_count):
-        coeffs = [0j] * vs.coefficient_count
-        coeffs[j] = scale
-        out.append(SecretSpec(variant, tuple(coeffs)))
-    return out
-
-
-def _test_secrets(variant: Variant) -> list[SecretSpec]:
     rng = substream(TEST_SEED, list(Variant).index(variant))
-    return _unit_secrets(variant) + [
-        random_secret(variant, rng) for _ in range(TEST_RANDOM_SECRETS)
-    ]
+    return np.vstack([
+        np.sqrt(vs.coefficient_norm) * np.eye(vs.coefficient_count),
+        [random_secret(variant, rng).coefficients for _ in range(TEST_RANDOM_SECRETS)],
+    ])
 
 
 # bounded: the six built-in bases fit, and a caller's own bases do not pile up
@@ -186,6 +179,7 @@ def derive_corrections(
     variant: Variant, outcome: int, bit: int
 ) -> tuple[PauliString, ...]:
     """All Pauli corrections that recover every secret of the class on this row."""
+    outcome, bit = _integer(outcome, "outcome"), _integer(bit, "bit")
     images, target = _class_images(variant, build_alice_basis(variant, CANONICAL))
     for value, count in ((outcome, images.shape[0]), (bit, 2)):
         if not 0 <= value < count:
@@ -374,9 +368,7 @@ def _sampled_rows(
     picked by index, and one stacked Hadamard collapse of Charlie's qubit,
     which follows Bob's.
     """
-    secrets = _secret_rows(
-        variant, [spec.coefficients for spec in _test_secrets(variant)]
-    )
+    secrets = _secret_rows(variant, _test_secrets(variant))
     check_normalized(secrets)
     branches, probs = project(_combined_rows(variant, secrets), basis)
     _check_span(probs)

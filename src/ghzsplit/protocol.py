@@ -42,6 +42,7 @@ from .statevec import (
     OrthonormalBasis,
     PauliString,
     StateVector,
+    _integer,
     _xor_sign_tables,
     apply_pauli_string,
     check_normalized,
@@ -147,12 +148,15 @@ VARIANT_SPECS = {
 
 @dataclass(frozen=True)
 class SecretSpec:
-    """Coefficients of a secret within a variant's restricted class."""
+    """Coefficients of a secret within a variant's restricted class; the
+    variant may be given by its name."""
 
     variant: Variant
     coefficients: tuple[complex, ...]
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            object.__setattr__(self, "variant", Variant.parse(self.variant))
         object.__setattr__(
             self, "coefficients", tuple(map(complex, self.coefficients))
         )
@@ -502,11 +506,11 @@ class Transcript:
 
 def _resolve_secret(
     secret: SecretSpec | StateVector, variant: Variant | None
-) -> tuple[Variant, StateVector, SecretSpec | StateVector]:
+) -> tuple[Variant, StateVector]:
     if isinstance(secret, SecretSpec):
         if variant is not None and variant is not secret.variant:
             raise ValueError("variant argument contradicts the secret's variant")
-        return secret.variant, secret.state, secret
+        return secret.variant, secret.state
     if variant is None:
         raise ValueError("a raw state secret needs an explicit variant")
     vs = VARIANT_SPECS[variant]
@@ -515,7 +519,7 @@ def _resolve_secret(
             f"{variant.value} secrets have {vs.secret_qubits} qubits, "
             f"got {secret.num_qubits}"
         )
-    return variant, secret, secret
+    return variant, secret
 
 
 def _joint_weights(branches: np.ndarray) -> np.ndarray:
@@ -546,7 +550,7 @@ def outcome_distribution(
     secret: SecretSpec | StateVector, *, variant: Variant | None = None
 ) -> tuple[OutcomeWeight, ...]:
     """Exact joint probabilities of (alice_outcome, charlie_bit)."""
-    variant, secret_state, _ = _resolve_secret(secret, variant)
+    variant, secret_state = _resolve_secret(secret, variant)
     combined = tensor_product(secret_state, build_channel(variant))
     branches, _ = project(combined.amplitudes[None], build_alice_basis(variant))
     return _outcome_weights(_joint_weights(branches)[0])
@@ -558,16 +562,10 @@ TRIAL_CHUNK = 128
 
 @dataclass(frozen=True, eq=False)
 class TrialChunk:
-    """Consecutive trials run as one stack; entry or row t is the chunk's trial t.
-
-    ``secret`` is every trial's secret, or None when each trial drew its
-    own: row t of ``coefficients`` then holds trial t's class coefficients,
-    and only ``transcripts`` builds a ``SecretSpec`` from it.
-    """
+    """The trial kernel's arrays for consecutive trials run as one stack;
+    entry or row t is the chunk's trial t. The caller keeps the secrets."""
 
     variant: Variant
-    secret: SecretSpec | StateVector | None
-    coefficients: np.ndarray | None
     alice_outcomes: list[int]
     charlie_bits: list[int]
     corrections: list[PauliString]
@@ -576,54 +574,9 @@ class TrialChunk:
     fidelities: list[float]
     alice_branches: np.ndarray
 
-    def transcripts(self) -> list[Transcript]:
-        """One Transcript per trial. Bob's rows become StateVectors without a
-        second norm check: ``collapse`` checked every ``bob_before`` row and
-        ``_run_chunk`` every ``bob_after`` row."""
-        bob = VARIANT_SPECS[self.variant].bob_qubits
-        weights = _joint_weights(self.alice_branches)
-        secrets = _trial_secrets(
-            self.variant, self.secret, self.coefficients, len(self.fidelities)
-        )
-        state = StateVector._from_checked
-        return [
-            Transcript(
-                variant=self.variant,
-                secret=secret,
-                alice_outcome=outcome,
-                alice_cbits=alice_cbits(outcome),
-                charlie_bit=bit,
-                correction=correction,
-                bob_state_before=state(bob, before),
-                bob_state_after=state(bob, after),
-                fidelity=fid,
-                probabilities=_outcome_weights(w),
-            )
-            for secret, outcome, bit, correction, before, after, fid, w in zip(
-                secrets, self.alice_outcomes, self.charlie_bits,
-                self.corrections, self.bob_before, self.bob_after,
-                self.fidelities, weights,
-            )
-        ]
-
-
-def _trial_secrets(
-    variant: Variant,
-    secret: SecretSpec | StateVector | None,
-    coefficients: np.ndarray | None,
-    trials: int,
-) -> list[SecretSpec | StateVector]:
-    """The secret of each of ``trials`` trials: ``secret`` for every trial,
-    or, when it is None, a SecretSpec per row of ``coefficients``."""
-    if secret is not None:
-        return [secret] * trials
-    return [SecretSpec(variant, row) for row in coefficients.tolist()]
-
 
 def _run_chunk(
     variant: Variant,
-    secret: SecretSpec | StateVector | None,
-    coefficients: np.ndarray | None,
     secret_rows: np.ndarray,
     rngs: list[np.random.Generator],
     forced: tuple[int, int] | None,
@@ -632,10 +585,9 @@ def _run_chunk(
 ) -> TrialChunk:
     """The trial kernel: one protocol round per secret row, all stacked.
 
-    ``secret`` and ``coefficients`` record the secrets as ``TrialChunk``
-    keeps them. Trial t samples from ``rngs[t]`` (one ``random()`` for
-    Alice, then one for Charlie) unless ``forced`` pins both outcomes. Every
-    step is the same floating-point operation per row as on a single state.
+    Trial t samples from ``rngs[t]`` (one ``random()`` for Alice, then one
+    for Charlie) unless ``forced`` pins both outcomes. Every step is the
+    same floating-point operation per row as on a single state.
     """
     combined = _combined_rows(variant, secret_rows)
     bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
@@ -652,8 +604,6 @@ def _run_chunk(
     check_normalized(bob_after)
     return TrialChunk(
         variant=variant,
-        secret=secret,
-        coefficients=coefficients,
         alice_outcomes=[i for i, _ in keys],
         charlie_bits=[b for _, b in keys],
         corrections=corrections,
@@ -674,9 +624,8 @@ def trial_draws(
     Trial t draws from ``substream(seed, t)`` alone: first its random
     secret, then its outcomes. A chunk's secrets are one stacked draw
     (``_draw_coefficients``), row t bit for bit ``random_secret``'s on the
-    same generator, so no trial builds a ``SecretSpec`` until a transcript
-    needs one. A trial's result therefore does not depend on the chunking
-    or on the other trials.
+    same generator, so no trial needs a ``SecretSpec``. A trial's result
+    therefore does not depend on the chunking or on the other trials.
     """
     for start in range(0, trials, TRIAL_CHUNK):
         stop = min(start + TRIAL_CHUNK, trials)
@@ -703,9 +652,7 @@ def run_trials(
         else:
             rows = _secret_rows(variant, coefficients)
             check_normalized(rows)  # what StateVector checks of build_secret's
-        yield _run_chunk(
-            variant, secret, coefficients, rows, rngs, forced, basis, table
-        )
+        yield _run_chunk(variant, rows, rngs, forced, basis, table)
 
 
 def run_protocol(
@@ -719,27 +666,43 @@ def run_protocol(
 ) -> Transcript:
     """Execute one full splitting round and return its transcript.
 
-    Outcomes are sampled from ``rng`` (or a generator seeded with ``seed``)
-    unless ``forced=(alice_outcome, charlie_bit)`` pins them. The published
-    correction table is used unless ``table`` overrides it. Raises
-    OutOfSpanError when the secret lies outside the variant's restricted
-    class. This is the trial kernel run on a single trial.
+    Outcomes are sampled from ``rng`` or, in its place, a generator seeded
+    with ``seed``, unless ``forced=(alice_outcome, charlie_bit)`` pins them.
+    The published correction table is used unless ``table`` overrides it.
+    Raises OutOfSpanError when the secret lies outside the variant's
+    restricted class. This is the trial kernel run on a single trial, and
+    the only place that builds a ``Transcript``.
     """
-    variant, secret_state, secret_record = _resolve_secret(secret, variant)
+    if rng is not None and seed is not None:
+        raise ValueError("pass rng or seed, not both")
+    variant, secret_state = _resolve_secret(secret, variant)
     if forced is not None:
-        forced = (int(forced[0]), int(forced[1]))
+        outcome, bit = forced
+        forced = (_integer(outcome, "alice_outcome"), _integer(bit, "charlie_bit"))
     elif rng is None:
         if seed is None:
             raise ValueError("need rng, seed, or forced outcomes")
         rng = np.random.default_rng(seed)
     chunk = _run_chunk(
         variant,
-        secret_record,
-        None,
         secret_state.amplitudes[None],
         [rng],
         forced,
         build_alice_basis(variant),
         table if table is not None else published_correction_table(variant),
     )
-    return chunk.transcripts()[0]
+    # Bob's rows become StateVectors without a second norm check: collapse
+    # checked bob_before and _run_chunk checked bob_after
+    bob, outcome = VARIANT_SPECS[variant].bob_qubits, chunk.alice_outcomes[0]
+    return Transcript(
+        variant=variant,
+        secret=secret,
+        alice_outcome=outcome,
+        alice_cbits=alice_cbits(outcome),
+        charlie_bit=chunk.charlie_bits[0],
+        correction=chunk.corrections[0],
+        bob_state_before=StateVector._from_checked(bob, chunk.bob_before[0]),
+        bob_state_after=StateVector._from_checked(bob, chunk.bob_after[0]),
+        fidelity=chunk.fidelities[0],
+        probabilities=_outcome_weights(_joint_weights(chunk.alice_branches)[0]),
+    )

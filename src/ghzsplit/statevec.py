@@ -58,12 +58,18 @@ class OutOfSpanError(ValueError):
         self.missing_mass = missing_mass
 
 
-def _qubit_count(n) -> int:
-    """``n`` as an int; anything but a non-negative integer is refused."""
+def _integer(n, name: str) -> int:
+    """``n`` as an int; a bool or a non-integer is refused."""
     if type(n) is not int:  # a bool is refused, a numpy integer stored as int
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"num_qubits must be an integer, got {n!r}")
+            raise ValueError(f"{name} must be an integer, got {n!r}")
         n = int(n)
+    return n
+
+
+def _qubit_count(n) -> int:
+    """``n`` as an int; anything but a non-negative integer is refused."""
+    n = _integer(n, "num_qubits")
     if n < 0:
         raise ValueError(f"num_qubits must be at least 0, got {n}")
     return n

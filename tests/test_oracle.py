@@ -52,6 +52,20 @@ class TestDeriveCorrections:
         with pytest.raises(ValueError, match=f"outcome {bad} out of range"):
             derive_corrections(Variant.THREE_A, outcome, bit)
 
+    @pytest.mark.parametrize(
+        "outcome,bit,name",
+        [(1.5, 0, "outcome"), (True, 0, "outcome"), ("3", 0, "outcome"),
+         (0, 1.0, "bit"), (0, False, "bit")],
+    )
+    def test_row_must_be_integers(self, outcome, bit, name):
+        # 1.5 raised numpy's IndexError
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            derive_corrections(Variant.THREE_A, outcome, bit)
+
+    def test_row_numpy_integers_accepted(self):
+        got = derive_corrections(Variant.THREE_A, np.int64(8), np.uint8(0))
+        assert got == derive_corrections(Variant.THREE_A, 8, 0)
+
     def test_three_a_identity_row_partner(self):
         # Bob's two same-triplet qubits stay correlated, so Z on both of
         # them acts trivially on the support and doubles every solution

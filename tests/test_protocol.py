@@ -11,6 +11,7 @@ from ghzsplit.protocol import (
     SecretSpec,
     Variant,
     VARIANT_SPECS,
+    _joint_weights,
     build_alice_basis,
     build_channel,
     build_secret,
@@ -93,6 +94,19 @@ class TestSecrets:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(NormalizationError):
             build_secret(SecretSpec(Variant.THREE_A, (bad, 0, 0, 0)))
+
+    def test_variant_given_by_name(self):
+        # a name was kept as a str: to_dict() raised AttributeError
+        spec = SecretSpec("three-a", (1, 0, 0, 0))
+        assert spec.variant is Variant.THREE_A
+        assert spec.to_dict()["variant"] == "three-a"
+        assert spec == SecretSpec(Variant.THREE_A, (1, 0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [3, "three", None, True])
+    def test_variant_that_is_no_variant_rejected(self, bad):
+        # 3 was accepted until .state raised a bare KeyError
+        with pytest.raises(ValueError, match="unknown variant"):
+            SecretSpec(bad, (1, 0, 0, 0))
 
     @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
     def test_overflowing_weight_rejected(self, huge):
@@ -338,6 +352,41 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="need rng, seed, or forced"):
             run_protocol(SecretSpec(Variant.THREE_A, (1, 0, 0, 0)))
 
+    @pytest.mark.parametrize(
+        "forced,message",
+        [((1.5, 0), "alice_outcome must be an integer"),
+         (("3", 1), "alice_outcome must be an integer"),
+         ((True, 1), "alice_outcome must be an integer"),
+         ((3, 1.0), "charlie_bit must be an integer"),
+         ((3, False), "charlie_bit must be an integer"),
+         ((1,), "values to unpack"), ((1, 0, 7), "values to unpack")],
+    )
+    def test_forced_outcomes_must_be_two_integers(self, forced, message):
+        # each ran as another outcome, or (1,) raised a bare IndexError
+        spec = SecretSpec(Variant.THREE_A, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match=message):
+            run_protocol(spec, forced=forced)
+
+    def test_forced_numpy_integers_accepted(self):
+        spec = SecretSpec(Variant.THREE_A, (0.6, 0, 0.8j, 0))
+        t = run_protocol(spec, forced=(np.int64(3), np.uint8(1)))
+        _same_bits(t, run_protocol(spec, forced=(3, 1)))
+        assert type(t.alice_outcome) is int and type(t.charlie_bit) is int
+
+    def test_rng_and_seed_together_rejected(self):
+        # the seed was silently ignored
+        spec = SecretSpec(Variant.THREE_A, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="rng or seed, not both"):
+            run_protocol(spec, rng=np.random.default_rng(1), seed=2)
+
+    def test_forced_with_rng_ignores_rng(self):
+        spec = SecretSpec(Variant.THREE_A, (0.6, 0, 0.8j, 0))
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        _same_bits(run_protocol(spec, rng=rng, forced=(5, 1)),
+                   run_protocol(spec, forced=(5, 1)))
+        assert rng.bit_generator.state == before
+
     def test_out_of_class_secret_rejected(self):
         # |010> lies outside the spanned class of this variant
         with pytest.raises(OutOfSpanError):
@@ -401,6 +450,32 @@ def _same_bits(got, want):
     ]
 
 
+def _same_trial(chunk, row, want):
+    """Row ``row`` of a kernel chunk agrees with a transcript bit for bit."""
+    assert (chunk.alice_outcomes[row], chunk.charlie_bits[row]) == (
+        want.alice_outcome,
+        want.charlie_bit,
+    )
+    assert chunk.corrections[row].labels == want.correction.labels
+    for rows, state in (
+        (chunk.bob_before, want.bob_state_before),
+        (chunk.bob_after, want.bob_state_after),
+    ):
+        a, b = rows[row].view(np.uint64), state.amplitudes.view(np.uint64)
+        assert np.array_equal(a, b)
+    assert chunk.fidelities[row].hex() == want.fidelity.hex()
+    weights = _joint_weights(chunk.alice_branches)[row].ravel().tolist()
+    assert [w.hex() for w in weights] == [
+        w.probability.hex() for w in want.probabilities
+    ]
+
+
+def _same_coefficients(row, spec):
+    """A drawn coefficient row is a reference secret's, bit for bit."""
+    want = np.array(spec.coefficients).view(np.uint64)
+    assert np.array_equal(row.view(np.uint64), want)
+
+
 class TestTrialKernel:
     """The batched kernel against the frozen scalar ``run_protocol``."""
 
@@ -411,38 +486,46 @@ class TestTrialKernel:
     def test_sampled_trials_match_reference(self, variant, reference):
         ref = reference("protocol")
         ref_variant = ref.Variant(variant.value)
-        got = [
-            t
-            for chunk in run_trials(variant, self.SEED, self.TRIALS)
-            for t in chunk.transcripts()
-        ]
-        assert len(got) == self.TRIALS > 2 * TRIAL_CHUNK
-        for trial, t in enumerate(got):
-            rng = ref.substream(self.SEED, trial)
-            want = ref.run_protocol(ref.random_secret(ref_variant, rng), rng=rng)
-            _same_bits(t, want)
-            if trial < 50:  # the kernel's one-trial case
-                rng = substream(self.SEED, trial)
-                _same_bits(run_protocol(random_secret(variant, rng), rng=rng), want)
+        chunks = run_trials(variant, self.SEED, self.TRIALS)
+        draws = trial_draws(variant, self.SEED, self.TRIALS)
+        trial = 0
+        for chunk, (_, rows) in zip(chunks, draws, strict=True):
+            assert len(chunk.fidelities) == len(rows)
+            for row, coefficients in enumerate(rows):
+                rng = ref.substream(self.SEED, trial)
+                spec = ref.random_secret(ref_variant, rng)
+                _same_coefficients(coefficients, spec)
+                want = ref.run_protocol(spec, rng=rng)
+                _same_trial(chunk, row, want)
+                if trial < 50:  # the kernel's one-trial case
+                    rng = substream(self.SEED, trial)
+                    _same_bits(run_protocol(random_secret(variant, rng), rng=rng), want)
+                trial += 1
+        assert trial == self.TRIALS > 2 * TRIAL_CHUNK
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_every_forced_row_matches_reference(self, variant, reference):
         ref = reference("protocol")
         ref_variant = ref.Variant(variant.value)
+        ((_, rows),) = trial_draws(variant, self.SEED, 3)
         for row in published_correction_table(variant).rows:
             (chunk,) = run_trials(variant, self.SEED, 3, forced=row)
-            for trial, t in enumerate(chunk.transcripts()):
+            assert len(chunk.fidelities) == len(rows)
+            for trial, coefficients in enumerate(rows):
                 spec = ref.random_secret(ref_variant, ref.substream(self.SEED, trial))
+                _same_coefficients(coefficients, spec)
                 want = ref.run_protocol(spec, forced=row)
-                _same_bits(t, want)
-                _same_bits(run_protocol(t.secret, forced=row), want)
+                _same_trial(chunk, trial, want)
+                secret = SecretSpec(variant, coefficients.tolist())
+                _same_bits(run_protocol(secret, forced=row), want)
 
     def test_fixed_secret_every_trial(self):
         spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
         chunks = list(run_trials(Variant.FOUR, 1, TRIAL_CHUNK + 1, secret=spec))
         assert [len(c.fidelities) for c in chunks] == [TRIAL_CHUNK, 1]
-        for trial, t in enumerate(chunks[1].transcripts(), start=TRIAL_CHUNK):
-            _same_bits(t, run_protocol(spec, rng=substream(1, trial)))
+        for trial in (0, TRIAL_CHUNK - 1, TRIAL_CHUNK):
+            chunk, row = chunks[trial // TRIAL_CHUNK], trial % TRIAL_CHUNK
+            _same_trial(chunk, row, run_protocol(spec, rng=substream(1, trial)))
 
 
 class TestOutcomeDistribution:
