@@ -24,16 +24,14 @@ from .protocol import (
     run_protocol,
     substream,
 )
-from .statevec import NormalizationError, OutOfSpanError, PauliString, StateVector
+from .statevec import OutOfSpanError, PauliString
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NormalizationError",
     "OutOfSpanError",
     "PauliString",
     "SecretSpec",
-    "StateVector",
     "Variant",
     "build_alice_basis",
     "build_channel",

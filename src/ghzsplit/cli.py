@@ -13,8 +13,8 @@ Every command writes through one writer, to stdout and to the ``--emit``
 file. ``run`` streams: csv and text rows go out chunk by chunk, and the JSON
 document goes out as its header, then each transcript as its trial ends,
 then the summary, in the bytes ``json.dumps(document, indent=2)`` gives.
-Transcripts share one shape per variant and secret kind, so each is filled
-into a ``%`` template built once per shape from that shape's first
+Transcripts share one shape per variant, so each is filled into a ``%``
+template built once per variant from that variant's first
 ``Transcript.to_dict`` tree. Every transcript then gives its leaves straight
 from its fields and arrays: no trial builds a tree or runs ``json.dumps``.
 
@@ -236,31 +236,23 @@ def _skeleton(value):
     return _LEAF
 
 
-def _transcript_json(
-    t: Transcript, depth: int, templates: dict, scalars: _ScalarTexts
-) -> str:
-    """``_json_text(t.to_dict(), depth)``, filled into a ``%`` template.
+def _transcript_json(t: Transcript, templates: dict, scalars: _ScalarTexts) -> str:
+    """``_json_text(t.to_dict(), 2)``, the text of a transcript in a ``run``
+    document, filled into a ``%`` template; ``t.secret`` is a SecretSpec.
 
-    ``templates`` keeps one template per (variant, secret kind, depth), built
-    from the ``to_dict`` tree of the first such transcript: that method alone
-    defines the shape and key order. Each transcript gives its leaves in
-    document order straight from its fields and arrays. ``scalars`` keeps
-    the text of the few distinct strings and ints, for every transcript of
-    a run. A transcript whose leaf count does not fit its template raises
-    ValueError instead of writing other bytes.
+    ``templates`` keeps one template per variant, built from the ``to_dict``
+    tree of its first transcript: that method alone defines the shape and
+    key order. Each transcript gives its leaves in document order straight
+    from its fields and arrays. ``scalars`` keeps the text of the few
+    distinct strings and ints, for every transcript of a run. A transcript
+    whose leaf count does not fit its template raises ValueError instead of
+    writing other bytes.
     """
-    if isinstance(t.secret, SecretSpec):
-        secret = ["coefficients", t.secret.variant.value]
-        secret_floats = [x for c in t.secret.coefficients for x in (c.real, c.imag)]
-    else:
-        secret = ["state", t.variant.value]
-        secret_floats = t.secret.amplitudes.view(np.float64).tolist()
-    key = (t.variant, secret[0], depth)
-    if key not in templates:
-        text = _json_text(_skeleton(t.to_dict()), depth).replace("%", "%%")
+    if t.variant not in templates:
+        text = _json_text(_skeleton(t.to_dict()), 2).replace("%", "%%")
         slot = json.dumps(_LEAF)
-        templates[key] = (text.replace(slot, "%s"), text.count(slot))
-    template, count = templates[key]
+        templates[t.variant] = (text.replace(slot, "%s"), text.count(slot))
+    template, count = templates[t.variant]
     scalar, floats = scalars.__getitem__, _FloatTexts().__getitem__
     # (alice_outcome, charlie_bit, probability) per joint weight
     weights = list(itertools.chain.from_iterable(t.probabilities))
@@ -268,8 +260,9 @@ def _transcript_json(
     weights[1::3] = map(scalar, weights[1::3])
     weights[2::3] = map(floats, weights[2::3])
     leaves = [
-        *map(scalar, [SCHEMA_VERSION, t.variant.value, *secret]),
-        *map(floats, secret_floats),
+        *map(scalar, [SCHEMA_VERSION, t.variant.value]),
+        *map(scalar, ["coefficients", t.secret.variant.value]),
+        *map(floats, [x for c in t.secret.coefficients for x in (c.real, c.imag)]),
         *map(scalar, [t.alice_outcome, t.alice_cbits, t.charlie_bit]),
         *map(scalar, [*t.messages.values(), *t.correction.labels]),
         *map(floats, t.bob_state_before.amplitudes.view(np.float64).tolist()),
@@ -279,7 +272,8 @@ def _transcript_json(
     ]
     if len(leaves) != count:
         raise ValueError(
-            f"{len(leaves)} leaves do not fit the {count}-leaf template of {key!r}"
+            f"{len(leaves)} leaves do not fit the {count}-leaf template of "
+            f"{t.variant.value}"
         )
     return template % tuple(leaves)
 
@@ -364,7 +358,7 @@ def _cmd_run(args) -> int:
                 for rng, spec in zip(rngs, specs):
                     t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
                     sep = ",\n    " if fidelities else "\n    "
-                    write(sep + _transcript_json(t, 2, templates, scalars))
+                    write(sep + _transcript_json(t, templates, scalars))
                     fidelities.append(t.fidelity)
                     counts[t.alice_outcome, t.charlie_bit] += 1
         else:

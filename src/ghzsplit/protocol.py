@@ -51,7 +51,6 @@ from .statevec import (
     force_hadamard_outcome,
     measure_hadamard,
     measure_in_basis,
-    permute_qubits,
     project,
     tensor_product,
 )
@@ -87,17 +86,29 @@ class VariantSpec:
     """Structural constants of one protocol variant."""
 
     variant: Variant
-    secret_qubits: int
     coefficient_count: int
-    coefficient_norm: float  # required sum of |c|^2
     secret_kets: tuple[str, ...]
     channel_permutation: tuple[int, ...]
-    bob_qubits: int
     # Alice's basis (see build_alice_basis): anchor kets on her secret qubits
     # and channel share, and the qubits her outcome bits flip and phase-flip
     alice_anchor: tuple[str, ...]
     alice_flips: tuple[int, ...]
     alice_phases: tuple[int, ...]
+
+    @property
+    def secret_qubits(self) -> int:
+        return len(self.secret_kets[0])
+
+    @property
+    def bob_qubits(self) -> int:
+        """Bob's register holds the recovered secret."""
+        return self.secret_qubits
+
+    @property
+    def coefficient_norm(self) -> float:
+        """Required sum of |c|^2: each coefficient weighs
+        ``len(secret_kets) / coefficient_count`` kets of a unit-norm secret."""
+        return self.coefficient_count / len(self.secret_kets)
 
     @property
     def num_outcomes(self) -> int:
@@ -109,36 +120,27 @@ class VariantSpec:
 VARIANT_SPECS = {
     Variant.THREE_A: VariantSpec(
         variant=Variant.THREE_A,
-        secret_qubits=3,
         coefficient_count=4,
-        coefficient_norm=1.0,
         secret_kets=("000", "011", "100", "111"),
         channel_permutation=(0, 3, 1, 4, 5, 2),
-        bob_qubits=3,
         alice_anchor=("00000", "01101", "10010", "11111"),
         alice_flips=(3, 4),
         alice_phases=(3, 4),
     ),
     Variant.THREE_B: VariantSpec(
         variant=Variant.THREE_B,
-        secret_qubits=3,
         coefficient_count=4,
-        coefficient_norm=1.0,
         secret_kets=("000", "001", "110", "111"),
         channel_permutation=(0, 3, 1, 2, 4, 5),
-        bob_qubits=3,
         alice_anchor=("00000", "00101", "11010", "11111"),
         alice_flips=(3, 4),
         alice_phases=(3, 4),
     ),
     Variant.FOUR: VariantSpec(
         variant=Variant.FOUR,
-        secret_qubits=4,
         coefficient_count=2,
-        coefficient_norm=0.5,
         secret_kets=("0000", "0011", "1100", "1111"),
         channel_permutation=(0, 1, 2, 3, 4, 5),
-        bob_qubits=4,
         alice_anchor=("00000", "00110", "11001", "11111"),
         alice_flips=(4,),
         alice_phases=(0,),
@@ -157,9 +159,17 @@ class SecretSpec:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             object.__setattr__(self, "variant", Variant.parse(self.variant))
-        object.__setattr__(
-            self, "coefficients", tuple(map(complex, self.coefficients))
-        )
+        # a str or bytes would be read one character or byte at a time
+        try:
+            if isinstance(self.coefficients, (str, bytes, bytearray)):
+                raise TypeError
+            coefficients = tuple(map(complex, self.coefficients))
+        except TypeError:
+            raise ValueError(
+                f"coefficients must be a sequence of numbers, "
+                f"got {self.coefficients!r}"
+            ) from None
+        object.__setattr__(self, "coefficients", coefficients)
 
     @functools.cached_property
     def state(self) -> StateVector:
@@ -174,17 +184,20 @@ class SecretSpec:
         }
 
 
-def ghz_triplet() -> StateVector:
-    """(|000> + |111>) / sqrt(2)."""
-    s = 1.0 / np.sqrt(2.0)
-    return StateVector.from_terms(3, {"000": s, "111": s})
-
-
 @functools.cache
 def build_channel(variant: Variant) -> StateVector:
-    """Six-qubit channel: two GHZ triplets dealt out per the variant layout."""
-    pair = tensor_product(ghz_triplet(), ghz_triplet())
-    return permute_qubits(pair, VARIANT_SPECS[variant].channel_permutation)
+    """Six-qubit channel: two GHZ triplets dealt out per the variant layout.
+
+    GHZ (x) GHZ has four kets, each with amplitude ``s * s`` for ``s =
+    1/sqrt(2)``: the product ``np.kron`` forms. Each goes to the index that
+    ``channel_permutation`` deals its qubits to.
+    """
+    perm = VARIANT_SPECS[variant].channel_permutation
+    s = complex(1.0 / np.sqrt(2.0))
+    amps = np.zeros(2 ** len(perm), dtype=complex)
+    for raw in ("000000", "000111", "111000", "111111"):
+        amps[int("".join(raw[q] for q in perm), 2)] = s * s
+    return StateVector(len(perm), amps)
 
 
 def build_secret(spec: SecretSpec) -> StateVector:

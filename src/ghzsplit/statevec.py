@@ -193,15 +193,6 @@ def tensor_product(*states: StateVector) -> StateVector:
     return StateVector(n, amps)
 
 
-def permute_qubits(state: StateVector, perm: tuple[int, ...]) -> StateVector:
-    """Reorder qubits so output qubit i is input qubit ``perm[i]``."""
-    n = state.num_qubits
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    t = state.amplitudes.reshape([2] * n)
-    return StateVector(n, np.transpose(t, perm).reshape(-1))
-
-
 @functools.cache
 def _xor_sign_tables(
     dim: int, xmask: int, zmask: int

@@ -313,27 +313,23 @@ class TestFilledJson:
             "sampled": run_protocol(random_secret(variant, rng), rng=rng),
             "forced": run_protocol(random_secret(variant, rng), forced=(1, 1)),
             "fixed": run_protocol(fixed, seed=3),
-            "state": run_protocol(fixed.state, variant=variant, seed=3),
         }
 
     @staticmethod
-    def assert_filled(t: Transcript, depth: int, templates: dict):
-        filled = cli._transcript_json(t, depth, templates, cli._ScalarTexts())
-        assert filled == cli._json_text(t.to_dict(), depth)
+    def assert_filled(t: Transcript, templates: dict):
+        filled = cli._transcript_json(t, templates, cli._ScalarTexts())
+        assert filled == cli._json_text(t.to_dict(), 2)
 
-    @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_transcripts_match_json_text(self, variant, depth):
+    def test_transcripts_match_json_text(self, variant):
         templates, scalars = {}, cli._ScalarTexts()
-        for _ in range(2):  # builds the templates, then fills the cached ones
+        for _ in range(2):  # builds the template, then fills the cached one
             for how, t in self.transcripts(variant).items():
-                filled = cli._transcript_json(t, depth, templates, scalars)
-                assert filled == cli._json_text(t.to_dict(), depth), how
-        # one template for the coefficient secrets, one for the raw state
-        assert len(templates) == 2
+                filled = cli._transcript_json(t, templates, scalars)
+                assert filled == cli._json_text(t.to_dict(), 2), how
+        assert list(templates) == [variant]
 
-    @pytest.mark.parametrize("depth", [0, 2])
-    def test_edge_floats_and_strings_match_json_text(self, depth):
+    def test_edge_floats_and_strings_match_json_text(self):
         # a NaN fidelity, a -0.0 amplitude, JSON's float constants, and a
         # leaf string with a "%" and non-ASCII text
         nan, inf = math.nan, math.inf
@@ -348,13 +344,10 @@ class TestFilledJson:
         )
         templates = {}
         for _ in range(2):
-            self.assert_filled(t, depth, templates)
-        state = dataclasses.replace(t, secret=StateVector(3, -amps))
-        self.assert_filled(state, depth, templates)
-        assert len(templates) == 2
+            self.assert_filled(t, templates)
+        assert len(templates) == 1
 
-    @pytest.mark.parametrize("depth", [0, 2])
-    def test_repeated_floats_and_signed_zeros_match_json_text(self, depth):
+    def test_repeated_floats_and_signed_zeros_match_json_text(self):
         # repeated values reuse their memoized text; 0.0 and -0.0 compare
         # equal, so neither may take the other's text, in either order
         nan = math.nan
@@ -366,7 +359,7 @@ class TestFilledJson:
             (np.float64(0.1), 0.1, np.float64(-0.0), 0.0, -0.0, 0.1, 0.0, nan, 0.1),
         ):
             t = _hand_built(fidelity=weights[0], probabilities=_weights(*weights))
-            self.assert_filled(t, depth, templates)
+            self.assert_filled(t, templates)
 
     def test_percent_and_non_ascii_in_the_template(self, monkeypatch):
         # the template's text comes from to_dict's keys: escape it for %
@@ -379,16 +372,16 @@ class TestFilledJson:
         monkeypatch.setattr(Transcript, "to_dict", renamed)
         templates = {}
         for t in self.transcripts(Variant.FOUR).values():
-            self.assert_filled(t, 2, templates)
+            self.assert_filled(t, templates)
 
     @pytest.mark.parametrize("count", [7, 9], ids=["fewer", "more"])
     def test_leaf_count_off_its_template_raises(self, count):
         templates = {}
         eight = _hand_built(probabilities=_weights(*[0.5] * 8))
-        self.assert_filled(eight, 0, templates)
+        self.assert_filled(eight, templates)
         other = _hand_built(probabilities=_weights(*[0.5] * count))
         with pytest.raises(ValueError, match="leaves"):
-            cli._transcript_json(other, 0, templates, cli._ScalarTexts())
+            cli._transcript_json(other, templates, cli._ScalarTexts())
 
     def test_key_that_reads_as_a_slot_raises(self, monkeypatch):
         # the skeleton's leaf stand-in as a key adds a slot to the template
@@ -397,7 +390,7 @@ class TestFilledJson:
             Transcript, "to_dict", lambda self: {"\x00": 1, **to_dict(self)}
         )
         with pytest.raises(ValueError, match="leaves"):
-            cli._transcript_json(_hand_built(), 0, {}, cli._ScalarTexts())
+            cli._transcript_json(_hand_built(), {}, cli._ScalarTexts())
 
 
 def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, reference):

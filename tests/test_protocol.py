@@ -15,7 +15,6 @@ from ghzsplit.protocol import (
     build_alice_basis,
     build_channel,
     build_secret,
-    ghz_triplet,
     outcome_distribution,
     TRIAL_CHUNK,
     published_correction_table,
@@ -49,14 +48,30 @@ class TestChannels:
         expected[[int(k, 2) for k in self.CHANNEL_KETS[variant]]] = 0.5
         assert np.max(np.abs(channel.amplitudes - expected)) <= 1e-15
 
-    def test_ghz_triplet(self):
-        ghz = ghz_triplet()
-        s = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(ghz.amplitudes[[0, 7]], [s, s])
-        assert np.count_nonzero(ghz.amplitudes) == 2
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_channel_bits_match_reference(self, variant, reference):
+        # every amplitude bit for bit: the kron-and-transpose channel of 0.1.0
+        ref_protocol = reference("protocol")
+        ref = ref_protocol.build_channel(ref_protocol.Variant(variant.value))
+        np.testing.assert_array_equal(
+            build_channel(variant).amplitudes.view(np.uint64),
+            ref.amplitudes.view(np.uint64),
+        )
 
     def test_channel_is_cached(self):
         assert build_channel(Variant.FOUR) is build_channel(Variant.FOUR)
+
+
+class TestVariantSpecs:
+    @pytest.mark.parametrize(
+        "variant,qubits,norm",
+        [(Variant.THREE_A, 3, 1.0), (Variant.THREE_B, 3, 1.0), (Variant.FOUR, 4, 0.5)],
+        ids=variant_ids(ALL_VARIANTS),
+    )
+    def test_derived_constants(self, variant, qubits, norm):
+        vs = VARIANT_SPECS[variant]
+        assert (vs.secret_qubits, vs.bob_qubits) == (qubits, qubits)
+        assert type(vs.coefficient_norm) is float and vs.coefficient_norm == norm
 
 
 class TestSecrets:
@@ -107,6 +122,22 @@ class TestSecrets:
         # 3 was accepted until .state raised a bare KeyError
         with pytest.raises(ValueError, match="unknown variant"):
             SecretSpec(bad, (1, 0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1000", b"\x01\x00\x00\x00", bytearray(4), None, 5, (1, None, 0, 0)],
+        ids=["str", "bytes", "bytearray", "None", "int", "None-item"],
+    )
+    def test_coefficients_that_are_no_numbers_rejected(self, bad):
+        # "1000" ran as the secret (1, 0, 0, 0), a bytes value one byte per
+        # coefficient; None or 5 raised a bare TypeError
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            SecretSpec(Variant.THREE_A, bad)
+
+    def test_coefficients_from_any_iterable(self):
+        spec = SecretSpec(Variant.FOUR, np.array([0.5, 0.5j]))
+        assert spec.coefficients == (0.5, 0.5j)
+        assert SecretSpec(Variant.FOUR, iter([0.5, 0.5j])) == spec
 
     @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
     def test_overflowing_weight_rejected(self, huge):

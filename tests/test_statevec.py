@@ -29,7 +29,6 @@ from ghzsplit.statevec import (
     force_hadamard_outcome,
     hadamard_basis,
     measure_in_basis,
-    permute_qubits,
     project,
     sample_outcomes,
     tensor_product,
@@ -196,7 +195,7 @@ class TestGateApplication:
                 )
 
 
-class TestTensorAndPermute:
+class TestTensorProduct:
     def test_tensor_product_order(self):
         out = tensor_product(StateVector.ket("1"), StateVector.ket("0"))
         np.testing.assert_array_equal(out.amplitudes, StateVector.ket("10").amplitudes)
@@ -212,23 +211,6 @@ class TestTensorAndPermute:
     def test_tensor_needs_a_state(self):
         with pytest.raises(ValueError):
             tensor_product()
-
-    def test_permute_moves_qubits(self):
-        # output qubit i is input qubit perm[i]: |011> under (2,0,1) -> |101>
-        out = permute_qubits(StateVector.ket("011"), (2, 0, 1))
-        np.testing.assert_array_equal(out.amplitudes, StateVector.ket("101").amplitudes)
-
-    def test_permute_rejects_non_permutation(self):
-        with pytest.raises(ValueError, match="not a permutation"):
-            permute_qubits(StateVector.ket("00"), (0, 0))
-
-    def test_permute_round_trip(self):
-        rng = np.random.default_rng(7)
-        state = random_state(3, rng)
-        perm = (2, 0, 1)
-        inverse = tuple(np.argsort(perm))
-        back = permute_qubits(permute_qubits(state, perm), inverse)
-        np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-15)
 
 
 class TestFidelity:
