@@ -148,8 +148,9 @@ def _parse_forced(text: str, variant: Variant) -> tuple[int, int]:
     return outcome, bit
 
 
-def _emit_write_error(emit: str, exc: OSError) -> None:
-    _emit_error("config", f"cannot write --emit file {emit!r}: {exc.strerror}")
+def _emit_write_error(emit: str, exc: OSError | ValueError) -> None:
+    reason = exc.strerror if isinstance(exc, OSError) else exc
+    _emit_error("config", f"cannot write --emit file {emit!r}: {reason}")
 
 
 @contextlib.contextmanager
@@ -166,7 +167,7 @@ def _output(emit: str | None) -> Iterator[Callable[[str], None]]:
         return
     try:
         fh = open(emit, "w", encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         _emit_write_error(emit, exc)
 
     def write(text: str) -> None:

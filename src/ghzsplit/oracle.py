@@ -43,6 +43,7 @@ from .protocol import (
     Variant,
     VARIANT_SPECS,
     _combined_rows,
+    _hadamard_halves,
     _secret_layout,
     _secret_rows,
     build_alice_basis,
@@ -51,6 +52,7 @@ from .protocol import (
     substream,
 )
 from .statevec import (
+    NORM_ATOL,
     OrthonormalBasis,
     PauliString,
     StateVector,
@@ -65,8 +67,6 @@ from .statevec import (
     project,
 )
 
-# largest amplitude difference for a recovered state to count as exact
-EXACT_ATOL = 1e-12
 # least out-of-span mass for a secret to count as outside the restricted class
 OUT_OF_CLASS_MASS = 1e-6
 # largest distance of an entry of 4*sqrt(2)*K from its integer
@@ -101,17 +101,15 @@ def _class_images(
     int64, and the target ``mu * V``, built once per (variant, basis).
 
     One ``project`` of the secret's unit kets, tensored with the channel,
-    gives every row's map at once; Charlie's Hadamard outcome, on the last
-    qubit, is the sum or the difference of the two halves of a branch.
+    gives every row's map at once; ``_hadamard_halves`` splits each branch
+    by Charlie's Hadamard outcome.
     Raises ValueError if ``basis`` does not make ``4*sqrt(2)*K`` integral.
     """
     vs = VARIANT_SPECS[variant]
     dim = 2**vs.secret_qubits
     branches, _ = project(_combined_rows(variant, np.eye(dim, dtype=complex)), basis)
-    half = branches.reshape(*branches.shape[:-1], -1, 2)
-    plus, minus = half[..., 0] + half[..., 1], half[..., 0] - half[..., 1]
-    # (a ± b) / sqrt(2) times 4*sqrt(2): (kets, outcomes, 2**bob, bit)
-    scaled = 4 * np.stack([plus, minus], axis=-1)
+    # (a ± b) / sqrt(2) times 4*sqrt(2): (kets, outcomes, bit, 2**bob)
+    scaled = 4 * _hadamard_halves(branches)
     kint = np.rint(scaled.real)
     off = float(np.max(np.abs(scaled - kint)))
     if not off <= INTEGER_ATOL:
@@ -122,7 +120,7 @@ def _class_images(
     slots, picks = _secret_layout(variant)
     isometry = np.zeros((dim, vs.coefficient_count), dtype=np.int64)
     isometry[slots, picks] = 1
-    images = kint.astype(np.int64).transpose(1, 3, 2, 0) @ isometry
+    images = kint.astype(np.int64).transpose(1, 2, 3, 0) @ isometry
     target = 4 // math.isqrt(vs.num_outcomes) * isometry  # mu = 4/sqrt(outcomes)
     images.flags.writeable = target.flags.writeable = False
     return images, target
@@ -244,7 +242,7 @@ def _derived_table(variant: Variant, basis: OrthonormalBasis) -> DerivedTable:
 
 def _basis_anomalies(basis: OrthonormalBasis) -> list[dict]:
     out = []
-    for i, j, gram in basis.gram_defects(EXACT_ATOL):
+    for i, j, gram in basis.gram_defects():
         if i == j:
             kind, indices = "unnormalized_vector", [i]
         elif abs(abs(gram) - 1.0) <= FIDELITY_ATOL:
@@ -266,11 +264,11 @@ def _encoding_inconsistencies(variant: Variant) -> list[dict]:
     differing = [
         i
         for i in range(lmat.shape[0])
-        if np.max(np.abs(lmat[i] - cmat[i])) > EXACT_ATOL
+        if np.max(np.abs(lmat[i] - cmat[i])) > NORM_ATOL
     ]
     if not differing:
         return []
-    if literal.gram_defects(EXACT_ATOL):  # four's literal basis repeats a vector
+    if literal.gram_defects():  # four's literal basis repeats a vector
         return [
             {
                 "kind": "duplicated_basis_vector_in_literal_encoding",
@@ -413,13 +411,6 @@ class SpanReport:
     def min_invalid_out_of_span(self) -> float:
         return min(self.invalid_out_of_span)
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_valid_deficit <= FIDELITY_ATOL
-            and self.min_invalid_out_of_span > OUT_OF_CLASS_MASS
-        )
-
 
 def _class_mass(variant: Variant, amplitudes: np.ndarray) -> float:
     """Probability mass of a raw secret's amplitude row inside the variant's
@@ -440,7 +431,7 @@ def random_arbitrary_secret(
         z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         z /= np.linalg.norm(z)
         if _class_mass(variant, z) < 1.0 - OUT_OF_CLASS_MASS:
-            return StateVector(n, z)
+            return StateVector(z)
 
 
 def verify_span(

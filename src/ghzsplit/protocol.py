@@ -197,7 +197,7 @@ def build_channel(variant: Variant) -> StateVector:
     amps = np.zeros(2 ** len(perm), dtype=complex)
     for raw in ("000000", "000111", "111000", "111111"):
         amps[int("".join(raw[q] for q in perm), 2)] = s * s
-    return StateVector(len(perm), amps)
+    return StateVector(amps)
 
 
 def build_secret(spec: SecretSpec) -> StateVector:
@@ -218,7 +218,7 @@ def build_secret(spec: SecretSpec) -> StateVector:
             f"coefficient weights must sum to {vs.coefficient_norm}", deficit
         )
     rows = _secret_rows(spec.variant, [spec.coefficients])
-    return StateVector(vs.secret_qubits, rows[0])
+    return StateVector(rows[0])
 
 
 @functools.cache
@@ -242,7 +242,8 @@ def _secret_rows(
     slots, picks = _secret_layout(variant)
     coeffs = np.asarray(coefficients, dtype=complex)
     rows = np.zeros((len(coeffs), 2 ** VARIANT_SPECS[variant].secret_qubits), complex)
-    rows[:, slots] += coeffs[:, picks]  # 0 + c, as StateVector.from_terms adds
+    # adding to zeros turns a -0.0 part into 0.0: the bits that 0.1.0 writes
+    rows[:, slots] += coeffs[:, picks]
     return rows
 
 
@@ -339,7 +340,7 @@ def _alice_basis(variant: Variant, encoding: str) -> OrthonormalBasis:
         source, sign = _xor_sign_tables(2**width, x, z)
         order = (-1.0) ** bin(x & z).count("1")  # X**x Z**z = order * Z**z X**x
         # + 0.0 turns the -0.0 a sign flip leaves on a zero component into 0.0
-        vectors.append(StateVector(width, order * sign * anchor[source] + 0.0))
+        vectors.append(StateVector(order * sign * anchor[source] + 0.0))
     if encoding == LITERAL and variant is Variant.FOUR:
         vectors[3] = vectors[2]
     return OrthonormalBasis(
@@ -535,14 +536,20 @@ def _resolve_secret(
     return variant, secret
 
 
-def _joint_weights(branches: np.ndarray) -> np.ndarray:
-    """Joint weights ``[..., outcome, bit]`` from Alice's (stacked) branches,
-    Charlie's qubit last in each branch."""
+def _hadamard_halves(branches: np.ndarray) -> np.ndarray:
+    """``h0 + h1`` and ``h0 - h1`` along axis -2 of Alice's (stacked)
+    branches, h0 and h1 a branch's halves with Charlie's qubit, the last,
+    at 0 and 1: Charlie's |+> and |-> components times sqrt(2)."""
     half = branches.reshape(*branches.shape[:-1], -1, 2)
-    # Charlie's |+> and |-> components side by side, then one reduction
     signed = np.empty((*half.shape[:-2], 2, half.shape[-2]), complex)
     np.add(half[..., 0], half[..., 1], out=signed[..., 0, :])
     np.subtract(half[..., 0], half[..., 1], out=signed[..., 1, :])
+    return signed
+
+
+def _joint_weights(branches: np.ndarray) -> np.ndarray:
+    """Joint weights ``[..., outcome, bit]`` from Alice's (stacked) branches."""
+    signed = _hadamard_halves(branches)
     signed /= np.sqrt(2.0)
     return np.add.reduce(np.abs(signed) ** 2, axis=-1)
 
@@ -706,7 +713,7 @@ def run_protocol(
     )
     # Bob's rows become StateVectors without a second norm check: collapse
     # checked bob_before and _run_chunk checked bob_after
-    bob, outcome = VARIANT_SPECS[variant].bob_qubits, chunk.alice_outcomes[0]
+    outcome = chunk.alice_outcomes[0]
     return Transcript(
         variant=variant,
         secret=secret,
@@ -714,8 +721,8 @@ def run_protocol(
         alice_cbits=alice_cbits(outcome),
         charlie_bit=chunk.charlie_bits[0],
         correction=chunk.corrections[0],
-        bob_state_before=StateVector._from_checked(bob, chunk.bob_before[0]),
-        bob_state_after=StateVector._from_checked(bob, chunk.bob_after[0]),
+        bob_state_before=StateVector._from_checked(chunk.bob_before[0]),
+        bob_state_after=StateVector._from_checked(chunk.bob_after[0]),
         fidelity=chunk.fidelities[0],
         probabilities=_outcome_weights(_joint_weights(chunk.alice_branches)[0]),
     )

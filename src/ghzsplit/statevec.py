@@ -9,11 +9,12 @@ Conventions used throughout the package:
 * A Pauli string acts by one rule: its ``(xmask, zmask)`` bits take
   amplitude ``k ^ xmask`` to index k with sign ``(-1)**popcount(k & zmask)``.
   Corrections, candidate searches and ``PauliString.matrix`` all use it.
-* A StateVector is validated to unit norm on construction (tolerance
-  ``NORM_ATOL``) and never silently renormalized; it is the value at the
-  package's edges (secrets, channels, basis vectors, transcripts). Only
-  ``StateVector._from_checked`` skips the check, for a row of a stack
-  whose norms were checked already.
+* ``StateVector(amplitudes)`` is the one constructor: the qubit count is
+  read off the length, which must be a power of two. The state is validated
+  to unit norm (tolerance ``NORM_ATOL``) and never silently renormalized; it
+  is the value at the package's edges (secrets, channels, basis vectors,
+  transcripts). Only ``StateVector._from_checked`` skips the checks, for a
+  row of a stack whose norms were checked already.
 * The projection, measurement, correction and fidelity functions take and
   return only ``(rows, 2**n)`` stacks of amplitude rows, doing the same
   floating-point work on every row; a single state is the one-row stack
@@ -67,77 +68,36 @@ def _integer(n, name: str) -> int:
     return n
 
 
-def _qubit_count(n) -> int:
-    """``n`` as an int; anything but a non-negative integer is refused."""
-    n = _integer(n, "num_qubits")
-    if n < 0:
-        raise ValueError(f"num_qubits must be at least 0, got {n}")
-    return n
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Immutable pure state on ``num_qubits`` qubits."""
+    """Immutable pure state; its ``2**num_qubits`` amplitudes fix the qubit
+    count."""
 
-    num_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "num_qubits", _qubit_count(self.num_qubits))
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != 2**self.num_qubits:
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for "
-                f"{self.num_qubits} qubits, got {amps.shape[0]}"
-            )
+        length = amps.shape[0]
+        if length == 0 or length & (length - 1):
+            raise ValueError(f"amplitude count {length} is not a power of two")
         check_normalized(amps)
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def _from_checked(cls, num_qubits: int, amplitudes: np.ndarray) -> "StateVector":
-        """A read-only copy of one amplitude row whose count and norm the
+    def _from_checked(cls, amplitudes: np.ndarray) -> "StateVector":
+        """A read-only copy of one amplitude row whose length and norm the
         caller has already checked: no second ``check_normalized``."""
         state = object.__new__(cls)
         amps = amplitudes.copy()
         amps.flags.writeable = False
-        object.__setattr__(state, "num_qubits", num_qubits)
         object.__setattr__(state, "amplitudes", amps)
         return state
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        length = amps.shape[0]
-        if length == 0 or length & (length - 1):
-            raise ValueError(f"amplitude count {length} is not a power of two")
-        return cls(length.bit_length() - 1, amps)
-
-    @classmethod
-    def ket(cls, bits: str) -> "StateVector":
-        """Computational basis state from a bit string, e.g. ``ket("01")``."""
-        amps = np.zeros(2 ** len(bits), dtype=complex)
-        amps[int(bits, 2) if bits else 0] = 1.0
-        return cls(len(bits), amps)
-
-    @classmethod
-    def from_terms(cls, num_qubits: int, terms: dict[str, complex]) -> "StateVector":
-        """State from ``{bit string: amplitude}``; must come out normalized."""
-        num_qubits = _qubit_count(num_qubits)
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        for bits, coeff in terms.items():
-            if len(bits) != num_qubits:
-                raise ValueError(f"ket {bits!r} does not have {num_qubits} bits")
-            amps[int(bits, 2)] += coeff
-        return cls(num_qubits, amps)
-
     @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def num_qubits(self) -> int:
+        return self.amplitudes.shape[0].bit_length() - 1
 
     def amplitude_pairs(self) -> list[list[float]]:
         """Amplitudes as ``[re, im]`` pairs for JSON serialization."""
@@ -186,11 +146,9 @@ def tensor_product(*states: StateVector) -> StateVector:
     if not states:
         raise ValueError("tensor_product needs at least one state")
     amps = states[0].amplitudes
-    n = states[0].num_qubits
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
-        n += s.num_qubits
-    return StateVector(n, amps)
+    return StateVector(amps)
 
 
 @functools.cache
@@ -449,8 +407,8 @@ def force_basis_outcome(
 def hadamard_basis(qubit: int) -> OrthonormalBasis:
     """(|0>+|1>)/sqrt(2), (|0>-|1>)/sqrt(2); outcome 0 is the plus state."""
     s = 1.0 / np.sqrt(2.0)
-    plus = StateVector.from_amplitudes([s, s])
-    minus = StateVector.from_amplitudes([s, -s])
+    plus = StateVector([s, s])
+    minus = StateVector([s, -s])
     return OrthonormalBasis((qubit,), (plus, minus))
 
 

@@ -338,7 +338,7 @@ class TestFilledJson:
         t = _hand_built(
             secret=SecretSpec(Variant.THREE_A, coefficients),
             alice_cbits="10%s \u2603",
-            bob_state_before=StateVector(3, amps),
+            bob_state_before=StateVector(amps),
             fidelity=nan,
             probabilities=_weights(inf, -inf, nan, 1e22, -0.0, 0.0, 0.1),
         )
@@ -555,6 +555,15 @@ class TestRunErrors:
         assert code == 2
         assert err["error"]["type"] == "config"
         assert "--emit" in err["error"]["message"]
+
+    def test_emit_path_with_a_nul_byte_rejected(self, capsys):
+        # open() raises ValueError, not OSError, for an embedded NUL; only
+        # an in-process caller can pass one, since argv strings cannot
+        argv = ["export", "--variant", "four", "--what", "table", "--emit", "a\x00b"]
+        code, err = run_cli_error(argv, capsys)
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "null byte" in err["error"]["message"]
 
     def test_closed_stdout_is_a_config_error(self):
         # `run ... | head -1`: the reader goes away after the first line

@@ -227,7 +227,6 @@ class TestVerifySpan:
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
     def test_span_report(self, variant):
         report = verify_span(variant)
-        assert report.passed
         assert report.max_valid_deficit <= 1e-9
         assert report.min_invalid_out_of_span > 1e-6
         assert len(report.valid_deficits) == 10
@@ -244,23 +243,21 @@ class TestVerifySpan:
         for variant in ALL_VARIANTS:
             state = random_arbitrary_secret(variant, rng)
             assert state.num_qubits == VARIANT_SPECS[variant].secret_qubits
-            assert state.norm() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_in_class_state_not_arbitrary(self):
         # a state fully inside the class must never be returned; the redraw
         # loop keys on class mass, spot-check the mass computation instead
-        inside = StateVector.from_terms(
-            3, {"000": np.sqrt(0.5), "111": np.sqrt(0.5)}
-        )
+        s = np.sqrt(0.5)
+        inside = StateVector([s, 0, 0, 0, 0, 0, 0, s])
         assert _class_mass(Variant.THREE_A, inside.amplitudes) == pytest.approx(1.0)
-        outside = StateVector.ket("010")
+        outside = StateVector(np.eye(8)[0b010])
         assert _class_mass(Variant.THREE_A, outside.amplitudes) == pytest.approx(0.0)
-        four_inside = StateVector.from_terms(
-            4, {"0000": 0.5, "0011": 0.5, "1100": 0.5, "1111": 0.5}
-        )
+        # |0000>, |0011>, |1100> and |1111>
+        four_inside = StateVector([0.5, 0, 0, 0.5] + [0] * 8 + [0.5, 0, 0, 0.5])
         assert _class_mass(Variant.FOUR, four_inside.amplitudes) == pytest.approx(1.0)
         # |0000> is half of the class vector |0000> + |0011>
-        four_half = StateVector.ket("0000")
+        four_half = StateVector(np.eye(16)[0b0000])
         assert _class_mass(Variant.FOUR, four_half.amplitudes) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
@@ -344,10 +341,9 @@ class TestExactOracleAgainstReference:
         good = build_alice_basis(variant)
         c, s = np.cos(0.3), np.sin(0.3)
         a, b = good.vectors[0].amplitudes, good.vectors[1].amplitudes
-        n = good.vectors[0].num_qubits
         vectors = list(good.vectors)
-        vectors[0] = StateVector(n, c * a + s * b)
-        vectors[1] = StateVector(n, c * b - s * a)
+        vectors[0] = StateVector(c * a + s * b)
+        vectors[1] = StateVector(c * b - s * a)
         rotated = OrthonormalBasis(good.target_qubits, tuple(vectors))
         with pytest.raises(ValueError, match="integer Kraus operators"):
             _class_images(variant, rotated)

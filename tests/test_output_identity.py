@@ -51,6 +51,19 @@ EXPORT_GRID = [
     for v in VARIANTS
     for fmt in ("json", "csv")
 ]
+# the bytes of StateVector.amplitude_pairs() and num_qubits, and the
+# published tables
+EXPORT_GRID += [
+    ["export", "--variant", v, "--what", "basis", "--format", fmt, *encoding]
+    for v in VARIANTS
+    for fmt in ("json", "csv")
+    for encoding in ([], ["--paper-literal"])
+] + [
+    ["export", "--variant", v, "--what", "table", "--source", "published"]
+    + ["--format", fmt]
+    for v in VARIANTS
+    for fmt in ("json", "csv")
+]
 GRID = RUN_GRID + VERIFY_GRID + EXPORT_GRID
 
 

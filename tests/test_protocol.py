@@ -77,13 +77,9 @@ class TestVariantSpecs:
 class TestSecrets:
     def test_basis_coefficients_map_to_class_kets(self):
         state = build_secret(SecretSpec(Variant.THREE_A, (0, 1, 0, 0)))
-        np.testing.assert_array_equal(
-            state.amplitudes, StateVector.ket("011").amplitudes
-        )
+        np.testing.assert_array_equal(state.amplitudes, np.eye(8)[0b011])
         state = build_secret(SecretSpec(Variant.THREE_B, (0, 0, 1, 0)))
-        np.testing.assert_array_equal(
-            state.amplitudes, StateVector.ket("110").amplitudes
-        )
+        np.testing.assert_array_equal(state.amplitudes, np.eye(8)[0b110])
 
     def test_four_expands_two_coefficients(self):
         state = build_secret(SecretSpec(Variant.FOUR, (0.5, 0.5)))
@@ -205,21 +201,15 @@ class TestAliceBasis:
 
     def test_three_a_vector_one(self):
         basis = build_alice_basis(Variant.THREE_A)
-        expected = StateVector.from_terms(
-            5, {"00000": 0.5, "01101": -0.5, "10010": 0.5, "11111": -0.5}
-        )
-        np.testing.assert_allclose(
-            basis.vectors[1].amplitudes, expected.amplitudes, atol=1e-15
-        )
+        expected = np.zeros(32)
+        expected[[0b00000, 0b01101, 0b10010, 0b11111]] = [0.5, -0.5, 0.5, -0.5]
+        np.testing.assert_allclose(basis.vectors[1].amplitudes, expected, atol=1e-15)
 
     def test_three_a_vector_four_flips_last_qubit(self):
         basis = build_alice_basis(Variant.THREE_A)
-        expected = StateVector.from_terms(
-            5, {"00001": 0.5, "01100": 0.5, "10011": 0.5, "11110": 0.5}
-        )
-        np.testing.assert_allclose(
-            basis.vectors[4].amplitudes, expected.amplitudes, atol=1e-15
-        )
+        expected = np.zeros(32)
+        expected[[0b00001, 0b01100, 0b10011, 0b11110]] = 0.5
+        np.testing.assert_allclose(basis.vectors[4].amplitudes, expected, atol=1e-15)
 
     @pytest.mark.parametrize(
         "variant", THREE_VARIANTS, ids=variant_ids(THREE_VARIANTS)
@@ -323,7 +313,7 @@ class TestRunProtocol:
         assert t.fidelity == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             t.bob_state_after.amplitudes,
-            StateVector.ket("000").amplitudes,
+            np.eye(8)[0b000],
             atol=1e-12,
         )
 
@@ -371,7 +361,7 @@ class TestRunProtocol:
     def test_raw_state_qubit_count_checked(self):
         with pytest.raises(ValueError, match="qubits"):
             run_protocol(
-                StateVector.ket("00"), variant=Variant.THREE_A, forced=(0, 0)
+                StateVector(np.eye(4)[0b00]), variant=Variant.THREE_A, forced=(0, 0)
             )
 
     def test_variant_contradiction_rejected(self):
@@ -422,7 +412,7 @@ class TestRunProtocol:
         # |010> lies outside the spanned class of this variant
         with pytest.raises(OutOfSpanError):
             run_protocol(
-                StateVector.ket("010"), variant=Variant.THREE_A, seed=0
+                StateVector(np.eye(8)[0b010]), variant=Variant.THREE_A, seed=0
             )
 
     def test_seeded_runs_are_reproducible(self):
