@@ -110,8 +110,8 @@ def _parse_secret(text: str, variant: Variant) -> SecretSpec:
                 f"could not parse secret coefficient {part!r}; use Python "
                 "complex syntax such as 0.5 or 0.5+0.5j",
             )
-    # NaN passes the norm check, and inf or an overflowing weight sum leaves
-    # a deficit that JSON cannot carry
+    # NaN, inf or an overflowing weight sum fails the norm check with a
+    # deficit (nan or inf) that the JSON error could not carry
     weight = sum(abs(c) for c in coeffs)
     if not math.isfinite(weight * weight):
         _emit_error("config", f"secret coefficients must be finite, got {text!r}")

@@ -8,9 +8,9 @@ an integer matrix. On the restricted class, spanned by the integer isometry
 ``V`` (unit kets in the three-qubit variants, pair sums in ``four``), a Pauli
 correction P recovers every secret iff ``P @ Kint @ V == ±mu * V`` exactly,
 with ``mu = 4 / sqrt(outcomes)``; iY is real, so no other phase can occur.
-The oracle enumerates all Pauli corrections on Bob's qubits (64 candidates
-for the three-qubit variants, 256 for the four-qubit one) and keeps those
-that satisfy the identity. Published rows are then graded:
+The oracle tries every Pauli correction on Bob's qubits (64 for the
+three-qubit variants, 256 for the four-qubit one) on a row in one gather,
+which gives each solution together with its sign. Published rows are graded:
 
 * MATCH: the published correction satisfies it with the + sign, so it
   reproduces every secret exactly, amplitude for amplitude.
@@ -38,11 +38,13 @@ import numpy as np
 from .protocol import (
     CANONICAL,
     FIDELITY_ATOL,
+    LITERAL,
     SCHEMA_VERSION,
     CorrectionTable,
     Variant,
     VARIANT_SPECS,
     _combined_rows,
+    _draw_coefficients,
     _hadamard_halves,
     _secret_layout,
     _secret_rows,
@@ -59,7 +61,6 @@ from .statevec import (
     _check_span,
     _integer,
     _pauli_tables,
-    _xor_sign_tables,
     basis_projection_probabilities,
     check_normalized,
     collapse,
@@ -89,7 +90,7 @@ def _test_secrets(variant: Variant) -> np.ndarray:
     rng = substream(TEST_SEED, list(Variant).index(variant))
     return np.vstack([
         np.sqrt(vs.coefficient_norm) * np.eye(vs.coefficient_count),
-        [random_secret(variant, rng).coefficients for _ in range(TEST_RANDOM_SECRETS)],
+        _draw_coefficients(variant, [rng] * TEST_RANDOM_SECRETS),
     ])
 
 
@@ -127,39 +128,41 @@ def _class_images(
 
 
 @functools.cache
-def _candidate_paulis(num_qubits: int) -> tuple[PauliString, ...]:
-    return tuple(
+def _candidates(qubits: int) -> tuple[tuple[PauliString, ...], np.ndarray, np.ndarray]:
+    """Every Pauli correction on ``qubits`` qubits, and its stacked
+    ``_xor_sign_tables`` rows: (strings, sources, signs)."""
+    paulis = tuple(
         PauliString(labels)
-        for labels in itertools.product(("I", "X", "Z", "iY"), repeat=num_qubits)
+        for labels in itertools.product(("I", "X", "Z", "iY"), repeat=qubits)
     )
+    return (paulis, *_pauli_tables(paulis, 2**qubits))
 
 
-@functools.cache
-def _candidate_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    return _pauli_tables(_candidate_paulis(num_qubits), 2**num_qubits)
+def _image_signs(
+    pre: np.ndarray, targets: np.ndarray, source: np.ndarray, sign: np.ndarray
+) -> np.ndarray:
+    """Per Pauli P of a stack of ``_xor_sign_tables`` rows, all tried in one
+    gather: +1 if ``P @ pre == targets`` exactly, -1 if it is ``-targets``,
+    else 0."""
+    # one row per Pauli: its image, flattened
+    corrected = (sign[..., None] * pre[source]).reshape(len(source), -1)
+    flat = targets.reshape(-1)
+    return (corrected == flat).all(1).astype(int) - (corrected == -flat).all(1)
+
+
+def _image_sign(pauli: PauliString, pre: np.ndarray, targets: np.ndarray) -> int:
+    """``_image_signs`` of one Pauli string."""
+    return int(_image_signs(pre, targets, *_pauli_tables([pauli], len(pre)))[0])
 
 
 def _solutions_for_row(
     pre: np.ndarray, targets: np.ndarray, candidates: tuple[PauliString, ...]
-) -> list[PauliString]:
-    """The candidates P with ``P @ pre == ±targets`` exactly, all tried in one
-    stacked gather; ``pre`` is a row's class image ``Kint[i, b] @ V``,
-    ``targets`` is ``mu * V`` and ``candidates`` is ``_candidate_paulis``."""
-    source, sign = _candidate_tables(len(candidates[0]))
-    # one row per candidate: its image, flattened
-    corrected = (sign[..., None] * pre[source]).reshape(len(source), -1)
-    flat = targets.reshape(-1)
-    ok = (corrected == flat).all(axis=1) | (corrected == -flat).all(axis=1)
-    return [candidates[i] for i in np.flatnonzero(ok)]
-
-
-def _image_sign(pauli: PauliString, pre: np.ndarray, targets: np.ndarray) -> int:
-    """+1 if ``pauli @ pre == targets``, -1 if it is ``-targets``, else 0."""
-    source, sign = _xor_sign_tables(len(pre), *pauli.masks)
-    corrected = sign[:, None] * pre[source]
-    if (corrected == targets).all():
-        return 1
-    return -1 if (corrected == -targets).all() else 0
+) -> dict[PauliString, int]:
+    """The candidates P with ``P @ pre == ±targets`` exactly, in candidate
+    order, each mapped to its sign; ``pre`` is a row's class image
+    ``Kint[i, b] @ V``, ``targets`` is ``mu * V``."""
+    signs = _image_signs(pre, targets, *_candidates(len(candidates[0]))[1:])
+    return {candidates[i]: int(signs[i]) for i in np.flatnonzero(signs)}
 
 
 def _all_rows(variant: Variant) -> list[tuple[int, int]]:
@@ -175,7 +178,7 @@ def derive_corrections(
     for name, value, count in (("outcome", outcome, len(images)), ("bit", bit, 2)):
         if not 0 <= value < count:
             raise ValueError(f"{name} {value} out of range")
-    candidates = _candidate_paulis(VARIANT_SPECS[variant].bob_qubits)
+    candidates, _, _ = _candidates(VARIANT_SPECS[variant].bob_qubits)
     return tuple(_solutions_for_row(images[outcome, bit], target, candidates))
 
 
@@ -212,11 +215,10 @@ class DerivedTable:
     exact: dict[tuple[int, int], tuple[PauliString, ...]]
 
     def preferred_table(self) -> CorrectionTable:
-        rows = {}
-        for key, sols in self.solutions.items():
-            exact = self.exact.get(key, ())
-            pick = sorted(exact or sols, key=lambda p: p.labels)[0]
-            rows[key] = pick
+        rows = {
+            key: min(self.exact[key] or sols, key=lambda p: p.labels)
+            for key, sols in self.solutions.items()
+        }
         return CorrectionTable(self.variant, "derived", rows)
 
 
@@ -227,16 +229,13 @@ def derive_table(variant: Variant) -> DerivedTable:
 
 def _derived_table(variant: Variant, basis: OrthonormalBasis) -> DerivedTable:
     images, target = _class_images(variant, basis)
-    candidates = _candidate_paulis(VARIANT_SPECS[variant].bob_qubits)
+    candidates, _, _ = _candidates(VARIANT_SPECS[variant].bob_qubits)
     solutions: dict[tuple[int, int], tuple[PauliString, ...]] = {}
     exact: dict[tuple[int, int], tuple[PauliString, ...]] = {}
-    for outcome, bit in _all_rows(variant):
-        image = images[outcome, bit]
-        sols = _solutions_for_row(image, target, candidates)
-        solutions[(outcome, bit)] = tuple(sols)
-        exact[(outcome, bit)] = tuple(
-            p for p in sols if _image_sign(p, image, target) > 0
-        )
+    for key in _all_rows(variant):
+        signed = _solutions_for_row(images[key], target, candidates)
+        solutions[key] = tuple(signed)
+        exact[key] = tuple(p for p, s in signed.items() if s > 0)
     return DerivedTable(variant, solutions, exact)
 
 
@@ -257,15 +256,10 @@ def _basis_anomalies(basis: OrthonormalBasis) -> list[dict]:
 
 def _encoding_inconsistencies(variant: Variant) -> list[dict]:
     """Structural disagreements between the canonical and literal encodings."""
-    canonical = build_alice_basis(variant, "canonical")
-    literal = build_alice_basis(variant, "literal")
-    cmat = canonical.matrix()
+    cmat = build_alice_basis(variant, CANONICAL).matrix()
+    literal = build_alice_basis(variant, LITERAL)
     lmat = literal.matrix()
-    differing = [
-        i
-        for i in range(lmat.shape[0])
-        if np.max(np.abs(lmat[i] - cmat[i])) > NORM_ATOL
-    ]
+    differing = np.flatnonzero(np.max(np.abs(lmat - cmat), axis=1) > NORM_ATOL).tolist()
     if not differing:
         return []
     if literal.gram_defects():  # four's literal basis repeats a vector
@@ -441,6 +435,8 @@ def verify_span(
     invalid_trials: int = 10,
 ) -> SpanReport:
     """Check that Alice's basis captures the class exactly and nothing more."""
+    valid_trials = _integer(valid_trials, "valid_trials")
+    invalid_trials = _integer(invalid_trials, "invalid_trials")
     if valid_trials < 1 or invalid_trials < 1:
         raise ValueError(
             "verify_span needs at least one secret of each kind, got "

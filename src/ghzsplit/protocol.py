@@ -413,7 +413,7 @@ class CorrectionTable:
     def __getitem__(self, key: tuple[int, int]) -> PauliString:
         outcome, bit = key
         try:
-            return self.rows[(int(outcome), int(bit))]
+            return self.rows[(_integer(outcome, "outcome"), _integer(bit, "bit"))]
         except KeyError:
             raise KeyError(
                 f"no row for outcome {outcome}, bit {bit} in "
@@ -519,8 +519,10 @@ class Transcript:
 
 
 def _resolve_secret(
-    secret: SecretSpec | StateVector, variant: Variant | None
+    secret: SecretSpec | StateVector, variant: Variant | str | None
 ) -> tuple[Variant, StateVector]:
+    if variant is not None:
+        variant = Variant.parse(variant)
     if isinstance(secret, SecretSpec):
         if variant is not None and variant is not secret.variant:
             raise ValueError("variant argument contradicts the secret's variant")
@@ -567,7 +569,7 @@ def _outcome_weights(weights: np.ndarray) -> tuple[OutcomeWeight, ...]:
 
 
 def outcome_distribution(
-    secret: SecretSpec | StateVector, *, variant: Variant | None = None
+    secret: SecretSpec | StateVector, *, variant: Variant | str | None = None
 ) -> tuple[OutcomeWeight, ...]:
     """Exact joint probabilities of (alice_outcome, charlie_bit)."""
     variant, secret_state = _resolve_secret(secret, variant)
@@ -678,7 +680,7 @@ def run_trials(
 def run_protocol(
     secret: SecretSpec | StateVector,
     *,
-    variant: Variant | None = None,
+    variant: Variant | str | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     forced: tuple[int, int] | None = None,

@@ -1,16 +1,25 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from ghzsplit import oracle
 from ghzsplit.oracle import (
     MATCH,
     MISMATCH,
     PHASE_ONLY_MATCH,
+    TEST_RANDOM_SECRETS,
+    TEST_SEED,
+    _all_rows,
     _basis_anomalies,
+    _candidates,
     _class_images,
     _class_mass,
     _derived_table,
+    _image_sign,
+    _solutions_for_row,
+    _test_secrets,
     derive_corrections,
     derive_table,
     random_arbitrary_secret,
@@ -123,6 +132,62 @@ class TestDeriveTable:
                     assert t.fidelity >= 1.0 - 1e-9
 
 
+class TestSignedSearch:
+    """Each solution of a row and its sign come from one stacked gather."""
+
+    CASES = [(v, e) for v in ALL_VARIANTS for e in ENCODINGS]
+
+    @pytest.mark.parametrize(
+        "variant,encoding", CASES, ids=[f"{v.value}-{e}" for v, e in CASES]
+    )
+    def test_signs_match_dense_products(self, variant, encoding):
+        # every row and every candidate against P.matrix() @ image == ±target
+        images, target = _class_images(variant, build_alice_basis(variant, encoding))
+        candidates = _candidates(VARIANT_SPECS[variant].bob_qubits)[0]
+        dense = np.array([p.matrix() for p in candidates])
+        seen = set()
+        for key in _all_rows(variant):
+            signed = _solutions_for_row(images[key], target, candidates)
+            products = dense @ images[key]
+            expected = [
+                1 if (m == target).all() else -1 if (m == -target).all() else 0
+                for m in products
+            ]
+            assert [signed.get(p, 0) for p in candidates] == expected, key
+            assert list(signed) == [p for p in candidates if p in signed], key
+            one_by_one = [_image_sign(p, images[key], target) for p in signed]
+            assert one_by_one == list(signed.values()), key
+            seen.update(expected)
+        assert seen == {-1, 0, 1}
+
+    @pytest.fixture
+    def sign_evaluations(self, monkeypatch):
+        """Calls of the stacked sign helper and of its one-string case."""
+        calls = {"_image_signs": [], "_image_sign": []}
+        for name, log in calls.items():
+            original = getattr(oracle, name)
+
+            def counting(*args, _original=original, _log=log):
+                _log.append(args)
+                return _original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                held = vars(module).get(name)
+                if module_name.startswith("ghzsplit") and held is original:
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_derive_table_evaluates_once_per_row(self, variant, sign_evaluations):
+        table = derive_table(variant)
+        rows = 2 * VARIANT_SPECS[variant].num_outcomes  # 32, 32 and 8
+        assert len(sign_evaluations["_image_signs"]) == rows == len(table.solutions)
+        # no second evaluation per solution to recover its sign
+        assert sign_evaluations["_image_sign"] == []
+        widths = {len(args[2]) for args in sign_evaluations["_image_signs"]}
+        assert widths == {4 ** VARIANT_SPECS[variant].bob_qubits}
+
+
 class TestVerifyTable:
     def test_three_a_statuses(self):
         report = verify_table(Variant.THREE_A)
@@ -223,6 +288,19 @@ class TestVerifyTable:
         assert json.dumps(a) == json.dumps(b)
 
 
+class TestTestSecrets:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_random_rows_are_random_secrets(self, variant):
+        # the one stacked draw gives, bit for bit, the rows of as many
+        # random_secret calls on the same generator
+        rng = substream(TEST_SEED, ALL_VARIANTS.index(variant))
+        drawn = np.array(
+            [random_secret(variant, rng).coefficients for _ in range(TEST_RANDOM_SECRETS)]
+        )
+        rows = _test_secrets(variant)[-TEST_RANDOM_SECRETS:]
+        np.testing.assert_array_equal(rows.view(np.uint64), drawn.view(np.uint64))
+
+
 class TestVerifySpan:
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
     def test_span_report(self, variant):
@@ -236,6 +314,16 @@ class TestVerifySpan:
     def test_needs_secrets_on_both_sides(self, valid, invalid):
         # the report's worst deficit and least escape need one secret each
         with pytest.raises(ValueError, match=f"got {valid} valid and {invalid}"):
+            verify_span(Variant.FOUR, valid_trials=valid, invalid_trials=invalid)
+
+    @pytest.mark.parametrize(
+        "valid, invalid, name",
+        [(1.5, 1, "valid_trials"), (True, 1, "valid_trials"),
+         (1, "2", "invalid_trials"), (1, 2.0, "invalid_trials")],
+    )
+    def test_counts_must_be_integers(self, valid, invalid, name):
+        # 1.5 raised TypeError from range, and True ran one trial
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             verify_span(Variant.FOUR, valid_trials=valid, invalid_trials=invalid)
 
     def test_arbitrary_secret_is_outside_class(self):

@@ -296,6 +296,20 @@ class TestPublishedTables:
         with pytest.raises(KeyError, match="no row"):
             published_correction_table(Variant.FOUR)[(7, 0)]
 
+    @pytest.mark.parametrize(
+        "key,name",
+        [((1.5, 0), "outcome"), ((True, 0), "outcome"), (("3", 1), "outcome"),
+         ((1, 0.9), "bit"), ((1, False), "bit")],
+    )
+    def test_key_must_be_integers(self, key, name):
+        # int() truncated these to the rows (1, 0) and (3, 1)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            published_correction_table(Variant.THREE_A)[key]
+
+    def test_numpy_integer_key_accepted(self):
+        table = published_correction_table(Variant.THREE_A)
+        assert table[(np.int64(15), np.uint8(1))] == table[(15, 1)]
+
     def test_to_dict_cbits(self):
         doc = published_correction_table(Variant.FOUR).to_dict()
         assert doc["source"] == "published"
@@ -363,6 +377,26 @@ class TestRunProtocol:
             run_protocol(
                 StateVector(np.eye(4)[0b00]), variant=Variant.THREE_A, forced=(0, 0)
             )
+
+    @pytest.mark.parametrize("how", ["raw", "spec"])
+    def test_variant_given_by_name(self, how):
+        # a name raised AttributeError in to_dict() beside a raw state, and
+        # "contradicts" beside a SecretSpec
+        spec = SecretSpec(Variant.FOUR, (0.5, 0.5))
+        secret = build_secret(spec) if how == "raw" else spec
+        t = run_protocol(secret, variant="four", forced=(0, 0))
+        assert t.variant is Variant.FOUR
+        assert t.to_dict()["variant"] == "four"
+        assert outcome_distribution(secret, variant="four") == t.probabilities
+
+    @pytest.mark.parametrize("bad", ["five", 3, True])
+    def test_variant_that_is_no_variant_rejected(self, bad):
+        # "five" and 3 raised a bare KeyError
+        state = build_secret(SecretSpec(Variant.FOUR, (0.5, 0.5)))
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_protocol(state, variant=bad, forced=(0, 0))
+        with pytest.raises(ValueError, match="unknown variant"):
+            outcome_distribution(state, variant=bad)
 
     def test_variant_contradiction_rejected(self):
         spec = SecretSpec(Variant.THREE_A, (1, 0, 0, 0))
