@@ -170,9 +170,10 @@ def _all_rows(variant: Variant) -> list[tuple[int, int]]:
 
 
 def derive_corrections(
-    variant: Variant, outcome: int, bit: int
+    variant: Variant | str, outcome: int, bit: int
 ) -> tuple[PauliString, ...]:
     """All Pauli corrections that recover every secret of the class on this row."""
+    variant = Variant.parse(variant)
     outcome, bit = _integer(outcome, "outcome"), _integer(bit, "bit")
     images, target = _class_images(variant, build_alice_basis(variant, CANONICAL))
     for name, value, count in (("outcome", outcome, len(images)), ("bit", bit, 2)):
@@ -222,8 +223,9 @@ class DerivedTable:
         return CorrectionTable(self.variant, "derived", rows)
 
 
-def derive_table(variant: Variant) -> DerivedTable:
+def derive_table(variant: Variant | str) -> DerivedTable:
     """Exhaustively derive the correction table for every row of a variant."""
+    variant = Variant.parse(variant)
     return _derived_table(variant, build_alice_basis(variant, CANONICAL))
 
 
@@ -350,9 +352,12 @@ def _sampled_rows(
     return pre.reshape(len(keys), count, -1), secrets
 
 
-def verify_table(variant: Variant, *, encoding: str = CANONICAL) -> DiscrepancyReport:
+def verify_table(
+    variant: Variant | str, *, encoding: str = CANONICAL
+) -> DiscrepancyReport:
     """Grade every published row against the exhaustively derived solutions,
     in Alice's basis of the given encoding."""
+    variant = Variant.parse(variant)
     basis = build_alice_basis(variant, encoding)
     table = published_correction_table(variant)
     derived = _derived_table(variant, basis)
@@ -429,12 +434,13 @@ def random_arbitrary_secret(
 
 
 def verify_span(
-    variant: Variant,
+    variant: Variant | str,
     *,
     valid_trials: int = 10,
     invalid_trials: int = 10,
 ) -> SpanReport:
     """Check that Alice's basis captures the class exactly and nothing more."""
+    variant = Variant.parse(variant)
     valid_trials = _integer(valid_trials, "valid_trials")
     invalid_trials = _integer(invalid_trials, "invalid_trials")
     if valid_trials < 1 or invalid_trials < 1:

@@ -184,20 +184,29 @@ class SecretSpec:
         }
 
 
-@functools.cache
-def build_channel(variant: Variant) -> StateVector:
-    """Six-qubit channel: two GHZ triplets dealt out per the variant layout.
+def build_channel(variant: Variant | str) -> StateVector:
+    """Six-qubit channel: two GHZ triplets dealt out per the variant layout,
+    built once per variant, given by its ``Variant`` or its name.
 
     GHZ (x) GHZ has four kets, each with amplitude ``s * s`` for ``s =
     1/sqrt(2)``: the product ``np.kron`` forms. Each goes to the index that
     ``channel_permutation`` deals its qubits to.
     """
+    return _channel(Variant.parse(variant))
+
+
+@functools.cache
+def _channel(variant: Variant) -> StateVector:
     perm = VARIANT_SPECS[variant].channel_permutation
     s = complex(1.0 / np.sqrt(2.0))
     amps = np.zeros(2 ** len(perm), dtype=complex)
     for raw in ("000000", "000111", "111000", "111111"):
         amps[int("".join(raw[q] for q in perm), 2)] = s * s
     return StateVector(amps)
+
+
+# the cache's hits and misses, read through the public name
+build_channel.cache_info = _channel.cache_info
 
 
 def build_secret(spec: SecretSpec) -> StateVector:
@@ -294,6 +303,124 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size and
+# the constants of its hashmix on entropy (A), on output (B), and of its mix
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+@functools.cache
+def _hashmix_constants(
+    value: int, mult: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constant each of ``count`` successive hashmix calls XORs in
+    and the one it multiplies by, as two ``(count, 1)`` ``uint32`` columns."""
+    chain = [value]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    column = np.array(chain, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column[:-1], column[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult  # uint32 arrays wrap without a warning
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for each column
+    of ``entropy``, a ``(words, trials)`` ``uint32`` array; row k of the
+    result is column k's state.
+
+    SeedSequence's loops, with the calls that share an operand made as one:
+    a pool word feeds the other three in turn, and so does each entropy
+    word past the pool.
+    """
+    length = len(entropy)
+    calls = _POOL_SIZE * max(length, _POOL_SIZE)
+    xor, mult = _hashmix_constants(_INIT_A, _MULT_A, calls)
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), np.uint32)
+    pool[:length] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        mixed = _hashmix(pool[src], xor[k : k + len(dst)], mult[k : k + len(dst)])
+        pool[dst] = _mix(pool[dst], mixed)
+        k += len(dst)
+    for word in entropy[_POOL_SIZE:]:
+        mixed = _hashmix(word, xor[k : k + _POOL_SIZE], mult[k : k + _POOL_SIZE])
+        pool = _mix(pool, mixed)
+        k += _POOL_SIZE
+    # 8 uint32 words from the pool, cycled, read as 4 little-endian uint64
+    xor, mult = _hashmix_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    words = _hashmix(np.tile(pool, (2, 1)), xor, mult)
+    return np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, lowest first, as
+    SeedSequence splits it (0 is one word)."""
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+@functools.cache
+def _preseeded() -> type:
+    """An ISeedSequence that hands PCG64 words hashed beforehand. It is made
+    on first use: ``numpy.random`` loads only then, not on ``import``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Preseeded(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for (4, np.uint64)
+
+    return Preseeded
+
+
+def _substreams(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """``[substream(seed, t) for t in range(start, stop)]``, seeded as one
+    stack.
+
+    ``substream(seed, t)`` is PCG64 seeded with the SeedSequence hash of the
+    32-bit words of seed and then of t, lowest first. That hash runs here as
+    ``uint32`` array arithmetic over the trials, a run of trials that differ
+    only in t's lowest word at a time; each trial's PCG64 then seeds itself
+    from its row of the hash. Trial ``start`` is also built by ``substream``
+    and the two states are compared: a mismatch raises RuntimeError, and a
+    negative seed raises numpy's ValueError.
+    """
+    check = substream(seed, start)
+    generator, pcg64, preseeded = np.random.Generator, np.random.PCG64, _preseeded()
+    seed_words = _uint32_words(int(seed))
+    rngs = []
+    lo = start
+    while lo < stop:
+        # trials lo .. hi - 1 share every word of lo but the lowest
+        hi = min(stop, (lo | _MASK32) + 1)
+        words = np.array([*seed_words, *_uint32_words(lo)], np.uint32)
+        entropy = np.repeat(words[:, None], hi - lo, axis=1)
+        entropy[len(seed_words)] += np.arange(hi - lo, dtype=np.uint32)
+        rngs += [generator(pcg64(preseeded(state))) for state in _pcg64_seeds(entropy)]
+        lo = hi
+    if rngs[0].bit_generator.state != check.bit_generator.state:
+        raise RuntimeError(
+            f"stacked seeding of trial {start} differs from substream({seed}, {start})"
+        )
+    return rngs
+
+
 def alice_cbits(outcome: int) -> str:
     """The four classical bits Alice broadcasts for her outcome."""
     return format(outcome, "04b")
@@ -304,9 +431,12 @@ def alice_cbits(outcome: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> OrthonormalBasis:
+def build_alice_basis(
+    variant: Variant | str, encoding: str = CANONICAL
+) -> OrthonormalBasis:
     """Alice's five-qubit measurement basis, one Pauli frame per outcome,
-    built once per (variant, encoding) however the call spells them.
+    built once per (variant, encoding) however the call spells them (the
+    variant by its ``Variant`` or its name).
 
     Vector i is ``X**x Z**z`` on the equal superposition of the variant's
     ``alice_anchor`` kets, where the high bits of i set x on the
@@ -318,7 +448,7 @@ def build_alice_basis(variant: Variant, encoding: str = CANONICAL) -> Orthonorma
     phase qubits (a label swap in the 16-outcome bases), and its ``four``
     basis repeats vector 2 as vector 3.
     """
-    return _alice_basis(variant, encoding)
+    return _alice_basis(Variant.parse(variant), encoding)
 
 
 @functools.cache
@@ -442,9 +572,14 @@ class CorrectionTable:
         }
 
 
+def published_correction_table(variant: Variant | str) -> CorrectionTable:
+    """The reference corrections exactly as tabulated in the source, built
+    once per variant, given by its ``Variant`` or its name."""
+    return _published_table(Variant.parse(variant))
+
+
 @functools.cache
-def published_correction_table(variant: Variant) -> CorrectionTable:
-    """The reference corrections exactly as tabulated in the source."""
+def _published_table(variant: Variant) -> CorrectionTable:
     rows = {
         key: PauliString(labels)
         for key, labels in _PUBLISHED_ROWS[variant].items()
@@ -637,26 +772,28 @@ def _run_chunk(
 
 
 def trial_draws(
-    variant: Variant, seed: int, trials: int, secret: SecretSpec | None = None
+    variant: Variant | str, seed: int, trials: int, secret: SecretSpec | None = None
 ) -> Iterator[tuple[list[np.random.Generator], np.ndarray | None]]:
     """Generators and secret coefficient rows of trials ``0 .. trials - 1``,
     ``TRIAL_CHUNK`` at a time; the rows are None when ``secret`` fixes one
     secret for every trial.
 
     Trial t draws from ``substream(seed, t)`` alone: first its random
-    secret, then its outcomes. A chunk's secrets are one stacked draw
-    (``_draw_coefficients``), row t bit for bit ``random_secret``'s on the
-    same generator, so no trial needs a ``SecretSpec``. A trial's result
-    therefore does not depend on the chunking or on the other trials.
+    secret, then its outcomes. A chunk's generators are seeded as one stack
+    (``_substreams``), each in the state ``substream`` gives it. A chunk's
+    secrets are one stacked draw (``_draw_coefficients``), row t bit for bit
+    ``random_secret``'s on the same generator, so no trial needs a
+    ``SecretSpec``. A trial's result therefore does not depend on the
+    chunking or on the other trials.
     """
+    variant = Variant.parse(variant)
     for start in range(0, trials, TRIAL_CHUNK):
-        stop = min(start + TRIAL_CHUNK, trials)
-        rngs = [substream(seed, t) for t in range(start, stop)]
+        rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, trials))
         yield rngs, _draw_coefficients(variant, rngs) if secret is None else None
 
 
 def run_trials(
-    variant: Variant,
+    variant: Variant | str,
     seed: int,
     trials: int,
     *,
@@ -665,6 +802,7 @@ def run_trials(
 ) -> Iterator[TrialChunk]:
     """Trials ``0 .. trials - 1`` with the published table, drawn as
     ``trial_draws`` says and run a chunk at a time."""
+    variant = Variant.parse(variant)
     fixed = None if secret is None else secret.state
     basis = build_alice_basis(variant)
     table = published_correction_table(variant)

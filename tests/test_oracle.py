@@ -362,6 +362,38 @@ def _duplicated_first_vector(basis, basis_type):
     return basis_type(basis.target_qubits, tuple(vectors), validate=False)
 
 
+class TestVariantByName:
+    """The oracle's entry points take a variant's name as its Variant."""
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_name_gives_the_variants_documents(self, variant):
+        # the derived and verified documents raised AttributeError in to_dict()
+        name = variant.value
+        derived = derive_table(name).preferred_table()
+        assert derived.to_dict() == derive_table(variant).preferred_table().to_dict()
+        assert derived.variant is variant
+        report = verify_table(name, encoding=LITERAL)
+        assert report.to_dict() == verify_table(variant, encoding=LITERAL).to_dict()
+        assert derive_corrections(name, 1, 1) == derive_corrections(variant, 1, 1)
+        assert verify_span(name).variant is variant
+
+    @pytest.mark.parametrize("bad", ["five", 3])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            derive_table,
+            verify_table,
+            verify_span,
+            lambda variant: derive_corrections(variant, 0, 0),
+        ],
+        ids=["derive_table", "verify_table", "verify_span", "derive_corrections"],
+    )
+    def test_what_is_no_variant_rejected(self, entry, bad):
+        # a bare KeyError, or "is not in list" from verify_span
+        with pytest.raises(ValueError, match="unknown variant"):
+            entry(bad)
+
+
 class TestExactOracleAgainstReference:
     """The integer oracle grades every row as the frozen sampled one does."""
 

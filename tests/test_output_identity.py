@@ -40,6 +40,15 @@ RUN_GRID = [
     for fmt in ("json", "csv", "text")
     for how in ([], ["--forced", "1,1"])
 ]
+# seeds of two and of four 32-bit words (past SeedSequence's 4-word pool,
+# with the trial's word) across two chunk boundaries
+RUN_GRID += [
+    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", str(seed)]
+    + ["--format", fmt]
+    for v in VARIANTS
+    for seed in (2**32, 2**96 + 1)
+    for fmt in ("csv", "json")
+]
 VERIFY_GRID = [
     ["verify", "--all", "--format", fmt, *encoding]
     for fmt in ("json", "text")

@@ -1,10 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ghzsplit
 from ghzsplit.protocol import (
     CANONICAL,
     LITERAL,
@@ -12,6 +18,8 @@ from ghzsplit.protocol import (
     Variant,
     VARIANT_SPECS,
     _joint_weights,
+    _pcg64_seeds,
+    _substreams,
     build_alice_basis,
     build_channel,
     build_secret,
@@ -28,6 +36,21 @@ from ghzsplit.statevec import NormalizationError, OutOfSpanError, StateVector
 
 THREE_VARIANTS = [Variant.THREE_A, Variant.THREE_B]
 ALL_VARIANTS = list(Variant)
+# the directory that holds the package under test, for child interpreters
+SRC = str(Path(ghzsplit.__file__).resolve().parents[1])
+
+
+def run_child(code: str) -> str:
+    """Stdout of a fresh interpreter that runs ``code`` on the package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def variant_ids(variants):
@@ -190,6 +213,74 @@ class TestStackedSecretDraw:
         assert [(len(rngs), rows) for rngs, rows in draws] == [
             (TRIAL_CHUNK, None), (1, None)
         ]
+
+
+class TestStackedSeeding:
+    """A chunk's generators, seeded as one stack by ``trial_draws``, against
+    one ``substream`` per trial."""
+
+    FIXED = SecretSpec(Variant.FOUR, (0.5, 0.5))  # no draw moves the states
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**200 - 1))
+    @example(seed=0)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)
+    @example(seed=2**96 + 1)  # 4 seed words and the trial's: past the pool
+    def test_every_trial_of_two_chunks_is_its_substream(self, seed):
+        trials = 2 * TRIAL_CHUNK
+        draws = trial_draws(Variant.FOUR, seed, trials, self.FIXED)
+        rngs = [rng for chunk, _ in draws for rng in chunk]
+        assert len(rngs) == trials
+        assert len({id(rng.bit_generator) for rng in rngs}) == trials
+        for t, rng in enumerate(rngs):
+            assert rng.bit_generator.state == substream(seed, t).bit_generator.state
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 9))
+    def test_hash_is_seed_sequences(self, data, length):
+        words = st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length)
+        lists = data.draw(st.lists(words, min_size=1, max_size=4))
+        want = [np.random.SeedSequence(w).generate_state(4, np.uint64) for w in lists]
+        assert np.array_equal(_pcg64_seeds(np.array(lists, np.uint32).T), want)
+
+    def test_negative_seed_rejected_as_substream_rejects_it(self):
+        with pytest.raises(ValueError) as want:
+            substream(-1, 0)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            next(trial_draws(Variant.FOUR, -1, 1))
+
+    @pytest.mark.parametrize("start", [2**32 - 5, 2**64 - 5], ids=["2^32", "2^64"])
+    def test_trial_index_words_split_as_numpy_splits_them(self, start):
+        # trial 2**32 is the words (0, 1), never trial 0 through a uint32 cast
+        rngs = _substreams(7, start, start + TRIAL_CHUNK)
+        for t, rng in zip(range(start, start + TRIAL_CHUNK), rngs, strict=True):
+            assert rng.bit_generator.state == substream(7, t).bit_generator.state
+
+    def test_set_up_leaves_numpy_random_unloaded(self):
+        # numpy.random loads on first use; the stacked seeding must not load
+        # it on import or while the caches fill
+        out = run_child(
+            "import sys\n"
+            "import ghzsplit, ghzsplit.cli\n"
+            "from ghzsplit import protocol\n"
+            "for v in protocol.Variant:\n"
+            "    protocol.build_channel(v)\n"
+            "    protocol.published_correction_table(v)\n"
+            "    protocol.build_alice_basis(v)\n"
+            "    for encoding in protocol.ENCODINGS:\n"
+            "        protocol.build_alice_basis(v, encoding)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        assert out == "False\n"
+
+    def test_stack_that_differs_from_substream_raises(self, monkeypatch):
+        from ghzsplit import protocol
+
+        seeds = protocol._pcg64_seeds
+        monkeypatch.setattr(protocol, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1))
+        with pytest.raises(RuntimeError, match="differs from substream"):
+            next(trial_draws(Variant.FOUR, 7, 3))
 
 
 class TestAliceBasis:
@@ -621,6 +712,46 @@ class TestSubstream:
 class TestVariantParse:
     def test_parse_round_trip(self):
         assert Variant.parse("three-b") is Variant.THREE_B
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_builders_take_a_name(self, variant):
+        name = variant.value
+        assert build_channel(name) is build_channel(variant)
+        for encoding in (CANONICAL, LITERAL):
+            basis = build_alice_basis(name, encoding)
+            assert basis is build_alice_basis(variant, encoding)
+        table = published_correction_table(name)
+        assert table is published_correction_table(variant)
+        assert table.variant is variant
+
+    def test_published_table_by_name_first(self):
+        # the cache kept the spelling of its first call: the table's to_dict()
+        # raised AttributeError when a name came first
+        out = run_child(
+            "from ghzsplit.protocol import published_correction_table\n"
+            "print(published_correction_table('four').to_dict()['variant'])\n"
+        )
+        assert out == "four\n"
+
+    @pytest.mark.parametrize("bad", ["five", 3])
+    @pytest.mark.parametrize(
+        "build", [build_channel, build_alice_basis, published_correction_table]
+    )
+    def test_builders_reject_what_is_no_variant(self, build, bad):
+        # each raised a bare KeyError
+        with pytest.raises(ValueError, match="unknown variant"):
+            build(bad)
+
+    def test_trials_take_a_name(self):
+        # a chunk kept the name as a str, with no .value for its csv rows
+        chunk = next(run_trials("four", 1, 3))
+        assert chunk.variant is Variant.FOUR
+        assert chunk.fidelities == next(run_trials(Variant.FOUR, 1, 3)).fidelities
+        for bad in ("five", 3):
+            with pytest.raises(ValueError, match="unknown variant"):
+                next(run_trials(bad, 1, 3))
+            with pytest.raises(ValueError, match="unknown variant"):
+                next(trial_draws(bad, 1, 3))  # a bare KeyError
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown variant"):
