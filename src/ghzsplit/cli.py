@@ -10,13 +10,12 @@ Three subcommands:
 * ``export``: dump a measurement basis or a correction table.
 
 Every command writes through one writer, to stdout and to the ``--emit``
-file. ``run`` streams: csv and text rows go out chunk by chunk, and the JSON
-document goes out as its header, then each transcript as its trial ends,
-then the summary, in the bytes ``json.dumps(document, indent=2)`` gives.
-Transcripts share one shape per variant, so each is filled into a ``%``
-template built once per variant from that variant's first
-``Transcript.to_dict`` tree. Every transcript then gives its leaves straight
-from its fields and arrays: no trial builds a tree or runs ``json.dumps``.
+file. ``run`` makes its trials in ``run_trials`` chunks, whatever the format,
+and writes each chunk's csv rows, text lines or JSON transcripts before the
+next chunk is made; the JSON document comes out in the bytes
+``json.dumps(document, indent=2)`` gives. A transcript is filled straight
+from the chunk's arrays into a ``%`` template, built once per run from the
+``to_dict`` tree of trial 0 made alone by ``run_protocol``.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -31,7 +30,6 @@ import collections
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -49,9 +47,10 @@ from .protocol import (
     SCHEMA_VERSION,
     SecretSpec,
     TrialChunk,
-    Transcript,
     Variant,
     VARIANT_SPECS,
+    _joint_weights,
+    _outcome_keys,
     alice_cbits,
     build_alice_basis,
     published_correction_table,
@@ -205,7 +204,7 @@ _LEAF = "\x00"
 
 class _FloatTexts(dict):
     """The JSON text of each float looked up, memoized for nonzero floats:
-    a transcript repeats many values. Zero stays out, because 0.0 == -0.0
+    a chunk's transcripts repeat many values. Zero stays out, because 0.0 == -0.0
     but their texts differ."""
 
     def __missing__(self, value: float) -> str:
@@ -213,18 +212,6 @@ class _FloatTexts(dict):
         text = _FLOAT_CONSTANTS.get(text, text)
         if value:
             self[value] = text
-        return text
-
-
-class _ScalarTexts(dict):
-    """The JSON text of each string or int looked up, made once."""
-
-    def __missing__(self, value: str | int) -> str:
-        if isinstance(value, str):
-            text = encode_basestring_ascii(value)
-        else:
-            text = int.__repr__(value)
-        self[value] = text
         return text
 
 
@@ -237,46 +224,61 @@ def _skeleton(value):
     return _LEAF
 
 
-def _transcript_json(t: Transcript, templates: dict, scalars: _ScalarTexts) -> str:
-    """``_json_text(t.to_dict(), 2)``, the text of a transcript in a ``run``
-    document, filled into a ``%`` template; ``t.secret`` is a SecretSpec.
-
-    ``templates`` keeps one template per variant, built from the ``to_dict``
-    tree of its first transcript: that method alone defines the shape and
-    key order. Each transcript gives its leaves in document order straight
-    from its fields and arrays. ``scalars`` keeps the text of the few
-    distinct strings and ints, for every transcript of a run. A transcript
-    whose leaf count does not fit its template raises ValueError instead of
-    writing other bytes.
+def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
+    """The ``%`` template of a run's transcripts and its slot count, from
+    the ``to_dict`` tree (the one definition of their shape) of trial 0 made
+    alone by ``run_protocol``: on trial 0's generator and secret from
+    ``trial_draws``, sampled or forced as the run is. Its outcomes and
+    fidelity must be those of row 0 of ``chunk``, or RuntimeError is raised.
     """
-    if t.variant not in templates:
-        text = _json_text(_skeleton(t.to_dict()), 2).replace("%", "%%")
-        slot = json.dumps(_LEAF)
-        templates[t.variant] = (text.replace(slot, "%s"), text.count(slot))
-    template, count = templates[t.variant]
-    scalar, floats = scalars.__getitem__, _FloatTexts().__getitem__
+    (rng,), coefficients = next(trial_draws(chunk.variant, seed, 1, secret))
+    if coefficients is not None:
+        secret = SecretSpec(chunk.variant, coefficients[0].tolist())
+    t = run_protocol(secret, rng=rng, forced=forced)
+    row = (chunk.alice_outcomes[0], chunk.charlie_bits[0], chunk.fidelities[0])
+    if (t.alice_outcome, t.charlie_bit, t.fidelity) != row:
+        raise RuntimeError(f"the kernel's trial 0 {row} differs from run_protocol's")
+    text = _json_text(_skeleton(t.to_dict()), 2).replace("%", "%%")
+    slot = json.dumps(_LEAF)
+    return text.replace(slot, "%s"), text.count(slot)
+
+
+def _transcripts(chunk: TrialChunk, template: tuple[str, int], secret) -> Iterator[str]:
+    """``_json_text(t.to_dict(), 2)`` for the Transcript t ``run_protocol``
+    makes of each trial of ``chunk``, one at a time: ``template`` filled in
+    document order from the chunk's arrays, and from ``secret`` when the
+    chunk holds no coefficient rows. A trial whose leaf count does not fit
+    the template raises ValueError instead of writing other bytes.
+    """
+    text, count = template
+    floats, string = _FloatTexts().__getitem__, encode_basestring_ascii
+    name = string(chunk.variant.value)
+    head = [int.__repr__(SCHEMA_VERSION), name, string("coefficients"), name]
+    coefficients = chunk.coefficients
+    if coefficients is None:  # the run's fixed secret in every trial
+        coefficients = np.array([secret.coefficients] * len(chunk.fidelities))
+    weights = _joint_weights(chunk.alice_branches)
     # (alice_outcome, charlie_bit, probability) per joint weight
-    weights = list(itertools.chain.from_iterable(t.probabilities))
-    weights[0::3] = map(scalar, weights[0::3])
-    weights[1::3] = map(scalar, weights[1::3])
-    weights[2::3] = map(floats, weights[2::3])
-    leaves = [
-        *map(scalar, [SCHEMA_VERSION, t.variant.value]),
-        *map(scalar, ["coefficients", t.secret.variant.value]),
-        *map(floats, [x for c in t.secret.coefficients for x in (c.real, c.imag)]),
-        *map(scalar, [t.alice_outcome, t.alice_cbits, t.charlie_bit]),
-        *map(scalar, [*t.messages.values(), *t.correction.labels]),
-        *map(floats, t.bob_state_before.amplitudes.view(np.float64).tolist()),
-        *map(floats, t.bob_state_after.amplitudes.view(np.float64).tolist()),
-        floats(t.fidelity),
-        *weights,
-    ]
-    if len(leaves) != count:
-        raise ValueError(
-            f"{len(leaves)} leaves do not fit the {count}-leaf template of "
-            f"{t.variant.value}"
-        )
-    return template % tuple(leaves)
+    keys = _outcome_keys(weights.shape[1])
+    joint = [""] * 3 * len(keys[0])
+    joint[0::3], joint[1::3] = (map(int.__repr__, column) for column in keys)
+    bob = np.concatenate([chunk.bob_before, chunk.bob_after], axis=1)
+    trials = zip(
+        coefficients.view(np.float64).tolist(), chunk.alice_outcomes,
+        chunk.charlie_bits, chunk.corrections, bob.view(np.float64).tolist(),
+        chunk.fidelities, weights.reshape(len(weights), -1).tolist(),
+    )
+    for pairs, i, b, correction, amplitudes, f, probabilities in trials:
+        cbits = string(alice_cbits(i))
+        joint[2::3] = map(floats, probabilities)
+        leaves = [
+            *head, *map(floats, pairs), int.__repr__(i), cbits, int.__repr__(b),
+            cbits, string(str(b)), *map(string, correction.labels),
+            *map(floats, amplitudes), floats(f), *joint,
+        ]
+        if len(leaves) != count:
+            raise ValueError(f"{len(leaves)} leaves do not fit a {count}-leaf template")
+        yield text % tuple(leaves)
 
 
 def _csv_payload(rows: list[list]) -> str:
@@ -349,28 +351,21 @@ def _cmd_run(args) -> int:
                 else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
             }
             write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
-            templates, scalars = {}, _ScalarTexts()  # of this run's transcripts
-            for rngs, coefficients in trial_draws(variant, seed, args.trials, secret):
-                specs = (
-                    [secret] * len(rngs)
-                    if coefficients is None
-                    else [SecretSpec(variant, row) for row in coefficients.tolist()]
-                )
-                for rng, spec in zip(rngs, specs):
-                    t = run_protocol(spec, variant=variant, rng=rng, forced=forced)
-                    sep = ",\n    " if fidelities else "\n    "
-                    write(sep + _transcript_json(t, templates, scalars))
-                    fidelities.append(t.fidelity)
-                    counts[t.alice_outcome, t.charlie_bit] += 1
-        else:
-            if args.format == "csv":
-                write(_csv_payload([_RUN_CSV_HEADER]))
-            chunks = run_trials(
-                variant, seed, args.trials, secret=secret, forced=forced
-            )
-            for chunk in chunks:
+            sep = "\n    "
+        elif args.format == "csv":
+            write(_csv_payload([_RUN_CSV_HEADER]))
+        chunks = run_trials(variant, seed, args.trials, secret=secret, forced=forced)
+        for chunk in chunks:
+            if args.format == "json":
+                if not fidelities:
+                    template = _template(chunk, seed, secret, forced)
+                for text in _transcripts(chunk, template, secret):
+                    write(sep + text)
+                    sep = ",\n    "
+                counts.update(zip(chunk.alice_outcomes, chunk.charlie_bits))
+            else:
                 write(_run_rows(chunk, len(fidelities), args.format))
-                fidelities.extend(chunk.fidelities)
+            fidelities.extend(chunk.fidelities)
         low, mean = min(fidelities), sum(fidelities) / len(fidelities)
         ok = low >= 1.0 - args.tolerance
         if args.format == "json":

@@ -300,7 +300,7 @@ def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key...); order of creation is irrelevant."""
-    return np.random.default_rng([int(seed), *[int(k) for k in key]])
+    return np.random.default_rng([_integer(n, "seed or key") for n in (seed, *key)])
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size and
@@ -713,16 +713,18 @@ def outcome_distribution(
     return _outcome_weights(_joint_weights(branches)[0])
 
 
-# trials the kernel stacks per call: a chunk's arrays stay within 1-2 MiB
-TRIAL_CHUNK = 128
+# trials the kernel stacks per call: a chunk's arrays stay within about 1 MiB
+TRIAL_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
 class TrialChunk:
     """The trial kernel's arrays for consecutive trials run as one stack;
-    entry or row t is the chunk's trial t. The caller keeps the secrets."""
+    entry or row t is the chunk's trial t. ``coefficients`` are the drawn
+    secrets' class coefficients, or None for a fixed secret the caller keeps."""
 
     variant: Variant
+    coefficients: np.ndarray | None
     alice_outcomes: list[int]
     charlie_bits: list[int]
     corrections: list[PauliString]
@@ -734,6 +736,7 @@ class TrialChunk:
 
 def _run_chunk(
     variant: Variant,
+    coefficients: np.ndarray | None,
     secret_rows: np.ndarray,
     rngs: list[np.random.Generator],
     forced: tuple[int, int] | None,
@@ -761,6 +764,7 @@ def _run_chunk(
     check_normalized(bob_after)
     return TrialChunk(
         variant=variant,
+        coefficients=coefficients,
         alice_outcomes=[i for i, _ in keys],
         charlie_bits=[b for _, b in keys],
         corrections=corrections,
@@ -787,6 +791,7 @@ def trial_draws(
     chunking or on the other trials.
     """
     variant = Variant.parse(variant)
+    trials = _integer(trials, "trials")
     for start in range(0, trials, TRIAL_CHUNK):
         rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, trials))
         yield rngs, _draw_coefficients(variant, rngs) if secret is None else None
@@ -812,7 +817,7 @@ def run_trials(
         else:
             rows = _secret_rows(variant, coefficients)
             check_normalized(rows)  # what StateVector checks of build_secret's
-        yield _run_chunk(variant, rows, rngs, forced, basis, table)
+        yield _run_chunk(variant, coefficients, rows, rngs, forced, basis, table)
 
 
 def run_protocol(
@@ -836,18 +841,15 @@ def run_protocol(
     if rng is not None and seed is not None:
         raise ValueError("pass rng or seed, not both")
     variant, secret_state = _resolve_secret(secret, variant)
+    if seed is not None:
+        rng = substream(seed)
     if forced is not None:
         outcome, bit = forced
         forced = (_integer(outcome, "alice_outcome"), _integer(bit, "charlie_bit"))
     elif rng is None:
-        if seed is None:
-            raise ValueError("need rng, seed, or forced outcomes")
-        rng = np.random.default_rng(seed)
+        raise ValueError("need rng, seed, or forced outcomes")
     chunk = _run_chunk(
-        variant,
-        secret_state.amplitudes[None],
-        [rng],
-        forced,
+        variant, None, secret_state.amplitudes[None], [rng], forced,
         build_alice_basis(variant),
         table if table is not None else published_correction_table(variant),
     )

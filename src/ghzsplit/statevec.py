@@ -277,9 +277,10 @@ def _check_one_per_row(rows: np.ndarray, items: list, what: str) -> None:
 def check_normalized(amps: np.ndarray) -> None:
     """Raise NormalizationError unless the amplitudes of a state, or every row
     of a stack of them, have unit norm (to ``NORM_ATOL``)."""
-    # re, im interleaved along the last axis
+    # re, im interleaved along the last axis; vecdot sums their squares with no
+    # temporary array
     parts = np.ascontiguousarray(amps).view(np.float64)
-    norms = np.sqrt(np.add.reduce(parts * parts, axis=-1))
+    norms = np.sqrt(np.vecdot(parts, parts))
     # the worst row decides; a NaN or inf amplitude propagates and fails
     deficit = float(np.maximum.reduce(np.abs(norms - 1.0), axis=None))
     if not deficit <= NORM_ATOL:

@@ -27,7 +27,7 @@ from ghzsplit.protocol import (
     run_protocol,
     substream,
 )
-from ghzsplit.statevec import StateVector
+from ghzsplit.statevec import PauliString, StateVector
 
 # the directory that holds the package under test, for child interpreters
 SRC = str(Path(ghzsplit.__file__).resolve().parents[1])
@@ -219,22 +219,39 @@ class TestRun:
             assert len(json.loads(out)["transcripts"]) == trials
         assert target.read_text(encoding="utf-8") == out
 
-    def test_json_transcript_written_when_its_trial_ends(self, monkeypatch):
-        # stdout as each run_protocol call starts; the first transcript is
-        # out before the third trial begins
-        argv = ["run", "--variant", "four", "--trials", "3", "--format", "json"]
+    def test_json_transcripts_of_a_chunk_written_before_the_next_chunk(
+        self, monkeypatch
+    ):
+        # stdout as each chunk of trials starts: all of the last chunk's
+        # transcripts are out, and none of the next
+        trials = 2 * TRIAL_CHUNK + 1
+        argv = ["run", "--variant", "four", "--trials", str(trials), "--format", "json"]
         out, seen = io.StringIO(), []
+        run_trials = cli.run_trials
 
         def spy(*args, **kwargs):
-            seen.append(out.getvalue())
-            return run_protocol(*args, **kwargs)
+            chunks = run_trials(*args, **kwargs)
+            while True:
+                seen.append(out.getvalue())
+                chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                yield chunk
 
-        monkeypatch.setattr(cli, "run_protocol", spy)
+        monkeypatch.setattr(cli, "run_trials", spy)
         with contextlib.redirect_stdout(out):
             code = main(argv)
-        assert code == 0 and len(seen) == 3
-        first = json.loads(out.getvalue())["transcripts"][0]
-        assert json.dumps(first, indent=2).replace("\n", "\n    ") in seen[2]
+        assert code == 0
+        transcripts = json.loads(out.getvalue())["transcripts"]
+        written = [TRIAL_CHUNK * k for k in range(3)] + [trials]
+        # the header's schema_version and one per transcript
+        assert [text.count('"schema_version"') for text in seen] == [
+            1 + n for n in written
+        ]
+        for text, n in zip(seen[1:], written[1:]):
+            assert text.endswith(
+                json.dumps(transcripts[n - 1], indent=2).replace("\n", "\n    ")
+            )
 
     def test_json_run_calls_json_dumps_a_fixed_number_of_times(
         self, monkeypatch, capsys
@@ -290,76 +307,123 @@ FIXED_COEFFICIENTS = {
     Variant.THREE_B: (0.5, 0.5j, -0.5, 0.5),
     Variant.FOUR: (0.5, -0.5j),
 }
+# how a run makes its trials: random secrets sampled or forced, or one fixed
+# secret sampled
+HOWS = ["sampled", "forced", "fixed"]
+FORCED = (1, 1)
 
 
-def _hand_built(variant: Variant = Variant.THREE_A, **fields) -> Transcript:
-    """A forced transcript with some fields replaced; no field is checked."""
+def _run_args(variant: Variant, how: str) -> tuple[SecretSpec | None, tuple | None]:
+    """The ``secret`` and ``forced`` arguments of a run made ``how``."""
     fixed = SecretSpec(variant, FIXED_COEFFICIENTS[variant])
-    return dataclasses.replace(run_protocol(fixed, forced=(1, 1)), **fields)
+    return fixed if how == "fixed" else None, FORCED if how == "forced" else None
 
 
-def _weights(*probabilities: float) -> tuple[OutcomeWeight, ...]:
-    return tuple(OutcomeWeight(k // 2, k % 2, p) for k, p in enumerate(probabilities))
+def _filled(chunks: list, seed: int, secret, forced) -> list[str]:
+    """Every transcript text of a run's chunks, filled as ``run`` fills them."""
+    template = cli._template(chunks[0], seed, secret, forced)
+    return [text for c in chunks for text in cli._transcripts(c, template, secret)]
+
+
+def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
+    """Texts of a chunk of forced trials of the fixed secret, filled as
+    ``run`` fills them, and the texts ``_json_text`` gives of the
+    Transcripts ``run_protocol`` makes of them; entry k of ``trials``
+    replaces fields of trial k in both: Transcript field names, with the
+    coefficients as ``secret`` and the joint weights, outcome-major, as
+    ``probabilities``. The chunk gives the coefficient rows. No field is
+    checked."""
+    secret = SecretSpec(variant, FIXED_COEFFICIENTS[variant])
+    chunks = protocol.run_trials(variant, 0, len(trials), secret=secret, forced=FORCED)
+    (chunk,) = chunks
+    template = cli._template(chunk, 0, secret, FORCED)
+    t = run_protocol(secret, forced=FORCED)
+    coefficients = np.array([secret.coefficients] * len(trials))
+    weights = protocol._joint_weights(chunk.alice_branches)
+    before, fidelities = chunk.bob_before.copy(), list(chunk.fidelities)
+    corrections, want = list(chunk.corrections), []
+    for k, fields in enumerate(trials):
+        fields = dict(fields)
+        if "secret" in fields:
+            coefficients[k] = fields["secret"]
+            fields["secret"] = SecretSpec(variant, fields["secret"])
+        if "probabilities" in fields:
+            weights[k].flat = fields["probabilities"]
+            fields["probabilities"] = tuple(
+                OutcomeWeight(j // 2, j % 2, p)
+                for j, p in enumerate(fields["probabilities"])
+            )
+        if "bob_state_before" in fields:
+            before[k] = fields["bob_state_before"]
+            fields["bob_state_before"] = StateVector._from_checked(before[k])
+        corrections[k] = fields.get("correction", corrections[k])
+        fidelities[k] = fields.get("fidelity", fidelities[k])
+        want.append(cli._json_text(dataclasses.replace(t, **fields).to_dict(), 2))
+    chunk = dataclasses.replace(
+        chunk, coefficients=coefficients, bob_before=before,
+        corrections=corrections, fidelities=fidelities,
+    )
+    monkeypatch.setattr(cli, "_joint_weights", lambda branches: weights)
+    return list(cli._transcripts(chunk, template, None)), want
 
 
 class TestFilledJson:
-    """``_transcript_json`` writes the bytes ``_json_text`` writes."""
+    """``_transcripts`` writes, for each trial of a chunk, the bytes
+    ``_json_text`` writes of the Transcript ``run_protocol`` makes of that
+    trial alone."""
 
     @staticmethod
-    def transcripts(variant: Variant) -> dict[str, Transcript]:
-        rng = substream(11, 0)
-        fixed = SecretSpec(variant, FIXED_COEFFICIENTS[variant])
-        return {
-            "sampled": run_protocol(random_secret(variant, rng), rng=rng),
-            "forced": run_protocol(random_secret(variant, rng), forced=(1, 1)),
-            "fixed": run_protocol(fixed, seed=3),
-        }
-
-    @staticmethod
-    def assert_filled(t: Transcript, templates: dict):
-        filled = cli._transcript_json(t, templates, cli._ScalarTexts())
-        assert filled == cli._json_text(t.to_dict(), 2)
-
-    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_transcripts_match_json_text(self, variant):
-        templates, scalars = {}, cli._ScalarTexts()
-        for _ in range(2):  # builds the template, then fills the cached one
-            for how, t in self.transcripts(variant).items():
-                filled = cli._transcript_json(t, templates, scalars)
-                assert filled == cli._json_text(t.to_dict(), 2), how
-        assert list(templates) == [variant]
-
-    def test_edge_floats_and_strings_match_json_text(self):
-        # a NaN fidelity, a -0.0 amplitude, JSON's float constants, and a
-        # leaf string with a "%" and non-ASCII text
-        nan, inf = math.nan, math.inf
-        amps = np.array([0.5, -0.0, 0.5, complex(0.0, -0.0), -0.5, 0, 0, -0.5j])
-        coefficients = (complex(nan, -0.0), complex(inf, -inf), -0.0j, 1e-300)
-        t = _hand_built(
-            secret=SecretSpec(Variant.THREE_A, coefficients),
-            alice_cbits="10%s \u2603",
-            bob_state_before=StateVector(amps),
-            fidelity=nan,
-            probabilities=_weights(inf, -inf, nan, 1e22, -0.0, 0.0, 0.1),
+    def assert_run_filled(variant: Variant, how: str, trials: int):
+        seed = 11
+        secret, forced = _run_args(variant, how)
+        chunks = list(
+            protocol.run_trials(variant, seed, trials, secret=secret, forced=forced)
         )
-        templates = {}
-        for _ in range(2):
-            self.assert_filled(t, templates)
-        assert len(templates) == 1
+        texts = _filled(chunks, seed, secret, forced)
+        assert len(texts) == trials
+        for t, text in enumerate(texts):
+            rng = substream(seed, t)  # trial t's own generator
+            spec = secret if secret is not None else random_secret(variant, rng)
+            want = run_protocol(spec, rng=rng, forced=forced)
+            assert text == cli._json_text(want.to_dict(), 2), t
 
-    def test_repeated_floats_and_signed_zeros_match_json_text(self):
-        # repeated values reuse their memoized text; 0.0 and -0.0 compare
-        # equal, so neither may take the other's text, in either order
+    @pytest.mark.parametrize("how", HOWS)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_every_trial_is_its_own_run_protocol_transcript(self, variant, how):
+        self.assert_run_filled(variant, how, TRIAL_CHUNK + 2)
+
+    def test_edge_floats_and_strings_match_json_text(self, monkeypatch):
+        # a NaN fidelity, a -0.0 amplitude, JSON's float constants, and a
+        # leaf string with a "%" and non-ASCII text, in two trials
+        nan, inf = math.nan, math.inf
+        amps = [0.5, -0.0, 0.5, complex(0.0, -0.0), -0.5, 0, 0, -0.5j] + [0] * 8
+        edges = {
+            "secret": (complex(nan, -0.0), complex(inf, -inf)),
+            "correction": types.SimpleNamespace(labels=("I", "10%s \u2603", "I", "I")),
+            "bob_state_before": amps,
+            "fidelity": nan,
+            "probabilities": (inf, -inf, nan, 1e22, -0.0, 0.0, 0.1, 1e-300),
+        }
+        texts, want = _hand_built(monkeypatch, [edges, edges])
+        assert texts == want
+
+    def test_repeated_floats_and_signed_zeros_match_json_text(self, monkeypatch):
+        # repeated values reuse their memoized text across a chunk's trials;
+        # 0.0 and -0.0 compare equal, so neither may take the other's text,
+        # in either order
         nan = math.nan
-        templates = {}
-        for weights in (
-            (0.1, -0.1, 0.1, 1 / 3, -0.1, 1 / 3, 0.1, 1e-300, 1e-300),
-            (0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0),
-            (-0.0, 0.0, -0.0, 0.0, nan, nan, math.inf, -math.inf, math.inf),
-            (np.float64(0.1), 0.1, np.float64(-0.0), 0.0, -0.0, 0.1, 0.0, nan, 0.1),
-        ):
-            t = _hand_built(fidelity=weights[0], probabilities=_weights(*weights))
-            self.assert_filled(t, templates)
+        trials = [
+            {"fidelity": values[0], "probabilities": values[1:]}
+            for values in (
+                (0.1, -0.1, 0.1, 1 / 3, -0.1, 1 / 3, 0.1, 1e-300, 1e-300),
+                (0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0),
+                (-0.0, 0.0, -0.0, 0.0, nan, nan, math.inf, -math.inf, math.inf),
+                (np.float64(0.1), 0.1, np.float64(-0.0), 0.0, -0.0, 0.1, 0.0, nan, 0.1),
+                (np.float64(-0.0), 0.0, 0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 0.0),
+            )
+        ]
+        texts, want = _hand_built(monkeypatch, trials)
+        assert texts == want
 
     def test_percent_and_non_ascii_in_the_template(self, monkeypatch):
         # the template's text comes from to_dict's keys: escape it for %
@@ -370,18 +434,15 @@ class TestFilledJson:
             return {("v%s \u00e9" if k == "variant" else k): v for k, v in doc.items()}
 
         monkeypatch.setattr(Transcript, "to_dict", renamed)
-        templates = {}
-        for t in self.transcripts(Variant.FOUR).values():
-            self.assert_filled(t, templates)
+        for how in HOWS:
+            self.assert_run_filled(Variant.FOUR, how, 3)
 
-    @pytest.mark.parametrize("count", [7, 9], ids=["fewer", "more"])
-    def test_leaf_count_off_its_template_raises(self, count):
-        templates = {}
-        eight = _hand_built(probabilities=_weights(*[0.5] * 8))
-        self.assert_filled(eight, templates)
-        other = _hand_built(probabilities=_weights(*[0.5] * count))
+    @pytest.mark.parametrize("count", [2, 4], ids=["fewer", "more"])
+    def test_leaf_count_off_its_template_raises(self, monkeypatch, count):
+        # three-a corrections have 3 labels
+        correction = {"correction": PauliString(("I",) * count)}
         with pytest.raises(ValueError, match="leaves"):
-            cli._transcript_json(other, templates, cli._ScalarTexts())
+            _hand_built(monkeypatch, [{}, correction], Variant.THREE_A)
 
     def test_key_that_reads_as_a_slot_raises(self, monkeypatch):
         # the skeleton's leaf stand-in as a key adds a slot to the template
@@ -390,7 +451,51 @@ class TestFilledJson:
             Transcript, "to_dict", lambda self: {"\x00": 1, **to_dict(self)}
         )
         with pytest.raises(ValueError, match="leaves"):
-            cli._transcript_json(_hand_built(), {}, cli._ScalarTexts())
+            self.assert_run_filled(Variant.FOUR, "sampled", 3)
+
+
+@pytest.mark.parametrize("how", HOWS)
+def test_json_run_makes_one_run_protocol_call(how, monkeypatch, capsys):
+    # trial 0 alone, on its own generator and secret, gives the template;
+    # csv and text make no call
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs, kwargs["rng"].bit_generator.state))
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", counting)
+    variant, trials = Variant.THREE_A, 2 * TRIAL_CHUNK + 1
+    secret, forced = _run_args(variant, how)
+    argv = ["run", "--variant", variant.value, "--trials", str(trials), "--seed", "3"]
+    if secret is not None:
+        argv += ["--secret", ",".join(map(str, secret.coefficients))]
+    if forced is not None:
+        argv += ["--forced", ",".join(map(str, forced))]
+    for fmt in ("csv", "text"):
+        run_cli(argv + ["--format", fmt], capsys)
+    assert calls == []
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and len(json.loads(out)["transcripts"]) == trials
+    ((args, kwargs, state),) = calls
+    rng = substream(3, 0)
+    spec = secret if secret is not None else random_secret(variant, rng)
+    assert args == (spec,) and kwargs["forced"] == forced
+    assert state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "field, value", [("alice_outcome", 99), ("charlie_bit", 2), ("fidelity", 0.5)]
+)
+def test_json_run_whose_trial_zero_differs_from_run_protocol_raises(
+    field, value, monkeypatch, capsys
+):
+    def other(*args, **kwargs):
+        return dataclasses.replace(run_protocol(*args, **kwargs), **{field: value})
+
+    monkeypatch.setattr(cli, "run_protocol", other)
+    with pytest.raises(RuntimeError, match="differs from run_protocol"):
+        main(["run", "--variant", "four", "--trials", "3", "--format", "json"])
 
 
 def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, reference):
@@ -416,9 +521,10 @@ def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, refer
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_random_secrets_are_one_draw_per_chunk(fmt, monkeypatch, capsys):
-    # csv keeps each chunk's secrets as coefficient rows: no random_secret
-    # call and no SecretSpec. JSON builds one SecretSpec per trial for its
-    # run_protocol call, and validates only that secret's StateVector.
+    # both formats keep each chunk's secrets as coefficient rows: no
+    # random_secret call and no SecretSpec per trial. JSON builds one
+    # SecretSpec per run, for trial 0's run_protocol call, and validates only
+    # that secret's StateVector.
     argv = ["run", "--variant", "three-a", "--seed", "6", "--format", fmt]
     run_cli([*argv, "--trials", "1"], capsys)  # fills the caches first
     counts = collections.Counter()
@@ -442,9 +548,9 @@ def test_random_secrets_are_one_draw_per_chunk(fmt, monkeypatch, capsys):
         monkeypatch.setattr(cls, "__post_init__", wrapped)
     code, out, _ = run_cli([*argv, "--trials", "300"], capsys)
     assert code == 0 and out
-    per_trial = 0 if fmt == "csv" else 300
+    per_run = 0 if fmt == "csv" else 1
     got = [counts[key] for key in ("random_secret", "SecretSpec", "StateVector")]
-    assert got == [0, per_trial, per_trial]
+    assert got == [0, per_run, per_run]
 
 
 class TestRunErrors:

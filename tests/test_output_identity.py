@@ -49,6 +49,13 @@ RUN_GRID += [
     for seed in (2**32, 2**96 + 1)
     for fmt in ("csv", "json")
 ]
+# JSON across two chunk boundaries, forced and with one fixed secret
+RUN_GRID += [
+    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", "8"]
+    + ["--format", "json", *how]
+    for v in VARIANTS
+    for how in (["--forced", "3,1"], ["--secret", SECRETS[v]])
+]
 VERIFY_GRID = [
     ["verify", "--all", "--format", fmt, *encoding]
     for fmt in ("json", "text")

@@ -1,6 +1,6 @@
 """Each measurement projects the state onto its basis exactly once; ``run``
-with csv or text output projects a whole chunk of trials at once, and the
-oracle projects each stack of secrets once.
+projects a whole chunk of trials at once, in every format, and the oracle
+projects each stack of secrets once.
 
 Every basis projection goes through ``statevec._split_measured``; wrapping it
 in each ghzsplit module that holds it counts projections by the number of
@@ -67,21 +67,17 @@ def test_a_trial_projects_once_per_party(how, projections):
     assert projections == {5: 1, 1: 1}
 
 
-@pytest.mark.parametrize("fmt", ["csv", "text"])
-def test_run_projects_once_per_party_per_chunk(fmt, projections, capsys):
+@pytest.mark.parametrize(
+    "fmt, alone", [("csv", 0), ("text", 0), ("json", 1)], ids=["csv", "text", "json"]
+)
+def test_run_projects_once_per_party_per_chunk(fmt, alone, projections, capsys):
     # three chunks: TRIAL_CHUNK, TRIAL_CHUNK and 1 trials, each one stacked
-    # projection onto Alice's basis and one onto Charlie's
+    # projection onto Alice's basis and one onto Charlie's; JSON also makes
+    # trial 0 alone by run_protocol, for its template
     trials = str(2 * TRIAL_CHUNK + 1)
     main(["run", "--variant", "three-b", "--trials", trials, "--format", fmt])
     assert capsys.readouterr().out
-    assert projections == {5: 3, 1: 3}
-
-
-def test_json_run_projects_once_per_party_per_trial(projections, capsys):
-    # the JSON document is built from one run_protocol call per trial
-    main(["run", "--variant", "three-b", "--trials", "5", "--format", "json"])
-    assert capsys.readouterr().out
-    assert projections == {5: 5, 1: 5}
+    assert projections == {5: 3 + alone, 1: 3 + alone}
 
 
 @pytest.fixture

@@ -184,7 +184,8 @@ class TestStackedSecretDraw:
     """A chunk's secrets, drawn as one stack by ``trial_draws``, against one
     ``random_secret`` per trial and the frozen two-call draw of 0.1.0."""
 
-    TRIALS = (0, 127, 128, 256)  # both ends of the first chunk, then the third
+    # both ends of the first chunk, then the second and the third
+    TRIALS = (0, TRIAL_CHUNK - 1, TRIAL_CHUNK, 2 * TRIAL_CHUNK)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     @settings(max_examples=10, deadline=None)
@@ -702,6 +703,48 @@ class TestSubstream:
         a = substream(5, 1, 2).normal(size=3)
         b = np.random.default_rng([5, 1, 2]).normal(size=3)
         np.testing.assert_array_equal(a, b)
+
+    SPEC = SecretSpec(Variant.FOUR, (0.5, 0.5j))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: substream("7", 0),
+            lambda: substream(7.9, 0),
+            lambda: substream(True, 0),
+            lambda: substream(7, "0"),
+            lambda: substream(7, 0.0),
+            lambda: next(run_trials("four", 1.5, 3)),
+            lambda: next(run_trials("four", 1, True)),
+            lambda: next(run_trials("four", 1, 2.0)),
+            lambda: next(trial_draws("four", "1", 3)),
+            lambda: run_protocol(TestSubstream.SPEC, seed=True),
+            lambda: run_protocol(TestSubstream.SPEC, seed=3.0),
+            lambda: run_protocol(TestSubstream.SPEC, seed=True, forced=(1, 1)),
+        ],
+        ids=[
+            "substream-str-seed", "substream-float-seed", "substream-bool-seed",
+            "substream-str-key", "substream-float-key", "run_trials-float-seed",
+            "run_trials-bool-trials", "run_trials-float-trials",
+            "trial_draws-str-seed", "run_protocol-bool-seed",
+            "run_protocol-float-seed", "run_protocol-bool-seed-forced",
+        ],
+    )
+    def test_seeds_keys_and_trial_counts_must_be_integers(self, call):
+        # each ran as its int() before, or raised a bare TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_are_integers(self):
+        state = substream(np.int64(7), np.uint8(2)).bit_generator.state
+        assert state == substream(7, 2).bit_generator.state
+        chunks = run_trials("four", np.uint32(1), np.int64(3))
+        assert next(chunks).fidelities == next(run_trials("four", 1, 3)).fidelities
+        # a seed gives the generator np.random.default_rng(seed) gives
+        got = run_protocol(self.SPEC, seed=np.int64(3))
+        want = run_protocol(self.SPEC, rng=np.random.default_rng(3))
+        for field in ("alice_outcome", "charlie_bit", "fidelity"):
+            assert getattr(got, field) == getattr(want, field)
 
     def test_distinct_keys_give_distinct_streams(self):
         a = substream(5, 1).normal(size=4)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,3 +427,16 @@ class TestStackedRows:
             check_normalized(np.vstack([rows[:1], 2 * rows[1:]]))
         with pytest.raises(NormalizationError):
             check_normalized(np.vstack([rows[:1], np.nan * rows[1:]]))
+        with pytest.raises(NormalizationError):
+            check_normalized(np.array([[1.0, 0.0], [np.inf, 0.0]], dtype=complex))
+
+    def test_norm_check_makes_no_temporary_the_size_of_the_stack(self):
+        # 64 rows of 1024 amplitudes (1 MiB); the squares took 1 MiB more
+        rows = np.full((64, 1024), 1 / 32, dtype=complex)
+        tracemalloc.start()
+        try:
+            check_normalized(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes // 8
