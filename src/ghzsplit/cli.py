@@ -15,7 +15,9 @@ and writes each chunk's csv rows, text lines or JSON transcripts before the
 next chunk is made; the JSON document comes out in the bytes
 ``json.dumps(document, indent=2)`` gives. A transcript is filled straight
 from the chunk's arrays into a ``%`` template, built once per run from the
-``to_dict`` tree of trial 0 made alone by ``run_protocol``.
+``to_dict`` tree of trial 0 made alone by ``run_protocol``. The template
+already holds the leaves every trial of the run shares; a chunk's floats get
+one ``repr`` per distinct bit pattern.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -50,7 +52,6 @@ from .protocol import (
     Variant,
     VARIANT_SPECS,
     _joint_weights,
-    _outcome_keys,
     alice_cbits,
     build_alice_basis,
     published_correction_table,
@@ -198,30 +199,30 @@ def _json_text(value, depth: int = 0) -> str:
 
 # what json.dumps writes for the floats whose repr is not JSON
 _FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# stands in for every leaf of a template's skeleton; JSON writes it escaped
+# stands in for every per-trial leaf of a template's tree; JSON writes it escaped
 _LEAF = "\x00"
+# the transcript fields that differ between a run's trials, besides its floats
+_PER_TRIAL = {"alice_outcome", "alice_cbits", "charlie_bit", "messages", "correction"}
 
 
-class _FloatTexts(dict):
-    """The JSON text of each float looked up, memoized for nonzero floats:
-    a chunk's transcripts repeat many values. Zero stays out, because 0.0 == -0.0
-    but their texts differ."""
-
-    def __missing__(self, value: float) -> str:
-        text = float.__repr__(value)
-        text = _FLOAT_CONSTANTS.get(text, text)
-        if value:
-            self[value] = text
-        return text
+def _float_texts(floats: np.ndarray) -> list[list[str]]:
+    """The JSON text of each float of a ``(rows, width)`` array, a list per
+    row: one ``float.__repr__`` per distinct bit pattern, so 0.0 and -0.0,
+    which compare equal, keep their own texts."""
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    table = np.array(list(map(_FLOAT_CONSTANTS.get, texts, texts)), dtype=object)
+    return table[inverse.reshape(floats.shape)].tolist()
 
 
-def _skeleton(value):
-    """``value`` with every leaf replaced by ``_LEAF``."""
+def _skeleton(value, every: bool):
+    """``value`` with its float leaves, or with ``every`` all its leaves,
+    replaced by ``_LEAF``."""
     if isinstance(value, dict):
-        return {key: _skeleton(item) for key, item in value.items()}
+        return {key: _skeleton(item, every) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_skeleton(item) for item in value]
-    return _LEAF
+        return [_skeleton(item, every) for item in value]
+    return _LEAF if every or isinstance(value, float) else value
 
 
 def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
@@ -230,6 +231,8 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
     alone by ``run_protocol``: on trial 0's generator and secret from
     ``trial_draws``, sampled or forced as the run is. Its outcomes and
     fidelity must be those of row 0 of ``chunk``, or RuntimeError is raised.
+    Only the floats and the ``_PER_TRIAL`` fields are slots: the leaves that
+    every trial of a run shares are written into the template.
     """
     (rng,), coefficients = next(trial_draws(chunk.variant, seed, 1, secret))
     if coefficients is not None:
@@ -238,7 +241,8 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
     row = (chunk.alice_outcomes[0], chunk.charlie_bits[0], chunk.fidelities[0])
     if (t.alice_outcome, t.charlie_bit, t.fidelity) != row:
         raise RuntimeError(f"the kernel's trial 0 {row} differs from run_protocol's")
-    text = _json_text(_skeleton(t.to_dict()), 2).replace("%", "%%")
+    tree = {key: _skeleton(v, key in _PER_TRIAL) for key, v in t.to_dict().items()}
+    text = _json_text(tree, 2).replace("%", "%%")
     slot = json.dumps(_LEAF)
     return text.replace(slot, "%s"), text.count(slot)
 
@@ -247,35 +251,30 @@ def _transcripts(chunk: TrialChunk, template: tuple[str, int], secret) -> Iterat
     """``_json_text(t.to_dict(), 2)`` for the Transcript t ``run_protocol``
     makes of each trial of ``chunk``, one at a time: ``template`` filled in
     document order from the chunk's arrays, and from ``secret`` when the
-    chunk holds no coefficient rows. A trial whose leaf count does not fit
-    the template raises ValueError instead of writing other bytes.
+    chunk holds no coefficient rows: the chunk's floats as one array
+    (``_float_texts``), the other leaves one tuple per outcome, bit and
+    correction. A trial whose leaf count does not fit the template raises
+    ValueError instead of writing other bytes.
     """
     text, count = template
-    floats, string = _FloatTexts().__getitem__, encode_basestring_ascii
-    name = string(chunk.variant.value)
-    head = [int.__repr__(SCHEMA_VERSION), name, string("coefficients"), name]
     coefficients = chunk.coefficients
     if coefficients is None:  # the run's fixed secret in every trial
         coefficients = np.array([secret.coefficients] * len(chunk.fidelities))
-    weights = _joint_weights(chunk.alice_branches)
-    # (alice_outcome, charlie_bit, probability) per joint weight
-    keys = _outcome_keys(weights.shape[1])
-    joint = [""] * 3 * len(keys[0])
-    joint[0::3], joint[1::3] = (map(int.__repr__, column) for column in keys)
-    bob = np.concatenate([chunk.bob_before, chunk.bob_after], axis=1)
-    trials = zip(
-        coefficients.view(np.float64).tolist(), chunk.alice_outcomes,
-        chunk.charlie_bits, chunk.corrections, bob.view(np.float64).tolist(),
-        chunk.fidelities, weights.reshape(len(weights), -1).tolist(),
-    )
-    for pairs, i, b, correction, amplitudes, f, probabilities in trials:
-        cbits = string(alice_cbits(i))
-        joint[2::3] = map(floats, probabilities)
-        leaves = [
-            *head, *map(floats, pairs), int.__repr__(i), cbits, int.__repr__(b),
-            cbits, string(str(b)), *map(string, correction.labels),
-            *map(floats, amplitudes), floats(f), *joint,
-        ]
+    weights = _joint_weights(chunk.alice_branches).reshape(len(coefficients), -1)
+    pairs = np.column_stack([coefficients, chunk.bob_before, chunk.bob_after])
+    floats = np.column_stack([pairs.view(np.float64), chunk.fidelities, weights])
+    split = 2 * coefficients.shape[1]  # the trial's other leaves follow the secret
+    string, others = encode_basestring_ascii, {}
+    trials = zip(chunk.alice_outcomes, chunk.charlie_bits, chunk.corrections)
+    for leaves, (i, b, correction) in zip(_float_texts(floats), trials):
+        key = i, b, correction.labels  # a correction need not be hashable
+        if key not in others:
+            cbits = string(alice_cbits(i))
+            others[key] = (
+                int.__repr__(i), cbits, int.__repr__(b), cbits, string(str(b)),
+                *map(string, correction.labels),
+            )
+        leaves[split:split] = others[key]
         if len(leaves) != count:
             raise ValueError(f"{len(leaves)} leaves do not fit a {count}-leaf template")
         yield text % tuple(leaves)

@@ -673,6 +673,14 @@ def _resolve_secret(
     return variant, secret
 
 
+def _resolve_forced(forced: tuple[int, int] | None) -> tuple[int, int] | None:
+    """``forced`` as a pair of ints; a bool or a non-integer is refused."""
+    if forced is None:
+        return None
+    outcome, bit = forced
+    return _integer(outcome, "alice_outcome"), _integer(bit, "charlie_bit")
+
+
 def _hadamard_halves(branches: np.ndarray) -> np.ndarray:
     """``h0 + h1`` and ``h0 - h1`` along axis -2 of Alice's (stacked)
     branches, h0 and h1 a branch's halves with Charlie's qubit, the last,
@@ -792,6 +800,8 @@ def trial_draws(
     """
     variant = Variant.parse(variant)
     trials = _integer(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     for start in range(0, trials, TRIAL_CHUNK):
         rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, trials))
         yield rngs, _draw_coefficients(variant, rngs) if secret is None else None
@@ -806,9 +816,11 @@ def run_trials(
     forced: tuple[int, int] | None = None,
 ) -> Iterator[TrialChunk]:
     """Trials ``0 .. trials - 1`` with the published table, drawn as
-    ``trial_draws`` says and run a chunk at a time."""
+    ``trial_draws`` says and run a chunk at a time; ``secret`` and ``forced``
+    are checked as ``run_protocol`` checks them."""
     variant = Variant.parse(variant)
-    fixed = None if secret is None else secret.state
+    fixed = None if secret is None else _resolve_secret(secret, variant)[1]
+    forced = _resolve_forced(forced)
     basis = build_alice_basis(variant)
     table = published_correction_table(variant)
     for rngs, coefficients in trial_draws(variant, seed, trials, secret):
@@ -841,12 +853,10 @@ def run_protocol(
     if rng is not None and seed is not None:
         raise ValueError("pass rng or seed, not both")
     variant, secret_state = _resolve_secret(secret, variant)
+    forced = _resolve_forced(forced)
     if seed is not None:
         rng = substream(seed)
-    if forced is not None:
-        outcome, bit = forced
-        forced = (_integer(outcome, "alice_outcome"), _integer(bit, "charlie_bit"))
-    elif rng is None:
+    if forced is None and rng is None:
         raise ValueError("need rng, seed, or forced outcomes")
     chunk = _run_chunk(
         variant, None, secret_state.amplitudes[None], [rng], forced,

@@ -408,9 +408,9 @@ class TestFilledJson:
         assert texts == want
 
     def test_repeated_floats_and_signed_zeros_match_json_text(self, monkeypatch):
-        # repeated values reuse their memoized text across a chunk's trials;
-        # 0.0 and -0.0 compare equal, so neither may take the other's text,
-        # in either order
+        # repeated values share one text per bit pattern across a chunk's
+        # trials; 0.0 and -0.0 compare equal, so neither may take the
+        # other's text, in either order
         nan = math.nan
         trials = [
             {"fidelity": values[0], "probabilities": values[1:]}
@@ -424,6 +424,34 @@ class TestFilledJson:
         ]
         texts, want = _hand_built(monkeypatch, trials)
         assert texts == want
+
+    def test_float_texts_match_json_text(self):
+        # one repr per distinct bit pattern: 0.0 and -0.0 compare equal but
+        # keep their own texts, and every NaN (sign bit set, or a payload)
+        # is written as NaN
+        values = np.array(
+            [
+                [0.0, -0.0, 0.1, 0.0, math.inf, 1e16],
+                [-0.0, 0.0, 1e-5, 0.0, -math.inf, 5e-324],
+                [0.0, 0.0, 0.1, 0.0, 1e16, -0.0],
+                [-0.0, -0.0, 5e-324, 0.0, 0.1, 1e-5],
+            ]
+        )
+        nans = values.view(np.uint64)[:, 3]
+        nans[:] = [0xFFF8000000000000, 0x7FF8000000000001] * 2
+        assert len(np.unique(values.view(np.int64))) == 10
+        texts = cli._float_texts(values)
+        assert texts == [[json.dumps(float(x)) for x in row] for row in values]
+
+    @pytest.mark.parametrize(
+        "variant, slots", [("three-a", 81), ("three-b", 81), ("four", 86)]
+    )
+    def test_template_slots_are_the_per_trial_leaves(self, variant, slots):
+        # the schema version, the variant name, the secret's kind and each
+        # joint weight's outcome and bit are written into the template once
+        chunk = next(protocol.run_trials(variant, 3, 2))
+        text, count = cli._template(chunk, 3, None, None)
+        assert count == text.count("%s") == slots
 
     def test_percent_and_non_ascii_in_the_template(self, monkeypatch):
         # the template's text comes from to_dict's keys: escape it for %

@@ -494,6 +494,10 @@ class TestRunProtocol:
         spec = SecretSpec(Variant.THREE_A, (1, 0, 0, 0))
         with pytest.raises(ValueError, match="contradicts"):
             run_protocol(spec, variant=Variant.THREE_B, forced=(0, 0))
+        # run_trials raised OutOfSpanError ("outside the basis span")
+        for forced in (None, (0, 0)):
+            with pytest.raises(ValueError, match="contradicts"):
+                next(run_trials(Variant.FOUR, 1, 2, secret=spec, forced=forced))
 
     def test_needs_some_outcome_source(self):
         with pytest.raises(ValueError, match="need rng, seed, or forced"):
@@ -509,10 +513,14 @@ class TestRunProtocol:
          ((1,), "values to unpack"), ((1, 0, 7), "values to unpack")],
     )
     def test_forced_outcomes_must_be_two_integers(self, forced, message):
-        # each ran as another outcome, or (1,) raised a bare IndexError
+        # each ran as another outcome, or (1,) raised a bare IndexError;
+        # run_trials ran (True, 1) as outcome 1 and (1.5, 0) raised IndexError
         spec = SecretSpec(Variant.THREE_A, (1, 0, 0, 0))
         with pytest.raises(ValueError, match=message):
             run_protocol(spec, forced=forced)
+        for secret in (None, spec):
+            with pytest.raises(ValueError, match=message):
+                next(run_trials(Variant.THREE_A, 1, 2, secret=secret, forced=forced))
 
     def test_forced_numpy_integers_accepted(self):
         spec = SecretSpec(Variant.THREE_A, (0.6, 0, 0.8j, 0))
@@ -734,6 +742,13 @@ class TestSubstream:
         # each ran as its int() before, or raised a bare TypeError
         with pytest.raises(ValueError, match="must be an integer"):
             call()
+
+    @pytest.mark.parametrize("trials", [0, -5, np.int64(0)])
+    def test_trial_count_below_one_rejected(self, trials):
+        # each yielded no chunk; the CLI refuses --trials below 1 too
+        for draws in (run_trials("four", 1, trials), trial_draws("four", 1, trials)):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                next(draws)
 
     def test_numpy_integers_are_integers(self):
         state = substream(np.int64(7), np.uint8(2)).bit_generator.state
