@@ -31,6 +31,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -110,15 +111,16 @@ def _parse_secret(text: str, variant: Variant) -> SecretSpec:
                 f"could not parse secret coefficient {part!r}; use Python "
                 "complex syntax such as 0.5 or 0.5+0.5j",
             )
-    # NaN, inf or an overflowing weight sum fails the norm check with a
-    # deficit (nan or inf) that the JSON error could not carry
-    weight = sum(abs(c) for c in coeffs)
-    if not math.isfinite(weight * weight):
+    # NaN or inf would fail the norm check with a deficit (nan or inf) that
+    # the JSON error could not carry
+    if not np.isfinite(coeffs).all():
         _emit_error("config", f"secret coefficients must be finite, got {text!r}")
     spec = SecretSpec(variant, tuple(coeffs))
     try:
         spec.state  # checks count and norm; built once, for every trial
     except NormalizationError as exc:
+        if math.isinf(exc.deficit):  # finite coefficients, too heavy a weight
+            _emit_error("config", f"secret coefficient weights overflow, got {text!r}")
         _emit_error("config", str(exc), deficit=exc.deficit)
     except ValueError as exc:  # a wrong coefficient count
         _emit_error("config", str(exc))
@@ -512,6 +514,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ghzsplit",

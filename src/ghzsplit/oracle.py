@@ -43,7 +43,7 @@ from .protocol import (
     CorrectionTable,
     Variant,
     VARIANT_SPECS,
-    _combined_rows,
+    _alice_measurement,
     _draw_coefficients,
     _hadamard_halves,
     _secret_layout,
@@ -62,10 +62,8 @@ from .statevec import (
     _integer,
     _pauli_tables,
     basis_projection_probabilities,
-    check_normalized,
     collapse,
     force_hadamard_outcome,
-    project,
 )
 
 # least out-of-span mass for a secret to count as outside the restricted class
@@ -101,14 +99,14 @@ def _class_images(
     """``Kint[i, b] @ V`` for every row, (outcomes, 2, 2**bob, coefficients)
     int64, and the target ``mu * V``, built once per (variant, basis).
 
-    One ``project`` of the secret's unit kets, tensored with the channel,
+    Alice's measurement (``_alice_measurement``) of the secret's unit kets
     gives every row's map at once; ``_hadamard_halves`` splits each branch
     by Charlie's Hadamard outcome.
     Raises ValueError if ``basis`` does not make ``4*sqrt(2)*K`` integral.
     """
     vs = VARIANT_SPECS[variant]
     dim = 2**vs.secret_qubits
-    branches, _ = project(_combined_rows(variant, np.eye(dim, dtype=complex)), basis)
+    branches, _ = _alice_measurement(variant, basis).project(np.eye(dim, dtype=complex))
     # (a ± b) / sqrt(2) times 4*sqrt(2): (kets, outcomes, bit, 2**bob)
     scaled = 4 * _hadamard_halves(branches)
     kint = np.rint(scaled.real)
@@ -332,14 +330,13 @@ def _sampled_rows(
     """Bob's pre-correction states for every (row key, test secret) pair,
     (keys, secrets, 2**bob), and the test secrets' amplitude rows.
 
-    One ``project`` of the stacked test secrets onto Alice's basis, its span
-    checked once; then one stacked ``collapse`` of the pairs' branches,
-    picked by index, and one stacked Hadamard collapse of Charlie's qubit,
-    which follows Bob's.
+    One ``_alice_measurement`` of the stacked test secrets, its span checked
+    once; then one stacked ``collapse`` of the pairs' branches, picked by
+    index, and one stacked Hadamard collapse of Charlie's qubit, which
+    follows Bob's.
     """
     secrets = _secret_rows(variant, _test_secrets(variant))
-    check_normalized(secrets)
-    branches, probs = project(_combined_rows(variant, secrets), basis)
+    branches, probs = _alice_measurement(variant, basis).project(secrets)
     _check_span(probs)
     count = len(secrets)
     picked = np.tile(np.arange(count), len(keys))
@@ -457,8 +454,8 @@ def verify_span(
         random_arbitrary_secret(variant, rng).amplitudes
         for _ in range(invalid_trials)
     ]
-    combined = _combined_rows(variant, np.vstack([valid, *invalid]))
-    probs = basis_projection_probabilities(combined, build_alice_basis(variant))
+    alice = _alice_measurement(variant, build_alice_basis(variant))
+    probs = basis_projection_probabilities(np.vstack([valid, *invalid]), alice)
     out_of_span = tuple(1.0 - float(np.sum(row)) for row in probs)
     return SpanReport(
         variant, out_of_span[:valid_trials], out_of_span[valid_trials:]

@@ -38,11 +38,13 @@ import numpy as np
 
 from .statevec import (
     NORM_ATOL,
+    LiftedBasis,
     NormalizationError,
     OrthonormalBasis,
     PauliString,
     StateVector,
     _integer,
+    _probabilities,
     _xor_sign_tables,
     apply_pauli_string,
     check_normalized,
@@ -51,7 +53,6 @@ from .statevec import (
     force_hadamard_outcome,
     measure_hadamard,
     measure_in_basis,
-    project,
     tensor_product,
 )
 
@@ -254,15 +255,6 @@ def _secret_rows(
     # adding to zeros turns a -0.0 part into 0.0: the bits that 0.1.0 writes
     rows[:, slots] += coeffs[:, picks]
     return rows
-
-
-def _combined_rows(variant: Variant, secret_rows: np.ndarray) -> np.ndarray:
-    """Each secret row tensored with the channel, norm-checked: np.kron's
-    values, as one outer product."""
-    channel = build_channel(variant).amplitudes
-    combined = (secret_rows[:, :, None] * channel).reshape(len(secret_rows), -1)
-    check_normalized(combined)
-    return combined
 
 
 def _draw_coefficients(
@@ -482,6 +474,16 @@ def _alice_basis(variant: Variant, encoding: str) -> OrthonormalBasis:
 build_alice_basis.cache_info = _alice_basis.cache_info
 
 
+@functools.cache
+def _alice_measurement(variant: Variant, basis: OrthonormalBasis) -> LiftedBasis:
+    """Alice's measurement in ``basis`` of secret rows (x) the channel, built
+    on first use per (variant, basis). Each channel ket fixes Bob's and
+    Charlie's bits, so a branch amplitude is one secret amplitude times a
+    constant (two in ``four``), with the dense projection's bits."""
+    qubits = VARIANT_SPECS[variant].secret_qubits
+    return LiftedBasis.of(basis, build_channel(variant), qubits)
+
+
 # ---------------------------------------------------------------------------
 # Published correction tables (verbatim, defects included)
 # ---------------------------------------------------------------------------
@@ -696,7 +698,7 @@ def _joint_weights(branches: np.ndarray) -> np.ndarray:
     """Joint weights ``[..., outcome, bit]`` from Alice's (stacked) branches."""
     signed = _hadamard_halves(branches)
     signed /= np.sqrt(2.0)
-    return np.add.reduce(np.abs(signed) ** 2, axis=-1)
+    return _probabilities(signed)
 
 
 @functools.cache
@@ -717,12 +719,12 @@ def outcome_distribution(
     """Exact joint probabilities of (alice_outcome, charlie_bit)."""
     variant, secret_state = _resolve_secret(secret, variant)
     combined = tensor_product(secret_state, build_channel(variant))
-    branches, _ = project(combined.amplitudes[None], build_alice_basis(variant))
+    branches, _ = build_alice_basis(variant).project(combined.amplitudes[None])
     return _outcome_weights(_joint_weights(branches)[0])
 
 
-# trials the kernel stacks per call: a chunk's arrays stay within about 1 MiB
-TRIAL_CHUNK = 64
+# trials the kernel stacks per call: Alice's branches take 512 KiB at most
+TRIAL_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -748,7 +750,6 @@ def _run_chunk(
     secret_rows: np.ndarray,
     rngs: list[np.random.Generator],
     forced: tuple[int, int] | None,
-    basis: OrthonormalBasis,
     table: CorrectionTable,
 ) -> TrialChunk:
     """The trial kernel: one protocol round per secret row, all stacked.
@@ -757,13 +758,13 @@ def _run_chunk(
     for Charlie) unless ``forced`` pins both outcomes. Every step is the
     same floating-point operation per row as on a single state.
     """
-    combined = _combined_rows(variant, secret_rows)
+    basis = _alice_measurement(variant, build_alice_basis(variant))
     bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
     if forced is None:
-        alice = measure_in_basis(combined, basis, rngs)
+        alice = measure_in_basis(secret_rows, basis, rngs)
         charlie = measure_hadamard(alice.residual, bob, rngs)
     else:
-        alice = force_basis_outcome(combined, basis, forced[0])
+        alice = force_basis_outcome(secret_rows, basis, forced[0])
         charlie = force_hadamard_outcome(alice.residual, bob, forced[1])
 
     keys = list(zip(alice.outcome.tolist(), charlie.outcome.tolist()))
@@ -821,15 +822,13 @@ def run_trials(
     variant = Variant.parse(variant)
     fixed = None if secret is None else _resolve_secret(secret, variant)[1]
     forced = _resolve_forced(forced)
-    basis = build_alice_basis(variant)
     table = published_correction_table(variant)
     for rngs, coefficients in trial_draws(variant, seed, trials, secret):
         if coefficients is None:
             rows = np.repeat(fixed.amplitudes[None], len(rngs), axis=0)
-        else:
+        else:  # Alice's projection checks the rows' norms
             rows = _secret_rows(variant, coefficients)
-            check_normalized(rows)  # what StateVector checks of build_secret's
-        yield _run_chunk(variant, coefficients, rows, rngs, forced, basis, table)
+        yield _run_chunk(variant, coefficients, rows, rngs, forced, table)
 
 
 def run_protocol(
@@ -860,7 +859,6 @@ def run_protocol(
         raise ValueError("need rng, seed, or forced outcomes")
     chunk = _run_chunk(
         variant, None, secret_state.amplitudes[None], [rng], forced,
-        build_alice_basis(variant),
         table if table is not None else published_correction_table(variant),
     )
     # Bob's rows become StateVectors without a second norm check: collapse

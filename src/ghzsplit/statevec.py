@@ -19,9 +19,11 @@ Conventions used throughout the package:
   return only ``(rows, 2**n)`` stacks of amplitude rows, doing the same
   floating-point work on every row; a single state is the one-row stack
   ``state.amplitudes[None]``, and only ``basis_projection_probabilities``
-  also takes a StateVector. Each projection's span is checked once, right
-  after ``project``. Of a stack's norms only the collapsed rows are checked;
-  the caller checks the rest with ``check_normalized``.
+  also takes a StateVector. A basis's ``project`` is a matmul, or for a
+  ``LiftedBasis`` (a basis on rows (x) one fixed state) a gather on the rows
+  that checks their norms. Each projection's span is checked once, right
+  after it. Of a stack's norms only the collapsed rows are checked; the
+  caller checks the rest with ``check_normalized``.
 """
 
 from __future__ import annotations
@@ -236,12 +238,11 @@ class OrthonormalBasis:
         """Vectors stacked as rows, shape (num_vectors, 2**k)."""
         return np.array([v.amplitudes for v in self.vectors])
 
-    @functools.cached_property
-    def bras(self) -> np.ndarray:
-        """``matrix().conj()``, built once; read-only."""
-        bras = self.matrix().conj()
-        bras.flags.writeable = False
-        return bras
+    def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's (outcomes, 2**rest) branches and (outcomes,)
+        probabilities, from one stacked matmul; the span is not checked."""
+        branches = self.matrix().conj() @ _split_measured(rows, self.target_qubits)
+        return branches, _probabilities(branches)
 
     def gram_defects(self, atol: float = NORM_ATOL) -> list[tuple[int, int, complex]]:
         """Entries (i, j, <vi|vj>) where the Gram matrix deviates from identity."""
@@ -253,6 +254,43 @@ class OrthonormalBasis:
             if i <= j:
                 out.append((int(i), int(j), complex(gram[i, j])))
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class LiftedBasis:
+    """A basis measured on ``row (x) fixed``, projected as a gather on the
+    rows: each branch amplitude sums at most two row amplitudes, ``sources``,
+    times constants, ``weights`` (both (terms, outcomes, 2**rest); weight 0
+    where an amplitude has fewer terms). Two terms add alike in any order."""
+
+    sources: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, basis: OrthonormalBasis, fixed: StateVector, width: int) -> LiftedBasis:
+        units = np.eye(2**width, dtype=complex)[:, :, None]
+        branches, _ = basis.project((units * fixed.amplitudes).reshape(2**width, -1))
+        nonzero = branches != 0
+        terms = int(np.max(np.add.reduce(nonzero, axis=0)))
+        if terms > 2:
+            raise ValueError(f"{terms} terms in a branch amplitude, more than 2")
+        # the kets with a term first, in ket order
+        sources = np.argsort(~nonzero, axis=0, kind="stable")[:terms]
+        weights = np.take_along_axis(branches, sources, axis=0)
+        sources.flags.writeable = weights.flags.writeable = False
+        return cls(sources, weights)
+
+    def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``OrthonormalBasis.project`` of each row (x) the fixed state, the
+        rows' norms checked first; the span is not checked."""
+        check_normalized(rows)
+        # np.take keeps the matmul's C order, so the probabilities sum alike
+        branches = np.take(rows, self.sources[0], axis=1)
+        branches *= self.weights[0]
+        if len(self.sources) == 2:
+            branches += np.take(rows, self.sources[1], axis=1) * self.weights[1]
+        branches += 0.0  # the +0.0 BLAS writes where no term is nonzero
+        return branches, _probabilities(branches)
 
 
 @dataclass(frozen=True)
@@ -299,25 +337,22 @@ def _split_measured(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     return t.reshape(*lead, 2 ** len(targets), -1)
 
 
-def project(
-    rows: np.ndarray, basis: OrthonormalBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every outcome's branch and probability for each row of a stack, from
-    one stacked matmul: (rows, outcomes, 2**rest) branches and (rows,
-    outcomes) probabilities. The span is not checked."""
-    branches = basis.bras @ _split_measured(rows, basis.target_qubits)
-    return branches, np.add.reduce(np.abs(branches) ** 2, axis=-1)
+def _probabilities(branches: np.ndarray) -> np.ndarray:
+    """Each branch's squared norm: ``|b|**2`` squared in place, summed."""
+    weights = np.abs(branches)
+    weights *= weights
+    return np.add.reduce(weights, axis=-1)
 
 
 def basis_projection_probabilities(
-    state: StateVector | np.ndarray, basis: OrthonormalBasis
+    state: StateVector | np.ndarray, basis: OrthonormalBasis | LiftedBasis
 ) -> np.ndarray:
     """Per-vector projection probabilities; no completeness requirement. A
     stack of amplitude rows gives one row of them per state; a StateVector,
     the one other input taken here, gives one (vectors,) array."""
     if isinstance(state, StateVector):
-        return project(state.amplitudes[None], basis)[1][0]
-    return project(state, basis)[1]
+        return basis.project(state.amplitudes[None])[1][0]
+    return basis.project(state)[1]
 
 
 def _check_span(probs: np.ndarray) -> None:
@@ -378,7 +413,9 @@ def collapse(
 
 
 def measure_in_basis(
-    rows: np.ndarray, basis: OrthonormalBasis, rngs: list[np.random.Generator]
+    rows: np.ndarray,
+    basis: OrthonormalBasis | LiftedBasis,
+    rngs: list[np.random.Generator],
 ) -> MeasurementResult:
     """Sample one projective outcome per row and collapse the measured qubits.
 
@@ -388,7 +425,7 @@ def measure_in_basis(
     basis vectors; no generator is drawn from then.
     """
     _check_one_per_row(rows, rngs, "generators")
-    branches, probs = project(rows, basis)
+    branches, probs = basis.project(rows)
     _check_span(probs)  # before sampling: an all-zero projection has no draw
     uniforms = np.array([rng.random() for rng in rngs])
     p = probs / np.add.reduce(probs, axis=-1, keepdims=True)
@@ -396,10 +433,10 @@ def measure_in_basis(
 
 
 def force_basis_outcome(
-    rows: np.ndarray, basis: OrthonormalBasis, outcome: int
+    rows: np.ndarray, basis: OrthonormalBasis | LiftedBasis, outcome: int
 ) -> MeasurementResult:
     """Deterministic collapse of every row onto one basis vector (no sampling)."""
-    branches, probs = project(rows, basis)
+    branches, probs = basis.project(rows)
     _check_span(probs)
     return collapse(branches, probs, outcome)
 

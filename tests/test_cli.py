@@ -614,9 +614,7 @@ class TestRunErrors:
         assert err["error"]["type"] == "config"
         assert err["error"]["deficit"] == pytest.approx(0.5)
 
-    @pytest.mark.parametrize(
-        "secret", ["nan,0,0,0", "inf,0,0,0", "0,nan+1j,0,0", "1e200,0,0,0"]
-    )
+    @pytest.mark.parametrize("secret", ["nan,0,0,0", "inf,0,0,0", "0,nan+1j,0,0"])
     def test_non_finite_coefficients_rejected(self, secret, capsys):
         code, err = run_cli_error(
             ["run", "--variant", "three-a", "--secret", secret], capsys
@@ -624,6 +622,20 @@ class TestRunErrors:
         assert code == 2
         assert err["error"]["type"] == "config"
         assert "finite" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "secret", ["1e200,0,0,0", "1.7e308+1.7e308j,0,0,0", "1e154,1e154,1e154,1e154"]
+    )
+    def test_overflowing_weights_rejected_as_overflow(self, secret, capsys):
+        # every coefficient is finite; only the sum of their weights is not
+        code, err = run_cli_error(
+            ["run", "--variant", "three-a", "--secret", secret], capsys
+        )
+        assert code == 2
+        assert err["error"]["type"] == "config"
+        assert "overflow" in err["error"]["message"]
+        assert "finite" not in err["error"]["message"]
+        assert "deficit" not in err["error"]
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_bad_tolerance_rejected(self, tolerance, capsys):
@@ -748,6 +760,17 @@ class TestRunErrors:
         code, err = run_cli_error([], capsys)
         assert code == 2
         assert err["error"]["type"] == "usage"
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_after_a_good_call(self, capsys):
+        # the one parser keeps no state from the call before
+        assert run_cli(["run", "--variant", "four", "--trials", "2"], capsys)[0] == 0
+        code, err = run_cli_error(["run", "--variant", "four", "--trials", "x"], capsys)
+        assert code == 2
+        assert err["error"]["type"] == "usage"
+        assert "--trials" in err["error"]["message"]
 
 
 class TestSeedResolution:

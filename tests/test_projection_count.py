@@ -2,11 +2,13 @@
 projects a whole chunk of trials at once, in every format, and the oracle
 projects each stack of secrets once.
 
-Every basis projection goes through ``statevec._split_measured``; wrapping it
-in each ghzsplit module that holds it counts projections by the number of
-measured qubits (5 for Alice's basis, 1 for Charlie's Hadamard basis). The
-span of each projection is checked once, by ``statevec._check_span``, which
-is counted the same way.
+Projections are counted by the number of measured qubits. Alice's (5) go
+through ``statevec.LiftedBasis.project``, her measurement as a gather on the
+secret rows; Charlie's Hadamard projections (1) go through
+``statevec._split_measured``, which also carries the one dense projection
+that builds each ``LiftedBasis`` and is not counted. The span of each
+projection is checked once, by ``statevec._check_span``, which is counted
+the same way.
 """
 
 import collections
@@ -32,13 +34,19 @@ def _rebind(monkeypatch, name, replacement):
 @pytest.fixture
 def projections(monkeypatch):
     counts = collections.Counter()
-    original = statevec._split_measured
+    split, gather = statevec._split_measured, statevec.LiftedBasis.project
 
-    def counting(state, targets):
-        counts[len(targets)] += 1
-        return original(state, targets)
+    def counting_split(state, targets):
+        if len(targets) == 1:
+            counts[1] += 1
+        return split(state, targets)
 
-    _rebind(monkeypatch, "_split_measured", counting)
+    def counting_gather(self, rows):
+        counts[5] += 1
+        return gather(self, rows)
+
+    _rebind(monkeypatch, "_split_measured", counting_split)
+    monkeypatch.setattr(statevec.LiftedBasis, "project", counting_gather)
     return counts
 
 
@@ -132,3 +140,32 @@ def test_oracle_checks_each_span_once(span_checks):
     # secrets; building the integer operators checks no span
     verify_table(Variant.THREE_A)
     assert span_checks == [(14, 16), (32 * 14, 2)]
+
+
+def test_no_dense_alice_projection_once_built(monkeypatch, capsys):
+    # once each (variant, basis) has its LiftedBasis, runs and audits make
+    # no dense projection onto Alice's basis
+    argvs = [
+        ["run", "--variant", v.value, "--trials", "3", "--format", fmt]
+        for v in Variant
+        for fmt in ("csv", "json")
+    ] + [["verify", "--all"], ["verify", "--all", "--paper-literal"]]
+    for argv in argvs:  # builds every LiftedBasis these use
+        main(argv)
+    for v in Variant:
+        verify_span(v)
+    dense = []
+    original = statevec._split_measured
+
+    def counting(state, targets):
+        if len(targets) > 1:
+            dense.append(state.shape)
+        return original(state, targets)
+
+    _rebind(monkeypatch, "_split_measured", counting)
+    for argv in argvs:
+        main(argv)
+    for v in Variant:
+        verify_span(v)
+    assert capsys.readouterr().out
+    assert dense == []

@@ -30,7 +30,6 @@ from ghzsplit.statevec import (
     force_hadamard_outcome,
     hadamard_basis,
     measure_in_basis,
-    project,
     sample_outcomes,
     tensor_product,
 )
@@ -322,7 +321,7 @@ class TestSampleOutcomes:
             yield np.abs(vec.amplitudes) ** 2
         secret = build_secret(random_secret(Variant.FOUR, substream(9, 0)))
         combined = tensor_product(secret, build_channel(Variant.FOUR))
-        probs = project(combined.amplitudes[None], four)[1][0]
+        probs = four.project(combined.amplitudes[None])[1][0]
         yield probs / np.sum(probs)
         yield np.array([0.0, 1.0, 0.0])
         yield np.array([0.5, 0.0, 0.5])
