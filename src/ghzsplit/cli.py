@@ -15,9 +15,9 @@ and writes each chunk's csv rows, text lines or JSON transcripts before the
 next chunk is made; the JSON document comes out in the bytes
 ``json.dumps(document, indent=2)`` gives. A transcript is filled straight
 from the chunk's arrays into a ``%`` template, built once per run from the
-``to_dict`` tree of trial 0 made alone by ``run_protocol``. The template
-already holds the leaves every trial of the run shares; a chunk's floats get
-one ``repr`` per distinct bit pattern.
+``to_dict`` tree of trial 0 remade by ``substream``, ``random_secret`` and
+``run_protocol``. The template holds the leaves every trial of the run
+shares; a chunk's floats get one ``repr`` per distinct bit pattern.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -56,9 +56,10 @@ from .protocol import (
     alice_cbits,
     build_alice_basis,
     published_correction_table,
+    random_secret,
     run_protocol,
     run_trials,
-    trial_draws,
+    substream,
 )
 from .statevec import NormalizationError
 
@@ -230,15 +231,15 @@ def _skeleton(value, every: bool):
 def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
     """The ``%`` template of a run's transcripts and its slot count, from
     the ``to_dict`` tree (the one definition of their shape) of trial 0 made
-    alone by ``run_protocol``: on trial 0's generator and secret from
-    ``trial_draws``, sampled or forced as the run is. Its outcomes and
-    fidelity must be those of row 0 of ``chunk``, or RuntimeError is raised.
-    Only the floats and the ``_PER_TRIAL`` fields are slots: the leaves that
-    every trial of a run shares are written into the template.
+    alone: ``random_secret`` on ``substream(seed, 0)`` unless ``secret`` is
+    fixed, then ``run_protocol``, sampled or forced as the run is. Its
+    outcomes and fidelity must be those of row 0 of ``chunk``, or
+    RuntimeError is raised. Only the floats and the ``_PER_TRIAL`` fields are
+    slots: the leaves that every trial of a run shares are in the template.
     """
-    (rng,), coefficients = next(trial_draws(chunk.variant, seed, 1, secret))
-    if coefficients is not None:
-        secret = SecretSpec(chunk.variant, coefficients[0].tolist())
+    rng = substream(seed, 0)
+    if secret is None:
+        secret = random_secret(chunk.variant, rng)
     t = run_protocol(secret, rng=rng, forced=forced)
     row = (chunk.alice_outcomes[0], chunk.charlie_bits[0], chunk.fidelities[0])
     if (t.alice_outcome, t.charlie_bit, t.fidelity) != row:
@@ -249,19 +250,16 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
     return text.replace(slot, "%s"), text.count(slot)
 
 
-def _transcripts(chunk: TrialChunk, template: tuple[str, int], secret) -> Iterator[str]:
+def _transcripts(chunk: TrialChunk, template: tuple[str, int]) -> Iterator[str]:
     """``_json_text(t.to_dict(), 2)`` for the Transcript t ``run_protocol``
     makes of each trial of ``chunk``, one at a time: ``template`` filled in
-    document order from the chunk's arrays, and from ``secret`` when the
-    chunk holds no coefficient rows: the chunk's floats as one array
+    document order from the chunk's arrays: the chunk's floats as one array
     (``_float_texts``), the other leaves one tuple per outcome, bit and
     correction. A trial whose leaf count does not fit the template raises
     ValueError instead of writing other bytes.
     """
     text, count = template
     coefficients = chunk.coefficients
-    if coefficients is None:  # the run's fixed secret in every trial
-        coefficients = np.array([secret.coefficients] * len(chunk.fidelities))
     weights = _joint_weights(chunk.alice_branches).reshape(len(coefficients), -1)
     pairs = np.column_stack([coefficients, chunk.bob_before, chunk.bob_after])
     floats = np.column_stack([pairs.view(np.float64), chunk.fidelities, weights])
@@ -301,6 +299,7 @@ _RUN_CSV_HEADER = [
 
 def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     """CSV rows or text lines of one chunk, whose first trial is ``first``."""
+    name = chunk.variant.value
     trials = zip(
         range(first, first + len(chunk.fidelities)),
         chunk.alice_outcomes,
@@ -311,7 +310,7 @@ def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     if fmt == "csv":
         return _csv_payload(
             [
-                [trial, chunk.variant.value, i, alice_cbits(i), b, str(p), repr(f)]
+                [trial, name, i, alice_cbits(i), b, str(p), repr(f)]
                 for trial, i, b, p, f in trials
             ]
         )
@@ -360,7 +359,7 @@ def _cmd_run(args) -> int:
             if args.format == "json":
                 if not fidelities:
                     template = _template(chunk, seed, secret, forced)
-                for text in _transcripts(chunk, template, secret):
+                for text in _transcripts(chunk, template):
                     write(sep + text)
                     sep = ",\n    "
                 counts.update(zip(chunk.alice_outcomes, chunk.charlie_bits))

@@ -160,11 +160,13 @@ class SecretSpec:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             object.__setattr__(self, "variant", Variant.parse(self.variant))
-        # a str or bytes would be read one character or byte at a time
+        # text would be read one character or byte at a time, or parsed by complex()
         try:
-            if isinstance(self.coefficients, (str, bytes, bytearray)):
+            coefficients = tuple(self.coefficients)
+            text = (str, bytes, bytearray)
+            if any(isinstance(c, text) for c in (self.coefficients, *coefficients)):
                 raise TypeError
-            coefficients = tuple(map(complex, self.coefficients))
+            coefficients = tuple(map(complex, coefficients))
         except TypeError:
             raise ValueError(
                 f"coefficients must be a sequence of numbers, "
@@ -286,7 +288,7 @@ def _draw_coefficients(
 
 def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
     """Normalized complex Gaussian coefficients inside the class: the
-    one-generator case of the stacked draw that ``trial_draws`` makes."""
+    one-generator case of the stacked draw that ``run_trials`` makes."""
     return SecretSpec(variant, _draw_coefficients(variant, [rng])[0].tolist())
 
 
@@ -730,8 +732,8 @@ TRIAL_CHUNK = 128
 @dataclass(frozen=True, eq=False)
 class TrialChunk:
     """The trial kernel's arrays for consecutive trials run as one stack;
-    entry or row t is the chunk's trial t. ``coefficients`` are the drawn
-    secrets' class coefficients, or None for a fixed secret the caller keeps."""
+    entry or row t is the chunk's trial t. ``coefficients`` are the trials'
+    class coefficients, drawn or fixed; None in ``run_protocol``'s chunk."""
 
     variant: Variant
     coefficients: np.ndarray | None
@@ -768,7 +770,8 @@ def _run_chunk(
         charlie = force_hadamard_outcome(alice.residual, bob, forced[1])
 
     keys = list(zip(alice.outcome.tolist(), charlie.outcome.tolist()))
-    corrections = [table[key] for key in keys]
+    rows = table.rows  # the keys are ints; a missing one raises the table's KeyError
+    corrections = [rows[key] if key in rows else table[key] for key in keys]
     bob_after = apply_pauli_string(charlie.residual, corrections)
     check_normalized(bob_after)
     return TrialChunk(
@@ -784,30 +787,6 @@ def _run_chunk(
     )
 
 
-def trial_draws(
-    variant: Variant | str, seed: int, trials: int, secret: SecretSpec | None = None
-) -> Iterator[tuple[list[np.random.Generator], np.ndarray | None]]:
-    """Generators and secret coefficient rows of trials ``0 .. trials - 1``,
-    ``TRIAL_CHUNK`` at a time; the rows are None when ``secret`` fixes one
-    secret for every trial.
-
-    Trial t draws from ``substream(seed, t)`` alone: first its random
-    secret, then its outcomes. A chunk's generators are seeded as one stack
-    (``_substreams``), each in the state ``substream`` gives it. A chunk's
-    secrets are one stacked draw (``_draw_coefficients``), row t bit for bit
-    ``random_secret``'s on the same generator, so no trial needs a
-    ``SecretSpec``. A trial's result therefore does not depend on the
-    chunking or on the other trials.
-    """
-    variant = Variant.parse(variant)
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    for start in range(0, trials, TRIAL_CHUNK):
-        rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, trials))
-        yield rngs, _draw_coefficients(variant, rngs) if secret is None else None
-
-
 def run_trials(
     variant: Variant | str,
     seed: int,
@@ -816,18 +795,35 @@ def run_trials(
     secret: SecretSpec | None = None,
     forced: tuple[int, int] | None = None,
 ) -> Iterator[TrialChunk]:
-    """Trials ``0 .. trials - 1`` with the published table, drawn as
-    ``trial_draws`` says and run a chunk at a time; ``secret`` and ``forced``
-    are checked as ``run_protocol`` checks them."""
+    """Trials ``0 .. trials - 1`` with the published table, ``TRIAL_CHUNK``
+    at a time; ``secret`` and ``forced`` are checked as ``run_protocol`` does.
+
+    Trial t draws from ``substream(seed, t)`` alone: its random secret unless
+    ``secret`` fixes one, then its outcomes. A chunk's generators are seeded
+    as one stack (``_substreams``), each in the state ``substream`` gives it;
+    its secrets are one stacked draw, row t bit for bit ``random_secret``'s,
+    or the fixed coefficients repeated. ``_secret_rows`` makes the amplitude
+    rows, ``build_secret``'s bits, so no trial needs a ``SecretSpec``. A
+    trial's result does not depend on the chunking or on the other trials.
+    """
     variant = Variant.parse(variant)
-    fixed = None if secret is None else _resolve_secret(secret, variant)[1]
+    if secret is not None:
+        if not isinstance(secret, SecretSpec):  # a raw state has no coefficients
+            raise ValueError(f"a fixed secret must be a SecretSpec, got {secret!r}")
+        _resolve_secret(secret, variant)
     forced = _resolve_forced(forced)
+    trials = _integer(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     table = published_correction_table(variant)
-    for rngs, coefficients in trial_draws(variant, seed, trials, secret):
-        if coefficients is None:
-            rows = np.repeat(fixed.amplitudes[None], len(rngs), axis=0)
-        else:  # Alice's projection checks the rows' norms
-            rows = _secret_rows(variant, coefficients)
+    for start in range(0, trials, TRIAL_CHUNK):
+        rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, trials))
+        if secret is None:
+            coefficients = _draw_coefficients(variant, rngs)
+        else:
+            coefficients = np.array([secret.coefficients] * len(rngs))
+        # Alice's projection checks the rows' norms
+        rows = _secret_rows(variant, coefficients)
         yield _run_chunk(variant, coefficients, rows, rngs, forced, table)
 
 

@@ -78,12 +78,16 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(self.amplitudes)
+        if amps.ndim != 1 or amps.dtype.kind in "SU" or amps.dtype == object and any(
+            isinstance(a, (str, bytes)) for a in amps.tolist()
+        ):  # flattened, a matrix would read as a state; text, as numbers
+            raise ValueError(f"amplitudes must be one row of numbers, got {amps!r}")
+        amps = amps.astype(complex)  # a copy, never the caller's array
         length = amps.shape[0]
         if length == 0 or length & (length - 1):
             raise ValueError(f"amplitude count {length} is not a power of two")
         check_normalized(amps)
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 

@@ -322,7 +322,7 @@ def _run_args(variant: Variant, how: str) -> tuple[SecretSpec | None, tuple | No
 def _filled(chunks: list, seed: int, secret, forced) -> list[str]:
     """Every transcript text of a run's chunks, filled as ``run`` fills them."""
     template = cli._template(chunks[0], seed, secret, forced)
-    return [text for c in chunks for text in cli._transcripts(c, template, secret)]
+    return [text for c in chunks for text in cli._transcripts(c, template)]
 
 
 def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
@@ -338,7 +338,7 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
     (chunk,) = chunks
     template = cli._template(chunk, 0, secret, FORCED)
     t = run_protocol(secret, forced=FORCED)
-    coefficients = np.array([secret.coefficients] * len(trials))
+    coefficients = chunk.coefficients.copy()
     weights = protocol._joint_weights(chunk.alice_branches)
     before, fidelities = chunk.bob_before.copy(), list(chunk.fidelities)
     corrections, want = list(chunk.corrections), []
@@ -364,7 +364,7 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
         corrections=corrections, fidelities=fidelities,
     )
     monkeypatch.setattr(cli, "_joint_weights", lambda branches: weights)
-    return list(cli._transcripts(chunk, template, None)), want
+    return list(cli._transcripts(chunk, template)), want
 
 
 class TestFilledJson:
@@ -550,9 +550,9 @@ def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, refer
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_random_secrets_are_one_draw_per_chunk(fmt, monkeypatch, capsys):
     # both formats keep each chunk's secrets as coefficient rows: no
-    # random_secret call and no SecretSpec per trial. JSON builds one
-    # SecretSpec per run, for trial 0's run_protocol call, and validates only
-    # that secret's StateVector.
+    # random_secret call and no SecretSpec per trial. JSON remakes trial 0
+    # alone, for its template: one random_secret call and its SecretSpec per
+    # run, and only that secret's StateVector is validated.
     argv = ["run", "--variant", "three-a", "--seed", "6", "--format", fmt]
     run_cli([*argv, "--trials", "1"], capsys)  # fills the caches first
     counts = collections.Counter()
@@ -578,7 +578,7 @@ def test_random_secrets_are_one_draw_per_chunk(fmt, monkeypatch, capsys):
     assert code == 0 and out
     per_run = 0 if fmt == "csv" else 1
     got = [counts[key] for key in ("random_secret", "SecretSpec", "StateVector")]
-    assert got == [0, per_run, per_run]
+    assert got == [per_run, per_run, per_run]
 
 
 class TestRunErrors:

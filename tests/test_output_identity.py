@@ -56,6 +56,14 @@ RUN_GRID += [
     for v in VARIANTS
     for how in (["--forced", "3,1"], ["--secret", SECRETS[v]])
 ]
+# csv and text with one fixed secret across two chunk boundaries
+RUN_GRID += [
+    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", "8"]
+    + ["--secret", SECRETS[v], "--format", fmt, *how]
+    for v in VARIANTS
+    for fmt in ("csv", "text")
+    for how in ([], ["--forced", "1,1"])
+]
 VERIFY_GRID = [
     ["verify", "--all", "--format", fmt, *encoding]
     for fmt in ("json", "text")

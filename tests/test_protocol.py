@@ -14,9 +14,11 @@ import ghzsplit
 from ghzsplit.protocol import (
     CANONICAL,
     LITERAL,
+    CorrectionTable,
     SecretSpec,
     Variant,
     VARIANT_SPECS,
+    _draw_coefficients,
     _joint_weights,
     _pcg64_seeds,
     _substreams,
@@ -30,7 +32,6 @@ from ghzsplit.protocol import (
     run_protocol,
     run_trials,
     substream,
-    trial_draws,
 )
 from ghzsplit.statevec import NormalizationError, OutOfSpanError, StateVector
 
@@ -144,12 +145,15 @@ class TestSecrets:
 
     @pytest.mark.parametrize(
         "bad",
-        ["1000", b"\x01\x00\x00\x00", bytearray(4), None, 5, (1, None, 0, 0)],
-        ids=["str", "bytes", "bytearray", "None", "int", "None-item"],
+        ["1000", b"\x01\x00\x00\x00", bytearray(4), None, 5, (1, None, 0, 0),
+         ("1", 0, 0, 0), (1, 0, np.str_("0j"), 0), (b"1", 0, 0, 0)],
+        ids=["str", "bytes", "bytearray", "None", "int", "None-item",
+             "str-item", "numpy-str-item", "bytes-item"],
     )
     def test_coefficients_that_are_no_numbers_rejected(self, bad):
         # "1000" ran as the secret (1, 0, 0, 0), a bytes value one byte per
-        # coefficient; None or 5 raised a bare TypeError
+        # coefficient; None or 5 raised a bare TypeError; a str item was
+        # parsed as the number it spells
         with pytest.raises(ValueError, match="sequence of numbers"):
             SecretSpec(Variant.THREE_A, bad)
 
@@ -181,8 +185,9 @@ class TestSecrets:
 
 
 class TestStackedSecretDraw:
-    """A chunk's secrets, drawn as one stack by ``trial_draws``, against one
-    ``random_secret`` per trial and the frozen two-call draw of 0.1.0."""
+    """A chunk's secrets, drawn as one stack by ``_draw_coefficients`` on the
+    chunk's ``_substreams``, against one ``random_secret`` per trial and the
+    frozen two-call draw of 0.1.0."""
 
     # both ends of the first chunk, then the second and the third
     TRIALS = (0, TRIAL_CHUNK - 1, TRIAL_CHUNK, 2 * TRIAL_CHUNK)
@@ -194,7 +199,11 @@ class TestStackedSecretDraw:
     @example(seed=2**64)
     def test_rows_are_each_trials_own_draw(self, variant, seed, reference):
         ref = reference("protocol")
-        chunks = list(trial_draws(variant, seed, max(self.TRIALS) + 1))
+        stop = max(self.TRIALS) + 1
+        chunks = []
+        for start in range(0, stop, TRIAL_CHUNK):
+            rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, stop))
+            chunks.append((rngs, _draw_coefficients(variant, rngs)))
         for t in self.TRIALS:
             rngs, rows = chunks[t // TRIAL_CHUNK]
             stacked, rng = rows[t % TRIAL_CHUNK], rngs[t % TRIAL_CHUNK]
@@ -208,19 +217,10 @@ class TestStackedSecretDraw:
             state = rng.bit_generator.state
             assert state == one.bit_generator.state == frozen.bit_generator.state
 
-    def test_a_fixed_secret_draws_no_rows(self):
-        spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
-        draws = list(trial_draws(Variant.FOUR, 1, TRIAL_CHUNK + 1, spec))
-        assert [(len(rngs), rows) for rngs, rows in draws] == [
-            (TRIAL_CHUNK, None), (1, None)
-        ]
-
 
 class TestStackedSeeding:
-    """A chunk's generators, seeded as one stack by ``trial_draws``, against
+    """A chunk's generators, seeded as one stack by ``_substreams``, against
     one ``substream`` per trial."""
-
-    FIXED = SecretSpec(Variant.FOUR, (0.5, 0.5))  # no draw moves the states
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**200 - 1))
@@ -230,8 +230,11 @@ class TestStackedSeeding:
     @example(seed=2**96 + 1)  # 4 seed words and the trial's: past the pool
     def test_every_trial_of_two_chunks_is_its_substream(self, seed):
         trials = 2 * TRIAL_CHUNK
-        draws = trial_draws(Variant.FOUR, seed, trials, self.FIXED)
-        rngs = [rng for chunk, _ in draws for rng in chunk]
+        rngs = [
+            rng
+            for start in range(0, trials, TRIAL_CHUNK)
+            for rng in _substreams(seed, start, start + TRIAL_CHUNK)
+        ]
         assert len(rngs) == trials
         assert len({id(rng.bit_generator) for rng in rngs}) == trials
         for t, rng in enumerate(rngs):
@@ -249,7 +252,7 @@ class TestStackedSeeding:
         with pytest.raises(ValueError) as want:
             substream(-1, 0)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            next(trial_draws(Variant.FOUR, -1, 1))
+            next(run_trials(Variant.FOUR, -1, 1))
 
     @pytest.mark.parametrize("start", [2**32 - 5, 2**64 - 5], ids=["2^32", "2^64"])
     def test_trial_index_words_split_as_numpy_splits_them(self, start):
@@ -281,7 +284,7 @@ class TestStackedSeeding:
         seeds = protocol._pcg64_seeds
         monkeypatch.setattr(protocol, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1))
         with pytest.raises(RuntimeError, match="differs from substream"):
-            next(trial_draws(Variant.FOUR, 7, 3))
+            next(run_trials(Variant.FOUR, 7, 3))
 
 
 class TestAliceBasis:
@@ -542,6 +545,22 @@ class TestRunProtocol:
                    run_protocol(spec, forced=(5, 1)))
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("forced", [(5, 1), None], ids=["forced", "sampled"])
+    def test_table_without_the_outcome_row_raises(self, forced):
+        # the kernel reads a table's rows directly; a row a caller's table
+        # lacks still raises the table's own KeyError
+        spec = SecretSpec(Variant.THREE_A, (0.6, 0, 0.8j, 0))
+        outcome = run_protocol(spec, seed=3, forced=forced)
+        key = outcome.alice_outcome, outcome.charlie_bit
+        published = published_correction_table(Variant.THREE_A)
+        rows = {k: p for k, p in published.rows.items() if k != key}
+        table = CorrectionTable(Variant.THREE_A, "partial", rows)
+        message = f"no row for outcome {key[0]}, bit {key[1]} in three-a table"
+        with pytest.raises(KeyError, match=message):
+            run_protocol(spec, seed=3, forced=forced, table=table)
+        full = CorrectionTable(Variant.THREE_A, "copy", dict(published.rows))
+        _same_bits(run_protocol(spec, seed=3, forced=forced, table=full), outcome)
+
     def test_out_of_class_secret_rejected(self):
         # |010> lies outside the spanned class of this variant
         with pytest.raises(OutOfSpanError):
@@ -641,10 +660,9 @@ class TestTrialKernel:
     def test_sampled_trials_match_reference(self, variant, reference):
         ref = reference("protocol")
         ref_variant = ref.Variant(variant.value)
-        chunks = run_trials(variant, self.SEED, self.TRIALS)
-        draws = trial_draws(variant, self.SEED, self.TRIALS)
         trial = 0
-        for chunk, (_, rows) in zip(chunks, draws, strict=True):
+        for chunk in run_trials(variant, self.SEED, self.TRIALS):
+            rows = chunk.coefficients
             assert len(chunk.fidelities) == len(rows)
             for row, coefficients in enumerate(rows):
                 rng = ref.substream(self.SEED, trial)
@@ -662,10 +680,10 @@ class TestTrialKernel:
     def test_every_forced_row_matches_reference(self, variant, reference):
         ref = reference("protocol")
         ref_variant = ref.Variant(variant.value)
-        ((_, rows),) = trial_draws(variant, self.SEED, 3)
         for row in published_correction_table(variant).rows:
             (chunk,) = run_trials(variant, self.SEED, 3, forced=row)
-            assert len(chunk.fidelities) == len(rows)
+            rows = chunk.coefficients
+            assert len(chunk.fidelities) == len(rows) == 3
             for trial, coefficients in enumerate(rows):
                 spec = ref.random_secret(ref_variant, ref.substream(self.SEED, trial))
                 _same_coefficients(coefficients, spec)
@@ -674,10 +692,22 @@ class TestTrialKernel:
                 secret = SecretSpec(variant, coefficients.tolist())
                 _same_bits(run_protocol(secret, forced=row), want)
 
+    def test_raw_state_secret_rejected(self):
+        # a chunk carries its secrets' coefficients, which a raw state lacks
+        state = build_secret(SecretSpec(Variant.FOUR, (0.5, 0.5)))
+        with pytest.raises(ValueError, match="must be a SecretSpec"):
+            next(run_trials(Variant.FOUR, 1, 2, secret=state))
+
     def test_fixed_secret_every_trial(self):
         spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
         chunks = list(run_trials(Variant.FOUR, 1, TRIAL_CHUNK + 1, secret=spec))
         assert [len(c.fidelities) for c in chunks] == [TRIAL_CHUNK, 1]
+        # every row is the secret's coefficients, bit for bit: a fixed
+        # secret draws nothing from the trials' generators
+        for chunk in chunks:
+            assert len(chunk.coefficients) == len(chunk.fidelities)
+            for row in chunk.coefficients:
+                _same_coefficients(row, spec)
         for trial in (0, TRIAL_CHUNK - 1, TRIAL_CHUNK):
             chunk, row = chunks[trial // TRIAL_CHUNK], trial % TRIAL_CHUNK
             _same_trial(chunk, row, run_protocol(spec, rng=substream(1, trial)))
@@ -725,7 +755,7 @@ class TestSubstream:
             lambda: next(run_trials("four", 1.5, 3)),
             lambda: next(run_trials("four", 1, True)),
             lambda: next(run_trials("four", 1, 2.0)),
-            lambda: next(trial_draws("four", "1", 3)),
+            lambda: next(run_trials("four", "1", 3)),
             lambda: run_protocol(TestSubstream.SPEC, seed=True),
             lambda: run_protocol(TestSubstream.SPEC, seed=3.0),
             lambda: run_protocol(TestSubstream.SPEC, seed=True, forced=(1, 1)),
@@ -734,7 +764,7 @@ class TestSubstream:
             "substream-str-seed", "substream-float-seed", "substream-bool-seed",
             "substream-str-key", "substream-float-key", "run_trials-float-seed",
             "run_trials-bool-trials", "run_trials-float-trials",
-            "trial_draws-str-seed", "run_protocol-bool-seed",
+            "run_trials-str-seed", "run_protocol-bool-seed",
             "run_protocol-float-seed", "run_protocol-bool-seed-forced",
         ],
     )
@@ -746,9 +776,8 @@ class TestSubstream:
     @pytest.mark.parametrize("trials", [0, -5, np.int64(0)])
     def test_trial_count_below_one_rejected(self, trials):
         # each yielded no chunk; the CLI refuses --trials below 1 too
-        for draws in (run_trials("four", 1, trials), trial_draws("four", 1, trials)):
-            with pytest.raises(ValueError, match="trials must be at least 1"):
-                next(draws)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            next(run_trials("four", 1, trials))
 
     def test_numpy_integers_are_integers(self):
         state = substream(np.int64(7), np.uint8(2)).bit_generator.state
@@ -808,8 +837,6 @@ class TestVariantParse:
         for bad in ("five", 3):
             with pytest.raises(ValueError, match="unknown variant"):
                 next(run_trials(bad, 1, 3))
-            with pytest.raises(ValueError, match="unknown variant"):
-                next(trial_draws(bad, 1, 3))  # a bare KeyError
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown variant"):

@@ -61,6 +61,26 @@ class TestStateVector:
         with pytest.raises(ValueError, match=f"amplitude count {length} is not"):
             StateVector(amps)
 
+    @pytest.mark.parametrize(
+        "amps",
+        [[[1, 0], [0, 0]], np.eye(2) / np.sqrt(2.0), np.ones((1, 1)), 1.0],
+        ids=["ket-00-as-matrix", "bell-as-matrix", "one-by-one", "scalar"],
+    )
+    def test_amplitudes_must_be_one_dimensional(self, amps):
+        # each was flattened: the matrices read as |00> and a Bell state
+        with pytest.raises(ValueError, match="one row of numbers"):
+            StateVector(amps)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [["1", "0"], [b"1", 0], [np.str_("1"), 0.0], np.array(["1", 0], object)],
+        ids=["str", "bytes", "numpy-str", "object-array"],
+    )
+    def test_text_amplitudes_rejected(self, amps):
+        # numpy parsed each text as the number it spells
+        with pytest.raises(ValueError, match="one row of numbers"):
+            StateVector(amps)
+
     def test_normalization_enforced(self):
         with pytest.raises(NormalizationError) as exc:
             StateVector(np.array([1.0, 1.0]))
