@@ -13,11 +13,14 @@ Every command writes through one writer, to stdout and to the ``--emit``
 file. ``run`` makes its trials in ``run_trials`` chunks, whatever the format,
 and writes each chunk's csv rows, text lines or JSON transcripts before the
 next chunk is made; the JSON document comes out in the bytes
-``json.dumps(document, indent=2)`` gives. A transcript is filled straight
-from the chunk's arrays into a ``%`` template, built once per run from the
-``to_dict`` tree of trial 0 remade by ``substream``, ``random_secret`` and
-``run_protocol``. The template holds the leaves every trial of the run
-shares; a chunk's floats get one ``repr`` per distinct bit pattern.
+``json.dumps(document, indent=2)`` gives. Transcripts are filled straight
+from the chunk's arrays between literal pieces of text, cut once per run
+from the ``to_dict`` tree of trial 0 remade by ``substream``,
+``random_secret`` and ``run_protocol``; the pieces hold the leaves every
+trial of the run shares. A chunk's pieces and leaf texts are one object
+array, joined and written a slice of trials at a time, and its floats get
+one ``repr`` per distinct magnitude (a negative float is ``-`` and its
+magnitude's text).
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -200,22 +203,35 @@ def _json_text(value, depth: int = 0) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-# what json.dumps writes for the floats whose repr is not JSON
-_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# what json.dumps writes for the magnitudes whose repr is not JSON
+_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity"}
+# every bit of a float64 but its sign
+_MAGNITUDE = np.int64(2**63 - 1)
 # stands in for every per-trial leaf of a template's tree; JSON writes it escaped
 _LEAF = "\x00"
 # the transcript fields that differ between a run's trials, besides its floats
 _PER_TRIAL = {"alice_outcome", "alice_cbits", "charlie_bit", "messages", "correction"}
+# transcripts per joined text and write; a 32-trial text, or a whole chunk's,
+# raised a JSON run's peak RSS by a further 0.3 to 0.5 MiB
+_JOINED = 8
+# what precedes each transcript, and the run's first one
+_SEPARATOR, _FIRST_SEPARATOR = ",\n    ", "\n    "
 
 
-def _float_texts(floats: np.ndarray) -> list[list[str]]:
-    """The JSON text of each float of a ``(rows, width)`` array, a list per
-    row: one ``float.__repr__`` per distinct bit pattern, so 0.0 and -0.0,
-    which compare equal, keep their own texts."""
-    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
-    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
-    table = np.array(list(map(_FLOAT_CONSTANTS.get, texts, texts)), dtype=object)
-    return table[inverse.reshape(floats.shape)].tolist()
+def _float_texts(floats: np.ndarray) -> np.ndarray:
+    """The JSON text of each float of an array, an object array of its
+    shape: one ``float.__repr__`` per distinct magnitude's bit pattern, and
+    a negative float's text is ``-`` and its magnitude's, so 0.0 and -0.0,
+    which compare equal, keep their own texts. A NaN of either sign is NaN.
+    """
+    bits = floats.view(np.int64)
+    magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    # a list's repr writes each float's repr, one C call for all of them
+    texts = repr(magnitudes.view(np.float64).tolist())[1:-1].split(", ")
+    texts = list(map(_FLOAT_CONSTANTS.get, texts, texts))
+    signed = ["-" + text if text != "NaN" else text for text in texts]
+    table = np.array(texts + signed, dtype=object)
+    return table[inverse.reshape(floats.shape) + len(texts) * (bits < 0)]
 
 
 def _skeleton(value, every: bool):
@@ -228,14 +244,15 @@ def _skeleton(value, every: bool):
     return _LEAF if every or isinstance(value, float) else value
 
 
-def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
-    """The ``%`` template of a run's transcripts and its slot count, from
-    the ``to_dict`` tree (the one definition of their shape) of trial 0 made
-    alone: ``random_secret`` on ``substream(seed, 0)`` unless ``secret`` is
-    fixed, then ``run_protocol``, sampled or forced as the run is. Its
-    outcomes and fidelity must be those of row 0 of ``chunk``, or
-    RuntimeError is raised. Only the floats and the ``_PER_TRIAL`` fields are
-    slots: the leaves that every trial of a run shares are in the template.
+def _template(chunk: TrialChunk, seed: int, secret, forced) -> list[str]:
+    """The literal pieces of a run's transcripts, one more than their
+    leaves, from the ``to_dict`` tree (the one definition of their shape) of
+    trial 0 made alone: ``random_secret`` on ``substream(seed, 0)`` unless
+    ``secret`` is fixed, then ``run_protocol``, sampled or forced as the run
+    is. Its outcomes and fidelity must be those of row 0 of ``chunk``, or
+    RuntimeError is raised. Only the floats and the ``_PER_TRIAL`` fields
+    are leaves between pieces: the leaves that every trial of a run shares
+    are in the pieces.
     """
     rng = substream(seed, 0)
     if secret is None:
@@ -245,39 +262,55 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> tuple[str, int]:
     if (t.alice_outcome, t.charlie_bit, t.fidelity) != row:
         raise RuntimeError(f"the kernel's trial 0 {row} differs from run_protocol's")
     tree = {key: _skeleton(v, key in _PER_TRIAL) for key, v in t.to_dict().items()}
-    text = _json_text(tree, 2).replace("%", "%%")
-    slot = json.dumps(_LEAF)
-    return text.replace(slot, "%s"), text.count(slot)
+    return _json_text(tree, 2).split(json.dumps(_LEAF))
 
 
-def _transcripts(chunk: TrialChunk, template: tuple[str, int]) -> Iterator[str]:
+def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
     """``_json_text(t.to_dict(), 2)`` for the Transcript t ``run_protocol``
-    makes of each trial of ``chunk``, one at a time: ``template`` filled in
-    document order from the chunk's arrays: the chunk's floats as one array
-    (``_float_texts``), the other leaves one tuple per outcome, bit and
-    correction. A trial whose leaf count does not fit the template raises
-    ValueError instead of writing other bytes.
+    makes of each trial of ``chunk``, each after its separator (the run's
+    first one if ``first``), joined ``_JOINED`` trials at a time. One object
+    array holds the chunk's texts: ``pieces`` in the even columns, and in
+    the odd ones the leaves in document order, from the chunk's arrays: its
+    floats as one array (``_float_texts``), the other leaves one row per
+    outcome, bit and correction. A trial whose leaf count does not fit the
+    pieces raises ValueError instead of writing other bytes.
     """
-    text, count = template
     coefficients = chunk.coefficients
     weights = _joint_weights(chunk.alice_branches).reshape(len(coefficients), -1)
     pairs = np.column_stack([coefficients, chunk.bob_before, chunk.bob_after])
     floats = np.column_stack([pairs.view(np.float64), chunk.fidelities, weights])
-    split = 2 * coefficients.shape[1]  # the trial's other leaves follow the secret
-    string, others = encode_basestring_ascii, {}
+    string, row, others, rows = encode_basestring_ascii, {}, [], []
     trials = zip(chunk.alice_outcomes, chunk.charlie_bits, chunk.corrections)
-    for leaves, (i, b, correction) in zip(_float_texts(floats), trials):
+    for i, b, correction in trials:
         key = i, b, correction.labels  # a correction need not be hashable
-        if key not in others:
+        if key not in row:
+            row[key] = len(others)
             cbits = string(alice_cbits(i))
-            others[key] = (
+            others.append((
                 int.__repr__(i), cbits, int.__repr__(b), cbits, string(str(b)),
                 *map(string, correction.labels),
+            ))
+        rows.append(row[key])
+    count, width = len(pieces) - 1, floats.shape[1]
+    for leaves in others:
+        if width + len(leaves) != count:
+            raise ValueError(
+                f"{width + len(leaves)} leaves do not fit a {count}-leaf template"
             )
-        leaves[split:split] = others[key]
-        if len(leaves) != count:
-            raise ValueError(f"{len(leaves)} leaves do not fit a {count}-leaf template")
-        yield text % tuple(leaves)
+    table = np.empty((len(others), count - width), dtype=object)
+    table[:] = others
+    texts = _float_texts(floats)
+    split = 2 * coefficients.shape[1]  # the trial's other leaves follow the secret
+    cells = np.empty((len(rows), 2 * count + 1), dtype=object)
+    cells[:, 0::2] = pieces
+    cells[:, 0] = _SEPARATOR + pieces[0]
+    if first:
+        cells[0, 0] = _FIRST_SEPARATOR + pieces[0]
+    cells[:, 1::2] = np.concatenate(
+        [texts[:, :split], table[rows], texts[:, split:]], axis=1
+    )
+    for start in range(0, len(cells), _JOINED):
+        yield "".join(cells[start : start + _JOINED].ravel().tolist())
 
 
 def _csv_payload(rows: list[list]) -> str:
@@ -351,17 +384,15 @@ def _cmd_run(args) -> int:
                 else {"alice_outcome": forced[0], "charlie_bit": forced[1]},
             }
             write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
-            sep = "\n    "
         elif args.format == "csv":
             write(_csv_payload([_RUN_CSV_HEADER]))
         chunks = run_trials(variant, seed, args.trials, secret=secret, forced=forced)
         for chunk in chunks:
             if args.format == "json":
                 if not fidelities:
-                    template = _template(chunk, seed, secret, forced)
-                for text in _transcripts(chunk, template):
-                    write(sep + text)
-                    sep = ",\n    "
+                    pieces = _template(chunk, seed, secret, forced)
+                for text in _transcripts(chunk, pieces, not fidelities):
+                    write(text)
                 counts.update(zip(chunk.alice_outcomes, chunk.charlie_bits))
             else:
                 write(_run_rows(chunk, len(fidelities), args.format))

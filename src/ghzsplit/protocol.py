@@ -43,6 +43,7 @@ from .statevec import (
     OrthonormalBasis,
     PauliString,
     StateVector,
+    _NOT_NUMBERS,
     _integer,
     _probabilities,
     _xor_sign_tables,
@@ -160,11 +161,13 @@ class SecretSpec:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             object.__setattr__(self, "variant", Variant.parse(self.variant))
-        # text would be read one character or byte at a time, or parsed by complex()
+        # text would be read one character or byte at a time, or parsed by
+        # complex(); a bool would read as 0 or 1
         try:
             coefficients = tuple(self.coefficients)
-            text = (str, bytes, bytearray)
-            if any(isinstance(c, text) for c in (self.coefficients, *coefficients)):
+            if any(
+                isinstance(c, _NOT_NUMBERS) for c in (self.coefficients, *coefficients)
+            ):
                 raise TypeError
             coefficients = tuple(map(complex, coefficients))
         except TypeError:

@@ -39,6 +39,9 @@ NORM_ATOL = 1e-12
 # largest probability mass a measured state may have outside the basis span
 SPAN_ATOL = 1e-9
 
+# the scalars numpy or complex() would read as numbers that are none
+_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
+
 # each factor is Z**z X**x: (x, z) per label; iY = ZX stays exactly real
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "iY": (1, 1)}
 
@@ -79,10 +82,17 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
-        if amps.ndim != 1 or amps.dtype.kind in "SU" or amps.dtype == object and any(
-            isinstance(a, (str, bytes)) for a in amps.tolist()
-        ):  # flattened, a matrix would read as a state; text, as numbers
-            raise ValueError(f"amplitudes must be one row of numbers, got {amps!r}")
+        # a list's bools become numbers in amps: its own items are checked
+        items = amps.tolist() if amps.dtype == object else self.amplitudes
+        if (
+            amps.ndim != 1
+            or amps.dtype.kind in "bSU"
+            or not isinstance(items, np.ndarray)
+            and any(isinstance(a, _NOT_NUMBERS) for a in items)
+        ):  # flattened, a matrix would read as a state; text or bools, as numbers
+            raise ValueError(
+                f"amplitudes must be one row of numbers, got {self.amplitudes!r}"
+            )
         amps = amps.astype(complex)  # a copy, never the caller's array
         length = amps.shape[0]
         if length == 0 or length & (length - 1):
@@ -174,13 +184,16 @@ def _pauli_tables(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_xor_sign_tables`` of each string on ``dim`` amplitudes, stacked:
     (strings, dim) source indices and signs, read-only so a cache may share
-    them."""
-    widths = {len(p) for p in paulis} - {dim.bit_length() - 1}
+    them. Each distinct string's rows are made once, then gathered."""
+    distinct = {p.labels: p for p in paulis}
+    widths = {len(p) for p in distinct.values()} - {dim.bit_length() - 1}
     if widths:
         raise ValueError(f"{widths.pop()} Pauli factors on rows of {dim} amplitudes")
-    tables = [_xor_sign_tables(dim, *p.masks) for p in paulis]
-    source = np.array([t[0] for t in tables])
-    sign = np.array([t[1] for t in tables])
+    row = {labels: k for k, labels in enumerate(distinct)}
+    rows = [row[p.labels] for p in paulis]
+    tables = [_xor_sign_tables(dim, *p.masks) for p in distinct.values()]
+    source = np.array([t[0] for t in tables])[rows]
+    sign = np.array([t[1] for t in tables])[rows]
     source.flags.writeable = sign.flags.writeable = False
     return source, sign
 
@@ -197,9 +210,11 @@ def apply_pauli_string(rows: np.ndarray, paulis: list[PauliString]) -> np.ndarra
 def fidelity(a: np.ndarray, b: np.ndarray) -> list[float]:
     """|<a|b>|^2 per pair of rows of two stacks, insensitive to global phase.
 
-    Each from its own ``np.vdot`` (a batched sum would round differently).
+    One ``np.vecdot`` for the stack, each row's sum ``np.vdot``'s bits, then
+    Python's ``abs`` per row (``np.abs`` rounds differently).
     """
-    return [abs(complex(np.vdot(x, y))) ** 2 for x, y in zip(a, b, strict=True)]
+    _check_one_per_row(a, b, "rows to compare")  # vecdot would broadcast one row
+    return [abs(c) ** 2 for c in np.vecdot(a, b).tolist()]
 
 
 @dataclass(frozen=True)

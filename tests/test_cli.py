@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -253,6 +254,28 @@ class TestRun:
                 json.dumps(transcripts[n - 1], indent=2).replace("\n", "\n    ")
             )
 
+    def test_json_run_writes_a_slice_of_trials_at_a_time(self):
+        # the header, one write per slice of at most _JOINED trials of a
+        # chunk, and the summary: not one write per trial
+        trials = 2 * TRIAL_CHUNK + 1
+        writes = []
+
+        class Counting(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        out = Counting()
+        argv = ["run", "--variant", "three-a", "--trials", str(trials), "--format", "json"]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert len(json.loads(out.getvalue())["transcripts"]) == trials
+        slices = 2 * math.ceil(TRIAL_CHUNK / cli._JOINED) + 1
+        assert len(writes) == 1 + slices + 1 < trials
+        assert [w.count('"schema_version"') for w in writes[1:-1]] == (
+            [cli._JOINED] * (slices - 1) + [1]
+        )
+
     def test_json_run_calls_json_dumps_a_fixed_number_of_times(
         self, monkeypatch, capsys
     ):
@@ -320,23 +343,30 @@ def _run_args(variant: Variant, how: str) -> tuple[SecretSpec | None, tuple | No
 
 
 def _filled(chunks: list, seed: int, secret, forced) -> list[str]:
-    """Every transcript text of a run's chunks, filled as ``run`` fills them."""
-    template = cli._template(chunks[0], seed, secret, forced)
-    return [text for c in chunks for text in cli._transcripts(c, template)]
+    """Every joined text of a run's chunks, filled as ``run`` fills them."""
+    pieces = cli._template(chunks[0], seed, secret, forced)
+    return [
+        text for k, c in enumerate(chunks) for text in cli._transcripts(c, pieces, k == 0)
+    ]
+
+
+def _listed(texts: list[str]) -> list[str]:
+    """``texts`` as ``run`` lists transcripts: each after its separator."""
+    return [("\n    " if k == 0 else ",\n    ") + t for k, t in enumerate(texts)]
 
 
 def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
-    """Texts of a chunk of forced trials of the fixed secret, filled as
-    ``run`` fills them, and the texts ``_json_text`` gives of the
-    Transcripts ``run_protocol`` makes of them; entry k of ``trials``
-    replaces fields of trial k in both: Transcript field names, with the
-    coefficients as ``secret`` and the joint weights, outcome-major, as
-    ``probabilities``. The chunk gives the coefficient rows. No field is
-    checked."""
+    """The joined texts of a chunk of forced trials of the fixed secret,
+    filled as ``run`` fills the first chunk of a run, and the texts
+    ``_json_text`` gives of the Transcripts ``run_protocol`` makes of them;
+    entry k of ``trials`` replaces fields of trial k in both: Transcript
+    field names, with the coefficients as ``secret`` and the joint weights,
+    outcome-major, as ``probabilities``. The chunk gives the coefficient
+    rows. No field is checked."""
     secret = SecretSpec(variant, FIXED_COEFFICIENTS[variant])
     chunks = protocol.run_trials(variant, 0, len(trials), secret=secret, forced=FORCED)
     (chunk,) = chunks
-    template = cli._template(chunk, 0, secret, FORCED)
+    pieces = cli._template(chunk, 0, secret, FORCED)
     t = run_protocol(secret, forced=FORCED)
     coefficients = chunk.coefficients.copy()
     weights = protocol._joint_weights(chunk.alice_branches)
@@ -364,13 +394,27 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
         corrections=corrections, fidelities=fidelities,
     )
     monkeypatch.setattr(cli, "_joint_weights", lambda branches: weights)
-    return list(cli._transcripts(chunk, template)), want
+    return list(cli._transcripts(chunk, pieces, True)), want
 
 
 class TestFilledJson:
     """``_transcripts`` writes, for each trial of a chunk, the bytes
     ``_json_text`` writes of the Transcript ``run_protocol`` makes of that
-    trial alone."""
+    trial alone, after the separator ``run`` lists it with, a slice of at
+    most ``_JOINED`` trials per text."""
+
+    @staticmethod
+    def assert_listed(texts: list[str], want: list[str]):
+        """``texts`` are ``want`` listed as ``run`` lists them, cut only
+        between trials, at most ``_JOINED`` trials per text."""
+        items, got, start = _listed(want), "".join(texts), 0
+        for t, item in enumerate(items):
+            assert got[start : start + len(item)] == item, t
+            start += len(item)
+        assert start == len(got)
+        ends = set(itertools.accumulate(map(len, items)))
+        assert set(itertools.accumulate(map(len, texts))) <= ends
+        assert all(t.count('"schema_version"') <= cli._JOINED for t in texts)
 
     @staticmethod
     def assert_run_filled(variant: Variant, how: str, trials: int):
@@ -379,13 +423,13 @@ class TestFilledJson:
         chunks = list(
             protocol.run_trials(variant, seed, trials, secret=secret, forced=forced)
         )
-        texts = _filled(chunks, seed, secret, forced)
-        assert len(texts) == trials
-        for t, text in enumerate(texts):
+        want = []
+        for t in range(trials):
             rng = substream(seed, t)  # trial t's own generator
             spec = secret if secret is not None else random_secret(variant, rng)
-            want = run_protocol(spec, rng=rng, forced=forced)
-            assert text == cli._json_text(want.to_dict(), 2), t
+            one = run_protocol(spec, rng=rng, forced=forced)
+            want.append(cli._json_text(one.to_dict(), 2))
+        TestFilledJson.assert_listed(_filled(chunks, seed, secret, forced), want)
 
     @pytest.mark.parametrize("how", HOWS)
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -405,7 +449,7 @@ class TestFilledJson:
             "probabilities": (inf, -inf, nan, 1e22, -0.0, 0.0, 0.1, 1e-300),
         }
         texts, want = _hand_built(monkeypatch, [edges, edges])
-        assert texts == want
+        self.assert_listed(texts, want)
 
     def test_repeated_floats_and_signed_zeros_match_json_text(self, monkeypatch):
         # repeated values share one text per bit pattern across a chunk's
@@ -423,43 +467,50 @@ class TestFilledJson:
             )
         ]
         texts, want = _hand_built(monkeypatch, trials)
-        assert texts == want
+        self.assert_listed(texts, want)
 
     def test_float_texts_match_json_text(self):
-        # one repr per distinct bit pattern: 0.0 and -0.0 compare equal but
-        # keep their own texts, and every NaN (sign bit set, or a payload)
-        # is written as NaN
+        # one repr per distinct magnitude: 0.0 and -0.0 compare equal but
+        # keep their own texts, a negative float is "-" and its magnitude's
+        # text, and every NaN (sign bit set, or a payload) is written as NaN
         values = np.array(
             [
-                [0.0, -0.0, 0.1, 0.0, math.inf, 1e16],
-                [-0.0, 0.0, 1e-5, 0.0, -math.inf, 5e-324],
-                [0.0, 0.0, 0.1, 0.0, 1e16, -0.0],
-                [-0.0, -0.0, 5e-324, 0.0, 0.1, 1e-5],
+                [0.0, -0.0, 0.1, 0.0, math.inf, 1e16, -0.1],
+                [-0.0, 0.0, 1e-5, 0.0, -math.inf, 5e-324, -5e-324],
+                [0.0, 0.0, 0.1, 0.0, 1e16, -0.0, -1e16],
+                [-0.0, -0.0, 5e-324, 0.0, 0.1, 1e-5, -math.inf],
             ]
         )
         nans = values.view(np.uint64)[:, 3]
         nans[:] = [0xFFF8000000000000, 0x7FF8000000000001] * 2
-        assert len(np.unique(values.view(np.int64))) == 10
+        assert len(np.unique(values.view(np.int64))) == 13
         texts = cli._float_texts(values)
-        assert texts == [[json.dumps(float(x)) for x in row] for row in values]
+        assert texts.dtype == object and texts.shape == values.shape
+        assert texts.tolist() == [[json.dumps(float(x)) for x in row] for row in values]
+        negative = cli._float_texts(-values)
+        assert negative.tolist() == [[json.dumps(-float(x)) for x in row] for row in values]
 
     @pytest.mark.parametrize(
         "variant, slots", [("three-a", 81), ("three-b", 81), ("four", 86)]
     )
     def test_template_slots_are_the_per_trial_leaves(self, variant, slots):
         # the schema version, the variant name, the secret's kind and each
-        # joint weight's outcome and bit are written into the template once
+        # joint weight's outcome and bit are in the pieces, once per run
         chunk = next(protocol.run_trials(variant, 3, 2))
-        text, count = cli._template(chunk, 3, None, None)
-        assert count == text.count("%s") == slots
+        pieces = cli._template(chunk, 3, None, None)
+        assert len(pieces) == slots + 1
+        doc = json.loads(json.dumps(cli._LEAF).join(pieces))
+        assert json.dumps(doc).count(json.dumps(cli._LEAF)) == slots
+        assert (doc["schema_version"], doc["variant"]) == (1, variant)
+        assert doc["secret"]["kind"] == "coefficients"
 
     def test_percent_and_non_ascii_in_the_template(self, monkeypatch):
-        # the template's text comes from to_dict's keys: escape it for %
+        # the pieces' text comes from to_dict's keys, and is written as it is
         to_dict = Transcript.to_dict
 
         def renamed(self):
             doc = to_dict(self)
-            return {("v%s \u00e9" if k == "variant" else k): v for k, v in doc.items()}
+            return {("v%s %% \u00e9" if k == "variant" else k): v for k, v in doc.items()}
 
         monkeypatch.setattr(Transcript, "to_dict", renamed)
         for how in HOWS:
@@ -473,7 +524,7 @@ class TestFilledJson:
             _hand_built(monkeypatch, [{}, correction], Variant.THREE_A)
 
     def test_key_that_reads_as_a_slot_raises(self, monkeypatch):
-        # the skeleton's leaf stand-in as a key adds a slot to the template
+        # the skeleton's leaf stand-in as a key adds a piece
         to_dict = Transcript.to_dict
         monkeypatch.setattr(
             Transcript, "to_dict", lambda self: {"\x00": 1, **to_dict(self)}

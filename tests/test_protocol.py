@@ -146,14 +146,18 @@ class TestSecrets:
     @pytest.mark.parametrize(
         "bad",
         ["1000", b"\x01\x00\x00\x00", bytearray(4), None, 5, (1, None, 0, 0),
-         ("1", 0, 0, 0), (1, 0, np.str_("0j"), 0), (b"1", 0, 0, 0)],
+         ("1", 0, 0, 0), (1, 0, np.str_("0j"), 0), (b"1", 0, 0, 0),
+         (True, False, False, False), (0.5, 0.5, 0.5, True),
+         np.array([True, False, False, False]), (np.True_, 0, 0, 0), True],
         ids=["str", "bytes", "bytearray", "None", "int", "None-item",
-             "str-item", "numpy-str-item", "bytes-item"],
+             "str-item", "numpy-str-item", "bytes-item", "bools", "bool-item",
+             "bool-array", "numpy-bool-item", "bool"],
     )
     def test_coefficients_that_are_no_numbers_rejected(self, bad):
         # "1000" ran as the secret (1, 0, 0, 0), a bytes value one byte per
         # coefficient; None or 5 raised a bare TypeError; a str item was
-        # parsed as the number it spells
+        # parsed as the number it spells, and (True, False, False, False)
+        # built |000>
         with pytest.raises(ValueError, match="sequence of numbers"):
             SecretSpec(Variant.THREE_A, bad)
 

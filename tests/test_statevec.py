@@ -1,8 +1,19 @@
 import itertools
+import json
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import ghzsplit
 
 from ghzsplit.protocol import (
     LITERAL,
@@ -22,6 +33,8 @@ from ghzsplit.statevec import (
     OutOfSpanError,
     PauliString,
     StateVector,
+    _pauli_tables,
+    _xor_sign_tables,
     apply_pauli_string,
     basis_projection_probabilities,
     check_normalized,
@@ -80,6 +93,26 @@ class TestStateVector:
         # numpy parsed each text as the number it spells
         with pytest.raises(ValueError, match="one row of numbers"):
             StateVector(amps)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [True, False],
+            np.array([True, False]),
+            [np.True_, 0.0],
+            [0.0, True],
+            np.array([True, 0.0], object),
+        ],
+        ids=["list", "bool-array", "numpy-bool", "bool-after-float", "object-array"],
+    )
+    def test_bool_amplitudes_rejected(self, amps):
+        # numpy read each bool as 0 or 1: [True, False] was |0>
+        with pytest.raises(ValueError, match="one row of numbers"):
+            StateVector(amps)
+
+    def test_integer_amplitudes_still_accepted(self):
+        assert StateVector([0, 1]).amplitudes.tolist() == [0, 1]
+        assert StateVector(np.array([1, 0])).amplitudes.tolist() == [1, 0]
 
     def test_normalization_enforced(self):
         with pytest.raises(NormalizationError) as exc:
@@ -163,6 +196,24 @@ class TestGateApplication:
         with pytest.raises(ValueError, match="Pauli factors"):
             apply_pauli_string(rows, [PauliString(("X", "X", "X"))])
 
+    def test_pauli_tables_gather_each_distinct_string(self):
+        # a chunk repeats a few corrections: each string's rows are made
+        # once and gathered, the same as one table per string
+        labels = [("X", "Z", "I"), ("iY", "I", "Z"), ("X", "Z", "I"), ("I", "I", "I")]
+        paulis = [PauliString(lab) for lab in labels * 3]
+        source, sign = _pauli_tables(paulis, 8)
+        want = [_xor_sign_tables(8, *p.masks) for p in paulis]
+        np.testing.assert_array_equal(source, [w[0] for w in want])
+        np.testing.assert_array_equal(sign, [w[1] for w in want])
+        assert not source.flags.writeable and not sign.flags.writeable
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_pauli_tables_check_every_distinct_width(self, first):
+        # X and I*X share their masks; only I*X fits two qubits
+        paulis = [PauliString(("I", "X")), PauliString(("X",))]
+        with pytest.raises(ValueError, match="1 Pauli factors on rows of 4"):
+            _pauli_tables(paulis[first:] + paulis[:first], 4)
+
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_bits_match_reference_on_every_bob_state(self, variant, reference):
         # every candidate correction on the forced Bob state of every row;
@@ -210,6 +261,88 @@ class TestFidelity:
         phases = np.exp(np.array([0.7j, -2.1j, 3.0j]))[:, None]
         fids = fidelity(rows, phases * rows)
         assert fids == [pytest.approx(1.0, abs=1e-12)] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([2, 8, 16]), rows=st.integers(1, 9))
+    def test_batched_fidelity_is_the_per_row_vdot(self, data, width, rows):
+        # one vecdot for the stack gives each row np.vdot's bits, signed
+        # zeros included, and Python's abs squares them alike
+        parts = st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+        )
+        amps = st.builds(complex, parts, parts)
+        a, b = (
+            data.draw(hnp.arrays(np.complex128, (rows, width), elements=amps))
+            for _ in range(2)
+        )
+        got = fidelity(a, b)
+        assert all(type(f) is float for f in got)
+        assert [f.hex() for f in got] == [
+            (abs(complex(np.vdot(x, y))) ** 2).hex() for x, y in zip(a, b)
+        ]
+
+    def test_one_row_is_not_broadcast(self):
+        # vecdot alone would compare the one row with each of the three
+        rows = np.eye(4, dtype=complex)[:3]
+        with pytest.raises(ValueError, match="1 rows but 3 rows to compare"):
+            fidelity(rows[:1], rows)
+        with pytest.raises(ValueError, match="3 rows but 1 rows to compare"):
+            fidelity(rows, rows[:1])
+
+
+def _blas_skip_reason() -> str | None:
+    """Why numpy's BLAS cannot be switched between kernels by
+    ``OPENBLAS_CORETYPE``, or None if it can."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "this OpenBLAS is built for one kernel (no DYNAMIC_ARCH)"
+    return None
+
+
+# compares the batched fidelity with one np.vdot per row on every row of
+# every chunk of a run per variant; prints the counts as JSON
+_KERNEL_CHILD = """
+import json, sys
+import numpy as np
+from ghzsplit import protocol
+from ghzsplit.statevec import fidelity
+rows = differ = 0
+for variant in protocol.Variant:
+    for chunk in protocol.run_trials(variant, 2026, int(sys.argv[1])):
+        secrets = protocol._secret_rows(variant, chunk.coefficients)
+        got = fidelity(chunk.bob_after, secrets)
+        want = [
+            abs(complex(np.vdot(x, y))) ** 2 for x, y in zip(chunk.bob_after, secrets)
+        ]
+        rows += len(want)
+        differ += sum(g.hex() != w.hex() for g, w in zip(got, want, strict=True))
+print(json.dumps({"rows": rows, "differ": differ}))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott", "Sandybridge"])
+def test_batched_fidelity_bits_under_each_blas_kernel(coretype):
+    # the dot products come from the BLAS kernel the CPU selects: each one
+    # must give vecdot and vdot the same bits
+    reason = _blas_skip_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    trials = 2000
+    src = str(Path(ghzsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": coretype}
+    done = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CHILD, str(trials)],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    if done.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernel")
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert counts == {"rows": trials * len(Variant), "differ": 0}
 
 
 class TestOrthonormalBasis:
