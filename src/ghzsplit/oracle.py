@@ -88,7 +88,9 @@ def _test_secrets(variant: Variant) -> np.ndarray:
     rng = substream(TEST_SEED, list(Variant).index(variant))
     return np.vstack([
         np.sqrt(vs.coefficient_norm) * np.eye(vs.coefficient_count),
-        _draw_coefficients(variant, [rng] * TEST_RANDOM_SECRETS),
+        _draw_coefficients(
+            variant, rng.normal(size=(TEST_RANDOM_SECRETS, 2 * vs.coefficient_count))
+        ),
     ])
 
 

@@ -262,15 +262,13 @@ def _secret_rows(
     return rows
 
 
-def _draw_coefficients(
-    variant: Variant, rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """Normalized complex Gaussian class coefficients, one row per generator:
-    (len(rngs), coefficient_count).
+def _draw_coefficients(variant: Variant, normals: np.ndarray) -> np.ndarray:
+    """Normalized complex Gaussian class coefficients from ``normals``, one
+    row of ``2 * coefficient_count`` per secret: (rows, coefficient_count).
 
-    Row t reads one ``normal(size=2 * count)`` from ``rngs[t]``, real parts
-    first: the stream of two ``size=count`` calls. Each row is then scaled
-    to the class norm by its ``np.linalg.norm``, taken with that function's
+    A row is one ``normal(size=2 * count)`` call, real parts first: the
+    stream of two ``size=count`` calls. Each row is then scaled to the class
+    norm by its ``np.linalg.norm``, taken with that function's
     floating-point operations: ``vecdot`` makes the dot products on real and
     imaginary parts 16 bytes apart, as ``norm`` does on a complex row's
     ``.real`` and ``.imag``. BLAS sums contiguous slices in another order,
@@ -278,10 +276,9 @@ def _draw_coefficients(
     """
     vs = VARIANT_SPECS[variant]
     count = vs.coefficient_count
-    draws = np.array([rng.normal(size=2 * count) for rng in rngs])
     # (trials, count, 2): each real part beside its imaginary part, the
     # floats of a + 1j * b, since normal() never returns -0.0
-    parts = draws.reshape(-1, 2, count).transpose(0, 2, 1).copy()
+    parts = normals.reshape(-1, 2, count).transpose(0, 2, 1).copy()
     re, im = parts[..., 0], parts[..., 1]
     norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
     # a real factor on the floats: the bits of the complex product
@@ -290,9 +287,10 @@ def _draw_coefficients(
 
 
 def random_secret(variant: Variant, rng: np.random.Generator) -> SecretSpec:
-    """Normalized complex Gaussian coefficients inside the class: the
-    one-generator case of the stacked draw that ``run_trials`` makes."""
-    return SecretSpec(variant, _draw_coefficients(variant, [rng])[0].tolist())
+    """Normalized complex Gaussian coefficients inside the class, from one
+    ``normal(size=2 * coefficient_count)`` call on ``rng``."""
+    normals = rng.normal(size=(1, 2 * VARIANT_SPECS[variant].coefficient_count))
+    return SecretSpec(variant, _draw_coefficients(variant, normals)[0].tolist())
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -386,22 +384,17 @@ def _preseeded() -> type:
     return Preseeded
 
 
-def _substreams(seed: int, start: int, stop: int) -> list[np.random.Generator]:
-    """``[substream(seed, t) for t in range(start, stop)]``, seeded as one
-    stack.
+def _stacked_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 seed words of ``substream(seed, t)`` for ``t`` in ``start ..
+    stop - 1``, one ``(4,)`` ``uint64`` row per trial.
 
-    ``substream(seed, t)`` is PCG64 seeded with the SeedSequence hash of the
+    ``substream(seed, t)`` seeds PCG64 with the SeedSequence hash of the
     32-bit words of seed and then of t, lowest first. That hash runs here as
-    ``uint32`` array arithmetic over the trials, a run of trials that differ
-    only in t's lowest word at a time; each trial's PCG64 then seeds itself
-    from its row of the hash. Trial ``start`` is also built by ``substream``
-    and the two states are compared: a mismatch raises RuntimeError, and a
-    negative seed raises numpy's ValueError.
+    ``uint32`` array arithmetic over a run of trials that differ only in t's
+    lowest word at a time.
     """
-    check = substream(seed, start)
-    generator, pcg64, preseeded = np.random.Generator, np.random.PCG64, _preseeded()
     seed_words = _uint32_words(int(seed))
-    rngs = []
+    runs = []
     lo = start
     while lo < stop:
         # trials lo .. hi - 1 share every word of lo but the lowest
@@ -409,13 +402,142 @@ def _substreams(seed: int, start: int, stop: int) -> list[np.random.Generator]:
         words = np.array([*seed_words, *_uint32_words(lo)], np.uint32)
         entropy = np.repeat(words[:, None], hi - lo, axis=1)
         entropy[len(seed_words)] += np.arange(hi - lo, dtype=np.uint32)
-        rngs += [generator(pcg64(preseeded(state))) for state in _pcg64_seeds(entropy)]
+        runs.append(_pcg64_seeds(entropy))
         lo = hi
-    if rngs[0].bit_generator.state != check.bit_generator.state:
+    return np.concatenate(runs)
+
+
+# PCG64 (numpy/random/src/pcg64): the multiplier of its 128-bit LCG
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 2**64 - 1
+
+
+@functools.cache
+def _pcg64_coefficients(count: int) -> tuple[np.ndarray, ...]:
+    """``A_k`` and ``B_k`` for ``k < count``: PCG64 seeded with (s, inc)
+    gives output k from the state ``A_k * s + B_k * inc`` (mod 2**128).
+
+    Seeding steps the zero state (``x -> M * x + inc``), adds s and steps
+    again; output k steps k + 1 times more. So ``A_k = M**(k + 2)`` and
+    ``B_k = 1 + M + ... + M**(k + 2)``. Returned as the high and low
+    ``uint64`` halves of A, then of B, each a ``(count, 1)`` column.
+    """
+    mod = 1 << 128
+    power, total, a, b = _PCG64_MULT, 1 + _PCG64_MULT, [], []
+    for _ in range(count):
+        power = power * _PCG64_MULT % mod
+        total = (total + power) % mod
+        a.append(power)
+        b.append(total)
+    halves = []
+    for column in (a, b):
+        halves.append(np.array([[n >> 64] for n in column], np.uint64))
+        halves.append(np.array([[n & _MASK64] for n in column], np.uint64))
+    for half in halves:
+        half.flags.writeable = False
+    return tuple(halves)
+
+
+def _mulhi(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * x`` of ``uint64``
+    arrays, from their 32-bit halves (uint64 arrays wrap without a warning)."""
+    a0, a1, x0, x1 = a & _MASK32, a >> 32, x & _MASK32, x >> 32
+    p01, p10 = a0 * x1, a1 * x0
+    mid = (a0 * x0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` outputs of PCG64 seeded with each row of
+    ``seeds``, SeedSequence's ``(4,)`` ``uint64`` state: (count, rows), row k
+    every generator's output k.
+
+    numpy's PCG64 takes the first two words as s (high word first) and the
+    next two as the stream, whose increment is ``stream << 1 | 1``. Output
+    k is XSL-RR of the state ``A_k * s + B_k * inc`` (``_pcg64_coefficients``),
+    made here from 64-bit halves: the two halves XORed, rotated right by the
+    state's top 6 bits.
+    """
+    s_hi, s_lo, stream_hi, stream_lo = seeds.T
+    inc_hi, inc_lo = stream_hi << 1 | stream_lo >> 63, stream_lo << 1 | 1
+    a_hi, a_lo, b_hi, b_lo = _pcg64_coefficients(count)
+    low_a = a_lo * s_lo
+    lo = low_a + b_lo * inc_lo
+    hi = (
+        _mulhi(a_lo, s_lo) + a_lo * s_hi + a_hi * s_lo
+        + _mulhi(b_lo, inc_lo) + b_lo * inc_hi + b_hi * inc_lo
+        + (lo < low_a)  # the carry out of the low halves' sum
+    )
+    xored, rotation = hi ^ lo, hi >> 58
+    return xored >> rotation | xored << ((64 - rotation) & 63)
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables (``_ziggurat``) indexed by a word's low nine
+    bits, its layer and its sign: ``KI`` twice as ``uint64``, and ``WI``
+    then ``-WI``, the scale that gives the signed normal (a product's sign
+    is the XOR of its factors')."""
+    from ._ziggurat import KI, WI
+
+    ki = np.array(KI * 2, np.uint64)
+    wi = np.array(WI, np.float64)
+    wi = np.concatenate([wi, -wi])
+    ki.flags.writeable = wi.flags.writeable = False
+    return ki, wi
+
+
+def _ziggurat_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``standard_normal``'s fast path on each word, as ``normal()`` returns
+    it, and whether the fast path takes the word: numpy draws more words
+    for a normal where it does not."""
+    ki, wi = _ziggurat_tables()
+    key = words & 0x1FF
+    magnitude = words >> 9 & (2**52 - 1)
+    normals = magnitude.astype(np.float64)
+    normals *= wi[key]
+    # normal(loc=0.0) adds loc: a -0.0 becomes 0.0
+    normals += 0.0
+    return normals, magnitude < ki[key]
+
+
+def _trial_draws(
+    seed: int, start: int, stop: int, normals: int, uniforms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """What trials ``start .. stop - 1`` draw first from ``substream(seed,
+    t)``: ``normal(size=normals)``, then ``uniforms`` calls of ``random()``,
+    as a (trials, normals) and a (uniforms, trials) array.
+
+    No generator is built per trial. ``_stacked_seeds`` hashes every trial's
+    seed, and ``_pcg64_words`` gives each trial's first ``normals +
+    uniforms`` PCG64 outputs. A normal is numpy's ziggurat fast path on one
+    word; a uniform is ``(word >> 11) * 2**-53``, as ``random()`` makes it.
+    A trial with a word the fast path rejects draws more words, so it is
+    drawn again by a ``Generator`` of its own, seeded with the same words.
+    Trial ``start`` is also drawn by ``substream`` and the two are compared:
+    a mismatch raises RuntimeError, and a negative seed raises numpy's
+    ValueError. Nothing is drawn, and no generator built, when both counts
+    are 0.
+    """
+    if normals + uniforms == 0:
+        return np.empty((stop - start, 0)), np.empty((0, stop - start))
+    check = substream(seed, start)
+    seeds = _stacked_seeds(seed, start, stop)
+    words = _pcg64_words(seeds, normals + uniforms)
+    gaussian, fast = _ziggurat_normals(words[:normals])
+    gaussian = gaussian.T.copy()
+    uniform = (words[normals:] >> 11) * 2.0**-53
+    generator, pcg64, preseeded = np.random.Generator, np.random.PCG64, _preseeded()
+    for t in np.flatnonzero(~np.logical_and.reduce(fast, axis=0)).tolist():
+        rng = generator(pcg64(preseeded(seeds[t])))
+        gaussian[t] = rng.normal(size=normals)
+        uniform[:, t] = rng.random(uniforms)
+    want = np.concatenate([check.normal(size=normals), check.random(uniforms)])
+    if np.concatenate([gaussian[0], uniform[:, 0]]).tobytes() != want.tobytes():
         raise RuntimeError(
-            f"stacked seeding of trial {start} differs from substream({seed}, {start})"
+            f"the stacked draw of trial {start} differs from substream({seed}, {start})"
         )
-    return rngs
+    return gaussian, uniform
 
 
 def alice_cbits(outcome: int) -> str:
@@ -753,21 +875,23 @@ def _run_chunk(
     variant: Variant,
     coefficients: np.ndarray | None,
     secret_rows: np.ndarray,
-    rngs: list[np.random.Generator],
+    uniforms: np.ndarray | tuple[np.random.Generator, np.random.Generator],
     forced: tuple[int, int] | None,
     table: CorrectionTable,
 ) -> TrialChunk:
     """The trial kernel: one protocol round per secret row, all stacked.
 
-    Trial t samples from ``rngs[t]`` (one ``random()`` for Alice, then one
-    for Charlie) unless ``forced`` pins both outcomes. Every step is the
-    same floating-point operation per row as on a single state.
+    Unless ``forced`` pins both outcomes, trial t samples Alice's outcome
+    with ``uniforms[0][t]`` and Charlie's with ``uniforms[1][t]``: a (2,
+    rows) array, or two generators that each measurement draws its row's
+    uniforms from once its span is checked. Every step is the same
+    floating-point operation per row as on a single state.
     """
     basis = _alice_measurement(variant, build_alice_basis(variant))
     bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
     if forced is None:
-        alice = measure_in_basis(secret_rows, basis, rngs)
-        charlie = measure_hadamard(alice.residual, bob, rngs)
+        alice = measure_in_basis(secret_rows, basis, uniforms[0])
+        charlie = measure_hadamard(alice.residual, bob, uniforms[1])
     else:
         alice = force_basis_outcome(secret_rows, basis, forced[0])
         charlie = force_hadamard_outcome(alice.residual, bob, forced[1])
@@ -790,6 +914,10 @@ def _run_chunk(
     )
 
 
+# trials whose random draws are made as one stack: eight kernel chunks
+TRIAL_BLOCK = 8 * TRIAL_CHUNK
+
+
 def run_trials(
     variant: Variant | str,
     seed: int,
@@ -801,13 +929,20 @@ def run_trials(
     """Trials ``0 .. trials - 1`` with the published table, ``TRIAL_CHUNK``
     at a time; ``secret`` and ``forced`` are checked as ``run_protocol`` does.
 
-    Trial t draws from ``substream(seed, t)`` alone: its random secret unless
-    ``secret`` fixes one, then its outcomes. A chunk's generators are seeded
-    as one stack (``_substreams``), each in the state ``substream`` gives it;
-    its secrets are one stacked draw, row t bit for bit ``random_secret``'s,
-    or the fixed coefficients repeated. ``_secret_rows`` makes the amplitude
-    rows, ``build_secret``'s bits, so no trial needs a ``SecretSpec``. A
-    trial's result does not depend on the chunking or on the other trials.
+    Trial t draws from ``substream(seed, t)`` alone: its random secret
+    (``normal(size=2 * count)``) unless ``secret`` fixes one, then one
+    ``random()`` for Alice's outcome and one for Charlie's unless ``forced``
+    pins them. Those draws are made ``TRIAL_BLOCK`` trials at a time as
+    array arithmetic (``_trial_draws``): PCG64's outputs in closed form from
+    each trial's hashed seed, and numpy's ziggurat fast path on them. The
+    few trials whose normals leave the fast path are drawn by a generator
+    of their own, and each block's first trial is checked against
+    ``substream``'s own calls. A forced run with a fixed secret draws
+    nothing. The secrets are one stacked ``_draw_coefficients``, row t bit
+    for bit ``random_secret``'s, or the fixed coefficients repeated;
+    ``_secret_rows`` makes the amplitude rows, ``build_secret``'s bits, so
+    no trial needs a ``SecretSpec``. A trial's result does not depend on
+    the blocks, the chunks or the other trials.
     """
     variant = Variant.parse(variant)
     if secret is not None:
@@ -818,16 +953,26 @@ def run_trials(
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    # checked here too: a forced run with a fixed secret builds no generator
+    seed = _integer(seed, "seed or key")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # as SeedSequence says
     table = published_correction_table(variant)
-    for start in range(0, trials, TRIAL_CHUNK):
-        rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, trials))
+    normals = 0 if secret is not None else 2 * VARIANT_SPECS[variant].coefficient_count
+    uniforms = 0 if forced is not None else 2
+    for block in range(0, trials, TRIAL_BLOCK):
+        stop = min(block + TRIAL_BLOCK, trials)
+        gaussian, uniform = _trial_draws(seed, block, stop, normals, uniforms)
         if secret is None:
-            coefficients = _draw_coefficients(variant, rngs)
+            coefficients = _draw_coefficients(variant, gaussian)
         else:
-            coefficients = np.array([secret.coefficients] * len(rngs))
-        # Alice's projection checks the rows' norms
-        rows = _secret_rows(variant, coefficients)
-        yield _run_chunk(variant, coefficients, rows, rngs, forced, table)
+            coefficients = np.array([secret.coefficients] * (stop - block))
+        for lo in range(0, stop - block, TRIAL_CHUNK):
+            part = coefficients[lo : lo + TRIAL_CHUNK]
+            # Alice's projection checks the rows' norms
+            rows = _secret_rows(variant, part)
+            draws = uniform[:, lo : lo + TRIAL_CHUNK]
+            yield _run_chunk(variant, part, rows, draws, forced, table)
 
 
 def run_protocol(
@@ -857,7 +1002,7 @@ def run_protocol(
     if forced is None and rng is None:
         raise ValueError("need rng, seed, or forced outcomes")
     chunk = _run_chunk(
-        variant, None, secret_state.amplitudes[None], [rng], forced,
+        variant, None, secret_state.amplitudes[None], (rng, rng), forced,
         table if table is not None else published_correction_table(variant),
     )
     # Bob's rows become StateVectors without a second norm check: collapse

@@ -434,19 +434,22 @@ def collapse(
 def measure_in_basis(
     rows: np.ndarray,
     basis: OrthonormalBasis | LiftedBasis,
-    rngs: list[np.random.Generator],
+    uniforms: np.ndarray | np.random.Generator,
 ) -> MeasurementResult:
     """Sample one projective outcome per row and collapse the measured qubits.
 
-    Row t takes one ``random()`` draw from ``rngs[t]``, mapped to an outcome
-    by ``sample_outcomes``. Raises OutOfSpanError when more than
-    ``SPAN_ATOL`` of a row's probability mass lies outside the span of the
-    basis vectors; no generator is drawn from then.
+    Row t maps ``uniforms[t]``, one draw in [0, 1), to an outcome by
+    ``sample_outcomes``. ``uniforms`` may instead be a generator: its
+    ``random(len(rows))`` is drawn once the span is checked. Raises
+    OutOfSpanError when more than ``SPAN_ATOL`` of a row's probability mass
+    lies outside the span of the basis vectors; nothing is drawn then.
     """
-    _check_one_per_row(rows, rngs, "generators")
+    if not hasattr(uniforms, "random"):
+        _check_one_per_row(rows, uniforms, "uniforms")
     branches, probs = basis.project(rows)
     _check_span(probs)  # before sampling: an all-zero projection has no draw
-    uniforms = np.array([rng.random() for rng in rngs])
+    if hasattr(uniforms, "random"):
+        uniforms = uniforms.random(len(rows))
     p = probs / np.add.reduce(probs, axis=-1, keepdims=True)
     return collapse(branches, probs, sample_outcomes(p, uniforms))
 
@@ -470,9 +473,9 @@ def hadamard_basis(qubit: int) -> OrthonormalBasis:
 
 
 def measure_hadamard(
-    rows: np.ndarray, qubit: int, rngs: list[np.random.Generator]
+    rows: np.ndarray, qubit: int, uniforms: np.ndarray | np.random.Generator
 ) -> MeasurementResult:
-    return measure_in_basis(rows, hadamard_basis(qubit), rngs)
+    return measure_in_basis(rows, hadamard_basis(qubit), uniforms)
 
 
 def force_hadamard_outcome(rows: np.ndarray, qubit: int, bit: int) -> MeasurementResult:

@@ -78,7 +78,8 @@ def secret_stack(variant, kind, size, rng, specials):
     width = VARIANT_SPECS[variant].secret_qubits
     dim = 2**width
     if kind == "drawn":
-        coefficients = _draw_coefficients(variant, [rng] * size)
+        count = VARIANT_SPECS[variant].coefficient_count
+        coefficients = _draw_coefficients(variant, rng.normal(size=(size, 2 * count)))
         return _secret_rows(variant, coefficients)
     if kind == "unit":
         units = np.eye(dim, dtype=complex)
@@ -160,13 +161,16 @@ rng = np.random.default_rng(5)
 bad = 0
 for variant in Variant:
     dim = 2 ** VARIANT_SPECS[variant].secret_qubits
+    normals = 2 * VARIANT_SPECS[variant].coefficient_count
     channel = build_channel(variant).amplitudes
     for encoding in ENCODINGS:
         basis = build_alice_basis(variant, encoding)
         for size in (1, 2, 127, 128, 129):
             z = rng.normal(size=(size, dim)) + 1j * rng.normal(size=(size, dim))
             rows = np.vstack([
-                _secret_rows(variant, _draw_coefficients(variant, [rng] * size)),
+                _secret_rows(variant, _draw_coefficients(
+                    variant, rng.normal(size=(size, normals))
+                )),
                 z / np.linalg.norm(z, axis=1, keepdims=True),
                 np.eye(dim, dtype=complex),
             ])

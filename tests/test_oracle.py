@@ -300,6 +300,18 @@ class TestTestSecrets:
         rows = _test_secrets(variant)[-TEST_RANDOM_SECRETS:]
         np.testing.assert_array_equal(rows.view(np.uint64), drawn.view(np.uint64))
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_rows_are_the_frozen_test_secrets(self, variant, reference):
+        # one normal(size=(secrets, 2 * count)) reads the stream of 0.1.0's
+        # one random_secret call per secret
+        ref = reference("oracle")
+        specs = ref._test_secrets(
+            ref.Variant(variant.value), TEST_RANDOM_SECRETS, TEST_SEED
+        )
+        want = np.array([spec.coefficients for spec in specs])
+        rows = _test_secrets(variant)
+        np.testing.assert_array_equal(rows.view(np.uint64), want.view(np.uint64))
+
 
 class TestVerifySpan:
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)

@@ -64,6 +64,16 @@ RUN_GRID += [
     for fmt in ("csv", "text")
     for how in ([], ["--forced", "1,1"])
 ]
+# past the first block of stacked draws, where each variant has trials whose
+# normals leave numpy's fast path; and a forced run with random secrets
+RUN_GRID += [
+    ["run", "--variant", v, "--trials", str(8 * TRIAL_CHUNK + 1), "--seed", "5"]
+    + ["--format", "csv"]
+    for v in VARIANTS
+] + [
+    ["run", "--variant", "three-b", "--trials", str(8 * TRIAL_CHUNK + 1), "--seed", "5"]
+    + ["--format", "json", "--forced", "2,0"]
+]
 VERIFY_GRID = [
     ["verify", "--all", "--format", fmt, *encoding]
     for fmt in ("json", "text")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -21,11 +23,13 @@ from ghzsplit.protocol import (
     _draw_coefficients,
     _joint_weights,
     _pcg64_seeds,
-    _substreams,
+    _pcg64_words,
+    _trial_draws,
     build_alice_basis,
     build_channel,
     build_secret,
     outcome_distribution,
+    TRIAL_BLOCK,
     TRIAL_CHUNK,
     published_correction_table,
     random_secret,
@@ -188,13 +192,34 @@ class TestSecrets:
         assert a != c
 
 
+def substream_draws(seed: int, t: int, normals: int, uniforms: int) -> bytes:
+    """The bits of ``substream(seed, t)``'s own ``normal(size=normals)`` call
+    and then its ``uniforms`` calls of ``random()``."""
+    rng = substream(seed, t)
+    drawn = [*rng.normal(size=normals), *(rng.random() for _ in range(uniforms))]
+    return np.array(drawn, np.float64).tobytes()
+
+
+def stacked_draws(seed: int, stop: int, normals: int, uniforms: int) -> list[bytes]:
+    """The bits of each trial's row of ``_trial_draws`` over trials 0 ..
+    stop - 1, made a ``TRIAL_BLOCK`` at a time as ``run_trials`` makes them."""
+    rows = []
+    for start in range(0, stop, TRIAL_BLOCK):
+        end = min(start + TRIAL_BLOCK, stop)
+        block = _trial_draws(seed, start, end, normals, uniforms)
+        rows += [np.concatenate(row).tobytes() for row in zip(block[0], block[1].T)]
+    return rows
+
+
 class TestStackedSecretDraw:
-    """A chunk's secrets, drawn as one stack by ``_draw_coefficients`` on the
-    chunk's ``_substreams``, against one ``random_secret`` per trial and the
+    """A block's secrets, drawn as one stack by ``_draw_coefficients`` on the
+    block's ``_trial_draws``, against one ``random_secret`` per trial and the
     frozen two-call draw of 0.1.0."""
 
-    # both ends of the first chunk, then the second and the third
-    TRIALS = (0, TRIAL_CHUNK - 1, TRIAL_CHUNK, 2 * TRIAL_CHUNK)
+    # both ends of the first chunk, the second and the third chunk, and both
+    # ends of the first block
+    TRIALS = (0, TRIAL_CHUNK - 1, TRIAL_CHUNK, 2 * TRIAL_CHUNK, TRIAL_BLOCK - 1,
+              TRIAL_BLOCK)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     @settings(max_examples=10, deadline=None)
@@ -203,14 +228,17 @@ class TestStackedSecretDraw:
     @example(seed=2**64)
     def test_rows_are_each_trials_own_draw(self, variant, seed, reference):
         ref = reference("protocol")
+        normals = 2 * VARIANT_SPECS[variant].coefficient_count
         stop = max(self.TRIALS) + 1
-        chunks = []
-        for start in range(0, stop, TRIAL_CHUNK):
-            rngs = _substreams(seed, start, min(start + TRIAL_CHUNK, stop))
-            chunks.append((rngs, _draw_coefficients(variant, rngs)))
+        blocks = []
+        for start in range(0, stop, TRIAL_BLOCK):
+            gaussian, uniform = _trial_draws(
+                seed, start, min(start + TRIAL_BLOCK, stop), normals, 2
+            )
+            blocks.append((_draw_coefficients(variant, gaussian), uniform))
         for t in self.TRIALS:
-            rngs, rows = chunks[t // TRIAL_CHUNK]
-            stacked, rng = rows[t % TRIAL_CHUNK], rngs[t % TRIAL_CHUNK]
+            rows, uniform = blocks[t // TRIAL_BLOCK]
+            stacked = rows[t % TRIAL_BLOCK]
             one, frozen = substream(seed, t), ref.substream(seed, t)
             want = np.array(random_secret(variant, one).coefficients)
             spec = ref.random_secret(ref.Variant(variant.value), frozen)
@@ -218,31 +246,33 @@ class TestStackedSecretDraw:
             assert np.array_equal(
                 want.view(np.uint64), np.array(spec.coefficients).view(np.uint64)
             )
-            state = rng.bit_generator.state
-            assert state == one.bit_generator.state == frozen.bit_generator.state
+            assert one.bit_generator.state == frozen.bit_generator.state
+            # then Alice's and Charlie's random() calls
+            drawn = np.array([one.random(), one.random()])
+            assert uniform[:, t % TRIAL_BLOCK].tobytes() == drawn.tobytes()
 
 
 class TestStackedSeeding:
-    """A chunk's generators, seeded as one stack by ``_substreams``, against
-    one ``substream`` per trial."""
+    """A block's draws, made as array arithmetic by ``_trial_draws``, against
+    one ``substream`` per trial and its own ``normal`` and ``random`` calls."""
 
+    # (normals, uniforms): a three-qubit random secret and sampled outcomes,
+    # a four random secret with forced outcomes, a fixed secret sampled
+    COUNTS = [(8, 2), (4, 0), (0, 2)]
+
+    @pytest.mark.parametrize("counts", COUNTS, ids=["8+2", "4+0", "0+2"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**200 - 1))
     @example(seed=0)
     @example(seed=2**32 - 1)
     @example(seed=2**32)
     @example(seed=2**96 + 1)  # 4 seed words and the trial's: past the pool
-    def test_every_trial_of_two_chunks_is_its_substream(self, seed):
-        trials = 2 * TRIAL_CHUNK
-        rngs = [
-            rng
-            for start in range(0, trials, TRIAL_CHUNK)
-            for rng in _substreams(seed, start, start + TRIAL_CHUNK)
-        ]
-        assert len(rngs) == trials
-        assert len({id(rng.bit_generator) for rng in rngs}) == trials
-        for t, rng in enumerate(rngs):
-            assert rng.bit_generator.state == substream(seed, t).bit_generator.state
+    def test_every_trial_of_two_blocks_is_its_substream(self, counts, seed):
+        trials = TRIAL_BLOCK + 2
+        rows = stacked_draws(seed, trials, *counts)
+        assert len(rows) == trials
+        for t, row in enumerate(rows):
+            assert row == substream_draws(seed, t, *counts), t
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), length=st.integers(1, 9))
@@ -252,18 +282,70 @@ class TestStackedSeeding:
         want = [np.random.SeedSequence(w).generate_state(4, np.uint64) for w in lists]
         assert np.array_equal(_pcg64_seeds(np.array(lists, np.uint32).T), want)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.lists(
+                st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                          st.integers(0, 2**64 - 1)),
+                min_size=4, max_size=4,
+            ),
+            min_size=1, max_size=4,
+        ),
+        count=st.integers(1, 12),
+    )
+    def test_words_are_pcg64s_outputs(self, seeds, count):
+        from ghzsplit.protocol import _preseeded
+
+        rows = np.array(seeds, np.uint64)
+        want = [
+            np.random.PCG64(_preseeded()(row)).random_raw(count) for row in rows
+        ]
+        assert np.array_equal(_pcg64_words(rows, count), np.array(want).T)
+
     def test_negative_seed_rejected_as_substream_rejects_it(self):
         with pytest.raises(ValueError) as want:
             substream(-1, 0)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             next(run_trials(Variant.FOUR, -1, 1))
+        # a forced run with a fixed secret draws nothing, and checks the seed
+        spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            next(run_trials(Variant.FOUR, -1, 1, secret=spec, forced=(1, 1)))
 
     @pytest.mark.parametrize("start", [2**32 - 5, 2**64 - 5], ids=["2^32", "2^64"])
     def test_trial_index_words_split_as_numpy_splits_them(self, start):
         # trial 2**32 is the words (0, 1), never trial 0 through a uint32 cast
-        rngs = _substreams(7, start, start + TRIAL_CHUNK)
-        for t, rng in zip(range(start, start + TRIAL_CHUNK), rngs, strict=True):
-            assert rng.bit_generator.state == substream(7, t).bit_generator.state
+        stop = start + TRIAL_CHUNK
+        gaussian, uniform = _trial_draws(7, start, stop, 8, 2)
+        rows = [np.concatenate(row).tobytes() for row in zip(gaussian, uniform.T)]
+        for t, row in zip(range(start, stop), rows, strict=True):
+            assert row == substream_draws(7, t, 8, 2), t
+
+    # (seed, trial, normals, layer kind): trials one of whose normals leaves
+    # numpy's fast path, on a layer past 1, on layer 0 (the tail) or on
+    # layer 1 (whose KI is 0); trial 2 of seed 7 and trial 7 of seed 2026
+    # are rejected at their first normal
+    SLOW = [
+        (7, 2, 8, "rejected"), (2026, 7, 4, "rejected"), (7, 116, 8, "tail"),
+        (7, 116, 4, "tail"), (7, 7, 8, "layer 1"), (7, 119, 4, "layer 1"),
+    ]
+
+    @pytest.mark.parametrize("seed,trial,normals,kind", SLOW)
+    def test_slow_path_trials_are_their_substreams(self, seed, trial, normals, kind):
+        from ghzsplit.protocol import _stacked_seeds, _ziggurat_normals
+
+        words = _pcg64_words(_stacked_seeds(seed, trial, trial + 1), normals)[:, 0]
+        _, fast = _ziggurat_normals(words)
+        first = int(np.argmin(fast))
+        assert not fast[first]
+        layer = int(words[first] & 0xFF)
+        assert kind == {0: "tail", 1: "layer 1"}.get(layer, "rejected")
+        want = substream_draws(seed, trial, normals, 2)
+        # drawn by its own generator, first in its block and inside one
+        assert stacked_draws(seed, trial + 3, normals, 2)[trial] == want
+        gaussian, uniform = _trial_draws(seed, trial, trial + 1, normals, 2)
+        assert np.concatenate([gaussian[0], uniform[:, 0]]).tobytes() == want
 
     def test_set_up_leaves_numpy_random_unloaded(self):
         # numpy.random loads on first use; the stacked seeding must not load
@@ -289,6 +371,58 @@ class TestStackedSeeding:
         monkeypatch.setattr(protocol, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1))
         with pytest.raises(RuntimeError, match="differs from substream"):
             next(run_trials(Variant.FOUR, 7, 3))
+
+
+class TestGeneratorsBuilt:
+    """Only the trials that leave the ziggurat's fast path, and one check per
+    block, build generators."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from ghzsplit import cli, protocol
+
+        counts = {"substream": 0, "Generator": 0}
+
+        def counted(name, make):
+            def build(*args):
+                counts[name] += 1
+                return make(*args)
+            return build
+
+        for module in (protocol, cli):
+            monkeypatch.setattr(module, "substream", counted("substream", substream))
+        monkeypatch.setattr(
+            np.random, "Generator", counted("Generator", np.random.Generator)
+        )
+        return counts
+
+    def test_random_secrets_build_one_per_slow_trial(self, built):
+        from ghzsplit.protocol import _stacked_seeds, _ziggurat_normals
+
+        chunks = list(run_trials(Variant.THREE_A, 7, TRIAL_BLOCK + 1))
+        assert sum(len(c.fidelities) for c in chunks) == TRIAL_BLOCK + 1
+        words = _pcg64_words(_stacked_seeds(7, 0, TRIAL_BLOCK + 1), 8)
+        slow = int(np.sum(~np.logical_and.reduce(_ziggurat_normals(words)[1])))
+        assert built == {"substream": 2, "Generator": slow}
+        assert 0 < slow < TRIAL_BLOCK // 4
+
+    @pytest.mark.parametrize("forced,checks", [(None, 3), ((1, 1), 0)])
+    def test_fixed_secret_builds_a_check_per_block_or_none(self, built, forced, checks):
+        spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
+        trials = 2 * TRIAL_BLOCK + 1
+        list(run_trials(Variant.FOUR, 7, trials, secret=spec, forced=forced))
+        assert built == {"substream": checks, "Generator": 0}
+
+    def test_forced_csv_run_with_a_fixed_secret_makes_no_substream(self, built):
+        from ghzsplit.cli import main
+
+        argv = ["run", "--variant", "four", "--trials", str(TRIAL_BLOCK + 1),
+                "--secret", "0.5,-0.5j", "--forced", "1,1", "--format", "csv"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue().count("\n") == TRIAL_BLOCK + 2
+        assert built == {"substream": 0, "Generator": 0}
 
 
 class TestAliceBasis:
@@ -571,6 +705,14 @@ class TestRunProtocol:
             run_protocol(
                 StateVector(np.eye(8)[0b010]), variant=Variant.THREE_A, seed=0
             )
+
+    def test_out_of_class_secret_leaves_the_generator_undrawn(self):
+        # Alice's uniform is drawn only once her projection's span is checked
+        rng = substream(3, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(OutOfSpanError):
+            run_protocol(StateVector(np.eye(8)[0b010]), variant="three-a", rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_seeded_runs_are_reproducible(self):
         spec = SecretSpec(Variant.THREE_A, (0.5, 0.5, 0.5, 0.5))

@@ -407,8 +407,13 @@ class TestOrthonormalBasis:
         with pytest.raises(OutOfSpanError) as exc:
             force_basis_outcome(rows, basis, 0)
         assert exc.value.missing_mass == pytest.approx(1.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(OutOfSpanError):
-            measure_in_basis(rows, basis, [np.random.default_rng(0)])
+            measure_in_basis(rows, basis, rng)
+        assert rng.bit_generator.state == state  # nothing drawn
+        with pytest.raises(OutOfSpanError):
+            measure_in_basis(rows, basis, np.array([0.5]))
 
     def test_zero_probability_outcome_rejected(self):
         basis = OrthonormalBasis(
@@ -446,15 +451,16 @@ class TestHadamardMeasurement:
         n = 4096
         rows = np.repeat(np.array([[a, b]], dtype=complex), n, axis=0)
         # one generator for every row: row t takes its t-th draw
-        rngs = [np.random.default_rng(2024)] * n
-        hits = int(np.sum(measure_in_basis(rows, hadamard_basis(0), rngs).outcome == 0))
+        uniforms = np.random.default_rng(2024).random(n)
+        sampled = measure_in_basis(rows, hadamard_basis(0), uniforms)
+        hits = int(np.sum(sampled.outcome == 0))
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(hits - n * p) <= 3 * sigma
 
     def test_sampled_residual_consistent_with_forced(self):
         rng = np.random.default_rng(8)
         rows = random_state(2, rng).amplitudes[None]
-        sampled = measure_in_basis(rows, hadamard_basis(1), [rng])
+        sampled = measure_in_basis(rows, hadamard_basis(1), rng)
         forced = force_hadamard_outcome(rows, 1, sampled.outcome)
         np.testing.assert_allclose(sampled.residual, forced.residual, atol=1e-15)
 
@@ -532,10 +538,11 @@ class TestStackedRows:
                 for t in range(12)
             ]
         )
-        alice = measure_in_basis(rows, basis, [substream(5, t) for t in range(12)])
+        uniforms = np.array([substream(5, t).random() for t in range(12)])
+        alice = measure_in_basis(rows, basis, uniforms)
         charlie = force_hadamard_outcome(alice.residual, 3, 1)
         for t in range(12):
-            one = measure_in_basis(rows[t : t + 1], basis, [substream(5, t)])
+            one = measure_in_basis(rows[t : t + 1], basis, substream(5, t))
             assert alice.outcome[t] == one.outcome[0]
             assert float(alice.probability[t]).hex() == float(one.probability[0]).hex()
             assert self.same_bits(alice.residual[t], one.residual[0])
@@ -557,8 +564,8 @@ class TestStackedRows:
 
     def test_one_generator_or_pauli_per_row(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError, match="2 rows but 1 generators"):
-            measure_in_basis(rows, hadamard_basis(0), [substream(1, 0)])
+        with pytest.raises(ValueError, match="2 rows but 1 uniforms"):
+            measure_in_basis(rows, hadamard_basis(0), np.array([0.5]))
         with pytest.raises(ValueError, match="2 rows but 1 Pauli strings"):
             apply_pauli_string(rows, [PauliString(("X",))])
         with pytest.raises(ValueError):
@@ -573,7 +580,7 @@ class TestStackedRows:
             force_basis_outcome(rows, computational, 1)
         partial = OrthonormalBasis((0,), (StateVector(np.eye(2)[0b0]),))
         with pytest.raises(OutOfSpanError):
-            measure_in_basis(rows, partial, [substream(1, 0), substream(1, 1)])
+            measure_in_basis(rows, partial, np.array([0.25, 0.75]))
         check_normalized(rows)
         with pytest.raises(NormalizationError):
             check_normalized(np.vstack([rows[:1], 2 * rows[1:]]))
