@@ -54,8 +54,8 @@ from .protocol import (
     SecretSpec,
     TrialChunk,
     Variant,
-    VARIANT_SPECS,
     _joint_weights,
+    _resolve_forced,
     alice_cbits,
     build_alice_basis,
     published_correction_table,
@@ -121,7 +121,7 @@ def _parse_secret(text: str, variant: Variant) -> SecretSpec:
         _emit_error("config", f"secret coefficients must be finite, got {text!r}")
     spec = SecretSpec(variant, tuple(coeffs))
     try:
-        spec.state  # checks count and norm; built once, for every trial
+        spec.state  # checks count and norm before any output
     except NormalizationError as exc:
         if math.isinf(exc.deficit):  # finite coefficients, too heavy a weight
             _emit_error("config", f"secret coefficient weights overflow, got {text!r}")
@@ -139,19 +139,13 @@ def _parse_forced(text: str, variant: Variant) -> tuple[int, int]:
             f"--forced takes 'alice_outcome,charlie_bit', got {text!r}",
         )
     try:
-        outcome, bit = int(parts[0]), int(parts[1])
+        forced = int(parts[0]), int(parts[1])
     except ValueError:
         _emit_error("config", f"--forced components must be integers, got {text!r}")
-    limit = VARIANT_SPECS[variant].num_outcomes
-    if not 0 <= outcome < limit:
-        _emit_error(
-            "config",
-            f"forced outcome must be in [0, {limit}) for {variant.value}, "
-            f"got {outcome}",
-        )
-    if bit not in (0, 1):
-        _emit_error("config", f"forced charlie bit must be 0 or 1, got {bit}")
-    return outcome, bit
+    try:
+        return _resolve_forced(forced, variant)
+    except ValueError as exc:  # not a row of the variant
+        _emit_error("config", str(exc))
 
 
 def _emit_write_error(emit: str, exc: OSError | ValueError) -> None:

@@ -50,7 +50,6 @@ from .protocol import (
     _secret_rows,
     build_alice_basis,
     published_correction_table,
-    random_secret,
     substream,
 )
 from .statevec import (
@@ -448,10 +447,11 @@ def verify_span(
             f"{valid_trials} valid and {invalid_trials} invalid"
         )
     rng = substream(SPAN_SEED, list(Variant).index(variant))
-    valid = _secret_rows(
-        variant,
-        [random_secret(variant, rng).coefficients for _ in range(valid_trials)],
+    # the stream of one random_secret call per secret
+    normals = rng.normal(
+        size=(valid_trials, 2 * VARIANT_SPECS[variant].coefficient_count)
     )
+    valid = _secret_rows(variant, _draw_coefficients(variant, normals))
     invalid = [
         random_arbitrary_secret(variant, rng).amplitudes
         for _ in range(invalid_trials)

@@ -44,6 +44,7 @@ from .statevec import (
     PauliString,
     StateVector,
     _NOT_NUMBERS,
+    _check_span,
     _integer,
     _probabilities,
     _xor_sign_tables,
@@ -567,13 +568,14 @@ def build_alice_basis(
     phase qubits (a label swap in the 16-outcome bases), and its ``four``
     basis repeats vector 2 as vector 3.
     """
+    # checked before the cache, which cannot hash every wrong value
+    if encoding not in ENCODINGS:
+        raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
     return _alice_basis(Variant.parse(variant), encoding)
 
 
 @functools.cache
 def _alice_basis(variant: Variant, encoding: str) -> OrthonormalBasis:
-    if encoding not in ENCODINGS:
-        raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
     vs = VARIANT_SPECS[variant]
     width = len(vs.alice_anchor[0])
     phases = vs.alice_phases[::-1] if encoding == LITERAL else vs.alice_phases
@@ -802,12 +804,27 @@ def _resolve_secret(
     return variant, secret
 
 
-def _resolve_forced(forced: tuple[int, int] | None) -> tuple[int, int] | None:
-    """``forced`` as a pair of ints; a bool or a non-integer is refused."""
+def _resolve_forced(
+    forced: tuple[int, int] | None, variant: Variant
+) -> tuple[int, int] | None:
+    """``forced`` as a pair of ints that names a row of ``variant``: a bool,
+    a non-integer, a value out of range or a non-pair is refused."""
     if forced is None:
         return None
-    outcome, bit = forced
-    return _integer(outcome, "alice_outcome"), _integer(bit, "charlie_bit")
+    try:
+        outcome, bit = forced  # a sequence of another length keeps its message
+    except TypeError:
+        raise ValueError(f"forced must be a pair of integers, got {forced!r}") from None
+    outcome, bit = _integer(outcome, "alice_outcome"), _integer(bit, "charlie_bit")
+    limit = VARIANT_SPECS[variant].num_outcomes
+    if not 0 <= outcome < limit:
+        raise ValueError(
+            f"forced outcome must be in [0, {limit}) for {variant.value}, "
+            f"got {outcome}"
+        )
+    if bit not in (0, 1):
+        raise ValueError(f"forced charlie bit must be 0 or 1, got {bit}")
+    return outcome, bit
 
 
 def _hadamard_halves(branches: np.ndarray) -> np.ndarray:
@@ -828,16 +845,9 @@ def _joint_weights(branches: np.ndarray) -> np.ndarray:
     return _probabilities(signed)
 
 
-@functools.cache
-def _outcome_keys(outcomes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (alice_outcome, charlie_bit) of each joint weight, as two columns."""
-    return tuple(i for i in range(outcomes) for _ in (0, 1)), (0, 1) * outcomes
-
-
 def _outcome_weights(weights: np.ndarray) -> tuple[OutcomeWeight, ...]:
-    outcomes, bits = _outcome_keys(len(weights))
-    rows = zip(outcomes, bits, weights.ravel().tolist())
-    return tuple(map(OutcomeWeight._make, rows))
+    rows = enumerate(weights.tolist())  # weights[outcome, bit]
+    return tuple(OutcomeWeight(i, b, p) for i, row in rows for b, p in enumerate(row))
 
 
 def outcome_distribution(
@@ -875,17 +885,16 @@ def _run_chunk(
     variant: Variant,
     coefficients: np.ndarray | None,
     secret_rows: np.ndarray,
-    uniforms: np.ndarray | tuple[np.random.Generator, np.random.Generator],
+    uniforms: np.ndarray | None,
     forced: tuple[int, int] | None,
     table: CorrectionTable,
 ) -> TrialChunk:
     """The trial kernel: one protocol round per secret row, all stacked.
 
     Unless ``forced`` pins both outcomes, trial t samples Alice's outcome
-    with ``uniforms[0][t]`` and Charlie's with ``uniforms[1][t]``: a (2,
-    rows) array, or two generators that each measurement draws its row's
-    uniforms from once its span is checked. Every step is the same
-    floating-point operation per row as on a single state.
+    with ``uniforms[0][t]`` and Charlie's with ``uniforms[1][t]``, a (2,
+    rows) array. Every step is the same floating-point operation per row as
+    on a single state.
     """
     basis = _alice_measurement(variant, build_alice_basis(variant))
     bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
@@ -949,7 +958,7 @@ def run_trials(
         if not isinstance(secret, SecretSpec):  # a raw state has no coefficients
             raise ValueError(f"a fixed secret must be a SecretSpec, got {secret!r}")
         _resolve_secret(secret, variant)
-    forced = _resolve_forced(forced)
+    forced = _resolve_forced(forced, variant)
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -986,27 +995,36 @@ def run_protocol(
 ) -> Transcript:
     """Execute one full splitting round and return its transcript.
 
-    Outcomes are sampled from ``rng`` or, in its place, a generator seeded
-    with ``seed``, unless ``forced=(alice_outcome, charlie_bit)`` pins them.
-    The published correction table is used unless ``table`` overrides it.
-    Raises OutOfSpanError when the secret lies outside the variant's
-    restricted class. This is the trial kernel run on a single trial, and
-    the only place that builds a ``Transcript``.
+    Unless ``forced=(alice_outcome, charlie_bit)``, a row of the variant,
+    pins them, ``rng.random((2, 1))`` (or ``seed``'s generator's) gives
+    Alice's uniform, then Charlie's, once the secret's class is checked: a
+    secret outside it raises OutOfSpanError, with nothing drawn. ``table``,
+    of the same variant, overrides the published table. This is the trial
+    kernel run on a single trial, and the only place that builds a
+    ``Transcript``.
     """
     if rng is not None and seed is not None:
         raise ValueError("pass rng or seed, not both")
+    if rng is not None and not hasattr(rng, "random"):
+        raise ValueError(f"rng must be a numpy Generator, got {rng!r}")
     variant, secret_state = _resolve_secret(secret, variant)
-    forced = _resolve_forced(forced)
+    forced = _resolve_forced(forced, variant)
+    if table is None:
+        table = published_correction_table(variant)
+    elif table.variant != variant:  # a Variant equals its name
+        other = Variant.parse(table.variant).value
+        raise ValueError(f"table is for {other}, not {variant.value}")
     if seed is not None:
         rng = substream(seed)
-    if forced is None and rng is None:
-        raise ValueError("need rng, seed, or forced outcomes")
-    chunk = _run_chunk(
-        variant, None, secret_state.amplitudes[None], (rng, rng), forced,
-        table if table is not None else published_correction_table(variant),
-    )
-    # Bob's rows become StateVectors without a second norm check: collapse
-    # checked bob_before and _run_chunk checked bob_after
+    rows, uniforms = secret_state.amplitudes[None], None
+    if forced is None:
+        if rng is None:
+            raise ValueError("need rng, seed, or forced outcomes")
+        if not isinstance(secret, SecretSpec):  # a raw state may lie outside
+            basis = _alice_measurement(variant, build_alice_basis(variant))
+            _check_span(basis.project(rows)[1])
+        uniforms = rng.random((2, 1))
+    chunk = _run_chunk(variant, None, rows, uniforms, forced, table)
     outcome = chunk.alice_outcomes[0]
     return Transcript(
         variant=variant,
@@ -1015,8 +1033,8 @@ def run_protocol(
         alice_cbits=alice_cbits(outcome),
         charlie_bit=chunk.charlie_bits[0],
         correction=chunk.corrections[0],
-        bob_state_before=StateVector._from_checked(chunk.bob_before[0]),
-        bob_state_after=StateVector._from_checked(chunk.bob_after[0]),
+        bob_state_before=StateVector(chunk.bob_before[0]),
+        bob_state_after=StateVector(chunk.bob_after[0]),
         fidelity=chunk.fidelities[0],
         probabilities=_outcome_weights(_joint_weights(chunk.alice_branches)[0]),
     )

@@ -13,8 +13,7 @@ Conventions used throughout the package:
   read off the length, which must be a power of two. The state is validated
   to unit norm (tolerance ``NORM_ATOL``) and never silently renormalized; it
   is the value at the package's edges (secrets, channels, basis vectors,
-  transcripts). Only ``StateVector._from_checked`` skips the checks, for a
-  row of a stack whose norms were checked already.
+  transcripts).
 * The projection, measurement, correction and fidelity functions take and
   return only ``(rows, 2**n)`` stacks of amplitude rows, doing the same
   floating-point work on every row; a single state is the one-row stack
@@ -24,6 +23,8 @@ Conventions used throughout the package:
   that checks their norms. Each projection's span is checked once, right
   after it. Of a stack's norms only the collapsed rows are checked; the
   caller checks the rest with ``check_normalized``.
+* A sampled measurement takes one uniform draw in [0, 1) per row, as an
+  array; it draws nothing itself.
 """
 
 from __future__ import annotations
@@ -100,16 +101,6 @@ class StateVector:
         check_normalized(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def _from_checked(cls, amplitudes: np.ndarray) -> "StateVector":
-        """A read-only copy of one amplitude row whose length and norm the
-        caller has already checked: no second ``check_normalized``."""
-        state = object.__new__(cls)
-        amps = amplitudes.copy()
-        amps.flags.writeable = False
-        object.__setattr__(state, "amplitudes", amps)
-        return state
 
     @property
     def num_qubits(self) -> int:
@@ -384,14 +375,14 @@ def _check_span(probs: np.ndarray) -> None:
         raise OutOfSpanError(missing)
 
 
-# Generator.choice's tolerance on the sum of its probabilities
+# numpy's choice() tolerance on the sum of its probabilities
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def sample_outcomes(p: np.ndarray, uniforms) -> np.ndarray:
     """Outcome per row of ``p`` (last axis) for one uniform draw in [0, 1) each.
 
-    The draw maps to an outcome exactly as ``Generator.choice(len(row),
+    The draw maps to an outcome exactly as numpy's ``choice(len(row),
     p=row)`` maps its own ``random()`` draw, and bad rows raise ValueError as
     there: NaN, a negative entry, or a sum off 1 by more than sqrt(eps).
     """
@@ -432,24 +423,17 @@ def collapse(
 
 
 def measure_in_basis(
-    rows: np.ndarray,
-    basis: OrthonormalBasis | LiftedBasis,
-    uniforms: np.ndarray | np.random.Generator,
+    rows: np.ndarray, basis: OrthonormalBasis | LiftedBasis, uniforms: np.ndarray
 ) -> MeasurementResult:
     """Sample one projective outcome per row and collapse the measured qubits.
 
     Row t maps ``uniforms[t]``, one draw in [0, 1), to an outcome by
-    ``sample_outcomes``. ``uniforms`` may instead be a generator: its
-    ``random(len(rows))`` is drawn once the span is checked. Raises
-    OutOfSpanError when more than ``SPAN_ATOL`` of a row's probability mass
-    lies outside the span of the basis vectors; nothing is drawn then.
+    ``sample_outcomes``. Raises OutOfSpanError when more than ``SPAN_ATOL``
+    of a row's probability mass lies outside the span of the basis vectors.
     """
-    if not hasattr(uniforms, "random"):
-        _check_one_per_row(rows, uniforms, "uniforms")
+    _check_one_per_row(rows, uniforms, "uniforms")
     branches, probs = basis.project(rows)
     _check_span(probs)  # before sampling: an all-zero projection has no draw
-    if hasattr(uniforms, "random"):
-        uniforms = uniforms.random(len(rows))
     p = probs / np.add.reduce(probs, axis=-1, keepdims=True)
     return collapse(branches, probs, sample_outcomes(p, uniforms))
 
@@ -473,7 +457,7 @@ def hadamard_basis(qubit: int) -> OrthonormalBasis:
 
 
 def measure_hadamard(
-    rows: np.ndarray, qubit: int, uniforms: np.ndarray | np.random.Generator
+    rows: np.ndarray, qubit: int, uniforms: np.ndarray
 ) -> MeasurementResult:
     return measure_in_basis(rows, hadamard_basis(qubit), uniforms)
 

@@ -322,6 +322,21 @@ class TestVerifySpan:
         assert len(report.valid_deficits) == 10
         assert len(report.invalid_out_of_span) == 10
 
+    @pytest.mark.parametrize(
+        "counts", [{}, {"valid_trials": 1, "invalid_trials": 1}],
+        ids=["default", "one-each"],
+    )
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_report_is_the_frozen_report(self, variant, counts, reference):
+        # the stacked secret draw and projection give 0.1.0's masses bit for bit
+        ref = reference("oracle")
+        want = ref.verify_span(ref.Variant(variant.value), **counts)
+        got = verify_span(variant, **counts)
+        for name in ("valid_deficits", "invalid_out_of_span"):
+            assert [x.hex() for x in getattr(got, name)] == [
+                x.hex() for x in getattr(want, name)
+            ], name
+
     @pytest.mark.parametrize("valid, invalid", [(0, 3), (3, 0), (0, 0)])
     def test_needs_secrets_on_both_sides(self, valid, invalid):
         # the report's worst deficit and least escape need one secret each

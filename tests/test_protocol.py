@@ -478,8 +478,10 @@ class TestAliceBasis:
         assert [(i, j) for i, j, _ in defects] == [(2, 3)]
 
     def test_unknown_encoding_rejected(self):
-        with pytest.raises(ValueError, match="encoding"):
-            build_alice_basis(Variant.THREE_A, "verbose")
+        # a list raised TypeError from the cache, which cannot hash it
+        for encoding in ("verbose", ["canonical"]):
+            with pytest.raises(ValueError, match="encoding"):
+                build_alice_basis(Variant.THREE_A, encoding)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_one_canonical_basis_however_spelled(self, variant):
@@ -651,11 +653,15 @@ class TestRunProtocol:
          ((True, 1), "alice_outcome must be an integer"),
          ((3, 1.0), "charlie_bit must be an integer"),
          ((3, False), "charlie_bit must be an integer"),
-         ((1,), "values to unpack"), ((1, 0, 7), "values to unpack")],
+         ((1,), "values to unpack"), ((1, 0, 7), "values to unpack"),
+         (5, "forced must be a pair"),
+         ((1, 5), "forced charlie bit must be 0 or 1, got 5"),
+         ((16, 0), r"forced outcome must be in \[0, 16\) for three-a, got 16")],
     )
     def test_forced_outcomes_must_be_two_integers(self, forced, message):
         # each ran as another outcome, or (1,) raised a bare IndexError;
-        # run_trials ran (True, 1) as outcome 1 and (1.5, 0) raised IndexError
+        # run_trials ran (True, 1) as outcome 1 and (1.5, 0) raised IndexError;
+        # 5 raised TypeError, and (1, 5) called Charlie's bit an outcome
         spec = SecretSpec(Variant.THREE_A, (1, 0, 0, 0))
         with pytest.raises(ValueError, match=message):
             run_protocol(spec, forced=forced)
@@ -698,6 +704,23 @@ class TestRunProtocol:
             run_protocol(spec, seed=3, forced=forced, table=table)
         full = CorrectionTable(Variant.THREE_A, "copy", dict(published.rows))
         _same_bits(run_protocol(spec, seed=3, forced=forced, table=full), outcome)
+
+    @pytest.mark.parametrize("forced", [(8, 1), None], ids=["forced", "sampled"])
+    def test_table_of_another_variant_rejected(self, forced):
+        # a four table raised KeyError or a Pauli width error, by outcome;
+        # a table's variant may be given by its name
+        spec = SecretSpec(Variant.THREE_A, (0.6, 0, 0.8j, 0))
+        rows = published_correction_table(Variant.FOUR).rows
+        for variant in (Variant.FOUR, "four"):
+            table = CorrectionTable(variant, "published", rows)
+            with pytest.raises(ValueError, match="table is for four, not three-a"):
+                run_protocol(spec, seed=3, forced=forced, table=table)
+
+    def test_rng_without_random_rejected(self):
+        # "x" raised numpy's UFuncTypeError inside the sampling
+        spec = SecretSpec(Variant.THREE_A, (0.6, 0, 0.8j, 0))
+        with pytest.raises(ValueError, match="rng must be a numpy Generator"):
+            run_protocol(spec, rng="x")
 
     def test_out_of_class_secret_rejected(self):
         # |010> lies outside the spanned class of this variant
