@@ -145,7 +145,7 @@ def _parse_forced(text: str, variant: Variant) -> tuple[int, int]:
     try:
         return _resolve_forced(forced, variant)
     except ValueError as exc:  # not a row of the variant
-        _emit_error("config", str(exc))
+        _emit_error("config", f"--forced {exc}")
 
 
 def _emit_write_error(emit: str, exc: OSError | ValueError) -> None:
@@ -472,13 +472,14 @@ def _cmd_export(args) -> int:
         _emit_error("config", "--paper-literal applies to --what basis only")
     if args.what == "basis":
         basis = build_alice_basis(variant, encoding)
+        width = basis.vectors[0].num_qubits
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "export",
             "what": "basis",
             "variant": variant.value,
             "encoding": encoding,
-            "target_qubits": list(basis.target_qubits),
+            "target_qubits": list(range(width)),
             "vectors": [
                 {"index": i, "amplitudes": vec.amplitude_pairs()}
                 for i, vec in enumerate(basis.vectors)
@@ -493,7 +494,6 @@ def _cmd_export(args) -> int:
             "real",
             "imag",
         ]
-        width = basis.vectors[0].num_qubits
         rows = (
             [
                 variant.value, encoding, i, k, format(k, f"0{width}b"),

@@ -44,8 +44,8 @@ from .protocol import (
     Variant,
     VARIANT_SPECS,
     _alice_measurement,
+    _check_row,
     _draw_coefficients,
-    _hadamard_halves,
     _secret_layout,
     _secret_rows,
     build_alice_basis,
@@ -58,6 +58,7 @@ from .statevec import (
     PauliString,
     StateVector,
     _check_span,
+    _hadamard_halves,
     _integer,
     _pauli_tables,
     basis_projection_probabilities,
@@ -173,11 +174,8 @@ def derive_corrections(
 ) -> tuple[PauliString, ...]:
     """All Pauli corrections that recover every secret of the class on this row."""
     variant = Variant.parse(variant)
-    outcome, bit = _integer(outcome, "outcome"), _integer(bit, "bit")
+    outcome, bit = _check_row(variant, outcome, bit)
     images, target = _class_images(variant, build_alice_basis(variant, CANONICAL))
-    for name, value, count in (("outcome", outcome, len(images)), ("bit", bit, 2)):
-        if not 0 <= value < count:
-            raise ValueError(f"{name} {value} out of range")
     candidates, _, _ = _candidates(VARIANT_SPECS[variant].bob_qubits)
     return tuple(_solutions_for_row(images[outcome, bit], target, candidates))
 
@@ -333,8 +331,7 @@ def _sampled_rows(
 
     One ``_alice_measurement`` of the stacked test secrets, its span checked
     once; then one stacked ``collapse`` of the pairs' branches, picked by
-    index, and one stacked Hadamard collapse of Charlie's qubit, which
-    follows Bob's.
+    index, and one stacked Hadamard collapse of Charlie's qubit, the last.
     """
     secrets = _secret_rows(variant, _test_secrets(variant))
     branches, probs = _alice_measurement(variant, basis).project(secrets)
@@ -345,8 +342,7 @@ def _sampled_rows(
     alice = collapse(
         branches[picked, outcomes][:, None], probs[picked, outcomes][:, None], 0
     )
-    bob = VARIANT_SPECS[variant].bob_qubits
-    pre = force_hadamard_outcome(alice.residual, bob, bits).residual
+    pre = force_hadamard_outcome(alice.residual, bits).residual
     return pre.reshape(len(keys), count, -1), secrets
 
 

@@ -45,6 +45,7 @@ from .statevec import (
     StateVector,
     _NOT_NUMBERS,
     _check_span,
+    _hadamard_halves,
     _integer,
     _probabilities,
     _xor_sign_tables,
@@ -594,9 +595,7 @@ def _alice_basis(variant: Variant, encoding: str) -> OrthonormalBasis:
         vectors.append(StateVector(order * sign * anchor[source] + 0.0))
     if encoding == LITERAL and variant is Variant.FOUR:
         vectors[3] = vectors[2]
-    return OrthonormalBasis(
-        tuple(range(width)), tuple(vectors), validate=(encoding == CANONICAL)
-    )
+    return OrthonormalBasis(tuple(vectors), validate=(encoding == CANONICAL))
 
 
 # the cache's hits and misses, read through the public name
@@ -807,35 +806,27 @@ def _resolve_secret(
 def _resolve_forced(
     forced: tuple[int, int] | None, variant: Variant
 ) -> tuple[int, int] | None:
-    """``forced`` as a pair of ints that names a row of ``variant``: a bool,
-    a non-integer, a value out of range or a non-pair is refused."""
+    """``forced`` as a ``_check_row`` pair, or None; a non-pair is refused."""
     if forced is None:
         return None
     try:
         outcome, bit = forced  # a sequence of another length keeps its message
     except TypeError:
         raise ValueError(f"forced must be a pair of integers, got {forced!r}") from None
-    outcome, bit = _integer(outcome, "alice_outcome"), _integer(bit, "charlie_bit")
+    return _check_row(variant, outcome, bit)
+
+
+def _check_row(variant: Variant, outcome: int, bit: int) -> tuple[int, int]:
+    """``(outcome, bit)`` as the ints of a row of ``variant``'s tables."""
+    outcome, bit = _integer(outcome, "outcome"), _integer(bit, "bit")
     limit = VARIANT_SPECS[variant].num_outcomes
     if not 0 <= outcome < limit:
         raise ValueError(
-            f"forced outcome must be in [0, {limit}) for {variant.value}, "
-            f"got {outcome}"
+            f"outcome {outcome} out of range [0, {limit}) for {variant.value}"
         )
-    if bit not in (0, 1):
-        raise ValueError(f"forced charlie bit must be 0 or 1, got {bit}")
+    if not 0 <= bit < 2:
+        raise ValueError(f"bit {bit} out of range [0, 2)")
     return outcome, bit
-
-
-def _hadamard_halves(branches: np.ndarray) -> np.ndarray:
-    """``h0 + h1`` and ``h0 - h1`` along axis -2 of Alice's (stacked)
-    branches, h0 and h1 a branch's halves with Charlie's qubit, the last,
-    at 0 and 1: Charlie's |+> and |-> components times sqrt(2)."""
-    half = branches.reshape(*branches.shape[:-1], -1, 2)
-    signed = np.empty((*half.shape[:-2], 2, half.shape[-2]), complex)
-    np.add(half[..., 0], half[..., 1], out=signed[..., 0, :])
-    np.subtract(half[..., 0], half[..., 1], out=signed[..., 1, :])
-    return signed
 
 
 def _joint_weights(branches: np.ndarray) -> np.ndarray:
@@ -889,21 +880,20 @@ def _run_chunk(
     forced: tuple[int, int] | None,
     table: CorrectionTable,
 ) -> TrialChunk:
-    """The trial kernel: one protocol round per secret row, all stacked.
-
-    Unless ``forced`` pins both outcomes, trial t samples Alice's outcome
-    with ``uniforms[0][t]`` and Charlie's with ``uniforms[1][t]``, a (2,
-    rows) array. Every step is the same floating-point operation per row as
-    on a single state.
+    """The trial kernel: one protocol round per secret row, all stacked:
+    Alice's lifted basis, Charlie's Hadamard on the last qubit, then Bob's
+    correction. Unless ``forced`` pins both outcomes, trial t samples
+    Alice's outcome with ``uniforms[0][t]`` and Charlie's with
+    ``uniforms[1][t]``, a (2, rows) array. Every step is the same
+    floating-point operation per row as on a single state.
     """
     basis = _alice_measurement(variant, build_alice_basis(variant))
-    bob = VARIANT_SPECS[variant].bob_qubits  # Charlie's qubit follows Bob's
     if forced is None:
         alice = measure_in_basis(secret_rows, basis, uniforms[0])
-        charlie = measure_hadamard(alice.residual, bob, uniforms[1])
+        charlie = measure_hadamard(alice.residual, uniforms[1])
     else:
         alice = force_basis_outcome(secret_rows, basis, forced[0])
-        charlie = force_hadamard_outcome(alice.residual, bob, forced[1])
+        charlie = force_hadamard_outcome(alice.residual, forced[1])
 
     keys = list(zip(alice.outcome.tolist(), charlie.outcome.tolist()))
     rows = table.rows  # the keys are ints; a missing one raises the table's KeyError

@@ -18,11 +18,12 @@ Conventions used throughout the package:
   return only ``(rows, 2**n)`` stacks of amplitude rows, doing the same
   floating-point work on every row; a single state is the one-row stack
   ``state.amplitudes[None]``, and only ``basis_projection_probabilities``
-  also takes a StateVector. A basis's ``project`` is a matmul, or for a
-  ``LiftedBasis`` (a basis on rows (x) one fixed state) a gather on the rows
-  that checks their norms. Each projection's span is checked once, right
-  after it. Of a stack's norms only the collapsed rows are checked; the
-  caller checks the rest with ``check_normalized``.
+  also takes a StateVector. A basis's ``project`` is a matmul on the
+  leading qubits; for a ``LiftedBasis`` (a basis on rows (x) one fixed
+  state), a gather on the rows that checks their norms; for the Hadamard
+  basis on the last qubit, the halves of each row. Each projection's span
+  is checked once, right after it. Of a stack's norms only the collapsed
+  rows are checked; the caller checks the rest with ``check_normalized``.
 * A sampled measurement takes one uniform draw in [0, 1) per row, as an
   array; it draws nothing itself.
 """
@@ -210,7 +211,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> list[float]:
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Measurement basis on a subset of qubits.
+    """Measurement basis on the leading k qubits, k its vectors' width.
 
     The vectors may span only a subspace of the measured qubits' space; a
     measurement then demands that the state carry no probability mass outside
@@ -218,22 +219,15 @@ class OrthonormalBasis:
     deliberately defective encodings can be represented and inspected.
     """
 
-    target_qubits: tuple[int, ...]
     vectors: tuple[StateVector, ...]
     validate: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "target_qubits", tuple(self.target_qubits))
         object.__setattr__(self, "vectors", tuple(self.vectors))
-        if len(set(self.target_qubits)) != len(self.target_qubits):
-            raise ValueError(f"duplicate target qubits {self.target_qubits}")
-        k = len(self.target_qubits)
-        for v in self.vectors:
-            if v.num_qubits != k:
-                raise ValueError(
-                    f"basis vector on {v.num_qubits} qubits, expected {k}"
-                )
-        if len(self.vectors) > 2**k:
+        widths = sorted({v.num_qubits for v in self.vectors})
+        if len(widths) != 1:
+            raise ValueError(f"basis vectors must share one width, got {widths}")
+        if len(self.vectors) > 2 ** widths[0]:
             raise ValueError("more vectors than the measured subspace dimension")
         if self.validate:
             defects = self.gram_defects()
@@ -251,7 +245,8 @@ class OrthonormalBasis:
     def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's (outcomes, 2**rest) branches and (outcomes,)
         probabilities, from one stacked matmul; the span is not checked."""
-        branches = self.matrix().conj() @ _split_measured(rows, self.target_qubits)
+        m = self.matrix()
+        branches = m.conj() @ rows.reshape(*rows.shape[:-1], m.shape[1], -1)
         return branches, _probabilities(branches)
 
     def gram_defects(self, atol: float = NORM_ATOL) -> list[tuple[int, int, complex]]:
@@ -303,6 +298,33 @@ class LiftedBasis:
         return branches, _probabilities(branches)
 
 
+def _hadamard_halves(rows: np.ndarray) -> np.ndarray:
+    """Each row's halves h0, h1 (its last qubit at 0, 1) as ``h0 + h1`` and
+    ``h0 - h1`` along axis -2: its |+> and |-> parts times sqrt(2)."""
+    half = rows.reshape(*rows.shape[:-1], -1, 2)
+    signed = np.empty((*half.shape[:-2], 2, half.shape[-2]), complex)
+    np.add(half[..., 0], half[..., 1], out=signed[..., 0, :])
+    np.subtract(half[..., 0], half[..., 1], out=signed[..., 1, :])
+    return signed
+
+
+class _Hadamard:
+    """The Hadamard basis on the last qubit, |+> then |->: ``_hadamard_halves``
+    times 1/sqrt(2). That has the dense matmul's bits, signed zeros too, where
+    a pair has a zero half, as in every row Charlie measures: a channel ket
+    fixes his bit from the bits of Bob, who shares his GHZ triplet."""
+
+    @staticmethod
+    def project(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        branches = _hadamard_halves(rows)
+        branches *= 1.0 / np.sqrt(2.0)
+        return branches, _probabilities(branches)
+
+
+_HADAMARD = _Hadamard()
+_Basis = OrthonormalBasis | LiftedBasis | _Hadamard
+
+
 @dataclass(frozen=True)
 class MeasurementResult:
     """Measurement of a stack of states, one entry per measured row: the
@@ -333,18 +355,6 @@ def check_normalized(amps: np.ndarray) -> None:
     deficit = float(np.maximum.reduce(np.abs(norms - 1.0), axis=None))
     if not deficit <= NORM_ATOL:
         raise NormalizationError("state is not normalized", deficit)
-
-
-def _split_measured(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes ``(..., 2**n)`` as ``(..., 2**k, 2**rest)``: one matrix per
-    state, the measured qubits on its rows."""
-    lead = amps.shape[:-1]
-    n = amps.shape[-1].bit_length() - 1
-    rest = [q for q in range(n) if q not in targets]
-    k = len(lead)
-    t = amps.reshape(*lead, *[2] * n)
-    t = t.transpose(*range(k), *[k + q for q in (*targets, *rest)])
-    return t.reshape(*lead, 2 ** len(targets), -1)
 
 
 def _probabilities(branches: np.ndarray) -> np.ndarray:
@@ -423,7 +433,7 @@ def collapse(
 
 
 def measure_in_basis(
-    rows: np.ndarray, basis: OrthonormalBasis | LiftedBasis, uniforms: np.ndarray
+    rows: np.ndarray, basis: _Basis, uniforms: np.ndarray
 ) -> MeasurementResult:
     """Sample one projective outcome per row and collapse the measured qubits.
 
@@ -439,7 +449,7 @@ def measure_in_basis(
 
 
 def force_basis_outcome(
-    rows: np.ndarray, basis: OrthonormalBasis | LiftedBasis, outcome: int
+    rows: np.ndarray, basis: _Basis, outcome: int
 ) -> MeasurementResult:
     """Deterministic collapse of every row onto one basis vector (no sampling)."""
     branches, probs = basis.project(rows)
@@ -447,20 +457,9 @@ def force_basis_outcome(
     return collapse(branches, probs, outcome)
 
 
-@functools.cache
-def hadamard_basis(qubit: int) -> OrthonormalBasis:
-    """(|0>+|1>)/sqrt(2), (|0>-|1>)/sqrt(2); outcome 0 is the plus state."""
-    s = 1.0 / np.sqrt(2.0)
-    plus = StateVector([s, s])
-    minus = StateVector([s, -s])
-    return OrthonormalBasis((qubit,), (plus, minus))
+def measure_hadamard(rows: np.ndarray, uniforms: np.ndarray) -> MeasurementResult:
+    return measure_in_basis(rows, _HADAMARD, uniforms)
 
 
-def measure_hadamard(
-    rows: np.ndarray, qubit: int, uniforms: np.ndarray
-) -> MeasurementResult:
-    return measure_in_basis(rows, hadamard_basis(qubit), uniforms)
-
-
-def force_hadamard_outcome(rows: np.ndarray, qubit: int, bit: int) -> MeasurementResult:
-    return force_basis_outcome(rows, hadamard_basis(qubit), bit)
+def force_hadamard_outcome(rows: np.ndarray, bit: int) -> MeasurementResult:
+    return force_basis_outcome(rows, _HADAMARD, bit)

@@ -133,7 +133,7 @@ def walsh_basis(width):
     """The Walsh-Hadamard basis on qubits 0 .. width - 1: every amplitude of
     a branch of row (x) fixed sums all ``2**width`` row amplitudes."""
     dim = 2**width
-    return OrthonormalBasis(tuple(range(width)), tuple(
+    return OrthonormalBasis(tuple(
         StateVector([(-1) ** bin(i & k).count("1") / dim**0.5 for k in range(dim)])
         for i in range(dim)
     ))

@@ -791,7 +791,8 @@ class TestRunErrors:
             ["run", "--variant", "four", "--forced", "4,0"], capsys
         )
         assert code == 2
-        assert "forced outcome" in err["error"]["message"]
+        message = err["error"]["message"]
+        assert message == "--forced outcome 4 out of range [0, 4) for four"
 
     def test_forced_needs_two_fields(self, capsys):
         code, err = run_cli_error(

@@ -29,6 +29,7 @@ from ghzsplit.oracle import (
 from ghzsplit.protocol import (
     ENCODINGS,
     LITERAL,
+    SecretSpec,
     Variant,
     VARIANT_SPECS,
     build_alice_basis,
@@ -60,11 +61,24 @@ class TestDeriveCorrections:
         assert labels in {s.labels for s in sols}
 
     @pytest.mark.parametrize(
-        "outcome,bit,bad", [(16, 0, "outcome 16"), (-1, 0, "outcome -1"), (0, 2, "bit 2")]
+        "outcome,bit,message",
+        [(16, 0, "outcome 16 out of range [0, 16) for three-a"),
+         (-1, 0, "outcome -1 out of range [0, 16) for three-a"),
+         (0, 2, "bit 2 out of range [0, 2)")],
     )
-    def test_row_out_of_range_rejected(self, outcome, bit, bad):
-        with pytest.raises(ValueError, match=f"^{bad} out of range"):
+    def test_row_out_of_range_rejected(self, outcome, bit, message):
+        with pytest.raises(ValueError) as exc:
             derive_corrections(Variant.THREE_A, outcome, bit)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("row", [(16, 0), (-1, 1), (0, 2), (1.5, 0), (0, True)])
+    def test_row_rule_is_run_protocols(self, row):
+        # one rule checks a row here and in a forced run, with one message
+        with pytest.raises(ValueError) as ours:
+            derive_corrections(Variant.THREE_A, *row)
+        with pytest.raises(ValueError) as run:
+            run_protocol(SecretSpec(Variant.THREE_A, (1, 0, 0, 0)), forced=row)
+        assert str(ours.value) == str(run.value)
 
     @pytest.mark.parametrize(
         "outcome,bit,name",
@@ -265,8 +279,9 @@ class TestVerifyTable:
     def test_corrupted_basis_fails_verification(self):
         # verify_table's anomaly and row checks, on a basis with one vector
         # duplicated
-        bad = _duplicated_first_vector(
-            build_alice_basis(Variant.THREE_A), OrthonormalBasis
+        bad = OrthonormalBasis(
+            _duplicated_first_vector(build_alice_basis(Variant.THREE_A).vectors),
+            validate=False,
         )
         anomalies = _basis_anomalies(bad)
         assert any(a["kind"] == "duplicated_basis_vector" for a in anomalies)
@@ -383,10 +398,8 @@ class TestVerifySpan:
             assert abs(_class_mass(variant, secret.amplitudes) - 1.0) <= NORM_ATOL
 
 
-def _duplicated_first_vector(basis, basis_type):
-    vectors = list(basis.vectors)
-    vectors[0] = vectors[1]
-    return basis_type(basis.target_qubits, tuple(vectors), validate=False)
+def _duplicated_first_vector(vectors):
+    return (vectors[1], *vectors[1:])
 
 
 class TestVariantByName:
@@ -437,11 +450,17 @@ class TestExactOracleAgainstReference:
                 build_alice_basis(variant, encoding),
                 ref_protocol.build_alice_basis(ref_variant, encoding),
             )
+        ref_basis = ref_protocol.build_alice_basis(ref_variant)
         return (
-            _duplicated_first_vector(build_alice_basis(variant), OrthonormalBasis),
-            _duplicated_first_vector(
-                ref_protocol.build_alice_basis(ref_variant),
-                reference("statevec").OrthonormalBasis,
+            OrthonormalBasis(
+                _duplicated_first_vector(build_alice_basis(variant).vectors),
+                validate=False,
+            ),
+            # the reference's bases still name the qubits they measure
+            reference("statevec").OrthonormalBasis(
+                ref_basis.target_qubits,
+                _duplicated_first_vector(ref_basis.vectors),
+                validate=False,
             ),
         )
 
@@ -491,6 +510,6 @@ class TestExactOracleAgainstReference:
         vectors = list(good.vectors)
         vectors[0] = StateVector(c * a + s * b)
         vectors[1] = StateVector(c * b - s * a)
-        rotated = OrthonormalBasis(good.target_qubits, tuple(vectors))
+        rotated = OrthonormalBasis(tuple(vectors))
         with pytest.raises(ValueError, match="integer Kraus operators"):
             _class_images(variant, rotated)

@@ -5,10 +5,11 @@ projects each stack of secrets once.
 Projections are counted by the number of measured qubits. Alice's (5) go
 through ``statevec.LiftedBasis.project``, her measurement as a gather on the
 secret rows; Charlie's Hadamard projections (1) go through
-``statevec._split_measured``, which also carries the one dense projection
-that builds each ``LiftedBasis`` and is not counted. The span of each
-projection is checked once, by ``statevec._check_span``, which is counted
-the same way.
+``statevec._Hadamard.project``, the halves of each row. A dense
+``OrthonormalBasis.project`` builds each ``LiftedBasis`` once; every
+``LiftedBasis`` is built before counting starts, and any dense projection
+after that is counted as ``"dense"``. The span of each projection is
+checked once, by ``statevec._check_span``, which is counted the same way.
 """
 
 import collections
@@ -19,7 +20,15 @@ import pytest
 from ghzsplit import oracle, statevec
 from ghzsplit.cli import main
 from ghzsplit.oracle import derive_table, verify_span, verify_table
-from ghzsplit.protocol import TRIAL_CHUNK, SecretSpec, Variant, run_protocol
+from ghzsplit.protocol import (
+    ENCODINGS,
+    TRIAL_CHUNK,
+    SecretSpec,
+    Variant,
+    _alice_measurement,
+    build_alice_basis,
+    run_protocol,
+)
 
 
 def _rebind(monkeypatch, name, replacement):
@@ -33,20 +42,28 @@ def _rebind(monkeypatch, name, replacement):
 
 @pytest.fixture
 def projections(monkeypatch):
+    for variant in Variant:  # every LiftedBasis, built by a dense projection
+        for encoding in ENCODINGS:
+            _alice_measurement(variant, build_alice_basis(variant, encoding))
     counts = collections.Counter()
-    split, gather = statevec._split_measured, statevec.LiftedBasis.project
+    hadamard = statevec._Hadamard.project
+    gather, dense = statevec.LiftedBasis.project, statevec.OrthonormalBasis.project
 
-    def counting_split(state, targets):
-        if len(targets) == 1:
-            counts[1] += 1
-        return split(state, targets)
+    def counting_hadamard(rows):
+        counts[1] += 1
+        return hadamard(rows)
 
     def counting_gather(self, rows):
         counts[5] += 1
         return gather(self, rows)
 
-    _rebind(monkeypatch, "_split_measured", counting_split)
+    def counting_dense(self, rows):
+        counts["dense"] += 1
+        return dense(self, rows)
+
+    monkeypatch.setattr(statevec._Hadamard, "project", staticmethod(counting_hadamard))
     monkeypatch.setattr(statevec.LiftedBasis, "project", counting_gather)
+    monkeypatch.setattr(statevec.OrthonormalBasis, "project", counting_dense)
     return counts
 
 
@@ -155,14 +172,13 @@ def test_no_dense_alice_projection_once_built(monkeypatch, capsys):
     for v in Variant:
         verify_span(v)
     dense = []
-    original = statevec._split_measured
+    original = statevec.OrthonormalBasis.project
 
-    def counting(state, targets):
-        if len(targets) > 1:
-            dense.append(state.shape)
-        return original(state, targets)
+    def counting(self, rows):
+        dense.append(rows.shape)
+        return original(self, rows)
 
-    _rebind(monkeypatch, "_split_measured", counting)
+    monkeypatch.setattr(statevec.OrthonormalBasis, "project", counting)
     for argv in argvs:
         main(argv)
     for v in Variant:

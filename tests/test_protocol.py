@@ -648,15 +648,15 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize(
         "forced,message",
-        [((1.5, 0), "alice_outcome must be an integer"),
-         (("3", 1), "alice_outcome must be an integer"),
-         ((True, 1), "alice_outcome must be an integer"),
-         ((3, 1.0), "charlie_bit must be an integer"),
-         ((3, False), "charlie_bit must be an integer"),
+        [((1.5, 0), "^outcome must be an integer"),
+         (("3", 1), "^outcome must be an integer"),
+         ((True, 1), "^outcome must be an integer"),
+         ((3, 1.0), "^bit must be an integer"),
+         ((3, False), "^bit must be an integer"),
          ((1,), "values to unpack"), ((1, 0, 7), "values to unpack"),
          (5, "forced must be a pair"),
-         ((1, 5), "forced charlie bit must be 0 or 1, got 5"),
-         ((16, 0), r"forced outcome must be in \[0, 16\) for three-a, got 16")],
+         ((1, 5), r"^bit 5 out of range \[0, 2\)$"),
+         ((16, 0), r"^outcome 16 out of range \[0, 16\) for three-a$")],
     )
     def test_forced_outcomes_must_be_two_integers(self, forced, message):
         # each ran as another outcome, or (1,) raised a bare IndexError;

@@ -15,8 +15,11 @@ from hypothesis.extra import numpy as hnp
 
 import ghzsplit
 
+from ghzsplit import oracle, statevec
 from ghzsplit.protocol import (
+    ENCODINGS,
     LITERAL,
+    TRIAL_CHUNK,
     VARIANT_SPECS,
     Variant,
     build_alice_basis,
@@ -25,6 +28,7 @@ from ghzsplit.protocol import (
     published_correction_table,
     random_secret,
     run_protocol,
+    run_trials,
     substream,
 )
 from ghzsplit.statevec import (
@@ -41,7 +45,7 @@ from ghzsplit.statevec import (
     fidelity,
     force_basis_outcome,
     force_hadamard_outcome,
-    hadamard_basis,
+    measure_hadamard,
     measure_in_basis,
     sample_outcomes,
     tensor_product,
@@ -349,7 +353,6 @@ class TestOrthonormalBasis:
     def bell_basis(self):
         s = 1.0 / np.sqrt(2.0)
         return OrthonormalBasis(
-            (0, 1),
             (
                 StateVector([s, 0, 0, s]),
                 StateVector([s, 0, 0, -s]),
@@ -361,31 +364,40 @@ class TestOrthonormalBasis:
     def test_orthonormality_validated(self):
         v = StateVector(np.eye(2)[0b0])
         with pytest.raises(ValueError, match="not orthonormal"):
-            OrthonormalBasis((0,), (v, v))
+            OrthonormalBasis((v, v))
 
     def test_validate_false_allows_defects(self):
         v = StateVector(np.eye(2)[0b0])
-        basis = OrthonormalBasis((0,), (v, v), validate=False)
+        basis = OrthonormalBasis((v, v), validate=False)
         defects = basis.gram_defects()
         assert defects == [(0, 1, pytest.approx(1.0 + 0j))]
 
-    def test_duplicate_targets_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            OrthonormalBasis((0, 0), (StateVector(np.eye(4)[0b00]),))
+    def test_vector_widths_must_agree(self):
+        # the width of the vectors is the number of leading qubits measured
+        mixed = (StateVector(np.eye(2)[0b0]), StateVector(np.eye(4)[0b01]))
+        with pytest.raises(ValueError, match=r"one width, got \[1, 2\]"):
+            OrthonormalBasis(mixed, validate=False)
 
-    def test_vector_width_checked(self):
-        with pytest.raises(ValueError, match="basis vector on"):
-            OrthonormalBasis((0, 1), (StateVector(np.eye(2)[0b0]),))
+    def test_empty_basis_rejected(self):
+        # it measured no qubit and had no vector to collapse onto
+        with pytest.raises(ValueError, match=r"one width, got \[\]"):
+            OrthonormalBasis(())
+
+    def test_too_many_vectors_rejected(self):
+        vectors = tuple(StateVector(np.eye(2)[k % 2]) for k in range(3))
+        with pytest.raises(ValueError, match="more vectors"):
+            OrthonormalBasis(vectors, validate=False)
 
     def test_collapse_matches_manual_projection(self):
-        # basis on a middle qubit: residual must equal the contracted
+        # basis on the leading qubit: residual must equal the contracted
         # amplitudes renormalized by sqrt(p)
         rng = np.random.default_rng(21)
         state = random_state(3, rng)
-        basis = hadamard_basis(1)
+        s = 1.0 / np.sqrt(2.0)
+        basis = OrthonormalBasis((StateVector([s, s]), StateVector([s, -s])))
         tensor = state.amplitudes.reshape(2, 2, 2)
         for outcome, vec in enumerate(basis.vectors):
-            projected = np.einsum("k,akc->ac", vec.amplitudes.conj(), tensor)
+            projected = np.einsum("k,kac->ac", vec.amplitudes.conj(), tensor)
             p = float(np.sum(np.abs(projected) ** 2))
             result = force_basis_outcome(state.amplitudes[None], basis, outcome)
             assert result.probability[0] == pytest.approx(p, abs=1e-12)
@@ -402,7 +414,7 @@ class TestOrthonormalBasis:
         assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_span_raises(self):
-        basis = OrthonormalBasis((0, 1), (StateVector(np.eye(4)[0b00]),))
+        basis = OrthonormalBasis((StateVector(np.eye(4)[0b00]),))
         rows = StateVector(np.eye(8)[0b111]).amplitudes[None]
         with pytest.raises(OutOfSpanError) as exc:
             force_basis_outcome(rows, basis, 0)
@@ -412,7 +424,7 @@ class TestOrthonormalBasis:
 
     def test_zero_probability_outcome_rejected(self):
         basis = OrthonormalBasis(
-            (0, 1), (StateVector(np.eye(4)[0b00]), StateVector(np.eye(4)[0b01]))
+            (StateVector(np.eye(4)[0b00]), StateVector(np.eye(4)[0b01]))
         )
         rows = StateVector(np.eye(8)[0b000]).amplitudes[None]
         with pytest.raises(ValueError, match="zero probability"):
@@ -422,20 +434,20 @@ class TestOrthonormalBasis:
         rows = StateVector(np.eye(2)[0b0]).amplitudes[None]
         for outcome in (2, -1, 2**70):  # the last one overflows an int64
             with pytest.raises(ValueError, match=f"outcome {outcome} out of range"):
-                force_hadamard_outcome(rows, 0, outcome)
+                force_hadamard_outcome(rows, outcome)
 
 
 class TestHadamardMeasurement:
     def test_forced_outcomes_on_plus(self):
         s = 1.0 / np.sqrt(2.0)
         plus = np.array([[s, s]], dtype=complex)
-        result = force_hadamard_outcome(plus, 0, 0)
+        result = force_hadamard_outcome(plus, 0)
         assert result.probability[0] == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="zero probability"):
-            force_hadamard_outcome(plus, 0, 1)
+            force_hadamard_outcome(plus, 1)
 
     def test_equal_split_on_basis_state(self):
-        result = force_hadamard_outcome(StateVector([1.0, 0.0]).amplitudes[None], 0, 1)
+        result = force_hadamard_outcome(StateVector([1.0, 0.0]).amplitudes[None], 1)
         assert result.probability[0] == pytest.approx(0.5, abs=1e-12)
         assert result.residual.shape == (1, 1)  # no qubit left
 
@@ -447,7 +459,7 @@ class TestHadamardMeasurement:
         rows = np.repeat(np.array([[a, b]], dtype=complex), n, axis=0)
         # one generator for every row: row t takes its t-th draw
         uniforms = np.random.default_rng(2024).random(n)
-        sampled = measure_in_basis(rows, hadamard_basis(0), uniforms)
+        sampled = measure_hadamard(rows, uniforms)
         hits = int(np.sum(sampled.outcome == 0))
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(hits - n * p) <= 3 * sigma
@@ -455,9 +467,82 @@ class TestHadamardMeasurement:
     def test_sampled_residual_consistent_with_forced(self):
         rng = np.random.default_rng(8)
         rows = random_state(2, rng).amplitudes[None]
-        sampled = measure_in_basis(rows, hadamard_basis(1), rng.random(1))
-        forced = force_hadamard_outcome(rows, 1, sampled.outcome)
+        sampled = measure_hadamard(rows, rng.random(1))
+        forced = force_hadamard_outcome(rows, sampled.outcome)
         np.testing.assert_allclose(sampled.residual, forced.residual, atol=1e-15)
+
+
+def dense_hadamard(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A dense Hadamard ``OrthonormalBasis`` on the last qubit: that qubit
+    moved to the front of each row, as a copy, then the basis's matmul."""
+    s = 1.0 / np.sqrt(2.0)
+    basis = OrthonormalBasis((StateVector([s, s]), StateVector([s, -s])))
+    front = rows.reshape(len(rows), -1, 2).transpose(0, 2, 1)
+    return basis.project(front.reshape(len(rows), -1))
+
+
+class TestCharlieProjection:
+    """Charlie's projection is the halves of each row times 1/sqrt(2); on
+    every row the protocol measures it has the dense projection's bits."""
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """Each stack of rows Charlie's projection gets, and what it gives."""
+        seen = []
+        original = statevec._Hadamard.project
+
+        def recording(rows):
+            result = original(rows)
+            seen.append((rows.copy(), result))
+            return result
+
+        monkeypatch.setattr(statevec._Hadamard, "project", staticmethod(recording))
+        return seen
+
+    @staticmethod
+    def assert_dense_bits(projections, count):
+        assert sum(len(rows) for rows, _ in projections) == count
+        for rows, (branches, probs) in projections:
+            want_branches, want_probs = dense_hadamard(rows)
+            assert np.array_equal(branches.view(np.int64), want_branches.view(np.int64))
+            assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_kernel_rows_have_the_dense_bits(self, variant, projections):
+        # three chunks: two full ones and one of a single trial
+        trials = 2 * TRIAL_CHUNK + 1
+        for _ in run_trials(variant, 2026, trials):
+            pass
+        self.assert_dense_bits(projections, trials)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_oracle_rows_have_the_dense_bits(self, variant, encoding, projections):
+        # every row of the table, for each of the oracle's test secrets
+        keys = oracle._all_rows(variant)
+        oracle._sampled_rows(variant, build_alice_basis(variant, encoding), keys)
+        count = len(keys) * len(oracle._test_secrets(variant))
+        self.assert_dense_bits(projections, count)
+
+    def test_dense_bits_need_a_zero_in_each_pair(self):
+        # the two differ where both halves of a pair are nonzero
+        rows = np.array([[0.6, 0.8]], dtype=complex)
+        got, want = statevec._HADAMARD.project(rows)[0], dense_hadamard(rows)[0]
+        assert not np.array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_channel_fixes_charlies_bit_from_bobs(self, variant):
+        # why every measured row has a zero in each pair: no two channel kets
+        # share Bob's bits and differ in Charlie's, the last
+        bob = VARIANT_SPECS[variant].bob_qubits
+        amplitudes = build_channel(variant).amplitudes
+        kets = [format(k, "06b") for k in np.flatnonzero(amplitudes)]
+        charlie = {}
+        for ket in kets:
+            charlie.setdefault(ket[-1 - bob : -1], set()).add(ket[-1])
+        assert len(kets) == 4
+        assert all(len(bits) == 1 for bits in charlie.values()), charlie
 
 
 class TestSampleOutcomes:
@@ -535,14 +620,14 @@ class TestStackedRows:
         )
         uniforms = np.array([substream(5, t).random() for t in range(12)])
         alice = measure_in_basis(rows, basis, uniforms)
-        charlie = force_hadamard_outcome(alice.residual, 3, 1)
+        charlie = force_hadamard_outcome(alice.residual, 1)
         for t in range(12):
             one = measure_in_basis(rows[t : t + 1], basis, substream(5, t).random(1))
             assert alice.outcome[t] == one.outcome[0]
             assert float(alice.probability[t]).hex() == float(one.probability[0]).hex()
             assert self.same_bits(alice.residual[t], one.residual[0])
             assert self.same_bits(alice.branches[t], one.branches[0])
-            one = force_hadamard_outcome(one.residual, 3, 1)
+            one = force_hadamard_outcome(one.residual, 1)
             assert self.same_bits(charlie.residual[t], one.residual[0])
 
     def test_correction_and_fidelity_match_one_row_stacks(self):
@@ -560,7 +645,7 @@ class TestStackedRows:
     def test_one_generator_or_pauli_per_row(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="2 rows but 1 uniforms"):
-            measure_in_basis(rows, hadamard_basis(0), np.array([0.5]))
+            measure_hadamard(rows, np.array([0.5]))
         with pytest.raises(ValueError, match="2 rows but 1 Pauli strings"):
             apply_pauli_string(rows, [PauliString(("X",))])
         with pytest.raises(ValueError):
@@ -569,11 +654,11 @@ class TestStackedRows:
     def test_one_bad_row_fails_the_stack(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         computational = OrthonormalBasis(
-            (0,), (StateVector(np.eye(2)[0b0]), StateVector(np.eye(2)[0b1]))
+            (StateVector(np.eye(2)[0b0]), StateVector(np.eye(2)[0b1]))
         )
         with pytest.raises(ValueError, match="outcome 1 has zero probability"):
             force_basis_outcome(rows, computational, 1)
-        partial = OrthonormalBasis((0,), (StateVector(np.eye(2)[0b0]),))
+        partial = OrthonormalBasis((StateVector(np.eye(2)[0b0]),))
         with pytest.raises(OutOfSpanError):
             measure_in_basis(rows, partial, np.array([0.25, 0.75]))
         check_normalized(rows)
