@@ -19,11 +19,12 @@ which gives each solution together with its sign. Published rows are graded:
 * MISMATCH: the published correction is not a solution at all.
 
 Verdicts are integer identities: no tolerance and no random draw decides
-them. The 14 seeded test secrets feed only each row's reported
-``published_min_fidelity`` and ``phase``. The report also carries basis
-anomalies (Gram-matrix defects of the active encoding) and structural
-inconsistencies between the canonical and literal encodings, so defective
-source rows are surfaced as data rather than hidden.
+them. The seeded test secrets, each unit secret and ``TEST_RANDOM_SECRETS``
+random ones (14 per three-qubit variant, 12 for ``four``), feed only each
+row's reported ``published_min_fidelity`` and ``phase``. The report also
+carries basis anomalies (Gram-matrix defects of the active encoding) and
+structural inconsistencies between the canonical and literal encodings, so
+defective source rows are surfaced as data rather than hidden.
 """
 
 from __future__ import annotations

@@ -800,6 +800,9 @@ def _resolve_secret(
             f"{variant.value} secrets have {vs.secret_qubits} qubits, "
             f"got {secret.num_qubits}"
         )
+    # a raw state may lie outside the class: checked before anything is drawn
+    basis = _alice_measurement(variant, build_alice_basis(variant))
+    _check_span(basis.project(secret.amplitudes[None])[1])
     return variant, secret
 
 
@@ -844,7 +847,8 @@ def _outcome_weights(weights: np.ndarray) -> tuple[OutcomeWeight, ...]:
 def outcome_distribution(
     secret: SecretSpec | StateVector, *, variant: Variant | str | None = None
 ) -> tuple[OutcomeWeight, ...]:
-    """Exact joint probabilities of (alice_outcome, charlie_bit)."""
+    """Exact joint probabilities of (alice_outcome, charlie_bit); a raw state
+    outside the class raises OutOfSpanError."""
     variant, secret_state = _resolve_secret(secret, variant)
     combined = tensor_product(secret_state, build_channel(variant))
     branches, _ = build_alice_basis(variant).project(combined.amplitudes[None])
@@ -995,7 +999,7 @@ def run_protocol(
     """
     if rng is not None and seed is not None:
         raise ValueError("pass rng or seed, not both")
-    if rng is not None and not hasattr(rng, "random"):
+    if rng is not None and not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy Generator, got {rng!r}")
     variant, secret_state = _resolve_secret(secret, variant)
     forced = _resolve_forced(forced, variant)
@@ -1010,9 +1014,6 @@ def run_protocol(
     if forced is None:
         if rng is None:
             raise ValueError("need rng, seed, or forced outcomes")
-        if not isinstance(secret, SecretSpec):  # a raw state may lie outside
-            basis = _alice_measurement(variant, build_alice_basis(variant))
-            _check_span(basis.project(rows)[1])
         uniforms = rng.random((2, 1))
     chunk = _run_chunk(variant, None, rows, uniforms, forced, table)
     outcome = chunk.alice_outcomes[0]

@@ -21,9 +21,13 @@ Conventions used throughout the package:
   also takes a StateVector. A basis's ``project`` is a matmul on the
   leading qubits; for a ``LiftedBasis`` (a basis on rows (x) one fixed
   state), a gather on the rows that checks their norms; for the Hadamard
-  basis on the last qubit, the halves of each row. Each projection's span
-  is checked once, right after it. Of a stack's norms only the collapsed
-  rows are checked; the caller checks the rest with ``check_normalized``.
+  basis on the last qubit, the halves of each row. A measurement
+  (``measure_in_basis``, ``force_basis_outcome``) checks its projection's
+  span once, right after it; ``project`` itself and
+  ``basis_projection_probabilities`` do not. A raw secret's class is
+  gated by ``protocol._resolve_secret``, before anything is drawn.
+  Of a stack's norms only the collapsed rows are checked; the caller
+  checks the rest with ``check_normalized``.
 * A sampled measurement takes one uniform draw in [0, 1) per row, as an
   array; it draws nothing itself.
 """
@@ -119,10 +123,21 @@ class PauliString:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        bad = [lab for lab in self.labels if lab not in _PAULI_BITS]
+        # text would be read one character or byte at a time
+        try:
+            if isinstance(self.labels, (str, bytes, bytearray)):
+                raise TypeError
+            labels = tuple(self.labels)
+        except TypeError:
+            raise ValueError(
+                f"labels must be a sequence of Pauli labels, got {self.labels!r}"
+            ) from None
+        bad = [
+            lab for lab in labels if not isinstance(lab, str) or lab not in _PAULI_BITS
+        ]
         if bad:
             raise ValueError(f"unknown Pauli labels {bad}; allowed: I, X, Z, iY")
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -716,11 +717,40 @@ class TestRunProtocol:
             with pytest.raises(ValueError, match="table is for four, not three-a"):
                 run_protocol(spec, seed=3, forced=forced, table=table)
 
-    def test_rng_without_random_rejected(self):
-        # "x" raised numpy's UFuncTypeError inside the sampling
+    @pytest.mark.parametrize(
+        "rng",
+        ["x", random.Random(1), np.random.RandomState(1)],
+        ids=["str", "random", "legacy"],
+    )
+    def test_rng_that_is_no_generator_rejected(self, rng):
+        # "x" raised numpy's UFuncTypeError and random.Random "Random.random()
+        # takes no arguments" inside the sampling; a RandomState was taken
         spec = SecretSpec(Variant.THREE_A, (0.6, 0, 0.8j, 0))
-        with pytest.raises(ValueError, match="rng must be a numpy Generator"):
-            run_protocol(spec, rng="x")
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator, got "):
+            run_protocol(spec, rng=rng)
+
+    @pytest.mark.parametrize(
+        ("amps", "mass"),
+        [
+            (np.eye(8)[0b010], 1.0),
+            ((np.eye(8)[0b000] + np.eye(8)[0b010]) / np.sqrt(2), 0.5000000000000002),
+        ],
+        ids=["010", "000+010"],
+    )
+    def test_out_of_class_raw_secret_rejected_everywhere(self, amps, mass):
+        # outcome_distribution returned 32 weights summing to 0.0 and to
+        # 0.49999999999999994; sampled and forced runs raised, and still
+        # report the mass of Alice's lifted projection, bit for bit
+        secret = StateVector(amps)
+        calls = [
+            lambda: run_protocol(secret, variant="three-a", seed=0),
+            lambda: run_protocol(secret, variant="three-a", forced=(0, 0)),
+            lambda: outcome_distribution(secret, variant="three-a"),
+        ]
+        for call in calls:
+            with pytest.raises(OutOfSpanError) as exc:
+                call()
+            assert exc.value.missing_mass == mass
 
     def test_out_of_class_secret_rejected(self):
         # |010> lies outside the spanned class of this variant

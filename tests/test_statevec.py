@@ -152,6 +152,25 @@ class TestPauliString:
         with pytest.raises(ValueError, match="unknown Pauli labels"):
             PauliString(("Y",))
 
+    @pytest.mark.parametrize(
+        "labels",
+        ["XZ", "iY", b"X", bytearray(b"X"), 3, None],
+        ids=["str", "iY", "bytes", "bytearray", "int", "None"],
+    )
+    def test_rejects_text_and_non_sequences(self, labels):
+        # "XZ" read as X (x) Z, "iY" as the labels i and Y; 3 raised TypeError
+        with pytest.raises(ValueError, match="^labels must be a sequence of Pauli"):
+            PauliString(labels)
+
+    def test_rejects_unhashable_labels(self):
+        # a list label raised TypeError: unhashable type
+        with pytest.raises(ValueError, match=r"^unknown Pauli labels \[\['X'\]\]"):
+            PauliString([["X"]])
+
+    def test_labels_may_be_any_iterable(self):
+        # read once: a generator used to be consumed by the label check
+        assert PauliString(iter(["X", "iY"])).labels == ("X", "iY")
+
     def test_masks_put_qubit_zero_first(self):
         # X and iY flip their qubit, Z and iY negate its 1-slice
         assert PauliString(("X", "Z", "iY")).masks == (0b101, 0b011)
