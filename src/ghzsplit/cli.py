@@ -270,7 +270,8 @@ def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[
     pieces raises ValueError instead of writing other bytes.
     """
     coefficients = chunk.coefficients
-    weights = _joint_weights(chunk.alice_branches).reshape(len(coefficients), -1)
+    weights = _joint_weights(chunk.alice_branches, chunk.alice_kets)
+    weights = weights.reshape(len(coefficients), -1)
     pairs = np.column_stack([coefficients, chunk.bob_before, chunk.bob_after])
     floats = np.column_stack([pairs.view(np.float64), chunk.fidelities, weights])
     string, row, others, rows = encode_basestring_ascii, {}, [], []

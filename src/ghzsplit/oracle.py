@@ -30,7 +30,6 @@ defective source rows are surfaced as data rather than hidden.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +58,7 @@ from .statevec import (
     PauliString,
     StateVector,
     _check_span,
+    _every_pauli,
     _hadamard_halves,
     _integer,
     _pauli_tables,
@@ -104,14 +104,16 @@ def _class_images(
 
     Alice's measurement (``_alice_measurement``) of the secret's unit kets
     gives every row's map at once; ``_hadamard_halves`` splits each branch
-    by Charlie's Hadamard outcome.
+    by Charlie's Hadamard outcome, on the live kets, then Bob's full rows.
     Raises ValueError if ``basis`` does not make ``4*sqrt(2)*K`` integral.
     """
     vs = VARIANT_SPECS[variant]
     dim = 2**vs.secret_qubits
-    branches, _ = _alice_measurement(variant, basis).project(np.eye(dim, dtype=complex))
+    lifted = _alice_measurement(variant, basis)
+    branches, _ = lifted.project(np.eye(dim, dtype=complex))
     # (a ± b) / sqrt(2) times 4*sqrt(2): (kets, outcomes, bit, 2**bob)
-    scaled = 4 * _hadamard_halves(branches)
+    halves = _hadamard_halves(branches, lifted.kets)
+    scaled = 4 * lifted.kets.halves[0].scatter(halves)
     kint = np.rint(scaled.real)
     off = float(np.max(np.abs(scaled - kint)))
     if not off <= INTEGER_ATOL:
@@ -126,17 +128,6 @@ def _class_images(
     target = 4 // math.isqrt(vs.num_outcomes) * isometry  # mu = 4/sqrt(outcomes)
     images.flags.writeable = target.flags.writeable = False
     return images, target
-
-
-@functools.cache
-def _candidates(qubits: int) -> tuple[tuple[PauliString, ...], np.ndarray, np.ndarray]:
-    """Every Pauli correction on ``qubits`` qubits, and its stacked
-    ``_xor_sign_tables`` rows: (strings, sources, signs)."""
-    paulis = tuple(
-        PauliString(labels)
-        for labels in itertools.product(("I", "X", "Z", "iY"), repeat=qubits)
-    )
-    return (paulis, *_pauli_tables(paulis, 2**qubits))
 
 
 def _image_signs(
@@ -162,7 +153,7 @@ def _solutions_for_row(
     """The candidates P with ``P @ pre == ±targets`` exactly, in candidate
     order, each mapped to its sign; ``pre`` is a row's class image
     ``Kint[i, b] @ V``, ``targets`` is ``mu * V``."""
-    signs = _image_signs(pre, targets, *_candidates(len(candidates[0]))[1:])
+    signs = _image_signs(pre, targets, *_every_pauli(len(candidates[0]))[1:])
     return {candidates[i]: int(signs[i]) for i in np.flatnonzero(signs)}
 
 
@@ -177,7 +168,7 @@ def derive_corrections(
     variant = Variant.parse(variant)
     outcome, bit = _check_row(variant, outcome, bit)
     images, target = _class_images(variant, build_alice_basis(variant, CANONICAL))
-    candidates, _, _ = _candidates(VARIANT_SPECS[variant].bob_qubits)
+    candidates, _, _ = _every_pauli(VARIANT_SPECS[variant].bob_qubits)
     return tuple(_solutions_for_row(images[outcome, bit], target, candidates))
 
 
@@ -229,7 +220,7 @@ def derive_table(variant: Variant | str) -> DerivedTable:
 
 def _derived_table(variant: Variant, basis: OrthonormalBasis) -> DerivedTable:
     images, target = _class_images(variant, basis)
-    candidates, _, _ = _candidates(VARIANT_SPECS[variant].bob_qubits)
+    candidates, _, _ = _every_pauli(VARIANT_SPECS[variant].bob_qubits)
     solutions: dict[tuple[int, int], tuple[PauliString, ...]] = {}
     exact: dict[tuple[int, int], tuple[PauliString, ...]] = {}
     for key in _all_rows(variant):
@@ -332,10 +323,12 @@ def _sampled_rows(
 
     One ``_alice_measurement`` of the stacked test secrets, its span checked
     once; then one stacked ``collapse`` of the pairs' branches, picked by
-    index, and one stacked Hadamard collapse of Charlie's qubit, the last.
+    index, and one stacked Hadamard collapse of Charlie's qubit, the last,
+    both on the measurement's live kets; then Bob's full rows.
     """
     secrets = _secret_rows(variant, _test_secrets(variant))
-    branches, probs = _alice_measurement(variant, basis).project(secrets)
+    lifted = _alice_measurement(variant, basis)
+    branches, probs = lifted.project(secrets)
     _check_span(probs)
     count = len(secrets)
     picked = np.tile(np.arange(count), len(keys))
@@ -343,7 +336,8 @@ def _sampled_rows(
     alice = collapse(
         branches[picked, outcomes][:, None], probs[picked, outcomes][:, None], 0
     )
-    pre = force_hadamard_outcome(alice.residual, bits).residual
+    pre = force_hadamard_outcome(alice.residual, bits, lifted.kets).residual
+    pre = lifted.kets.halves[0].scatter(pre)
     return pre.reshape(len(keys), count, -1), secrets
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from .statevec import (
     NORM_ATOL,
+    Kets,
     LiftedBasis,
     NormalizationError,
     OrthonormalBasis,
@@ -47,7 +48,6 @@ from .statevec import (
     _check_span,
     _hadamard_halves,
     _integer,
-    _probabilities,
     _xor_sign_tables,
     apply_pauli_string,
     check_normalized,
@@ -605,9 +605,12 @@ build_alice_basis.cache_info = _alice_basis.cache_info
 @functools.cache
 def _alice_measurement(variant: Variant, basis: OrthonormalBasis) -> LiftedBasis:
     """Alice's measurement in ``basis`` of secret rows (x) the channel, built
-    on first use per (variant, basis). Each channel ket fixes Bob's and
-    Charlie's bits, so a branch amplitude is one secret amplitude times a
-    constant (two in ``four``), with the dense projection's bits."""
+    on first use per (variant, basis). GHZ (x) GHZ has four kets, and each
+    fixes Bob's and Charlie's bits, so a branch has amplitude on 4 of the
+    kets of their qubits at most: its ``kets``, 0, 6, 9 and 15 of 16 in
+    three-a, 0, 3, 12 and 15 in three-b, 0, 7, 24 and 31 of 32 in ``four``.
+    Each of those is one secret amplitude times a constant (two in
+    ``four``), with the dense projection's bits; every other ket is +0.0."""
     qubits = VARIANT_SPECS[variant].secret_qubits
     return LiftedBasis.of(basis, build_channel(variant), qubits)
 
@@ -832,11 +835,12 @@ def _check_row(variant: Variant, outcome: int, bit: int) -> tuple[int, int]:
     return outcome, bit
 
 
-def _joint_weights(branches: np.ndarray) -> np.ndarray:
-    """Joint weights ``[..., outcome, bit]`` from Alice's (stacked) branches."""
-    signed = _hadamard_halves(branches)
+def _joint_weights(branches: np.ndarray, kets: Kets) -> np.ndarray:
+    """Joint weights ``[..., outcome, bit]`` from Alice's (stacked) branches
+    on ``kets``."""
+    signed = _hadamard_halves(branches, kets)
     signed /= np.sqrt(2.0)
-    return _probabilities(signed)
+    return kets.halves[0].probabilities(signed)
 
 
 def _outcome_weights(weights: np.ndarray) -> tuple[OutcomeWeight, ...]:
@@ -852,10 +856,11 @@ def outcome_distribution(
     variant, secret_state = _resolve_secret(secret, variant)
     combined = tensor_product(secret_state, build_channel(variant))
     branches, _ = build_alice_basis(variant).project(combined.amplitudes[None])
-    return _outcome_weights(_joint_weights(branches)[0])
+    kets = Kets.every(branches.shape[-1])
+    return _outcome_weights(_joint_weights(branches, kets)[0])
 
 
-# trials the kernel stacks per call: Alice's branches take 512 KiB at most
+# trials the kernel stacks per call: Alice's branches take 128 KiB at most
 TRIAL_CHUNK = 128
 
 
@@ -863,7 +868,9 @@ TRIAL_CHUNK = 128
 class TrialChunk:
     """The trial kernel's arrays for consecutive trials run as one stack;
     entry or row t is the chunk's trial t. ``coefficients`` are the trials'
-    class coefficients, drawn or fixed; None in ``run_protocol``'s chunk."""
+    class coefficients, drawn or fixed; None in ``run_protocol``'s chunk.
+    ``alice_branches`` holds Alice's branches on the kets ``alice_kets``,
+    ``bob_before`` and ``bob_after`` Bob's full rows."""
 
     variant: Variant
     coefficients: np.ndarray | None
@@ -874,6 +881,7 @@ class TrialChunk:
     bob_after: np.ndarray
     fidelities: list[float]
     alice_branches: np.ndarray
+    alice_kets: Kets
 
 
 def _run_chunk(
@@ -885,24 +893,27 @@ def _run_chunk(
     table: CorrectionTable,
 ) -> TrialChunk:
     """The trial kernel: one protocol round per secret row, all stacked:
-    Alice's lifted basis, Charlie's Hadamard on the last qubit, then Bob's
-    correction. Unless ``forced`` pins both outcomes, trial t samples
+    Alice's lifted basis, Charlie's Hadamard on the last qubit, both on the
+    kets the channel reaches (``LiftedBasis.kets``), then Bob's correction
+    on his full rows. Unless ``forced`` pins both outcomes, trial t samples
     Alice's outcome with ``uniforms[0][t]`` and Charlie's with
     ``uniforms[1][t]``, a (2, rows) array. Every step is the same
     floating-point operation per row as on a single state.
     """
     basis = _alice_measurement(variant, build_alice_basis(variant))
+    kets = basis.kets
     if forced is None:
         alice = measure_in_basis(secret_rows, basis, uniforms[0])
-        charlie = measure_hadamard(alice.residual, uniforms[1])
+        charlie = measure_hadamard(alice.residual, uniforms[1], kets)
     else:
         alice = force_basis_outcome(secret_rows, basis, forced[0])
-        charlie = force_hadamard_outcome(alice.residual, forced[1])
+        charlie = force_hadamard_outcome(alice.residual, forced[1], kets)
+    bob_before = kets.halves[0].scatter(charlie.residual)
 
     keys = list(zip(alice.outcome.tolist(), charlie.outcome.tolist()))
     rows = table.rows  # the keys are ints; a missing one raises the table's KeyError
     corrections = [rows[key] if key in rows else table[key] for key in keys]
-    bob_after = apply_pauli_string(charlie.residual, corrections)
+    bob_after = apply_pauli_string(bob_before, corrections)
     check_normalized(bob_after)
     return TrialChunk(
         variant=variant,
@@ -910,10 +921,11 @@ def _run_chunk(
         alice_outcomes=[i for i, _ in keys],
         charlie_bits=[b for _, b in keys],
         corrections=corrections,
-        bob_before=charlie.residual,
+        bob_before=bob_before,
         bob_after=bob_after,
         fidelities=fidelity(bob_after, secret_rows),
         alice_branches=alice.branches,
+        alice_kets=kets,
     )
 
 
@@ -1027,5 +1039,7 @@ def run_protocol(
         bob_state_before=StateVector(chunk.bob_before[0]),
         bob_state_after=StateVector(chunk.bob_after[0]),
         fidelity=chunk.fidelities[0],
-        probabilities=_outcome_weights(_joint_weights(chunk.alice_branches)[0]),
+        probabilities=_outcome_weights(
+            _joint_weights(chunk.alice_branches, chunk.alice_kets)[0]
+        ),
     )

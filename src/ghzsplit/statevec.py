@@ -8,20 +8,29 @@ Conventions used throughout the package:
 * Amplitudes are complex128 arrays of length ``2**num_qubits``.
 * A Pauli string acts by one rule: its ``(xmask, zmask)`` bits take
   amplitude ``k ^ xmask`` to index k with sign ``(-1)**popcount(k & zmask)``.
-  Corrections, candidate searches and ``PauliString.matrix`` all use it.
+  Corrections, candidate searches and ``PauliString.matrix`` all use it;
+  the first two gather its rows from one table of every Pauli string of a
+  width (``_every_pauli``).
 * ``StateVector(amplitudes)`` is the one constructor: the qubit count is
   read off the length, which must be a power of two. The state is validated
   to unit norm (tolerance ``NORM_ATOL``) and never silently renormalized; it
   is the value at the package's edges (secrets, channels, basis vectors,
   transcripts).
 * The projection, measurement, correction and fidelity functions take and
-  return only ``(rows, 2**n)`` stacks of amplitude rows, doing the same
-  floating-point work on every row; a single state is the one-row stack
+  return only stacks of amplitude rows, doing the same floating-point work
+  on every row; a single state is the one-row stack
   ``state.amplitudes[None]``, and only ``basis_projection_probabilities``
   also takes a StateVector. A basis's ``project`` is a matmul on the
   leading qubits; for a ``LiftedBasis`` (a basis on rows (x) one fixed
   state), a gather on the rows that checks their norms; for the Hadamard
-  basis on the last qubit, the halves of each row. A measurement
+  basis on the last qubit, the halves of each row.
+* A stack's columns are the kets of a ``Kets``: full ``(rows, 2**n)`` rows,
+  or only the kets a ``LiftedBasis``'s fixed state reaches (the live
+  kets), every other ket holding +0.0. Its projections and the Hadamard
+  after it work on the live kets alone, and ``Kets.sum`` adds a row's
+  squares in the order ``np.add.reduce`` adds the full row's, so every
+  probability keeps the full rows' bits; ``Kets.scatter`` makes the full
+  rows. Building a ``Kets`` checks that order. A measurement
   (``measure_in_basis``, ``force_basis_outcome``) checks its projection's
   span once, right after it; ``project`` itself and
   ``basis_projection_probabilities`` do not. A raw secret's class is
@@ -35,6 +44,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -50,6 +61,7 @@ _NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
 
 # each factor is Z**z X**x: (x, z) per label; iY = ZX stays exactly real
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "iY": (1, 1)}
+_PAULI_DIGITS = {lab: k for k, lab in enumerate(_PAULI_BITS)}
 
 
 class NormalizationError(ValueError):
@@ -155,6 +167,16 @@ class PauliString:
             xmask, zmask = 2 * xmask + x, 2 * zmask + z
         return xmask, zmask
 
+    @functools.cached_property
+    def _key(self) -> int:
+        """``4**len(self)`` plus the string's index in ``_every_pauli``: its
+        factors' positions in (I, X, Z, iY) as base-4 digits, qubit 0 the
+        most significant. Strings of different widths never share a key."""
+        key = 1
+        for lab in self.labels:
+            key = 4 * key + _PAULI_DIGITS[lab]
+        return key
+
     def matrix(self) -> np.ndarray:
         """Dense form of the rule: ``M[k, k ^ x] = (-1)**popcount(k & z)``."""
         dim = 2 ** len(self.labels)
@@ -186,21 +208,36 @@ def _xor_sign_tables(
     return source, sign
 
 
+@functools.cache
+def _every_pauli(qubits: int) -> tuple[tuple[PauliString, ...], np.ndarray, np.ndarray]:
+    """Every Pauli string on ``qubits`` qubits, in the order of
+    ``PauliString._key``, and its ``_xor_sign_tables`` rows stacked:
+    (strings, sources, signs)."""
+    paulis = tuple(
+        PauliString(labels) for labels in itertools.product(_PAULI_BITS, repeat=qubits)
+    )
+    tables = [_xor_sign_tables(2**qubits, *p.masks) for p in paulis]
+    source = np.array([t[0] for t in tables])
+    sign = np.array([t[1] for t in tables])
+    source.flags.writeable = sign.flags.writeable = False
+    return paulis, source, sign
+
+
 def _pauli_tables(
     paulis: tuple[PauliString, ...] | list[PauliString], dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_xor_sign_tables`` of each string on ``dim`` amplitudes, stacked:
-    (strings, dim) source indices and signs, read-only so a cache may share
-    them. Each distinct string's rows are made once, then gathered."""
-    distinct = {p.labels: p for p in paulis}
-    widths = {len(p) for p in distinct.values()} - {dim.bit_length() - 1}
-    if widths:
-        raise ValueError(f"{widths.pop()} Pauli factors on rows of {dim} amplitudes")
-    row = {labels: k for k, labels in enumerate(distinct)}
-    rows = [row[p.labels] for p in paulis]
-    tables = [_xor_sign_tables(dim, *p.masks) for p in distinct.values()]
-    source = np.array([t[0] for t in tables])[rows]
-    sign = np.array([t[1] for t in tables])[rows]
+    (strings, dim) source indices and signs, read-only, gathered from
+    ``_every_pauli``'s table by each string's key."""
+    qubits = dim.bit_length() - 1
+    rows = np.array([p._key for p in paulis], dtype=np.intp) - 4**qubits
+    # a string of another width has a key outside [4**qubits, 2 * 4**qubits)
+    bad = (rows < 0) | (rows >= 4**qubits)
+    if np.logical_or.reduce(bad, axis=None):
+        width = len(paulis[int(np.argmax(bad))])
+        raise ValueError(f"{width} Pauli factors on rows of {dim} amplitudes")
+    _, source, sign = _every_pauli(qubits)
+    source, sign = source[rows], sign[rows]
     source.flags.writeable = sign.flags.writeable = False
     return source, sign
 
@@ -262,10 +299,17 @@ class OrthonormalBasis:
         probabilities, from one stacked matmul; the span is not checked."""
         m = self.matrix()
         branches = m.conj() @ rows.reshape(*rows.shape[:-1], m.shape[1], -1)
-        return branches, _probabilities(branches)
+        return branches, np.add.reduce(_squares(branches), axis=-1)
 
     def gram_defects(self, atol: float = NORM_ATOL) -> list[tuple[int, int, complex]]:
-        """Entries (i, j, <vi|vj>) where the Gram matrix deviates from identity."""
+        """Entries (i, j, <vi|vj>) where the Gram matrix deviates from identity
+        by more than ``atol``, a finite number >= 0 (else ValueError)."""
+        if (
+            isinstance(atol, _NOT_NUMBERS)
+            or not isinstance(atol, numbers.Real)
+            or not 0.0 <= atol < math.inf  # NaN fails too
+        ):
+            raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
         b = self.matrix()
         gram = b.conj() @ b.T
         delta = gram - np.eye(len(self.vectors))
@@ -276,21 +320,154 @@ class OrthonormalBasis:
         return out
 
 
+def _reduce_order(columns: list[int]) -> int | tuple:
+    """The additions ``np.add.reduce`` makes over a contiguous last axis
+    holding ``columns``, as a tree of pairs of column indices.
+
+    numpy's pairwise sum: under 8 terms, one after another; up to 128, 8
+    accumulators, term k adding into accumulator k mod 8, joined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the terms past the last
+    multiple of 8 one after another; above 128, two halves, the first a
+    multiple of 8 long. The reduction starts from 0.0, which leaves a sum
+    of squares unchanged.
+    """
+    n = len(columns)
+    if n < 8:
+        return functools.reduce(lambda a, b: (a, b), columns)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _reduce_order(columns[:half]), _reduce_order(columns[half:])
+    acc = list(columns[:8])
+    stop = n - n % 8
+    for k in range(8, stop):
+        acc[k % 8] = acc[k % 8], columns[k]
+    tree = ((acc[0], acc[1]), (acc[2], acc[3])), ((acc[4], acc[5]), (acc[6], acc[7]))
+    return functools.reduce(lambda a, b: (a, b), columns[stop:], tree)
+
+
+def _pruned(tree: int | tuple, column: dict[int, int]) -> int | tuple | None:
+    """``tree`` with every ket outside ``column`` dropped, the others renamed
+    to their columns: ``x + 0.0`` is x for any x >= +0.0, so a sum of
+    squares keeps its bits. None if no ket of the tree is kept."""
+    if not isinstance(tree, tuple):
+        return column.get(tree)
+    left, right = (_pruned(node, column) for node in tree)
+    if left is None or right is None:
+        return right if left is None else left
+    return left, right
+
+
+def _tree_sum(tree: int | tuple, terms: np.ndarray) -> np.ndarray:
+    """The sum of the columns of ``terms`` that ``tree`` names, added pair
+    by pair as it nests them."""
+    if isinstance(tree, tuple):
+        return np.add(_tree_sum(tree[0], terms), _tree_sum(tree[1], terms))
+    return terms[..., tree]
+
+
+# Kets and _Hadamard are plain classes: making a dataclass costs about
+# 0.6 ms at import
+class Kets:
+    """The kets a stack of amplitude rows carries: column j of a row is ket
+    ``live[j]`` of a state of ``width`` amplitudes, and every other ket of
+    it holds +0.0. ``Kets.every(width)`` lists every ket: a full row.
+
+    ``sum`` adds a row's non-negative terms in the order ``np.add.reduce``
+    adds them over the full width (``order``, from ``_reduce_order``), with
+    the absent kets' +0.0 terms dropped; building a ``Kets`` checks that
+    order against ``np.add.reduce`` and raises RuntimeError on a mismatch.
+    """
+
+    def __init__(self, width: int, live: tuple[int, ...]):
+        live = tuple(live)
+        ordered = list(live) == sorted(set(live))
+        if not live or not ordered or not 0 <= live[0] <= live[-1] < width:
+            raise ValueError(f"kets {live} are not distinct kets of {width}")
+        self.width, self.live = width, live
+        column = {k: j for j, k in enumerate(live)}
+        self.order = _pruned(_reduce_order(list(range(width))), column)
+        # squares of full-mantissa terms of unlike magnitude: another order
+        # of the additions rounds some row differently
+        k = np.arange(1.0, 1.0 + 64 * len(live))
+        probe = (np.sqrt(k) * 2.0 ** (k % 11 - 5)).reshape(64, len(live))
+        want = np.add.reduce(self.scatter(probe), axis=-1)
+        if self.sum(probe).tobytes() != want.tobytes():
+            raise RuntimeError(
+                f"the sum over kets {live} of {width} differs from "
+                "numpy's add.reduce over the full rows"
+            )
+
+    def __repr__(self) -> str:
+        return f"Kets({self.width}, {self.live})"
+
+    @classmethod
+    @functools.cache
+    def every(cls, width: int) -> Kets:
+        """Every ket of rows of ``width`` amplitudes, built once per width."""
+        return cls(width, tuple(range(width)))
+
+    def sum(self, terms: np.ndarray) -> np.ndarray:
+        """``np.add.reduce`` over the last axis of the full rows of
+        ``terms``, each >= +0.0, from the live columns only."""
+        if isinstance(self.order, tuple):
+            return _tree_sum(self.order, terms)
+        return terms[..., self.order].copy()
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """The full rows: ``values`` in the live kets, +0.0 in the rest."""
+        rows = np.zeros((*values.shape[:-1], self.width), values.dtype)
+        rows[..., self.live] = values
+        return rows
+
+    @functools.cached_property
+    def halves(self) -> tuple[Kets, np.ndarray, np.ndarray]:
+        """The kets of a row's halves, its last qubit at 0 and at 1, and the
+        columns ``_hadamard_halves`` adds for the |+> and |-> parts: two (2,
+        half's live kets) arrays into ``values``, +0.0, ``-values``, -0.0
+        laid end to end. The left one picks h0, the right one h1 for |+>
+        and -h1 for |->; a ket outside ``live`` is the zero. Raises
+        ValueError on rows with no qubit."""
+        if self.width < 2 or self.width % 2:
+            raise ValueError(f"rows of {self.width} amplitudes have no last qubit")
+        pairs = sorted({k >> 1 for k in self.live})
+        column = {k: j for j, k in enumerate(self.live)}
+        zero = len(self.live)
+        first, second = (
+            [column.get(2 * k + bit, zero) for k in pairs] for bit in (0, 1)
+        )
+        left = np.array([first, first])
+        right = np.array([second, second]) + [[0], [zero + 1]]
+        left.flags.writeable = right.flags.writeable = False
+        return Kets(self.width // 2, tuple(pairs)), left, right
+
+    def probabilities(self, branches: np.ndarray) -> np.ndarray:
+        """Each branch's squared norm: ``sum`` of its ``_squares``."""
+        return self.sum(_squares(branches))
+
+
 @dataclass(frozen=True, eq=False)
 class LiftedBasis:
     """A basis measured on ``row (x) fixed``, projected as a gather on the
-    rows: each branch amplitude sums at most two row amplitudes, ``sources``,
-    times constants, ``weights`` (both (terms, outcomes, 2**rest); weight 0
-    where an amplitude has fewer terms). Two terms add alike in any order."""
+    rows onto ``kets``, the kets of the unmeasured qubits that ``fixed``
+    reaches: each of their branch amplitudes sums at most two row
+    amplitudes, ``sources``, times constants, ``weights`` (both (terms,
+    outcomes, live kets); weight 0 where an amplitude has fewer terms). Two
+    terms add alike in any order. Every other ket of a branch is +0.0, as
+    in the dense projection."""
 
     sources: np.ndarray
     weights: np.ndarray
+    kets: Kets
 
     @classmethod
     def of(cls, basis: OrthonormalBasis, fixed: StateVector, width: int) -> LiftedBasis:
         units = np.eye(2**width, dtype=complex)[:, :, None]
         branches, _ = basis.project((units * fixed.amplitudes).reshape(2**width, -1))
         nonzero = branches != 0
+        live = np.flatnonzero(np.logical_or.reduce(nonzero, axis=(0, 1)))
+        kets = Kets(branches.shape[-1], tuple(live.tolist()))
+        kets.halves  # built, and its sum order checked, with the basis
+        nonzero, branches = nonzero[..., live], branches[..., live]
         terms = int(np.max(np.add.reduce(nonzero, axis=0)))
         if terms > 2:
             raise ValueError(f"{terms} terms in a branch amplitude, more than 2")
@@ -298,45 +475,53 @@ class LiftedBasis:
         sources = np.argsort(~nonzero, axis=0, kind="stable")[:terms]
         weights = np.take_along_axis(branches, sources, axis=0)
         sources.flags.writeable = weights.flags.writeable = False
-        return cls(sources, weights)
+        return cls(sources, weights, kets)
 
     def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``OrthonormalBasis.project`` of each row (x) the fixed state, the
-        rows' norms checked first; the span is not checked."""
+        """``OrthonormalBasis.project`` of each row (x) the fixed state on
+        ``kets``, the rows' norms checked first: (rows, outcomes, live kets)
+        branches and their probabilities. The span is not checked."""
         check_normalized(rows)
-        # np.take keeps the matmul's C order, so the probabilities sum alike
+        # np.take keeps the matmul's C order
         branches = np.take(rows, self.sources[0], axis=1)
         branches *= self.weights[0]
         if len(self.sources) == 2:
             branches += np.take(rows, self.sources[1], axis=1) * self.weights[1]
         branches += 0.0  # the +0.0 BLAS writes where no term is nonzero
-        return branches, _probabilities(branches)
+        return branches, self.kets.probabilities(branches)
 
 
-def _hadamard_halves(rows: np.ndarray) -> np.ndarray:
+def _hadamard_halves(values: np.ndarray, kets: Kets) -> np.ndarray:
     """Each row's halves h0, h1 (its last qubit at 0, 1) as ``h0 + h1`` and
-    ``h0 - h1`` along axis -2: its |+> and |-> parts times sqrt(2)."""
-    half = rows.reshape(*rows.shape[:-1], -1, 2)
-    signed = np.empty((*half.shape[:-2], 2, half.shape[-2]), complex)
-    np.add(half[..., 0], half[..., 1], out=signed[..., 0, :])
-    np.subtract(half[..., 0], half[..., 1], out=signed[..., 1, :])
-    return signed
+    ``h0 - h1`` along axis -2, on ``kets.halves``' kets: its |+> and |->
+    parts times sqrt(2). An absent half is the +0.0 the row holds there, so
+    ``x + 0.0``, ``x - 0.0``, ``0.0 + x`` and ``0.0 - x`` keep the full
+    rows' bits, signed zeros too."""
+    _, left, right = kets.halves
+    parts = np.ascontiguousarray(values).view(np.float64)
+    zero = np.zeros((*parts.shape[:-1], 2))
+    # x, +0.0, -x, -0.0: h0 - h1 is h0 + (-h1), the same bits
+    signed = np.concatenate([parts, zero, -parts, -zero], axis=-1).view(complex)
+    return signed[..., left] + signed[..., right]
 
 
 class _Hadamard:
-    """The Hadamard basis on the last qubit, |+> then |->: ``_hadamard_halves``
-    times 1/sqrt(2). That has the dense matmul's bits, signed zeros too, where
-    a pair has a zero half, as in every row Charlie measures: a channel ket
-    fixes his bit from the bits of Bob, who shares his GHZ triplet."""
+    """The Hadamard basis on the last qubit of rows on ``kets``, |+> then
+    |->: ``_hadamard_halves`` times 1/sqrt(2), on the halves' kets. That
+    has the dense matmul's bits, signed zeros too, where a pair has a zero
+    half, as in every row Charlie measures: a channel ket fixes his bit
+    from the bits of Bob, who shares his GHZ triplet. So on Alice's kets
+    (``LiftedBasis.kets``) each pair has one live half."""
 
-    @staticmethod
-    def project(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        branches = _hadamard_halves(rows)
+    def __init__(self, kets: Kets):
+        self.kets = kets
+
+    def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        branches = _hadamard_halves(rows, self.kets)
         branches *= 1.0 / np.sqrt(2.0)
-        return branches, _probabilities(branches)
+        return branches, self.kets.halves[0].probabilities(branches)
 
 
-_HADAMARD = _Hadamard()
 _Basis = OrthonormalBasis | LiftedBasis | _Hadamard
 
 
@@ -349,7 +534,7 @@ class MeasurementResult:
     outcome: np.ndarray
     probability: np.ndarray
     residual: np.ndarray
-    # (rows, outcomes, 2**rest): every outcome's unnormalised branch per row
+    # (rows, outcomes, kets): every outcome's unnormalised branch per row
     branches: np.ndarray = field(repr=False, compare=False)
 
 
@@ -372,11 +557,11 @@ def check_normalized(amps: np.ndarray) -> None:
         raise NormalizationError("state is not normalized", deficit)
 
 
-def _probabilities(branches: np.ndarray) -> np.ndarray:
-    """Each branch's squared norm: ``|b|**2`` squared in place, summed."""
+def _squares(branches: np.ndarray) -> np.ndarray:
+    """``|b|**2`` of each amplitude: its modulus, squared in place."""
     weights = np.abs(branches)
     weights *= weights
-    return np.add.reduce(weights, axis=-1)
+    return weights
 
 
 def basis_projection_probabilities(
@@ -472,9 +657,21 @@ def force_basis_outcome(
     return collapse(branches, probs, outcome)
 
 
-def measure_hadamard(rows: np.ndarray, uniforms: np.ndarray) -> MeasurementResult:
-    return measure_in_basis(rows, _HADAMARD, uniforms)
+def measure_hadamard(
+    rows: np.ndarray, uniforms: np.ndarray, kets: Kets | None = None
+) -> MeasurementResult:
+    """``measure_in_basis`` in the Hadamard basis on the last qubit of rows
+    on ``kets`` (every ket of a row if None); the residual rows are on
+    ``kets.halves``' kets."""
+    return measure_in_basis(rows, _hadamard(rows, kets), uniforms)
 
 
-def force_hadamard_outcome(rows: np.ndarray, bit: int) -> MeasurementResult:
-    return force_basis_outcome(rows, _HADAMARD, bit)
+def force_hadamard_outcome(
+    rows: np.ndarray, bit: int, kets: Kets | None = None
+) -> MeasurementResult:
+    """``force_basis_outcome`` of ``measure_hadamard``'s basis."""
+    return force_basis_outcome(rows, _hadamard(rows, kets), bit)
+
+
+def _hadamard(rows: np.ndarray, kets: Kets | None) -> _Hadamard:
+    return _Hadamard(Kets.every(rows.shape[-1]) if kets is None else kets)

@@ -1,7 +1,8 @@
 """Alice's measurement as a gather on the secret's amplitudes
 (``protocol._alice_measurement``) against the dense projection of the
-secret rows tensored with the channel: the same branches and probabilities,
-bit for bit."""
+secret rows tensored with the channel: the same branches, on the kets the
+channel reaches and +0.0 on every other, and the same probabilities, bit
+for bit."""
 
 import os
 import subprocess
@@ -50,7 +51,10 @@ def dense_projection(variant, basis, rows):
 def assert_same_bits(variant, encoding, rows):
     basis = build_alice_basis(variant, encoding)
     want = dense_projection(variant, basis, rows)
-    got = _alice_measurement(variant, basis).project(rows)
+    lifted = _alice_measurement(variant, basis)
+    branches, probs = lifted.project(rows)
+    assert branches.flags.c_contiguous
+    got = lifted.kets.scatter(branches), probs
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert g.flags.c_contiguous
@@ -175,7 +179,9 @@ for variant in Variant:
                 np.eye(dim, dtype=complex),
             ])
             want = basis.project(np.array([np.kron(r, channel) for r in rows]))
-            got = _alice_measurement(variant, basis).project(rows)
+            lifted = _alice_measurement(variant, basis)
+            branches, probs = lifted.project(rows)
+            got = lifted.kets.scatter(branches), probs
             bad += any(g.tobytes() != w.tobytes() for g, w in zip(got, want))
 print(bad)
 """

@@ -369,7 +369,7 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
     pieces = cli._template(chunk, 0, secret, FORCED)
     t = run_protocol(secret, forced=FORCED)
     coefficients = chunk.coefficients.copy()
-    weights = protocol._joint_weights(chunk.alice_branches)
+    weights = protocol._joint_weights(chunk.alice_branches, chunk.alice_kets)
     before, fidelities = chunk.bob_before.copy(), list(chunk.fidelities)
     corrections, want = list(chunk.corrections), []
     for k, fields in enumerate(trials):
@@ -396,7 +396,7 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
         chunk, coefficients=coefficients, bob_before=before,
         corrections=corrections, fidelities=fidelities,
     )
-    monkeypatch.setattr(cli, "_joint_weights", lambda branches: weights)
+    monkeypatch.setattr(cli, "_joint_weights", lambda branches, kets: weights)
     return list(cli._transcripts(chunk, pieces, True)), want
 
 

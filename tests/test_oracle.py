@@ -13,7 +13,6 @@ from ghzsplit.oracle import (
     TEST_SEED,
     _all_rows,
     _basis_anomalies,
-    _candidates,
     _class_images,
     _class_mass,
     _derived_table,
@@ -39,7 +38,7 @@ from ghzsplit.protocol import (
     run_protocol,
     substream,
 )
-from ghzsplit.statevec import NORM_ATOL, OrthonormalBasis, StateVector
+from ghzsplit.statevec import NORM_ATOL, OrthonormalBasis, StateVector, _every_pauli
 
 ALL_VARIANTS = list(Variant)
 IDS = [v.value for v in ALL_VARIANTS]
@@ -157,7 +156,7 @@ class TestSignedSearch:
     def test_signs_match_dense_products(self, variant, encoding):
         # every row and every candidate against P.matrix() @ image == ±target
         images, target = _class_images(variant, build_alice_basis(variant, encoding))
-        candidates = _candidates(VARIANT_SPECS[variant].bob_qubits)[0]
+        candidates = _every_pauli(VARIANT_SPECS[variant].bob_qubits)[0]
         dense = np.array([p.matrix() for p in candidates])
         seen = set()
         for key in _all_rows(variant):

@@ -49,9 +49,9 @@ def projections(monkeypatch):
     hadamard = statevec._Hadamard.project
     gather, dense = statevec.LiftedBasis.project, statevec.OrthonormalBasis.project
 
-    def counting_hadamard(rows):
+    def counting_hadamard(self, rows):
         counts[1] += 1
-        return hadamard(rows)
+        return hadamard(self, rows)
 
     def counting_gather(self, rows):
         counts[5] += 1
@@ -61,7 +61,7 @@ def projections(monkeypatch):
         counts["dense"] += 1
         return dense(self, rows)
 
-    monkeypatch.setattr(statevec._Hadamard, "project", staticmethod(counting_hadamard))
+    monkeypatch.setattr(statevec._Hadamard, "project", counting_hadamard)
     monkeypatch.setattr(statevec.LiftedBasis, "project", counting_gather)
     monkeypatch.setattr(statevec.OrthonormalBasis, "project", counting_dense)
     return counts

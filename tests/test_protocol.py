@@ -837,7 +837,8 @@ def _same_trial(chunk, row, want):
         a, b = rows[row].view(np.uint64), state.amplitudes.view(np.uint64)
         assert np.array_equal(a, b)
     assert chunk.fidelities[row].hex() == want.fidelity.hex()
-    weights = _joint_weights(chunk.alice_branches)[row].ravel().tolist()
+    weights = _joint_weights(chunk.alice_branches, chunk.alice_kets)[row]
+    weights = weights.ravel().tolist()
     assert [w.hex() for w in weights] == [
         w.probability.hex() for w in want.probabilities
     ]

@@ -32,6 +32,7 @@ from ghzsplit.protocol import (
     substream,
 )
 from ghzsplit.statevec import (
+    Kets,
     NormalizationError,
     OrthonormalBasis,
     OutOfSpanError,
@@ -391,6 +392,22 @@ class TestOrthonormalBasis:
         defects = basis.gram_defects()
         assert defects == [(0, 1, pytest.approx(1.0 + 0j))]
 
+    @pytest.mark.parametrize(
+        "atol", [np.nan, np.inf, -np.inf, -1.0, -1e-300, True, "1e-12", None, 1j]
+    )
+    def test_gram_tolerance_must_be_finite_and_not_negative(self, atol):
+        # four's literal basis has one defect; NaN and inf hid it, and a
+        # negative tolerance reported the diagonal as defects too
+        literal = build_alice_basis(Variant.FOUR, LITERAL)
+        assert len(literal.gram_defects()) == 1
+        with pytest.raises(ValueError, match="atol must be a finite number >= 0"):
+            literal.gram_defects(atol)
+
+    def test_gram_tolerance_zero_and_numpy_floats_accepted(self):
+        literal = build_alice_basis(Variant.FOUR, LITERAL)
+        assert literal.gram_defects(np.float64(1e-12)) == literal.gram_defects()
+        assert len(literal.gram_defects(0.0)) >= 1
+
     def test_vector_widths_must_agree(self):
         # the width of the vectors is the number of leading qubits measured
         mixed = (StateVector(np.eye(2)[0b0]), StateVector(np.eye(4)[0b01]))
@@ -501,29 +518,32 @@ def dense_hadamard(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestCharlieProjection:
-    """Charlie's projection is the halves of each row times 1/sqrt(2); on
-    every row the protocol measures it has the dense projection's bits."""
+    """Charlie's projection is the halves of each row times 1/sqrt(2), on
+    the kets the rows carry; on every row the protocol measures, scattered
+    to full rows, it has the dense projection's bits."""
 
     @pytest.fixture
     def projections(self, monkeypatch):
-        """Each stack of rows Charlie's projection gets, and what it gives."""
+        """Each stack of rows Charlie's projection gets, its kets, and what
+        it gives."""
         seen = []
         original = statevec._Hadamard.project
 
-        def recording(rows):
-            result = original(rows)
-            seen.append((rows.copy(), result))
+        def recording(self, rows):
+            result = original(self, rows)
+            seen.append((self.kets, rows.copy(), result))
             return result
 
-        monkeypatch.setattr(statevec._Hadamard, "project", staticmethod(recording))
+        monkeypatch.setattr(statevec._Hadamard, "project", recording)
         return seen
 
     @staticmethod
     def assert_dense_bits(projections, count):
-        assert sum(len(rows) for rows, _ in projections) == count
-        for rows, (branches, probs) in projections:
-            want_branches, want_probs = dense_hadamard(rows)
-            assert np.array_equal(branches.view(np.int64), want_branches.view(np.int64))
+        assert sum(len(rows) for _, rows, _ in projections) == count
+        for kets, rows, (branches, probs) in projections:
+            want_branches, want_probs = dense_hadamard(kets.scatter(rows))
+            got = kets.halves[0].scatter(branches)
+            assert np.array_equal(got.view(np.int64), want_branches.view(np.int64))
             assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -533,6 +553,8 @@ class TestCharlieProjection:
         for _ in run_trials(variant, 2026, trials):
             pass
         self.assert_dense_bits(projections, trials)
+        # on the 4 kets the channel reaches, not the full rows
+        assert {len(kets.live) for kets, _, _ in projections} == {4}
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -546,7 +568,8 @@ class TestCharlieProjection:
     def test_dense_bits_need_a_zero_in_each_pair(self):
         # the two differ where both halves of a pair are nonzero
         rows = np.array([[0.6, 0.8]], dtype=complex)
-        got, want = statevec._HADAMARD.project(rows)[0], dense_hadamard(rows)[0]
+        got = statevec._Hadamard(Kets.every(2)).project(rows)[0]
+        want = dense_hadamard(rows)[0]
         assert not np.array_equal(got.view(np.int64), want.view(np.int64))
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
