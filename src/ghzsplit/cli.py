@@ -20,7 +20,11 @@ from the ``to_dict`` tree of trial 0 remade by ``substream``,
 trial of the run shares. A chunk's pieces and leaf texts are one object
 array, joined and written a slice of trials at a time, and its floats get
 one ``repr`` per distinct magnitude (a negative float is ``-`` and its
-magnitude's text).
+magnitude's text). A chunk's csv rows or text lines are one object array
+too, (trials, 4), joined once: the trial number, the row text, made once
+per distinct (outcome, bit, correction) row, the fidelity text, made once
+per distinct fidelity, and the line end. One step (``_distinct_rows``)
+finds the distinct rows for csv, text and JSON.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -259,6 +263,22 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> list[str]:
     return _json_text(tree, 2).split(json.dumps(_LEAF))
 
 
+def _first_seen(keys) -> tuple[list, list[int]]:
+    """The distinct items of ``keys`` in the order they first appear, and
+    each key's index into them."""
+    index = {}
+    inverse = [index.setdefault(key, len(index)) for key in keys]
+    return list(index), inverse
+
+
+def _distinct_rows(chunk: TrialChunk) -> tuple[list[tuple], list[int]]:
+    """``_first_seen`` of a chunk's (outcome, bit, correction labels) rows:
+    csv, text and JSON make each row's text once per distinct row."""
+    # a correction need not be hashable: its labels are
+    labels = [correction.labels for correction in chunk.corrections]
+    return _first_seen(zip(chunk.alice_outcomes, chunk.charlie_bits, labels))
+
+
 def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
     """``_json_text(t.to_dict(), 2)`` for the Transcript t ``run_protocol``
     makes of each trial of ``chunk``, each after its separator (the run's
@@ -266,26 +286,23 @@ def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[
     array holds the chunk's texts: ``pieces`` in the even columns, and in
     the odd ones the leaves in document order, from the chunk's arrays: its
     floats as one array (``_float_texts``), the other leaves one row per
-    outcome, bit and correction. A trial whose leaf count does not fit the
-    pieces raises ValueError instead of writing other bytes.
+    distinct outcome, bit and correction (``_distinct_rows``). A trial
+    whose leaf count does not fit the pieces raises ValueError instead of
+    writing other bytes.
     """
     coefficients = chunk.coefficients
     weights = _joint_weights(chunk.alice_branches, chunk.alice_kets)
     weights = weights.reshape(len(coefficients), -1)
     pairs = np.column_stack([coefficients, chunk.bob_before, chunk.bob_after])
     floats = np.column_stack([pairs.view(np.float64), chunk.fidelities, weights])
-    string, row, others, rows = encode_basestring_ascii, {}, [], []
-    trials = zip(chunk.alice_outcomes, chunk.charlie_bits, chunk.corrections)
-    for i, b, correction in trials:
-        key = i, b, correction.labels  # a correction need not be hashable
-        if key not in row:
-            row[key] = len(others)
-            cbits = string(alice_cbits(i))
-            others.append((
-                int.__repr__(i), cbits, int.__repr__(b), cbits, string(str(b)),
-                *map(string, correction.labels),
-            ))
-        rows.append(row[key])
+    string, others = encode_basestring_ascii, []
+    keys, rows = _distinct_rows(chunk)
+    for i, b, labels in keys:
+        cbits = string(alice_cbits(i))
+        others.append((
+            int.__repr__(i), cbits, int.__repr__(b), cbits, string(str(b)),
+            *map(string, labels),
+        ))
     count, width = len(pieces) - 1, floats.shape[1]
     for leaves in others:
         if width + len(leaves) != count:
@@ -325,28 +342,45 @@ _RUN_CSV_HEADER = [
 ]
 
 
+# per format: a trial number's text, a row's text and a fidelity's text
+_ROW_TEXTS = {
+    "csv": (str, ",{variant},{i},{cbits},{b},{correction},", repr),
+    "text": (
+        "trial {}".format,
+        ": outcome={i} cbits={cbits} charlie={b} correction={correction} fidelity=",
+        "{:.12f}".format,
+    ),
+}
+
+
 def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
-    """CSV rows or text lines of one chunk, whose first trial is ``first``."""
+    """CSV rows or text lines of one chunk, whose first trial is ``first``,
+    joined once from a (trials, 4) object array: the trial number, the row
+    text, made once per distinct row (``_distinct_rows``), the fidelity's
+    text, made once per distinct bit pattern, and the line end. No csv
+    field can hold a delimiter, a quote or a line break, so ``csv.writer``
+    would write every one as it is.
+    """
+    number, row, fidelity = _ROW_TEXTS[fmt]
     name = chunk.variant.value
-    trials = zip(
-        range(first, first + len(chunk.fidelities)),
-        chunk.alice_outcomes,
-        chunk.charlie_bits,
-        chunk.corrections,
-        chunk.fidelities,
-    )
-    if fmt == "csv":
-        return _csv_payload(
-            [
-                [trial, name, i, alice_cbits(i), b, str(p), repr(f)]
-                for trial, i, b, p, f in trials
-            ]
+    keys, rows = _distinct_rows(chunk)
+    texts = [
+        row.format(
+            variant=name, i=i, cbits=alice_cbits(i), b=b, correction="*".join(labels)
         )
-    return "".join(
-        f"trial {trial}: outcome={i} cbits={alice_cbits(i)} charlie={b} correction={p} "
-        f"fidelity={f:.12f}\n"
-        for trial, i, b, p, f in trials
-    )
+        for i, b, labels in keys
+    ]
+    # bit patterns, not values: 0.0 and -0.0 compare equal. A dict, not
+    # np.unique, whose first call raises a run's peak RSS by about 0.4 MiB
+    bits = np.array(chunk.fidelities, dtype=np.float64).view(np.int64)
+    patterns, fidelities = _first_seen(bits.tolist())
+    values = np.array(patterns, dtype=np.int64).view(np.float64).tolist()
+    cells = np.empty((len(rows), 4), dtype=object)
+    cells[:, 0] = list(map(number, range(first, first + len(rows))))
+    cells[:, 1] = np.array(texts, dtype=object)[rows]
+    cells[:, 2] = np.array(list(map(fidelity, values)), dtype=object)[fidelities]
+    cells[:, 3] = "\n"
+    return "".join(cells.ravel().tolist())
 
 
 def _cmd_run(args) -> int:

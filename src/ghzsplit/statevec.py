@@ -499,9 +499,14 @@ def _hadamard_halves(values: np.ndarray, kets: Kets) -> np.ndarray:
     rows' bits, signed zeros too."""
     _, left, right = kets.halves
     parts = np.ascontiguousarray(values).view(np.float64)
-    zero = np.zeros((*parts.shape[:-1], 2))
-    # x, +0.0, -x, -0.0: h0 - h1 is h0 + (-h1), the same bits
-    signed = np.concatenate([parts, zero, -parts, -zero], axis=-1).view(complex)
+    n = parts.shape[-1]
+    # x, +0.0, -x, -0.0 in one buffer: h0 - h1 is h0 + (-h1), the same bits
+    signed = np.empty((*parts.shape[:-1], 2 * n + 4))
+    signed[..., :n] = parts
+    signed[..., n : n + 2] = 0.0
+    np.negative(parts, out=signed[..., n + 2 : 2 * n + 2])
+    signed[..., 2 * n + 2 :] = -0.0
+    signed = signed.view(complex)
     return signed[..., left] + signed[..., right]
 
 
@@ -575,14 +580,15 @@ def basis_projection_probabilities(
     return basis.project(state)[1]
 
 
-def _check_span(probs: np.ndarray) -> None:
-    """Raise OutOfSpanError if any row's probabilities fall short of 1 by
-    more than ``SPAN_ATOL``."""
+def _check_span(probs: np.ndarray) -> np.ndarray:
+    """Each row's sum of its probabilities; raise OutOfSpanError if any of
+    them falls short of 1 by more than ``SPAN_ATOL``."""
     sums = np.add.reduce(probs, axis=-1)
     # the worst row decides; a NaN sum propagates and fails the check
     missing = 1.0 - float(np.minimum.reduce(sums, axis=None))
     if not missing <= SPAN_ATOL:
         raise OutOfSpanError(missing)
+    return sums
 
 
 # numpy's choice() tolerance on the sum of its probabilities
@@ -643,8 +649,8 @@ def measure_in_basis(
     """
     _check_one_per_row(rows, uniforms, "uniforms")
     branches, probs = basis.project(rows)
-    _check_span(probs)  # before sampling: an all-zero projection has no draw
-    p = probs / np.add.reduce(probs, axis=-1, keepdims=True)
+    # before sampling: an all-zero projection has no draw
+    p = probs / _check_span(probs)[..., None]
     return collapse(branches, probs, sample_outcomes(p, uniforms))
 
 
