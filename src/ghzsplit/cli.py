@@ -22,9 +22,9 @@ array, joined and written a slice of trials at a time, and its floats get
 one ``repr`` per distinct magnitude (a negative float is ``-`` and its
 magnitude's text). A chunk's csv rows or text lines are one object array
 too, (trials, 4), joined once: the trial number, the row text, made once
-per distinct (outcome, bit, correction) row, the fidelity text, made once
-per distinct fidelity, and the line end. One step (``_distinct_rows``)
-finds the distinct rows for csv, text and JSON.
+per distinct (outcome, bit, correction) row, the fidelity text and the
+line end. One step (``_distinct_rows``) finds the distinct rows for csv,
+text and JSON.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -263,20 +263,16 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> list[str]:
     return _json_text(tree, 2).split(json.dumps(_LEAF))
 
 
-def _first_seen(keys) -> tuple[list, list[int]]:
-    """The distinct items of ``keys`` in the order they first appear, and
-    each key's index into them."""
-    index = {}
-    inverse = [index.setdefault(key, len(index)) for key in keys]
-    return list(index), inverse
-
-
 def _distinct_rows(chunk: TrialChunk) -> tuple[list[tuple], list[int]]:
-    """``_first_seen`` of a chunk's (outcome, bit, correction labels) rows:
-    csv, text and JSON make each row's text once per distinct row."""
+    """A chunk's distinct (outcome, bit, correction labels) rows in the
+    order they first appear, and each trial's index into them: csv, text
+    and JSON make each row's text once per distinct row."""
     # a correction need not be hashable: its labels are
     labels = [correction.labels for correction in chunk.corrections]
-    return _first_seen(zip(chunk.alice_outcomes, chunk.charlie_bits, labels))
+    index = {}
+    trials = zip(chunk.alice_outcomes, chunk.charlie_bits, labels)
+    rows = [index.setdefault(key, len(index)) for key in trials]
+    return list(index), rows
 
 
 def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
@@ -357,28 +353,24 @@ def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     """CSV rows or text lines of one chunk, whose first trial is ``first``,
     joined once from a (trials, 4) object array: the trial number, the row
     text, made once per distinct row (``_distinct_rows``), the fidelity's
-    text, made once per distinct bit pattern, and the line end. No csv
-    field can hold a delimiter, a quote or a line break, so ``csv.writer``
-    would write every one as it is.
+    text and the line end. No csv field can hold a delimiter, a quote or a
+    line break, so ``csv.writer`` would write every one as it is.
     """
     number, row, fidelity = _ROW_TEXTS[fmt]
     name = chunk.variant.value
     keys, rows = _distinct_rows(chunk)
+    # one correction per distinct row; every one of a row has its labels
+    corrections = dict(zip(rows, chunk.corrections))
     texts = [
         row.format(
-            variant=name, i=i, cbits=alice_cbits(i), b=b, correction="*".join(labels)
+            variant=name, i=i, cbits=alice_cbits(i), b=b, correction=corrections[k]
         )
-        for i, b, labels in keys
+        for k, (i, b, _) in enumerate(keys)
     ]
-    # bit patterns, not values: 0.0 and -0.0 compare equal. A dict, not
-    # np.unique, whose first call raises a run's peak RSS by about 0.4 MiB
-    bits = np.array(chunk.fidelities, dtype=np.float64).view(np.int64)
-    patterns, fidelities = _first_seen(bits.tolist())
-    values = np.array(patterns, dtype=np.int64).view(np.float64).tolist()
     cells = np.empty((len(rows), 4), dtype=object)
     cells[:, 0] = list(map(number, range(first, first + len(rows))))
     cells[:, 1] = np.array(texts, dtype=object)[rows]
-    cells[:, 2] = np.array(list(map(fidelity, values)), dtype=object)[fidelities]
+    cells[:, 2] = list(map(fidelity, chunk.fidelities))
     cells[:, 3] = "\n"
     return "".join(cells.ravel().tolist())
 

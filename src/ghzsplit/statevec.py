@@ -499,14 +499,9 @@ def _hadamard_halves(values: np.ndarray, kets: Kets) -> np.ndarray:
     rows' bits, signed zeros too."""
     _, left, right = kets.halves
     parts = np.ascontiguousarray(values).view(np.float64)
-    n = parts.shape[-1]
-    # x, +0.0, -x, -0.0 in one buffer: h0 - h1 is h0 + (-h1), the same bits
-    signed = np.empty((*parts.shape[:-1], 2 * n + 4))
-    signed[..., :n] = parts
-    signed[..., n : n + 2] = 0.0
-    np.negative(parts, out=signed[..., n + 2 : 2 * n + 2])
-    signed[..., 2 * n + 2 :] = -0.0
-    signed = signed.view(complex)
+    zero = np.zeros((*parts.shape[:-1], 2))
+    # x, +0.0, -x, -0.0: h0 - h1 is h0 + (-h1), the same bits
+    signed = np.concatenate([parts, zero, -parts, -zero], axis=-1).view(complex)
     return signed[..., left] + signed[..., right]
 
 

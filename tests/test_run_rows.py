@@ -1,9 +1,9 @@
 """``run --format csv|text`` rows against their per-trial definitions.
 
 ``cli._run_rows`` writes a chunk's rows from one object array, with one
-text per distinct (outcome, bit, correction) row and one per distinct
-fidelity. These tests compare it byte for byte with the rows that
-``csv.writer`` and the per-trial text line give of each trial alone.
+text per distinct (outcome, bit, correction) row. These tests compare it
+byte for byte with the rows that ``csv.writer`` and the per-trial text
+line give of each trial alone.
 """
 
 from __future__ import annotations
