@@ -8,9 +8,9 @@ an integer matrix. On the restricted class, spanned by the integer isometry
 ``V`` (unit kets in the three-qubit variants, pair sums in ``four``), a Pauli
 correction P recovers every secret iff ``P @ Kint @ V == ±mu * V`` exactly,
 with ``mu = 4 / sqrt(outcomes)``; iY is real, so no other phase can occur.
-The oracle tries every Pauli correction on Bob's qubits (64 for the
-three-qubit variants, 256 for the four-qubit one) on a row in one gather,
-which gives each solution together with its sign. Published rows are graded:
+Once per variant, the oracle indexes the image each Pauli correction on
+Bob's qubits (64 or 256) maps to ``±mu * V``: one lookup gives a row's
+solutions, a coset of the class stabilizer, with signs. Rows are graded:
 
 * MATCH: the published correction satisfies it with the + sign, so it
   reproduces every secret exactly, amplitude for amplitude.
@@ -61,7 +61,7 @@ from .statevec import (
     _every_pauli,
     _hadamard_halves,
     _integer,
-    _pauli_tables,
+    _xor_sign_tables,
     basis_projection_probabilities,
     collapse,
     force_hadamard_outcome,
@@ -130,31 +130,50 @@ def _class_images(
     return images, target
 
 
-def _image_signs(
-    pre: np.ndarray, targets: np.ndarray, source: np.ndarray, sign: np.ndarray
-) -> np.ndarray:
-    """Per Pauli P of a stack of ``_xor_sign_tables`` rows, all tried in one
-    gather: +1 if ``P @ pre == targets`` exactly, -1 if it is ``-targets``,
-    else 0."""
-    # one row per Pauli: its image, flattened
-    corrected = (sign[..., None] * pre[source]).reshape(len(source), -1)
-    flat = targets.reshape(-1)
-    return (corrected == flat).all(1).astype(int) - (corrected == -flat).all(1)
+@functools.cache
+def _preimage_index(shape: tuple[int, int], target: bytes) -> dict[bytes, tuple]:
+    """Each image ``pre`` with ``P @ pre == s * target`` for a Pauli P and a
+    sign s = ±1, as int64 bytes, to its (``_every_pauli`` index, s) pairs in
+    candidate order. P's source is an involution, so that holds iff
+    ``pre[m] == s * sign[source[m]] * target[source[m]]``: one gather."""
+    targets = np.frombuffer(target, dtype=np.int64).reshape(shape)
+    _, source, sign = _every_pauli(shape[0].bit_length() - 1)
+    flips = np.take_along_axis(sign, source, 1).astype(np.int64)
+    preimages = flips[..., None] * targets[source]
+    index: dict[bytes, list[tuple[int, int]]] = {}
+    for i, pre in enumerate(preimages):
+        for s in (1, -1):
+            index.setdefault((s * pre).tobytes(), []).append((i, s))
+    return {key: tuple(hits) for key, hits in index.items()}
 
 
 def _image_sign(pauli: PauliString, pre: np.ndarray, targets: np.ndarray) -> int:
-    """``_image_signs`` of one Pauli string."""
-    return int(_image_signs(pre, targets, *_pauli_tables([pauli], len(pre)))[0])
+    """+1 if ``pauli @ pre == targets`` exactly, -1 if it is ``-targets``,
+    else 0."""
+    if 2 ** len(pauli) != len(pre):
+        raise ValueError(f"{len(pauli)} Pauli factors on rows of {len(pre)} amplitudes")
+    source, sign = _xor_sign_tables(len(pre), *pauli.masks)
+    corrected = sign[:, None] * pre[source]
+    return int((corrected == targets).all()) - int((corrected == -targets).all())
 
 
 def _solutions_for_row(
     pre: np.ndarray, targets: np.ndarray, candidates: tuple[PauliString, ...]
 ) -> dict[PauliString, int]:
-    """The candidates P with ``P @ pre == ±targets`` exactly, in candidate
-    order, each mapped to its sign; ``pre`` is a row's class image
-    ``Kint[i, b] @ V``, ``targets`` is ``mu * V``."""
-    signs = _image_signs(pre, targets, *_every_pauli(len(candidates[0]))[1:])
-    return {candidates[i]: int(signs[i]) for i in np.flatnonzero(signs)}
+    """The candidates P (``_every_pauli``'s strings) with ``P @ pre ==
+    ±targets`` exactly, in candidate order, each mapped to its sign, by one
+    ``_preimage_index`` lookup: int64 arrays of one shape are equal exactly
+    when their bytes are. ``pre`` is ``Kint[i, b] @ V``, targets ``mu * V``."""
+    rows, shape = 2 ** len(candidates[0]), np.shape(targets)
+    for name, image in (("image", pre), ("target", targets)):
+        dtype = getattr(image, "dtype", type(image).__name__)
+        if dtype != np.int64 or np.shape(image) != shape or shape[:-1] != (rows,):
+            raise ValueError(
+                f"{name} must be an int64 array of the target's shape, with "
+                f"{rows} rows; got {dtype} {np.shape(image)}, target {shape}"
+            )
+    hits = _preimage_index(shape, targets.tobytes()).get(pre.tobytes(), ())
+    return {candidates[i]: s for i, s in hits}
 
 
 def _all_rows(variant: Variant) -> list[tuple[int, int]]:

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from ghzsplit.oracle import (
     _class_mass,
     _derived_table,
     _image_sign,
+    _preimage_index,
     _solutions_for_row,
     _test_secrets,
     derive_corrections,
@@ -26,6 +30,7 @@ from ghzsplit.oracle import (
     verify_table,
 )
 from ghzsplit.protocol import (
+    CANONICAL,
     ENCODINGS,
     LITERAL,
     SecretSpec,
@@ -174,9 +179,10 @@ class TestSignedSearch:
         assert seen == {-1, 0, 1}
 
     @pytest.fixture
-    def sign_evaluations(self, monkeypatch):
-        """Calls of the stacked sign helper and of its one-string case."""
-        calls = {"_image_signs": [], "_image_sign": []}
+    def row_calls(self, monkeypatch):
+        """Calls of the row lookup and of the one-string sign check, with the
+        preimage index's cache empty at the start."""
+        calls = {"_solutions_for_row": [], "_image_sign": []}
         for name, log in calls.items():
             original = getattr(oracle, name)
 
@@ -188,17 +194,127 @@ class TestSignedSearch:
                 held = vars(module).get(name)
                 if module_name.startswith("ghzsplit") and held is original:
                     monkeypatch.setattr(module, name, counting)
-        return calls
+        oracle._preimage_index.cache_clear()
+        yield calls
+        oracle._preimage_index.cache_clear()
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
-    def test_derive_table_evaluates_once_per_row(self, variant, sign_evaluations):
+    def test_derive_table_evaluates_once_per_row(self, variant, row_calls):
         table = derive_table(variant)
         rows = 2 * VARIANT_SPECS[variant].num_outcomes  # 32, 32 and 8
-        assert len(sign_evaluations["_image_signs"]) == rows == len(table.solutions)
-        # no second evaluation per solution to recover its sign
-        assert sign_evaluations["_image_sign"] == []
-        widths = {len(args[2]) for args in sign_evaluations["_image_signs"]}
+        lookups = row_calls["_solutions_for_row"]
+        assert len(lookups) == rows == len(table.solutions)
+        widths = {len(args[2]) for args in lookups}
         assert widths == {4 ** VARIANT_SPECS[variant].bob_qubits}
+        for encoding in ENCODINGS:
+            verify_table(variant, encoding=encoding)
+        assert len(lookups) == (1 + len(ENCODINGS)) * rows
+        # one index per variant per process, shared by both encodings
+        assert oracle._preimage_index.cache_info().misses == 1
+        # no second evaluation per solution to recover its sign
+        assert row_calls["_image_sign"] == []
+
+
+class TestPreimageIndex:
+    """Every row's solutions are one coset of the class stabilizer S, so one
+    lookup in a per-variant index of 64 preimages finds them."""
+
+    STABILIZER_ORDER = {Variant.THREE_A: 2, Variant.THREE_B: 2, Variant.FOUR: 8}
+    CASES = [(v, e) for v in ALL_VARIANTS for e in ENCODINGS]
+
+    @staticmethod
+    def row_data(variant, encoding=CANONICAL):
+        images, target = _class_images(variant, build_alice_basis(variant, encoding))
+        candidates = _every_pauli(VARIANT_SPECS[variant].bob_qubits)[0]
+        return images, target, candidates
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_keys_are_cosets_of_the_stabilizer(self, variant):
+        _, target, candidates = self.row_data(variant)
+        index = _preimage_index(target.shape, target.tobytes())
+        assert len(index) == 64
+        assert {len(hits) for hits in index.values()} == {
+            self.STABILIZER_ORDER[variant]
+        }
+        # each signed candidate gives one key; each key lists in candidate order
+        signed = [hit for hits in index.values() for hit in hits]
+        every = [(i, s) for i in range(len(candidates)) for s in (1, -1)]
+        assert sorted(signed) == sorted(every)
+        assert all(list(hits) == sorted(hits) for hits in index.values())
+
+    @pytest.mark.parametrize(
+        "variant,encoding", CASES, ids=[f"{v.value}-{e}" for v, e in CASES]
+    )
+    def test_every_row_finds_a_key(self, variant, encoding):
+        images, target, _ = self.row_data(variant, encoding)
+        index = _preimage_index(target.shape, target.tobytes())
+        for key in _all_rows(variant):
+            assert images[key].tobytes() in index, key
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_one_entry_perturbation_finds_no_solution(self, variant):
+        images, target, candidates = self.row_data(variant)
+        for key in _all_rows(variant):
+            for entry in np.ndindex(target.shape):
+                pre = images[key].copy()
+                pre[entry] += 1
+                assert _solutions_for_row(pre, target, candidates) == {}, (key, entry)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_refuses_anything_but_int64_of_the_target_shape(self, variant):
+        images, target, candidates = self.row_data(variant)
+        pre = images[0, 0]
+        bad = [
+            (pre.astype(np.float64), target),  # equal values, never cast
+            (pre, target.astype(np.float64)),
+            (pre.astype(np.int32), target),
+            (pre.tolist(), target),
+            (pre[:-1], target),
+            (pre.reshape(-1), target),
+            (pre.reshape(-1), target.reshape(-1)),
+            (pre[:, None], target[:, None]),
+        ]
+        for image, targets in bad:
+            with pytest.raises(ValueError, match="int64 array of the target's"):
+                _solutions_for_row(image, targets, candidates)
+        narrower = _every_pauli(VARIANT_SPECS[variant].bob_qubits - 1)[0]
+        with pytest.raises(ValueError, match="rows"):
+            _solutions_for_row(pre, target, narrower)
+
+    def test_returned_solutions_are_copies(self):
+        images, target, candidates = self.row_data(Variant.FOUR)
+        first = _solutions_for_row(images[0, 0], target, candidates)
+        assert len(first) == 8
+        expected = dict(first)
+        first.clear()
+        again = _solutions_for_row(images[0, 0], target, candidates)
+        assert again == expected
+        again[candidates[0]] = 1
+        assert _solutions_for_row(images[0, 0], target, candidates) == expected
+
+    def test_index_is_built_lazily(self):
+        # neither the import nor the benchmark's set-up cache fills build one
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import ghzsplit.cli\n"
+            "from ghzsplit import oracle, protocol\n"
+            "for v in protocol.Variant:\n"
+            "    protocol.build_channel(v)\n"
+            "    protocol.published_correction_table(v)\n"
+            "    protocol.build_alice_basis(v)\n"
+            "    for e in protocol.ENCODINGS:\n"
+            "        protocol.build_alice_basis(v, e)\n"
+            "print(oracle._preimage_index.cache_info().currsize)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
 
 
 class TestVerifyTable:
