@@ -10,21 +10,22 @@ Three subcommands:
 * ``export``: dump a measurement basis or a correction table.
 
 Every command writes through one writer, to stdout and to the ``--emit``
-file. ``run`` makes its trials in ``run_trials`` chunks, whatever the format,
-and writes each chunk's csv rows, text lines or JSON transcripts before the
-next chunk is made; the JSON document comes out in the bytes
-``json.dumps(document, indent=2)`` gives. Transcripts are filled straight
-from the chunk's arrays between literal pieces of text, cut once per run
-from the ``to_dict`` tree of trial 0 remade by ``substream``,
+file. ``run`` makes its trials one ``run_trials`` block of 1024 at a time,
+whatever the format, and writes each block's csv rows, text lines or JSON
+transcripts before the next block is made; the JSON document comes out in
+the bytes ``json.dumps(document, indent=2)`` gives. Transcripts are filled
+straight from the block's arrays between literal pieces of text, cut once
+per run from the ``to_dict`` tree of trial 0 remade by ``substream``,
 ``random_secret`` and ``run_protocol``; the pieces hold the leaves every
-trial of the run shares. A chunk's pieces and leaf texts are one object
-array, joined and written a slice of trials at a time, and its floats get
-one ``repr`` per distinct magnitude (a negative float is ``-`` and its
-magnitude's text). A chunk's csv rows or text lines are one object array
-too, (trials, 4), joined once: the trial number, the row text, made once
-per distinct (outcome, bit, correction) row, the fidelity text and the
-line end. One step (``_distinct_rows``) finds the distinct rows for csv,
-text and JSON.
+trial of the run shares. JSON encodes a block 128 trials at a time: a
+slice's pieces and leaf texts are one object array, joined and written a
+few trials at a time, and its floats get one ``repr`` per distinct
+magnitude (a negative float is ``-`` and its magnitude's text). A block's
+csv rows or text lines are one object array too, (trials, 4), joined
+once: the trial number, the row text, made once per distinct (outcome,
+bit, correction) row, the fidelity text, made once per distinct value,
+and the line end. One step (``_distinct_rows``) finds the distinct rows
+for csv, text and JSON.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -209,9 +210,13 @@ _MAGNITUDE = np.int64(2**63 - 1)
 _LEAF = "\x00"
 # the transcript fields that differ between a run's trials, besides its floats
 _PER_TRIAL = {"alice_outcome", "alice_cbits", "charlie_bit", "messages", "correction"}
-# transcripts per joined text and write; a 32-trial text, or a whole chunk's,
+# transcripts per joined text and write; a 32-trial text, or a 128-trial one,
 # raised a JSON run's peak RSS by a further 0.3 to 0.5 MiB
 _JOINED = 8
+# transcripts encoded as one cell array: a whole 1024-trial block made JSON
+# runs slower, as the joint weights of one three-qubit block took about 2.5
+# times as long as those of eight 128-trial slices
+_ENCODED = 128
 # what precedes each transcript, and the run's first one
 _SEPARATOR, _FIRST_SEPARATOR = ",\n    ", "\n    "
 
@@ -275,17 +280,43 @@ def _distinct_rows(chunk: TrialChunk) -> tuple[list[tuple], list[int]]:
     return list(index), rows
 
 
+def _slices(chunk: TrialChunk) -> Iterator[TrialChunk]:
+    """``chunk``'s trials as consecutive chunks of at most ``_ENCODED``."""
+    for lo in range(0, len(chunk.fidelities), _ENCODED):
+        part = slice(lo, lo + _ENCODED)
+        yield TrialChunk(
+            variant=chunk.variant,
+            coefficients=chunk.coefficients[part],
+            alice_outcomes=chunk.alice_outcomes[part],
+            charlie_bits=chunk.charlie_bits[part],
+            corrections=chunk.corrections[part],
+            bob_before=chunk.bob_before[part],
+            bob_after=chunk.bob_after[part],
+            fidelities=chunk.fidelities[part],
+            alice_branches=chunk.alice_branches[part],
+            alice_kets=chunk.alice_kets,
+        )
+
+
 def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
     """``_json_text(t.to_dict(), 2)`` for the Transcript t ``run_protocol``
     makes of each trial of ``chunk``, each after its separator (the run's
-    first one if ``first``), joined ``_JOINED`` trials at a time. One object
-    array holds the chunk's texts: ``pieces`` in the even columns, and in
-    the odd ones the leaves in document order, from the chunk's arrays: its
-    floats as one array (``_float_texts``), the other leaves one row per
-    distinct outcome, bit and correction (``_distinct_rows``). A trial
-    whose leaf count does not fit the pieces raises ValueError instead of
-    writing other bytes.
+    first one if ``first``), joined ``_JOINED`` trials at a time. Each
+    slice of ``_ENCODED`` trials (``_slices``) is encoded when the last
+    one's texts are out: one object array holds the slice's texts,
+    ``pieces`` in the even columns, and in the odd ones the leaves in
+    document order, from the slice's arrays: its floats as one array
+    (``_float_texts``), the other leaves one row per distinct outcome, bit
+    and correction (``_distinct_rows``). A trial whose leaf count does not
+    fit the pieces raises ValueError instead of writing other bytes.
     """
+    for part in _slices(chunk):
+        yield from _encoded(part, pieces, first)
+        first = False
+
+
+def _encoded(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
+    """``_transcripts`` of one slice, one cell array."""
     coefficients = chunk.coefficients
     weights = _joint_weights(chunk.alice_branches, chunk.alice_kets)
     weights = weights.reshape(len(coefficients), -1)
@@ -349,12 +380,21 @@ _ROW_TEXTS = {
 }
 
 
+def _texts_once(floats: list[float], text: Callable[[float], str]) -> np.ndarray:
+    """``text`` of each float, an object array: one call per distinct bit
+    pattern, so 0.0 and -0.0, which compare equal, keep their own texts."""
+    bits, inverse = np.unique(np.array(floats).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(text, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse]
+
+
 def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     """CSV rows or text lines of one chunk, whose first trial is ``first``,
     joined once from a (trials, 4) object array: the trial number, the row
     text, made once per distinct row (``_distinct_rows``), the fidelity's
-    text and the line end. No csv field can hold a delimiter, a quote or a
-    line break, so ``csv.writer`` would write every one as it is.
+    text, made once per distinct value (``_texts_once``), and the line end.
+    No csv field can hold a delimiter, a quote or a line break, so
+    ``csv.writer`` would write every one as it is.
     """
     number, row, fidelity = _ROW_TEXTS[fmt]
     name = chunk.variant.value
@@ -370,7 +410,7 @@ def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     cells = np.empty((len(rows), 4), dtype=object)
     cells[:, 0] = list(map(number, range(first, first + len(rows))))
     cells[:, 1] = np.array(texts, dtype=object)[rows]
-    cells[:, 2] = list(map(fidelity, chunk.fidelities))
+    cells[:, 2] = _texts_once(chunk.fidelities, fidelity)
     cells[:, 3] = "\n"
     return "".join(cells.ravel().tolist())
 

@@ -29,6 +29,7 @@ defective source rows are surfaced as data rather than hidden.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -264,24 +265,26 @@ def _basis_anomalies(basis: OrthonormalBasis) -> list[dict]:
     return out
 
 
-def _encoding_inconsistencies(variant: Variant) -> list[dict]:
-    """Structural disagreements between the canonical and literal encodings."""
+@functools.cache
+def _encoding_inconsistencies(variant: Variant) -> tuple[dict, ...]:
+    """Structural disagreements between the canonical and literal encodings,
+    made once per variant: each report takes copies of them."""
     cmat = build_alice_basis(variant, CANONICAL).matrix()
     literal = build_alice_basis(variant, LITERAL)
     lmat = literal.matrix()
     differing = np.flatnonzero(np.max(np.abs(lmat - cmat), axis=1) > NORM_ATOL).tolist()
     if not differing:
-        return []
+        return ()
     if literal.gram_defects():  # four's literal basis repeats a vector
-        return [
+        return (
             {
                 "kind": "duplicated_basis_vector_in_literal_encoding",
                 "indices": differing,
                 "description": "the literal encoding repeats an earlier basis "
                 "vector; the canonical encoding restores the sign pattern "
                 "required for orthonormality",
-            }
-        ]
+            },
+        )
     # literal vectors are a relabeling of canonical ones; recover the pairing
     overlaps = np.abs(lmat.conj() @ cmat.T)
     relabeling = sorted(
@@ -289,15 +292,15 @@ def _encoding_inconsistencies(variant: Variant) -> list[dict]:
         for i in differing
         if np.max(overlaps[i]) > 1.0 - FIDELITY_ATOL
     )
-    return [
+    return (
         {
             "kind": "phase_exponent_swap_in_literal_encoding",
             "indices": differing,
             "relabeling": relabeling,
             "description": "the literal sign expansion swaps the two phase "
             "exponents, permuting which outcome labels which basis vector",
-        }
-    ]
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -398,7 +401,7 @@ def verify_table(
         encoding=encoding,
         rows=tuple(findings),
         basis_anomalies=tuple(_basis_anomalies(basis)),
-        formula_inconsistencies=tuple(_encoding_inconsistencies(variant)),
+        formula_inconsistencies=copy.deepcopy(_encoding_inconsistencies(variant)),
     )
 
 

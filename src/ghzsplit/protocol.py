@@ -860,15 +860,17 @@ def outcome_distribution(
     return _outcome_weights(_joint_weights(branches, kets)[0])
 
 
-# trials the kernel stacks per call: Alice's branches take 128 KiB at most
-TRIAL_CHUNK = 128
+# trials whose random draws are made as one stack, and that the kernel runs
+# as one: Alice's branches take about 1 MiB per block at most
+TRIAL_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class TrialChunk:
-    """The trial kernel's arrays for consecutive trials run as one stack;
-    entry or row t is the chunk's trial t. ``coefficients`` are the trials'
-    class coefficients, drawn or fixed; None in ``run_protocol``'s chunk.
+    """The trial kernel's arrays for consecutive trials run as one stack, a
+    ``run_trials`` block or ``run_protocol``'s one trial; entry or row t is
+    the chunk's trial t. ``coefficients`` are the trials' class
+    coefficients, drawn or fixed; None in ``run_protocol``'s chunk.
     ``alice_branches`` holds Alice's branches on the kets ``alice_kets``,
     ``bob_before`` and ``bob_after`` Bob's full rows."""
 
@@ -929,10 +931,6 @@ def _run_chunk(
     )
 
 
-# trials whose random draws are made as one stack: eight kernel chunks
-TRIAL_BLOCK = 8 * TRIAL_CHUNK
-
-
 def run_trials(
     variant: Variant | str,
     seed: int,
@@ -941,15 +939,17 @@ def run_trials(
     secret: SecretSpec | None = None,
     forced: tuple[int, int] | None = None,
 ) -> Iterator[TrialChunk]:
-    """Trials ``0 .. trials - 1`` with the published table, ``TRIAL_CHUNK``
-    at a time; ``secret`` and ``forced`` are checked as ``run_protocol`` does.
+    """Trials ``0 .. trials - 1`` with the published table, one
+    ``TrialChunk`` per ``TRIAL_BLOCK`` trials: each block's draws, secret
+    rows and kernel run are one stack. ``secret`` and ``forced`` are checked
+    as ``run_protocol`` does.
 
     Trial t draws from ``substream(seed, t)`` alone: its random secret
     (``normal(size=2 * count)``) unless ``secret`` fixes one, then one
     ``random()`` for Alice's outcome and one for Charlie's unless ``forced``
-    pins them. Those draws are made ``TRIAL_BLOCK`` trials at a time as
-    array arithmetic (``_trial_draws``): PCG64's outputs in closed form from
-    each trial's hashed seed, and numpy's ziggurat fast path on them. The
+    pins them. Those draws are made a block at a time as array arithmetic
+    (``_trial_draws``): PCG64's outputs in closed form from each trial's
+    hashed seed, and numpy's ziggurat fast path on them. The
     few trials whose normals leave the fast path are drawn by a generator
     of their own, and each block's first trial is checked against
     ``substream``'s own calls. A forced run with a fixed secret draws
@@ -957,7 +957,7 @@ def run_trials(
     for bit ``random_secret``'s, or the fixed coefficients repeated;
     ``_secret_rows`` makes the amplitude rows, ``build_secret``'s bits, so
     no trial needs a ``SecretSpec``. A trial's result does not depend on
-    the blocks, the chunks or the other trials.
+    the blocks or the other trials.
     """
     variant = Variant.parse(variant)
     if secret is not None:
@@ -982,12 +982,9 @@ def run_trials(
             coefficients = _draw_coefficients(variant, gaussian)
         else:
             coefficients = np.array([secret.coefficients] * (stop - block))
-        for lo in range(0, stop - block, TRIAL_CHUNK):
-            part = coefficients[lo : lo + TRIAL_CHUNK]
-            # Alice's projection checks the rows' norms
-            rows = _secret_rows(variant, part)
-            draws = uniform[:, lo : lo + TRIAL_CHUNK]
-            yield _run_chunk(variant, part, rows, draws, forced, table)
+        # Alice's projection checks the rows' norms
+        rows = _secret_rows(variant, coefficients)
+        yield _run_chunk(variant, coefficients, rows, uniform, forced, table)
 
 
 def run_protocol(

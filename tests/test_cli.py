@@ -19,7 +19,7 @@ import ghzsplit
 from ghzsplit import cli, protocol
 from ghzsplit.cli import main
 from ghzsplit.protocol import (
-    TRIAL_CHUNK,
+    TRIAL_BLOCK,
     OutcomeWeight,
     SecretSpec,
     Transcript,
@@ -207,7 +207,7 @@ class TestRun:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emit_equals_streamed_stdout(self, fmt, capsys, tmp_path):
         target = tmp_path / f"trials.{fmt}"
-        trials = 2 * TRIAL_CHUNK + 1
+        trials = TRIAL_BLOCK + 1  # across a block boundary
         code, out, _ = run_cli(
             ["run", "--variant", "four", "--trials", str(trials), "--format", fmt]
             + ["--emit", str(target)],
@@ -223,12 +223,14 @@ class TestRun:
     def test_json_transcripts_of_a_chunk_written_before_the_next_chunk(
         self, monkeypatch
     ):
-        # stdout as each chunk of trials starts: all of the last chunk's
-        # transcripts are out, and none of the next
-        trials = 2 * TRIAL_CHUNK + 1
+        # stdout as each block of trials starts: all of the last block's
+        # transcripts are out, and none of the next; and as each slice of a
+        # block is encoded: all of the last slice's are out, and none of the
+        # next
+        trials = TRIAL_BLOCK + 1
         argv = ["run", "--variant", "four", "--trials", str(trials), "--format", "json"]
-        out, seen = io.StringIO(), []
-        run_trials = cli.run_trials
+        out, seen, encoded = io.StringIO(), [], []
+        run_trials, joint_weights = cli.run_trials, cli._joint_weights
 
         def spy(*args, **kwargs):
             chunks = run_trials(*args, **kwargs)
@@ -239,25 +241,33 @@ class TestRun:
                     return
                 yield chunk
 
+        def encoding(branches, kets):
+            encoded.append(out.getvalue())
+            return joint_weights(branches, kets)
+
         monkeypatch.setattr(cli, "run_trials", spy)
+        monkeypatch.setattr(cli, "_joint_weights", encoding)
         with contextlib.redirect_stdout(out):
             code = main(argv)
         assert code == 0
         transcripts = json.loads(out.getvalue())["transcripts"]
-        written = [TRIAL_CHUNK * k for k in range(3)] + [trials]
+        written = [0, TRIAL_BLOCK, trials]
+        sliced = list(range(0, trials, cli._ENCODED))
+        assert len(sliced) == TRIAL_BLOCK // cli._ENCODED + 1
         # the header's schema_version and one per transcript
-        assert [text.count('"schema_version"') for text in seen] == [
-            1 + n for n in written
-        ]
-        for text, n in zip(seen[1:], written[1:]):
-            assert text.endswith(
-                json.dumps(transcripts[n - 1], indent=2).replace("\n", "\n    ")
-            )
+        for texts, counts in ((seen, written), (encoded, sliced)):
+            assert [text.count('"schema_version"') for text in texts] == [
+                1 + n for n in counts
+            ]
+            for text, n in zip(texts[1:], counts[1:]):
+                assert text.endswith(
+                    json.dumps(transcripts[n - 1], indent=2).replace("\n", "\n    ")
+                )
 
     def test_json_run_writes_a_slice_of_trials_at_a_time(self):
-        # the header, one write per slice of at most _JOINED trials of a
-        # chunk, and the summary: not one write per trial
-        trials = 2 * TRIAL_CHUNK + 1
+        # the header, one write per slice of at most _JOINED trials of an
+        # encoded slice, and the summary: not one write per trial
+        trials = 2 * cli._ENCODED + 1  # across two slice boundaries
         writes = []
 
         class Counting(io.StringIO):
@@ -270,7 +280,7 @@ class TestRun:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert len(json.loads(out.getvalue())["transcripts"]) == trials
-        slices = 2 * math.ceil(TRIAL_CHUNK / cli._JOINED) + 1
+        slices = 2 * math.ceil(cli._ENCODED / cli._JOINED) + 1
         assert len(writes) == 1 + slices + 1 < trials
         assert [w.count('"schema_version"') for w in writes[1:-1]] == (
             [cli._JOINED] * (slices - 1) + [1]
@@ -437,7 +447,7 @@ class TestFilledJson:
     @pytest.mark.parametrize("how", HOWS)
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_every_trial_is_its_own_run_protocol_transcript(self, variant, how):
-        self.assert_run_filled(variant, how, TRIAL_CHUNK + 2)
+        self.assert_run_filled(variant, how, cli._ENCODED + 2)
 
     def test_edge_floats_and_strings_match_json_text(self, monkeypatch):
         # a NaN fidelity, a -0.0 amplitude, JSON's float constants, and a
@@ -547,7 +557,7 @@ def test_json_run_makes_one_run_protocol_call(how, monkeypatch, capsys):
         return run_protocol(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_protocol", counting)
-    variant, trials = Variant.THREE_A, 2 * TRIAL_CHUNK + 1
+    variant, trials = Variant.THREE_A, TRIAL_BLOCK + 1
     secret, forced = _run_args(variant, how)
     argv = ["run", "--variant", variant.value, "--trials", str(trials), "--seed", "3"]
     if secret is not None:
@@ -913,6 +923,22 @@ class TestVerify:
         assert code == 1
         assert out.count("MISMATCH outcome=") == 16
         assert out.rstrip().endswith("passed=no")
+
+    def test_three_b_mismatches_have_a_zero_fidelity_witness(self, capsys):
+        # the secret (|000> + |001>)/sqrt(2): after each of three-b's 16
+        # published minus-branch corrections Bob holds it with its two kets'
+        # signs opposed, so a run prints fidelity 0.0 and fails; each
+        # plus-branch correction recovers it exactly
+        argv = ["run", "--variant", "three-b", "--trials", "1", "--format", "csv"]
+        argv += ["--secret", "0.7071067811865476,0.7071067811865476,0,0"]
+        for outcome in range(16):
+            for bit, want in ((1, (1, "0.0")), (0, (0, "1.0"))):
+                code, out, _ = run_cli([*argv, "--forced", f"{outcome},{bit}"], capsys)
+                (row,) = csv.DictReader(io.StringIO(out))
+                assert (row["alice_outcome"], row["charlie_bit"]) == (
+                    str(outcome), str(bit)
+                )
+                assert (code, row["fidelity"]) == want, (outcome, bit)
 
     def test_requires_variant_or_all(self, capsys):
         code, err = run_cli_error(["verify"], capsys)

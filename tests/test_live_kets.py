@@ -14,7 +14,7 @@ import ghzsplit
 from ghzsplit import oracle, statevec
 from ghzsplit.protocol import (
     ENCODINGS,
-    TRIAL_CHUNK,
+    TRIAL_BLOCK,
     VARIANT_SPECS,
     SecretSpec,
     Variant,
@@ -29,7 +29,7 @@ from ghzsplit.statevec import Kets, LiftedBasis
 
 CASES = [(v, e) for v in Variant for e in ENCODINGS]
 CASE_IDS = [f"{v.value}-{e}" for v, e in CASES]
-TRIALS = 2 * TRIAL_CHUNK + 1
+TRIALS = TRIAL_BLOCK + 1  # two blocks
 SRC = str(Path(ghzsplit.__file__).resolve().parents[1])
 
 # in-class secrets whose coefficients have signed zero parts, then zeros

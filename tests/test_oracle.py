@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -390,6 +391,33 @@ class TestVerifyTable:
         (note,) = report.formula_inconsistencies
         assert note["kind"] == "duplicated_basis_vector_in_literal_encoding"
         assert note["indices"] == [3]
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_encoding_notes_made_once_per_variant(self, variant):
+        # both encodings' reports, twice each: one comparison of the two
+        # bases per variant, its notes a tuple, and each report its own copy
+        oracle._encoding_inconsistencies.cache_clear()
+        reports = [verify_table(variant, encoding=e) for e in ENCODINGS * 2]
+        info = oracle._encoding_inconsistencies.cache_info()
+        assert (info.misses, info.hits) == (1, len(reports) - 1)
+        cached = oracle._encoding_inconsistencies(variant)
+        assert isinstance(cached, tuple) and len(cached) == 1
+        for report in reports:
+            assert report.formula_inconsistencies == cached
+            assert report.formula_inconsistencies[0] is not cached[0]
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_changing_a_reports_notes_leaves_the_next_report(self, variant):
+        want = copy.deepcopy(verify_table(variant).to_dict())
+        report = verify_table(variant)
+        (note,) = report.formula_inconsistencies
+        note["kind"] = "changed"
+        note["indices"].append(99)
+        note.setdefault("relabeling", []).append([99, 99])
+        assert verify_table(variant).to_dict() == want
+        assert verify_table(variant, encoding=LITERAL).formula_inconsistencies == (
+            tuple(want["formula_inconsistencies"])
+        )
 
     def test_corrupted_basis_fails_verification(self):
         # verify_table's anomaly and row checks, on a basis with one vector

@@ -11,8 +11,8 @@ import io
 
 import pytest
 
-from ghzsplit.cli import main
-from ghzsplit.protocol import TRIAL_CHUNK
+from ghzsplit.cli import _ENCODED, main
+from ghzsplit.protocol import TRIAL_BLOCK
 
 VARIANTS = ("three-a", "three-b", "four")
 SECRETS = {"three-a": "0.5,0.5j,-0.5,0.5", "three-b": "0.6,0,0,0.8j", "four": "0.5,-0.5j"}
@@ -27,8 +27,8 @@ RUN_GRID = [
     ["run", "--variant", v, "--trials", "300", "--seed", "2026", "--format", "json"]
     for v in VARIANTS
 ] + [
-    # streamed output across two chunk boundaries
-    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", "8"]
+    # streamed output of a part block
+    ["run", "--variant", v, "--trials", str(2 * _ENCODED + 1), "--seed", "8"]
     + ["--format", fmt]
     for v in VARIANTS
     for fmt in ("csv", "text")
@@ -41,37 +41,39 @@ RUN_GRID = [
     for how in ([], ["--forced", "1,1"])
 ]
 # seeds of two and of four 32-bit words (past SeedSequence's 4-word pool,
-# with the trial's word) across two chunk boundaries
+# with the trial's word), in a part block, across two of JSON's encoded
+# slices
 RUN_GRID += [
-    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", str(seed)]
+    ["run", "--variant", v, "--trials", str(2 * _ENCODED + 1), "--seed", str(seed)]
     + ["--format", fmt]
     for v in VARIANTS
     for seed in (2**32, 2**96 + 1)
     for fmt in ("csv", "json")
 ]
-# JSON across two chunk boundaries, forced and with one fixed secret
+# JSON across two encoded slices, forced and with one fixed secret
 RUN_GRID += [
-    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", "8"]
+    ["run", "--variant", v, "--trials", str(2 * _ENCODED + 1), "--seed", "8"]
     + ["--format", "json", *how]
     for v in VARIANTS
     for how in (["--forced", "3,1"], ["--secret", SECRETS[v]])
 ]
-# csv and text with one fixed secret across two chunk boundaries
+# csv and text with one fixed secret, a part block
 RUN_GRID += [
-    ["run", "--variant", v, "--trials", str(2 * TRIAL_CHUNK + 1), "--seed", "8"]
+    ["run", "--variant", v, "--trials", str(2 * _ENCODED + 1), "--seed", "8"]
     + ["--secret", SECRETS[v], "--format", fmt, *how]
     for v in VARIANTS
     for fmt in ("csv", "text")
     for how in ([], ["--forced", "1,1"])
 ]
-# past the first block of stacked draws, where each variant has trials whose
-# normals leave numpy's fast path; and a forced run with random secrets
+# past the first block of stacked draws and kernel runs, where each variant
+# has trials whose normals leave numpy's fast path; and a forced run with
+# random secrets
 RUN_GRID += [
-    ["run", "--variant", v, "--trials", str(8 * TRIAL_CHUNK + 1), "--seed", "5"]
+    ["run", "--variant", v, "--trials", str(TRIAL_BLOCK + 1), "--seed", "5"]
     + ["--format", "csv"]
     for v in VARIANTS
 ] + [
-    ["run", "--variant", "three-b", "--trials", str(8 * TRIAL_CHUNK + 1), "--seed", "5"]
+    ["run", "--variant", "three-b", "--trials", str(TRIAL_BLOCK + 1), "--seed", "5"]
     + ["--format", "json", "--forced", "2,0"]
 ]
 VERIFY_GRID = [

@@ -1,5 +1,5 @@
 """Each measurement projects the state onto its basis exactly once; ``run``
-projects a whole chunk of trials at once, in every format, and the oracle
+projects a whole block of trials at once, in every format, and the oracle
 projects each stack of secrets once.
 
 Projections are counted by the number of measured qubits. Alice's (5) go
@@ -22,7 +22,7 @@ from ghzsplit.cli import main
 from ghzsplit.oracle import derive_table, verify_span, verify_table
 from ghzsplit.protocol import (
     ENCODINGS,
-    TRIAL_CHUNK,
+    TRIAL_BLOCK,
     SecretSpec,
     Variant,
     _alice_measurement,
@@ -95,11 +95,11 @@ def test_a_trial_projects_once_per_party(how, projections):
 @pytest.mark.parametrize(
     "fmt, alone", [("csv", 0), ("text", 0), ("json", 1)], ids=["csv", "text", "json"]
 )
-def test_run_projects_once_per_party_per_chunk(fmt, alone, projections, capsys):
-    # three chunks: TRIAL_CHUNK, TRIAL_CHUNK and 1 trials, each one stacked
+def test_run_projects_once_per_party_per_block(fmt, alone, projections, capsys):
+    # three blocks: TRIAL_BLOCK, TRIAL_BLOCK and 1 trials, each one stacked
     # projection onto Alice's basis and one onto Charlie's; JSON also makes
     # trial 0 alone by run_protocol, for its template
-    trials = str(2 * TRIAL_CHUNK + 1)
+    trials = str(2 * TRIAL_BLOCK + 1)
     main(["run", "--variant", "three-b", "--trials", trials, "--format", fmt])
     assert capsys.readouterr().out
     assert projections == {5: 3 + alone, 1: 3 + alone}

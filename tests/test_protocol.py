@@ -31,7 +31,6 @@ from ghzsplit.protocol import (
     build_secret,
     outcome_distribution,
     TRIAL_BLOCK,
-    TRIAL_CHUNK,
     published_correction_table,
     random_secret,
     run_protocol,
@@ -217,10 +216,10 @@ class TestStackedSecretDraw:
     block's ``_trial_draws``, against one ``random_secret`` per trial and the
     frozen two-call draw of 0.1.0."""
 
-    # both ends of the first chunk, the second and the third chunk, and both
-    # ends of the first block
-    TRIALS = (0, TRIAL_CHUNK - 1, TRIAL_CHUNK, 2 * TRIAL_CHUNK, TRIAL_BLOCK - 1,
-              TRIAL_BLOCK)
+    # both ends of the first block, its middle, and the first two trials of
+    # the second block
+    TRIALS = (0, 1, TRIAL_BLOCK // 2, TRIAL_BLOCK - 1, TRIAL_BLOCK,
+              TRIAL_BLOCK + 1)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     @settings(max_examples=10, deadline=None)
@@ -317,7 +316,7 @@ class TestStackedSeeding:
     @pytest.mark.parametrize("start", [2**32 - 5, 2**64 - 5], ids=["2^32", "2^64"])
     def test_trial_index_words_split_as_numpy_splits_them(self, start):
         # trial 2**32 is the words (0, 1), never trial 0 through a uint32 cast
-        stop = start + TRIAL_CHUNK
+        stop = start + 128
         gaussian, uniform = _trial_draws(7, start, stop, 8, 2)
         rows = [np.concatenate(row).tobytes() for row in zip(gaussian, uniform.T)]
         for t, row in zip(range(start, stop), rows, strict=True):
@@ -854,7 +853,7 @@ class TestTrialKernel:
     """The batched kernel against the frozen scalar ``run_protocol``."""
 
     SEED = 5150
-    TRIALS = 1000
+    TRIALS = TRIAL_BLOCK + 1  # across a block boundary
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_sampled_trials_match_reference(self, variant, reference):
@@ -874,7 +873,7 @@ class TestTrialKernel:
                     rng = substream(self.SEED, trial)
                     _same_bits(run_protocol(random_secret(variant, rng), rng=rng), want)
                 trial += 1
-        assert trial == self.TRIALS > 2 * TRIAL_CHUNK
+        assert trial == self.TRIALS > TRIAL_BLOCK
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_every_forced_row_matches_reference(self, variant, reference):
@@ -900,16 +899,16 @@ class TestTrialKernel:
 
     def test_fixed_secret_every_trial(self):
         spec = SecretSpec(Variant.FOUR, (0.5, 0.5j))
-        chunks = list(run_trials(Variant.FOUR, 1, TRIAL_CHUNK + 1, secret=spec))
-        assert [len(c.fidelities) for c in chunks] == [TRIAL_CHUNK, 1]
+        chunks = list(run_trials(Variant.FOUR, 1, TRIAL_BLOCK + 1, secret=spec))
+        assert [len(c.fidelities) for c in chunks] == [TRIAL_BLOCK, 1]
         # every row is the secret's coefficients, bit for bit: a fixed
         # secret draws nothing from the trials' generators
         for chunk in chunks:
             assert len(chunk.coefficients) == len(chunk.fidelities)
             for row in chunk.coefficients:
                 _same_coefficients(row, spec)
-        for trial in (0, TRIAL_CHUNK - 1, TRIAL_CHUNK):
-            chunk, row = chunks[trial // TRIAL_CHUNK], trial % TRIAL_CHUNK
+        for trial in (0, TRIAL_BLOCK - 1, TRIAL_BLOCK):
+            chunk, row = chunks[trial // TRIAL_BLOCK], trial % TRIAL_BLOCK
             _same_trial(chunk, row, run_protocol(spec, rng=substream(1, trial)))
 
 

@@ -1,9 +1,9 @@
 """``run --format csv|text`` rows against their per-trial definitions.
 
 ``cli._run_rows`` writes a chunk's rows from one object array, with one
-text per distinct (outcome, bit, correction) row. These tests compare it
-byte for byte with the rows that ``csv.writer`` and the per-trial text
-line give of each trial alone.
+text per distinct (outcome, bit, correction) row and one per distinct
+fidelity. These tests compare it byte for byte with the rows that
+``csv.writer`` and the per-trial text line give of each trial alone.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ import csv
 import dataclasses
 import io
 import itertools
+import math
 
 import pytest
 
 from ghzsplit import cli, protocol
-from ghzsplit.protocol import TRIAL_CHUNK, Variant, alice_cbits
+from ghzsplit.protocol import TRIAL_BLOCK, Variant, alice_cbits
 from ghzsplit.statevec import _PAULI_BITS, PauliString
 
 # fidelities whose texts are easy to get wrong: a repr with an exponent, the
@@ -84,7 +85,7 @@ def _hand_built(variant: Variant, trials: list[tuple]):
 X, Z, I = "X", "Z", "I"  # noqa: E741
 
 
-@pytest.mark.parametrize("first", [0, 1, TRIAL_CHUNK, 10**6 + 7])
+@pytest.mark.parametrize("first", [0, 1, TRIAL_BLOCK, 10**6 + 7])
 def test_hand_built_rows_match_each_trial_alone(first):
     # rows repeat and interleave; one outcome takes both bits, and one
     # (outcome, bit) takes two corrections, so no key shorter than all
@@ -121,7 +122,7 @@ def test_every_row_text_and_edge_fidelity_of_each_variant():
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 @pytest.mark.parametrize("forced", [None, (1, 1)], ids=["sampled", "forced"])
 def test_kernel_chunks_match_each_trial_alone(variant, forced):
-    chunks = list(protocol.run_trials(variant, 21, 2 * TRIAL_CHUNK + 1, forced=forced))
+    chunks = list(protocol.run_trials(variant, 21, TRIAL_BLOCK + 1, forced=forced))
     first = 0
     for chunk in chunks:
         assert_rows(chunk, first)
@@ -131,10 +132,30 @@ def test_kernel_chunks_match_each_trial_alone(variant, forced):
 def test_three_b_minus_rows_take_many_fidelities():
     # the published three-b table's minus rows leave fidelities below 1, a
     # different one for nearly every secret
-    chunk = next(protocol.run_trials(Variant.THREE_B, 5, TRIAL_CHUNK))
+    chunk = next(protocol.run_trials(Variant.THREE_B, 5, TRIAL_BLOCK))
     low = [f for f in chunk.fidelities if f < 0.999]
     assert len(set(low)) > 20
-    assert_rows(chunk, TRIAL_CHUNK)
+    assert_rows(chunk, TRIAL_BLOCK)
+
+
+def test_fidelity_texts_made_once_per_distinct_value():
+    # repeated values, both signed zeros, NaN of both signs and both
+    # infinities: each trial gets its own value's repr or .12f text, from
+    # one call per distinct bit pattern
+    nan, inf = math.nan, math.inf
+    values = [0.0, -0.0, nan, inf, 0.5, 0.0, -nan, -inf, -0.0, 0.5, nan, 1.0]
+    for text in (repr, "{:.12f}".format):
+        calls = []
+
+        def counting(value, text=text):
+            calls.append(value)
+            return text(value)
+
+        assert cli._texts_once(values, counting).tolist() == list(map(text, values))
+        assert len(calls) == 8
+    assert cli._texts_once([0.0, -0.0, 0.0], repr).tolist() == ["0.0", "-0.0", "0.0"]
+    trials = [(0, 0, ("I", "I"), f) for f in values]
+    assert_rows(_hand_built(Variant.FOUR, trials), 7)
 
 
 def test_no_run_field_can_hold_a_quoted_character():

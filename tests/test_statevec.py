@@ -19,7 +19,7 @@ from ghzsplit import oracle, statevec
 from ghzsplit.protocol import (
     ENCODINGS,
     LITERAL,
-    TRIAL_CHUNK,
+    TRIAL_BLOCK,
     VARIANT_SPECS,
     Variant,
     build_alice_basis,
@@ -548,8 +548,8 @@ class TestCharlieProjection:
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_kernel_rows_have_the_dense_bits(self, variant, projections):
-        # three chunks: two full ones and one of a single trial
-        trials = 2 * TRIAL_CHUNK + 1
+        # two blocks: a full one and one of a single trial
+        trials = TRIAL_BLOCK + 1
         for _ in run_trials(variant, 2026, trials):
             pass
         self.assert_dense_bits(projections, trials)
