@@ -10,22 +10,24 @@ Three subcommands:
 * ``export``: dump a measurement basis or a correction table.
 
 Every command writes through one writer, to stdout and to the ``--emit``
-file. ``run`` makes its trials one ``run_trials`` block of 1024 at a time,
-whatever the format, and writes each block's csv rows, text lines or JSON
-transcripts before the next block is made; the JSON document comes out in
-the bytes ``json.dumps(document, indent=2)`` gives. Transcripts are filled
-straight from the block's arrays between literal pieces of text, cut once
-per run from the ``to_dict`` tree of trial 0 remade by ``substream``,
-``random_secret`` and ``run_protocol``; the pieces hold the leaves every
-trial of the run shares. JSON encodes a block 128 trials at a time: a
-slice's pieces and leaf texts are one object array, joined and written a
-few trials at a time, and its floats get one ``repr`` per distinct
-magnitude (a negative float is ``-`` and its magnitude's text). A block's
-csv rows or text lines are one object array too, (trials, 4), joined
-once: the trial number, the row text, made once per distinct (outcome,
-bit, correction) row, the fidelity text, made once per distinct value,
-and the line end. One step (``_distinct_rows``) finds the distinct rows
-for csv, text and JSON.
+file. Every JSON document, the error on stderr too, comes out in the bytes
+``json.dumps(document, indent=2)`` gives, from ``_json_text``, which joins
+each dict's and list's item texts once and never runs json's pure-Python
+indenting encoder. ``run`` makes its trials one ``run_trials`` block of
+1024 at a time, whatever the format, and writes each block's csv rows,
+text lines or JSON transcripts before the next block is made. Transcripts
+are filled straight from the block's arrays between literal pieces of
+text, cut once per run from the ``to_dict`` tree of trial 0 remade by
+``substream``, ``random_secret`` and ``run_protocol``; the pieces hold the
+leaves every trial of the run shares. JSON encodes a block 128 trials at a
+time: a slice's pieces and leaf texts are one object array, joined and
+written a few trials at a time, and its floats get one ``repr`` per
+distinct magnitude (a negative float is ``-`` and its magnitude's text). A
+block's csv rows or text lines are one object array too, (trials, 4),
+joined once: the trial number, the row text, made once per distinct
+(outcome, bit, correction) row, the fidelity text, made once per distinct
+value, and the line end. One step (``_distinct_rows``) finds the distinct
+rows for csv, text and JSON.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -83,7 +85,7 @@ def _emit_error(kind: str, message: str, **extra) -> None:
         "schema_version": SCHEMA_VERSION,
         "error": {"type": kind, "message": message, **extra},
     }
-    print(json.dumps(doc, indent=2), file=sys.stderr)
+    print(_json_text(doc), file=sys.stderr)
     raise SystemExit(2)
 
 
@@ -194,12 +196,55 @@ def _output(emit: str | None) -> Iterator[Callable[[str], None]]:
             _emit_write_error(emit, exc)
 
 
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# the JSON text of each leaf type json.dumps writes without a look inside;
+# a subclass, an IntEnum or np.float64 say, is not one of them
+_LEAF_TEXTS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _json_text(value, depth: int = 0) -> str:
     """``value`` as ``json.dumps(doc, indent=2)`` writes it ``depth`` levels
-    inside ``doc``: no JSON string holds a raw newline, so each line break
-    just gains the outer indent. Values are fresh trees: no cycle checks."""
-    text = json.dumps(value, indent=2, check_circular=False)
-    return text.replace("\n", "\n" + "  " * depth)
+    inside ``doc``, without json's pure-Python indenting encoder: a leaf by
+    its exact type (``_LEAF_TEXTS``), a dict with str keys only, a list or
+    a tuple as its items' texts joined once. Any other value goes to
+    ``json.dumps``, and no JSON string holds a raw newline, so each of its
+    line breaks just gains the outer indent: json's bytes and errors stay.
+    Values are fresh trees: no cycle checks."""
+    kind = type(value)
+    leaf = _LEAF_TEXTS.get(kind)
+    if leaf is not None:
+        return leaf(value)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, depth + 1)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json_text(item, depth + 1) for item in value]
+        return "[" + inner + ("," + inner).join(items) + outer + "]"
+    return json.dumps(value, indent=2).replace("\n", outer)
 
 
 # what json.dumps writes for the magnitudes whose repr is not JSON

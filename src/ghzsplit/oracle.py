@@ -374,17 +374,22 @@ def verify_table(
     derived = _derived_table(variant, basis)
     keys = _all_rows(variant)
     pre, secrets = _sampled_rows(variant, basis, keys)
+    published_rows = [table[key] for key in keys]
+    # every row's overlaps <secret|P pre> at once, (keys, secrets)
+    matrices = np.stack([p.matrix() for p in published_rows])
+    overlaps = np.sum(secrets.conj() * (pre @ matrices.transpose(0, 2, 1)), axis=2)
+    fidelities = np.min(np.abs(overlaps) ** 2, axis=1).tolist()
+    phases = overlaps[:, 0].tolist()
     findings = []
-    for (outcome, bit), row_pre in zip(keys, pre):
-        published = table[(outcome, bit)]
+    rows = zip(keys, published_rows, fidelities, phases)
+    for (outcome, bit), published, fidelity, first_overlap in rows:
         sols = derived.solutions[(outcome, bit)]
-        overlaps = np.sum(secrets.conj() * (row_pre @ published.matrix().T), axis=1)
         if published not in sols:
             status, phase = MISMATCH, None
         elif published in derived.exact[(outcome, bit)]:
             status, phase = MATCH, None
         else:
-            status, phase = PHASE_ONLY_MATCH, complex(overlaps[0])
+            status, phase = PHASE_ONLY_MATCH, first_overlap
         findings.append(
             RowFinding(
                 alice_outcome=outcome,
@@ -392,7 +397,7 @@ def verify_table(
                 status=status,
                 published=published,
                 solutions=sols,
-                published_min_fidelity=float(np.min(np.abs(overlaps) ** 2)),
+                published_min_fidelity=fidelity,
                 phase=phase,
             )
         )

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import enum
 import io
 import itertools
 import json
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghzsplit
 from ghzsplit import cli, protocol
@@ -1098,3 +1101,92 @@ class TestDeterminism:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+
+# strings with quotes, backslashes, control characters, non-ASCII text and
+# lone surrogates, which json escapes
+_EDGE_STRINGS = [
+    "", '"', "\\", '\\"', "\x00\x1f\n\t\r", "☃ caf\xe9", "\U0001f600", "\ud800", "a\udfffb"
+]
+_STRINGS = st.one_of(
+    st.sampled_from(_EDGE_STRINGS),
+    st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]))),
+)
+_JSON_LEAVES = st.one_of(
+    st.sampled_from([
+        True, False, None, 0, -1, -(2**63), 2**70,
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, -1e16,
+    ]),
+    st.booleans(), st.none(), st.integers(), st.floats(), _STRINGS,
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _indented_dumps(value, depth: int) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_TREES, st.integers(0, 3))
+    def test_random_trees_match_json_dumps(self, value, depth):
+        assert cli._json_text(value, depth) == _indented_dumps(value, depth)
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            _Level.LOW,
+            np.float64(-0.0),
+            np.float64(0.1),
+            {1: "a", "b": 2},
+            {_Level.LOW: [1]},
+        ],
+        ids=["IntEnum", "float64-negative-zero", "float64", "int-key", "IntEnum-key"],
+    )
+    @pytest.mark.parametrize("depth", range(4))
+    def test_other_types_give_json_bytes(self, odd, depth):
+        # each at the top, inside a list and as a dict's value
+        for value in (odd, [odd, {}, []], {"a": (odd, [[]], ())}):
+            assert cli._json_text(value, depth) == _indented_dumps(value, depth)
+
+    @pytest.mark.parametrize(
+        "bad", [{1, 2}, np.int64(3), object()], ids=["set", "np.int64", "object"]
+    )
+    def test_unserializable_values_raise_json_error(self, bad):
+        for value in (bad, [1, bad], {"a": {"b": bad}}):
+            with pytest.raises(Exception) as want:
+                json.dumps(value, indent=2)
+            with pytest.raises(want.type):
+                cli._json_text(value, 1)
+
+    def test_no_document_uses_the_pure_python_encoder(self, monkeypatch, capsys):
+        # json.dumps with an indent builds its encoder with _make_iterencode
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.dumps({}, indent=2)
+        for argv, want in [
+            (["verify", "--all"], 1),
+            (["verify", "--all", "--paper-literal"], 1),
+            (["export", "--variant", "four", "--what", "basis"], 0),
+            (["export", "--variant", "three-b", "--what", "table"], 0),
+            (["run", "--variant", "three-a", "--trials", "3", "--format", "json"], 0),
+        ]:
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (want, "") and json.loads(out), argv
+        code, doc = run_cli_error(["run", "--variant", "four", "--trials", "0"], capsys)
+        assert code == 2 and doc["error"]["type"] == "config"

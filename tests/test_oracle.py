@@ -44,7 +44,13 @@ from ghzsplit.protocol import (
     run_protocol,
     substream,
 )
-from ghzsplit.statevec import NORM_ATOL, OrthonormalBasis, StateVector, _every_pauli
+from ghzsplit.statevec import (
+    NORM_ATOL,
+    OrthonormalBasis,
+    PauliString,
+    StateVector,
+    _every_pauli,
+)
 
 ALL_VARIANTS = list(Variant)
 IDS = [v.value for v in ALL_VARIANTS]
@@ -444,6 +450,45 @@ class TestVerifyTable:
         a = verify_table(Variant.THREE_A).to_dict()
         b = verify_table(Variant.THREE_A).to_dict()
         assert json.dumps(a) == json.dumps(b)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_stacked_grade_keeps_the_per_row_bits(self, variant, encoding, monkeypatch):
+        # the reference grades each row by its own dense product; the stack
+        # must give every fidelity and phase bit for bit, signed zeros too,
+        # from one PauliString.matrix call per graded row
+        keys = _all_rows(variant)
+        table = published_correction_table(variant)
+        pre, secrets = oracle._sampled_rows(
+            variant, build_alice_basis(variant, encoding), keys
+        )
+        want = {}
+        for key, row_pre in zip(keys, pre):
+            product = row_pre @ table[key].matrix().T
+            overlaps = np.sum(secrets.conj() * product, axis=1)
+            want[key] = np.min(np.abs(overlaps) ** 2), complex(overlaps[0])
+        calls = []
+        matrix = PauliString.matrix
+
+        def counting(self):
+            calls.append(self)
+            return matrix(self)
+
+        monkeypatch.setattr(PauliString, "matrix", counting)
+        report = verify_table(variant, encoding=encoding)
+        assert calls == [table[key] for key in keys]
+
+        def bits(*floats):
+            return np.array(floats, dtype=np.float64).view(np.uint64).tolist()
+
+        for row in report.rows:
+            fidelity, phase = want[(row.alice_outcome, row.charlie_bit)]
+            assert bits(row.published_min_fidelity) == bits(fidelity)
+            if row.status == PHASE_ONLY_MATCH:
+                got = bits(row.phase.real, row.phase.imag)
+                assert got == bits(phase.real, phase.imag)
+            else:
+                assert row.phase is None
 
 
 class TestTestSecrets:
