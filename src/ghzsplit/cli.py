@@ -32,7 +32,9 @@ rows for csv, text and JSON.
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
 errors, a closed stdout among them, exit with status 2 and a structured JSON
-error on stderr.
+error on stderr. So does a numpy that gives other bits than the ones the
+output is made from (``NumpyBitsError``), as an ``environment`` error that
+names numpy's version.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -71,7 +74,7 @@ from .protocol import (
     run_trials,
     substream,
 )
-from .statevec import NormalizationError
+from .statevec import NormalizationError, NumpyBitsError
 
 SEED_ENV_VAR = "GHZSPLIT_SEED"
 # the run summary keeps one float per trial (about 32 B): at most ~320 MB
@@ -298,7 +301,7 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> list[str]:
     trial 0 made alone: ``random_secret`` on ``substream(seed, 0)`` unless
     ``secret`` is fixed, then ``run_protocol``, sampled or forced as the run
     is. Its outcomes and fidelity must be those of row 0 of ``chunk``, or
-    RuntimeError is raised. Only the floats and the ``_PER_TRIAL`` fields
+    NumpyBitsError is raised. Only the floats and the ``_PER_TRIAL`` fields
     are leaves between pieces: the leaves that every trial of a run shares
     are in the pieces.
     """
@@ -308,7 +311,7 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> list[str]:
     t = run_protocol(secret, rng=rng, forced=forced)
     row = (chunk.alice_outcomes[0], chunk.charlie_bits[0], chunk.fidelities[0])
     if (t.alice_outcome, t.charlie_bit, t.fidelity) != row:
-        raise RuntimeError(f"the kernel's trial 0 {row} differs from run_protocol's")
+        raise NumpyBitsError(f"the kernel's trial 0 {row} differs from run_protocol's")
     tree = {key: _skeleton(v, key in _PER_TRIAL) for key, v in t.to_dict().items()}
     return _json_text(tree, 2).split(json.dumps(_LEAF))
 
@@ -477,7 +480,12 @@ def _cmd_run(args) -> int:
     # which compensates its rounding on Python >= 3.12
     fidelities, counts = [], collections.Counter()
     with _output(args.emit) as write:
+        # the first block, and a JSON run's template, are made before the
+        # head is written: an error in them leaves stdout empty
+        chunks = run_trials(variant, seed, args.trials, secret=secret, forced=forced)
+        first = next(chunks)
         if args.format == "json":
+            pieces = _template(first, seed, secret, forced)
             header = {
                 "schema_version": SCHEMA_VERSION,
                 "command": "run",
@@ -492,11 +500,8 @@ def _cmd_run(args) -> int:
             write(_json_text(header)[: -len("\n}")] + ',\n  "transcripts": [')
         elif args.format == "csv":
             write(_csv_payload([_RUN_CSV_HEADER]))
-        chunks = run_trials(variant, seed, args.trials, secret=secret, forced=forced)
-        for chunk in chunks:
+        for chunk in itertools.chain([first], chunks):
             if args.format == "json":
-                if not fidelities:
-                    pieces = _template(chunk, seed, secret, forced)
                 for text in _transcripts(chunk, pieces, not fidelities):
                     write(text)
                 counts.update(zip(chunk.alice_outcomes, chunk.charlie_bits))
@@ -725,6 +730,12 @@ def main(argv: list[str] | None = None) -> int:
         # the flush at exit, go to the null device instead
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _emit_error("config", f"cannot write to stdout: {exc.strerror}")
+    except NumpyBitsError as exc:
+        _emit_error(
+            "environment",
+            f"numpy {np.__version__} does not give the bits this output is "
+            f"made from: {exc}",
+        )
     return code
 
 

@@ -41,6 +41,7 @@ from .statevec import (
     Kets,
     LiftedBasis,
     NormalizationError,
+    NumpyBitsError,
     OrthonormalBasis,
     PauliString,
     StateVector,
@@ -517,7 +518,7 @@ def _trial_draws(
     A trial with a word the fast path rejects draws more words, so it is
     drawn again by a ``Generator`` of its own, seeded with the same words.
     Trial ``start`` is also drawn by ``substream`` and the two are compared:
-    a mismatch raises RuntimeError, and a negative seed raises numpy's
+    a mismatch raises NumpyBitsError, and a negative seed raises numpy's
     ValueError. Nothing is drawn, and no generator built, when both counts
     are 0.
     """
@@ -536,7 +537,7 @@ def _trial_draws(
         uniform[:, t] = rng.random(uniforms)
     want = np.concatenate([check.normal(size=normals), check.random(uniforms)])
     if np.concatenate([gaussian[0], uniform[:, 0]]).tobytes() != want.tobytes():
-        raise RuntimeError(
+        raise NumpyBitsError(
             f"the stacked draw of trial {start} differs from substream({seed}, {start})"
         )
     return gaussian, uniform

@@ -72,6 +72,12 @@ class NormalizationError(ValueError):
         self.deficit = deficit
 
 
+class NumpyBitsError(RuntimeError):
+    """numpy gave other bits than the ones this package reproduces (its
+    summation order, its normal draws), on which ``run``'s and ``verify``'s
+    output bytes depend."""
+
+
 class OutOfSpanError(ValueError):
     """Measured state has support outside the measurement basis span."""
 
@@ -375,7 +381,7 @@ class Kets:
     ``sum`` adds a row's non-negative terms in the order ``np.add.reduce``
     adds them over the full width (``order``, from ``_reduce_order``), with
     the absent kets' +0.0 terms dropped; building a ``Kets`` checks that
-    order against ``np.add.reduce`` and raises RuntimeError on a mismatch.
+    order against ``np.add.reduce`` and raises NumpyBitsError on a mismatch.
     """
 
     def __init__(self, width: int, live: tuple[int, ...]):
@@ -392,7 +398,7 @@ class Kets:
         probe = (np.sqrt(k) * 2.0 ** (k % 11 - 5)).reshape(64, len(live))
         want = np.add.reduce(self.scatter(probe), axis=-1)
         if self.sum(probe).tobytes() != want.tobytes():
-            raise RuntimeError(
+            raise NumpyBitsError(
                 f"the sum over kets {live} of {width} differs from "
                 "numpy's add.reduce over the full rows"
             )

@@ -42,6 +42,28 @@ def acceptance() -> AcceptanceRecorder:
     return AcceptanceRecorder()
 
 
+@pytest.fixture
+def fresh_caches():
+    """Empty, before and after the test, every cache that holds built
+    ``statevec.Kets`` or what is made from them: the kets themselves,
+    Alice's lifted measurements, and the oracle's integer images and
+    test-secret states. The test's first call builds them whatever
+    ran before, and leaves nothing of its own to later tests."""
+    from ghzsplit import oracle, protocol, statevec
+
+    caches = (
+        statevec.Kets.every,
+        protocol._alice_measurement,
+        oracle._class_images,
+        oracle._sampled_rows,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def reference():
     """Import ``ghzsplit_ref.<name>`` from the frozen reference copy."""

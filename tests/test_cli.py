@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import enum
+import functools
 import io
 import itertools
 import json
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghzsplit
-from ghzsplit import cli, protocol
+from ghzsplit import cli, oracle, protocol, statevec
 from ghzsplit.cli import main
 from ghzsplit.protocol import (
     TRIAL_BLOCK,
@@ -257,10 +258,12 @@ class TestRun:
         written = [0, TRIAL_BLOCK, trials]
         sliced = list(range(0, trials, cli._ENCODED))
         assert len(sliced) == TRIAL_BLOCK // cli._ENCODED + 1
-        # the header's schema_version and one per transcript
-        for texts, counts in ((seen, written), (encoded, sliced)):
+        # the header's schema_version and one per transcript; the first
+        # block is made before the header is written, so nothing is out yet
+        for texts, counts, head in ((seen, written, 0), (encoded, sliced, 1)):
             assert [text.count('"schema_version"') for text in texts] == [
-                1 + n for n in counts
+                head,
+                *(1 + n for n in counts[1:]),
             ]
             for text, n in zip(texts[1:], counts[1:]):
                 assert text.endswith(
@@ -589,8 +592,74 @@ def test_json_run_whose_trial_zero_differs_from_run_protocol_raises(
         return dataclasses.replace(run_protocol(*args, **kwargs), **{field: value})
 
     monkeypatch.setattr(cli, "run_protocol", other)
-    with pytest.raises(RuntimeError, match="differs from run_protocol"):
-        main(["run", "--variant", "four", "--trials", "3", "--format", "json"])
+    argv = ["run", "--variant", "four", "--trials", "3", "--format", "json"]
+    message = numpy_bits_error(argv, capsys)
+    assert "differs from run_protocol's" in message
+
+
+def numpy_bits_error(argv, capsys) -> str:
+    """The message of the ``environment`` error, exit status 2, that
+    ``argv`` ends in, with nothing written to stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert exc.value.code == 2
+    err = json.loads(err)
+    assert set(err) == {"schema_version", "error"}
+    assert err["error"]["type"] == "environment"
+    message = err["error"]["message"]
+    assert message.startswith(f"numpy {np.__version__} does not give the bits")
+    return message
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_run_whose_draw_differs_from_substream_is_an_environment_error(
+    fmt, fresh_caches, monkeypatch, capsys
+):
+    seeds = protocol._pcg64_seeds
+    monkeypatch.setattr(protocol, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1))
+    argv = ["run", "--variant", "four", "--trials", "3", "--seed", "5"]
+    message = numpy_bits_error(argv + ["--format", fmt], capsys)
+    assert "the stacked draw of trial 0 differs from substream(5, 0)" in message
+
+
+@pytest.mark.parametrize(
+    "literal", [[], ["--paper-literal"]], ids=["canonical", "literal"]
+)
+def test_verify_on_another_summation_order_is_an_environment_error(
+    literal, fresh_caches, monkeypatch, capsys
+):
+    # the columns added one after another: not numpy's order
+    monkeypatch.setattr(
+        statevec, "_reduce_order", lambda c: functools.reduce(lambda a, b: (a, b), c)
+    )
+    message = numpy_bits_error(["verify", "--all", *literal], capsys)
+    assert "differs from numpy's add.reduce over the full rows" in message
+    message = numpy_bits_error(["run", "--variant", "three-a"], capsys)
+    assert "differs from numpy's add.reduce over the full rows" in message
+
+
+AUDIT = [
+    ["verify", "--all"],
+    ["verify", "--all", "--paper-literal"],
+    *(
+        ["export", "--variant", v.value, "--what", "table", "--source", "derived"]
+        for v in Variant
+    ),
+]
+
+
+def test_audit_bytes_are_the_same_cold_and_warm(fresh_caches, capsys):
+    # the benchmark's five audit commands, right after the caches are
+    # emptied, then again on what the first pass cached
+    cold = [run_cli(argv, capsys) for argv in AUDIT]
+    assert oracle._sampled_rows.cache_info().currsize == 2 * len(Variant)
+    warm = [run_cli(argv, capsys) for argv in AUDIT]
+    assert [code for code, _, _ in cold] == [1, 1, 0, 0, 0]
+    assert all(out and not err for _, out, err in cold)
+    assert warm == cold
+    assert oracle._sampled_rows.cache_info().misses == 2 * len(Variant)
 
 
 def test_fixed_secret_json_run_builds_the_secret_once(monkeypatch, capsys, reference):

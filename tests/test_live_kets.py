@@ -117,13 +117,12 @@ def test_every_sum_is_numpys_full_width_reduce(variant, encoding, sums):
         for how in runs:
             for _ in run_trials(variant, 2026, TRIALS, **how):
                 pass
-    keys = oracle._all_rows(variant)
-    oracle._sampled_rows(variant, basis, keys)
-    oracle._class_images.cache_clear()
-    try:
-        oracle._class_images(variant, basis)
-    finally:
-        oracle._class_images.cache_clear()
+    for cached in (oracle._sampled_rows, oracle._class_images):
+        cached.cache_clear()
+        try:
+            cached(variant, basis)
+        finally:
+            cached.cache_clear()
     lifted = _alice_measurement(variant, basis)
     for rows in stacks(variant):
         lifted.project(rows)

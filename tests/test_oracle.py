@@ -460,7 +460,7 @@ class TestVerifyTable:
         keys = _all_rows(variant)
         table = published_correction_table(variant)
         pre, secrets = oracle._sampled_rows(
-            variant, build_alice_basis(variant, encoding), keys
+            variant, build_alice_basis(variant, encoding)
         )
         want = {}
         for key, row_pre in zip(keys, pre):
@@ -489,6 +489,53 @@ class TestVerifyTable:
                 assert got == bits(phase.real, phase.imag)
             else:
                 assert row.phase is None
+
+
+class TestCachedStates:
+    """The test secrets' states are built once per (variant, basis) per
+    process, read-only."""
+
+    CASES = [(v, e) for v in ALL_VARIANTS for e in ENCODINGS]
+
+    @pytest.mark.parametrize(
+        "variant,encoding", CASES, ids=[f"{v.value}-{e}" for v, e in CASES]
+    )
+    def test_cached_arrays_refuse_writes(self, variant, encoding, fresh_caches):
+        basis = build_alice_basis(variant, encoding)
+        pre, secrets = oracle._sampled_rows(variant, basis)
+        rows = len(_all_rows(variant))
+        assert pre.shape[:2] == (rows, len(secrets))
+        for array in (pre, secrets):
+            assert not array.flags.writeable
+            base = array if array.base is None else array.base
+            assert not base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2
+        again = oracle._sampled_rows(variant, basis)
+        assert again[0] is pre and again[1] is secrets
+        assert oracle._sampled_rows.cache_info().misses == 1
+
+    def test_states_are_built_lazily(self):
+        # neither the import nor the benchmark's set-up fills the cache
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(bench)!r})\n"
+            "import child\n"
+            "child.set_up('ghzsplit')\n"
+            "from ghzsplit import oracle\n"
+            "print(oracle._sampled_rows.cache_info().currsize)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
 
 
 class TestTestSecrets:

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from ghzsplit import oracle, statevec
+from ghzsplit import statevec
 from ghzsplit.cli import main
 from ghzsplit.oracle import derive_table, verify_span, verify_table
 from ghzsplit.protocol import (
@@ -105,17 +105,7 @@ def test_run_projects_once_per_party_per_block(fmt, alone, projections, capsys):
     assert projections == {5: 3 + alone, 1: 3 + alone}
 
 
-@pytest.fixture
-def integer_operators():
-    """Empty ``oracle._class_images``'s cache before and after the test."""
-    oracle._class_images.cache_clear()
-    yield
-    oracle._class_images.cache_clear()
-
-
-def test_integer_operators_take_one_projection_per_basis(
-    integer_operators, projections
-):
+def test_integer_operators_take_one_projection_per_basis(fresh_caches, projections):
     # the secret's unit kets, stacked, projected onto Alice's basis once per
     # (variant, basis); derive_table itself projects nothing
     derive_table(Variant.THREE_A)
@@ -125,15 +115,25 @@ def test_integer_operators_take_one_projection_per_basis(
     # another basis: its operators, then its test secrets and their Hadamard
     verify_table(Variant.THREE_A, encoding="literal")
     assert projections == {5: 3, 1: 1}
+    # both are kept: a repeat projects nothing
+    verify_table(Variant.THREE_A, encoding="literal")
+    derive_table(Variant.THREE_A)
+    assert projections == {5: 3, 1: 1}
 
 
-def test_oracle_projects_each_test_secret_once_per_call(projections):
+def test_oracle_projects_each_test_secret_once_per_basis(
+    fresh_caches, projections
+):
     # the 14 test secrets (4 unit, 10 seeded random) as one stacked projection
-    # onto Alice's basis, then one stacked Hadamard projection for all rows
-    verify_table(Variant.THREE_A)  # builds the integer operators if need be
+    # onto Alice's basis, then one stacked Hadamard projection for all rows,
+    # once per (variant, basis): a repeat projects nothing
+    derive_table(Variant.THREE_A)  # builds the integer operators if need be
     projections.clear()
     verify_table(Variant.THREE_A)
     assert projections == {5: 1, 1: 1}
+    projections.clear()
+    verify_table(Variant.THREE_A)
+    assert projections == {}
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -151,10 +151,13 @@ def test_a_trial_checks_each_span_once(how, span_checks):
     assert span_checks == [(1, 16), (1, 2)]  # Alice's outcomes, then Charlie's
 
 
-def test_oracle_checks_each_span_once(span_checks):
+def test_oracle_checks_each_span_once(fresh_caches, span_checks):
     # the stacked projection of the 14 test secrets onto Alice's basis once,
     # then the Hadamard projection of Charlie's qubit for all 32 rows x 14
-    # secrets; building the integer operators checks no span
+    # secrets; building the integer operators checks no span, and neither
+    # does a repeat, which reuses the test secrets' states
+    verify_table(Variant.THREE_A)
+    assert span_checks == [(14, 16), (32 * 14, 2)]
     verify_table(Variant.THREE_A)
     assert span_checks == [(14, 16), (32 * 14, 2)]
 

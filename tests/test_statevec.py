@@ -558,11 +558,12 @@ class TestCharlieProjection:
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_oracle_rows_have_the_dense_bits(self, variant, encoding, projections):
+    def test_oracle_rows_have_the_dense_bits(
+        self, variant, encoding, fresh_caches, projections
+    ):
         # every row of the table, for each of the oracle's test secrets
-        keys = oracle._all_rows(variant)
-        oracle._sampled_rows(variant, build_alice_basis(variant, encoding), keys)
-        count = len(keys) * len(oracle._test_secrets(variant))
+        oracle._sampled_rows(variant, build_alice_basis(variant, encoding))
+        count = len(oracle._all_rows(variant)) * len(oracle._test_secrets(variant))
         self.assert_dense_bits(projections, count)
 
     def test_dense_bits_need_a_zero_in_each_pair(self):
