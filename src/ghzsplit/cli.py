@@ -55,6 +55,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from ._numpy_bits import NumpyBitsError
 from .oracle import derive_table, verify_table
 from .protocol import (
     CANONICAL,
@@ -74,7 +75,7 @@ from .protocol import (
     run_trials,
     substream,
 )
-from .statevec import NormalizationError, NumpyBitsError
+from .statevec import NormalizationError
 
 SEED_ENV_VAR = "GHZSPLIT_SEED"
 # the run summary keeps one float per trial (about 32 B): at most ~320 MB

@@ -28,15 +28,15 @@ Conventions used throughout the package:
   or only the kets a ``LiftedBasis``'s fixed state reaches (the live
   kets), every other ket holding +0.0. Its projections and the Hadamard
   after it work on the live kets alone, and ``Kets.sum`` adds a row's
-  squares in the order ``np.add.reduce`` adds the full row's, so every
-  probability keeps the full rows' bits; ``Kets.scatter`` makes the full
-  rows. Building a ``Kets`` checks that order. A measurement
-  (``measure_in_basis``, ``force_basis_outcome``) checks its projection's
-  span once, right after it; ``project`` itself and
-  ``basis_projection_probabilities`` do not. A raw secret's class is
-  gated by ``protocol._resolve_secret``, before anything is drawn.
-  Of a stack's norms only the collapsed rows are checked; the caller
-  checks the rest with ``check_normalized``.
+  squares in the order ``np.add.reduce`` adds the full row's (from
+  ``_numpy_bits``, the one home of numpy's unpromised bits, checked as a
+  ``Kets`` is built), so every probability keeps the full rows' bits;
+  ``Kets.scatter`` makes the full rows. A measurement (``measure_in_basis``,
+  ``force_basis_outcome``) checks its projection's span once, right after
+  it; ``project`` itself and ``basis_projection_probabilities`` do not. A
+  raw secret's class is gated by ``protocol._resolve_secret``, before
+  anything is drawn. Of a stack's norms only the collapsed rows are
+  checked; the caller checks the rest with ``check_normalized``.
 * A sampled measurement takes one uniform draw in [0, 1) per row, as an
   array; it draws nothing itself.
 """
@@ -50,6 +50,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._numpy_bits import summation_tree, tree_sum
 
 # largest |norm - 1| a state (or a secret's coefficient weight) may carry
 NORM_ATOL = 1e-12
@@ -70,12 +72,6 @@ class NormalizationError(ValueError):
     def __init__(self, message: str, deficit: float):
         super().__init__(f"{message} (norm deficit {deficit:.3e})")
         self.deficit = deficit
-
-
-class NumpyBitsError(RuntimeError):
-    """numpy gave other bits than the ones this package reproduces (its
-    summation order, its normal draws), on which ``run``'s and ``verify``'s
-    output bytes depend."""
 
 
 class OutOfSpanError(ValueError):
@@ -326,51 +322,6 @@ class OrthonormalBasis:
         return out
 
 
-def _reduce_order(columns: list[int]) -> int | tuple:
-    """The additions ``np.add.reduce`` makes over a contiguous last axis
-    holding ``columns``, as a tree of pairs of column indices.
-
-    numpy's pairwise sum: under 8 terms, one after another; up to 128, 8
-    accumulators, term k adding into accumulator k mod 8, joined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the terms past the last
-    multiple of 8 one after another; above 128, two halves, the first a
-    multiple of 8 long. The reduction starts from 0.0, which leaves a sum
-    of squares unchanged.
-    """
-    n = len(columns)
-    if n < 8:
-        return functools.reduce(lambda a, b: (a, b), columns)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _reduce_order(columns[:half]), _reduce_order(columns[half:])
-    acc = list(columns[:8])
-    stop = n - n % 8
-    for k in range(8, stop):
-        acc[k % 8] = acc[k % 8], columns[k]
-    tree = ((acc[0], acc[1]), (acc[2], acc[3])), ((acc[4], acc[5]), (acc[6], acc[7]))
-    return functools.reduce(lambda a, b: (a, b), columns[stop:], tree)
-
-
-def _pruned(tree: int | tuple, column: dict[int, int]) -> int | tuple | None:
-    """``tree`` with every ket outside ``column`` dropped, the others renamed
-    to their columns: ``x + 0.0`` is x for any x >= +0.0, so a sum of
-    squares keeps its bits. None if no ket of the tree is kept."""
-    if not isinstance(tree, tuple):
-        return column.get(tree)
-    left, right = (_pruned(node, column) for node in tree)
-    if left is None or right is None:
-        return right if left is None else left
-    return left, right
-
-
-def _tree_sum(tree: int | tuple, terms: np.ndarray) -> np.ndarray:
-    """The sum of the columns of ``terms`` that ``tree`` names, added pair
-    by pair as it nests them."""
-    if isinstance(tree, tuple):
-        return np.add(_tree_sum(tree[0], terms), _tree_sum(tree[1], terms))
-    return terms[..., tree]
-
-
 # Kets and _Hadamard are plain classes: making a dataclass costs about
 # 0.6 ms at import
 class Kets:
@@ -378,10 +329,8 @@ class Kets:
     ``live[j]`` of a state of ``width`` amplitudes, and every other ket of
     it holds +0.0. ``Kets.every(width)`` lists every ket: a full row.
 
-    ``sum`` adds a row's non-negative terms in the order ``np.add.reduce``
-    adds them over the full width (``order``, from ``_reduce_order``), with
-    the absent kets' +0.0 terms dropped; building a ``Kets`` checks that
-    order against ``np.add.reduce`` and raises NumpyBitsError on a mismatch.
+    ``sum`` adds a row's terms in the order ``np.add.reduce`` adds the full
+    row's: ``order``, a ``summation_tree``, checked as the ``Kets`` is built.
     """
 
     def __init__(self, width: int, live: tuple[int, ...]):
@@ -390,18 +339,7 @@ class Kets:
         if not live or not ordered or not 0 <= live[0] <= live[-1] < width:
             raise ValueError(f"kets {live} are not distinct kets of {width}")
         self.width, self.live = width, live
-        column = {k: j for j, k in enumerate(live)}
-        self.order = _pruned(_reduce_order(list(range(width))), column)
-        # squares of full-mantissa terms of unlike magnitude: another order
-        # of the additions rounds some row differently
-        k = np.arange(1.0, 1.0 + 64 * len(live))
-        probe = (np.sqrt(k) * 2.0 ** (k % 11 - 5)).reshape(64, len(live))
-        want = np.add.reduce(self.scatter(probe), axis=-1)
-        if self.sum(probe).tobytes() != want.tobytes():
-            raise NumpyBitsError(
-                f"the sum over kets {live} of {width} differs from "
-                "numpy's add.reduce over the full rows"
-            )
+        self.order = summation_tree(width, live)
 
     def __repr__(self) -> str:
         return f"Kets({self.width}, {self.live})"
@@ -415,9 +353,7 @@ class Kets:
     def sum(self, terms: np.ndarray) -> np.ndarray:
         """``np.add.reduce`` over the last axis of the full rows of
         ``terms``, each >= +0.0, from the live columns only."""
-        if isinstance(self.order, tuple):
-            return _tree_sum(self.order, terms)
-        return terms[..., self.order].copy()
+        return tree_sum(self.order, terms)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """The full rows: ``values`` in the live kets, +0.0 in the rest."""
@@ -426,25 +362,18 @@ class Kets:
         return rows
 
     @functools.cached_property
-    def halves(self) -> tuple[Kets, np.ndarray, np.ndarray]:
-        """The kets of a row's halves, its last qubit at 0 and at 1, and the
-        columns ``_hadamard_halves`` adds for the |+> and |-> parts: two (2,
-        half's live kets) arrays into ``values``, +0.0, ``-values``, -0.0
-        laid end to end. The left one picks h0, the right one h1 for |+>
-        and -h1 for |->; a ket outside ``live`` is the zero. Raises
-        ValueError on rows with no qubit."""
+    def halves(self) -> tuple[Kets, np.ndarray]:
+        """The kets of a row's halves (last qubit 0, 1), and the columns of
+        h0 (row 0) and h1 (row 1) on them in a row's values padded with one
+        +0.0 column, an absent ket's; ValueError on rows with no qubit."""
         if self.width < 2 or self.width % 2:
             raise ValueError(f"rows of {self.width} amplitudes have no last qubit")
         pairs = sorted({k >> 1 for k in self.live})
-        column = {k: j for j, k in enumerate(self.live)}
-        zero = len(self.live)
-        first, second = (
-            [column.get(2 * k + bit, zero) for k in pairs] for bit in (0, 1)
-        )
-        left = np.array([first, first])
-        right = np.array([second, second]) + [[0], [zero + 1]]
-        left.flags.writeable = right.flags.writeable = False
-        return Kets(self.width // 2, tuple(pairs)), left, right
+        column = np.full(self.width, len(self.live))  # each ket's column, or the pad's
+        column[list(self.live)] = np.arange(len(self.live))
+        columns = np.ascontiguousarray(column.reshape(-1, 2)[pairs].T)
+        columns.flags.writeable = False
+        return Kets(self.width // 2, tuple(pairs)), columns
 
     def probabilities(self, branches: np.ndarray) -> np.ndarray:
         """Each branch's squared norm: ``sum`` of its ``_squares``."""
@@ -498,17 +427,17 @@ class LiftedBasis:
 
 
 def _hadamard_halves(values: np.ndarray, kets: Kets) -> np.ndarray:
-    """Each row's halves h0, h1 (its last qubit at 0, 1) as ``h0 + h1`` and
-    ``h0 - h1`` along axis -2, on ``kets.halves``' kets: its |+> and |->
-    parts times sqrt(2). An absent half is the +0.0 the row holds there, so
-    ``x + 0.0``, ``x - 0.0``, ``0.0 + x`` and ``0.0 - x`` keep the full
-    rows' bits, signed zeros too."""
-    _, left, right = kets.halves
-    parts = np.ascontiguousarray(values).view(np.float64)
-    zero = np.zeros((*parts.shape[:-1], 2))
-    # x, +0.0, -x, -0.0: h0 - h1 is h0 + (-h1), the same bits
-    signed = np.concatenate([parts, zero, -parts, -zero], axis=-1).view(complex)
-    return signed[..., left] + signed[..., right]
+    """``h0 + h1`` and ``h0 - h1`` of each row's halves h0, h1 (last qubit
+    0, 1) along axis -2, on ``kets.halves``' kets: its |+> and |-> parts
+    times sqrt(2), in one gather's memory order (h0, h1 outermost), which
+    the sums after it read fast. An absent half is the +0.0 padded on, so
+    ``x ± 0.0`` and ``0.0 ± x`` keep the full rows' bits, signed zeros too."""
+    padded = np.concatenate([values, np.zeros_like(values[..., :1])], axis=-1)
+    halves = padded[..., kets.halves[1]]
+    out = np.empty_like(halves)
+    np.add(halves[..., 0, :], halves[..., 1, :], out=out[..., 0, :])
+    np.subtract(halves[..., 0, :], halves[..., 1, :], out=out[..., 1, :])
+    return out
 
 
 class _Hadamard:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghzsplit
-from ghzsplit import cli, oracle, protocol, statevec
+from ghzsplit import _numpy_bits, cli, oracle, protocol
 from ghzsplit.cli import main
 from ghzsplit.protocol import (
     TRIAL_BLOCK,
@@ -617,8 +617,8 @@ def numpy_bits_error(argv, capsys) -> str:
 def test_run_whose_draw_differs_from_substream_is_an_environment_error(
     fmt, fresh_caches, monkeypatch, capsys
 ):
-    seeds = protocol._pcg64_seeds
-    monkeypatch.setattr(protocol, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1))
+    seeds = _numpy_bits._pcg64_seeds
+    monkeypatch.setattr(_numpy_bits, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1))
     argv = ["run", "--variant", "four", "--trials", "3", "--seed", "5"]
     message = numpy_bits_error(argv + ["--format", fmt], capsys)
     assert "the stacked draw of trial 0 differs from substream(5, 0)" in message
@@ -632,7 +632,7 @@ def test_verify_on_another_summation_order_is_an_environment_error(
 ):
     # the columns added one after another: not numpy's order
     monkeypatch.setattr(
-        statevec, "_reduce_order", lambda c: functools.reduce(lambda a, b: (a, b), c)
+        _numpy_bits, "_reduce_order", lambda c: functools.reduce(lambda a, b: (a, b), c)
     )
     message = numpy_bits_error(["verify", "--all", *literal], capsys)
     assert "differs from numpy's add.reduce over the full rows" in message

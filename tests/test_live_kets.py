@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ghzsplit
-from ghzsplit import oracle, statevec
+from ghzsplit import _numpy_bits, oracle, statevec
 from ghzsplit.protocol import (
     ENCODINGS,
     TRIAL_BLOCK,
@@ -62,12 +62,16 @@ def full_squares(branches: np.ndarray) -> np.ndarray:
     return weights
 
 
-def full_joint_weights(rows: np.ndarray) -> np.ndarray:
-    """The joint weights of full branch rows: their halves (last qubit at 0
-    and 1) added and subtracted, over sqrt(2), squared and summed by
-    ``np.add.reduce``."""
+def full_halves(rows: np.ndarray) -> np.ndarray:
+    """The halves of full rows (last qubit at 0 and 1) added and subtracted."""
     half = rows.reshape(*rows.shape[:-1], -1, 2)
-    signed = np.stack([half[..., 0] + half[..., 1], half[..., 0] - half[..., 1]], -2)
+    return np.stack([half[..., 0] + half[..., 1], half[..., 0] - half[..., 1]], -2)
+
+
+def full_joint_weights(rows: np.ndarray) -> np.ndarray:
+    """The joint weights of full branch rows: ``full_halves`` over sqrt(2),
+    squared and summed by ``np.add.reduce``."""
+    signed = full_halves(rows)
     signed /= np.sqrt(2.0)
     return np.add.reduce(full_squares(signed), axis=-1)
 
@@ -148,6 +152,24 @@ def test_joint_weights_are_the_full_width_weights(variant, encoding):
         assert np.array_equal(int64(got[..., 0]), int64(got[..., 1]))
 
 
+@pytest.mark.parametrize("width", [2, 4, 8, 16, 32])
+def test_hadamard_halves_on_live_kets_are_the_full_rows(width):
+    # signed zero parts in the live kets, and absent halves: every sum and
+    # difference, the sign of each zero too, has the full rows' bits
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        count = int(rng.integers(1, width + 1))
+        live = rng.choice(width, count, replace=False).tolist()
+        kets = Kets(width, tuple(sorted(live)))
+        parts = rng.normal(size=(5, 3, count, 2))
+        parts[rng.random(parts.shape) < 0.4] = 0.0
+        parts *= rng.choice([1.0, -1.0], size=parts.shape)
+        values = parts.view(complex)[..., 0]
+        got = kets.halves[0].scatter(statevec._hadamard_halves(values, kets))
+        want = full_halves(kets.scatter(values))
+        assert np.array_equal(int64(got), int64(want))
+
+
 def sequential_order(columns):
     """A sum of the columns one after another: not numpy's order."""
     tree = columns[0]
@@ -160,7 +182,7 @@ def sequential_order(columns):
 def test_an_order_other_than_numpys_fails_the_build(variant, monkeypatch):
     basis = build_alice_basis(variant)
     kets = _alice_measurement(variant, basis).kets
-    monkeypatch.setattr(statevec, "_reduce_order", sequential_order)
+    monkeypatch.setattr(_numpy_bits, "_reduce_order", sequential_order)
     with pytest.raises(RuntimeError, match="differs from numpy's add.reduce"):
         Kets(kets.width, kets.live)
     qubits = VARIANT_SPECS[variant].secret_qubits

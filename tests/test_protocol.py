@@ -14,6 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghzsplit
+from ghzsplit._numpy_bits import (
+    _pcg64_seeds,
+    _pcg64_words,
+    _preseeded,
+    _stacked_seeds,
+    _ziggurat_normals,
+    trial_draws,
+)
 from ghzsplit.protocol import (
     CANONICAL,
     LITERAL,
@@ -23,9 +31,6 @@ from ghzsplit.protocol import (
     VARIANT_SPECS,
     _draw_coefficients,
     _joint_weights,
-    _pcg64_seeds,
-    _pcg64_words,
-    _trial_draws,
     build_alice_basis,
     build_channel,
     build_secret,
@@ -201,19 +206,19 @@ def substream_draws(seed: int, t: int, normals: int, uniforms: int) -> bytes:
 
 
 def stacked_draws(seed: int, stop: int, normals: int, uniforms: int) -> list[bytes]:
-    """The bits of each trial's row of ``_trial_draws`` over trials 0 ..
+    """The bits of each trial's row of ``trial_draws`` over trials 0 ..
     stop - 1, made a ``TRIAL_BLOCK`` at a time as ``run_trials`` makes them."""
     rows = []
     for start in range(0, stop, TRIAL_BLOCK):
         end = min(start + TRIAL_BLOCK, stop)
-        block = _trial_draws(seed, start, end, normals, uniforms)
+        block = trial_draws(substream, seed, start, end, normals, uniforms)
         rows += [np.concatenate(row).tobytes() for row in zip(block[0], block[1].T)]
     return rows
 
 
 class TestStackedSecretDraw:
     """A block's secrets, drawn as one stack by ``_draw_coefficients`` on the
-    block's ``_trial_draws``, against one ``random_secret`` per trial and the
+    block's ``trial_draws``, against one ``random_secret`` per trial and the
     frozen two-call draw of 0.1.0."""
 
     # both ends of the first block, its middle, and the first two trials of
@@ -232,8 +237,8 @@ class TestStackedSecretDraw:
         stop = max(self.TRIALS) + 1
         blocks = []
         for start in range(0, stop, TRIAL_BLOCK):
-            gaussian, uniform = _trial_draws(
-                seed, start, min(start + TRIAL_BLOCK, stop), normals, 2
+            gaussian, uniform = trial_draws(
+                substream, seed, start, min(start + TRIAL_BLOCK, stop), normals, 2
             )
             blocks.append((_draw_coefficients(variant, gaussian), uniform))
         for t in self.TRIALS:
@@ -253,7 +258,7 @@ class TestStackedSecretDraw:
 
 
 class TestStackedSeeding:
-    """A block's draws, made as array arithmetic by ``_trial_draws``, against
+    """A block's draws, made as array arithmetic by ``trial_draws``, against
     one ``substream`` per trial and its own ``normal`` and ``random`` calls."""
 
     # (normals, uniforms): a three-qubit random secret and sampled outcomes,
@@ -295,8 +300,6 @@ class TestStackedSeeding:
         count=st.integers(1, 12),
     )
     def test_words_are_pcg64s_outputs(self, seeds, count):
-        from ghzsplit.protocol import _preseeded
-
         rows = np.array(seeds, np.uint64)
         want = [
             np.random.PCG64(_preseeded()(row)).random_raw(count) for row in rows
@@ -317,7 +320,7 @@ class TestStackedSeeding:
     def test_trial_index_words_split_as_numpy_splits_them(self, start):
         # trial 2**32 is the words (0, 1), never trial 0 through a uint32 cast
         stop = start + 128
-        gaussian, uniform = _trial_draws(7, start, stop, 8, 2)
+        gaussian, uniform = trial_draws(substream, 7, start, stop, 8, 2)
         rows = [np.concatenate(row).tobytes() for row in zip(gaussian, uniform.T)]
         for t, row in zip(range(start, stop), rows, strict=True):
             assert row == substream_draws(7, t, 8, 2), t
@@ -333,8 +336,6 @@ class TestStackedSeeding:
 
     @pytest.mark.parametrize("seed,trial,normals,kind", SLOW)
     def test_slow_path_trials_are_their_substreams(self, seed, trial, normals, kind):
-        from ghzsplit.protocol import _stacked_seeds, _ziggurat_normals
-
         words = _pcg64_words(_stacked_seeds(seed, trial, trial + 1), normals)[:, 0]
         _, fast = _ziggurat_normals(words)
         first = int(np.argmin(fast))
@@ -344,7 +345,7 @@ class TestStackedSeeding:
         want = substream_draws(seed, trial, normals, 2)
         # drawn by its own generator, first in its block and inside one
         assert stacked_draws(seed, trial + 3, normals, 2)[trial] == want
-        gaussian, uniform = _trial_draws(seed, trial, trial + 1, normals, 2)
+        gaussian, uniform = trial_draws(substream, seed, trial, trial + 1, normals, 2)
         assert np.concatenate([gaussian[0], uniform[:, 0]]).tobytes() == want
 
     def test_set_up_leaves_numpy_random_unloaded(self):
@@ -365,10 +366,12 @@ class TestStackedSeeding:
         assert out == "False\n"
 
     def test_stack_that_differs_from_substream_raises(self, monkeypatch):
-        from ghzsplit import protocol
+        from ghzsplit import _numpy_bits
 
-        seeds = protocol._pcg64_seeds
-        monkeypatch.setattr(protocol, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1))
+        seeds = _numpy_bits._pcg64_seeds
+        monkeypatch.setattr(
+            _numpy_bits, "_pcg64_seeds", lambda e: seeds(e) ^ np.uint64(1)
+        )
         with pytest.raises(RuntimeError, match="differs from substream"):
             next(run_trials(Variant.FOUR, 7, 3))
 
@@ -397,8 +400,6 @@ class TestGeneratorsBuilt:
         return counts
 
     def test_random_secrets_build_one_per_slow_trial(self, built):
-        from ghzsplit.protocol import _stacked_seeds, _ziggurat_normals
-
         chunks = list(run_trials(Variant.THREE_A, 7, TRIAL_BLOCK + 1))
         assert sum(len(c.fidelities) for c in chunks) == TRIAL_BLOCK + 1
         words = _pcg64_words(_stacked_seeds(7, 0, TRIAL_BLOCK + 1), 8)

@@ -1,7 +1,7 @@
 """The committed ziggurat tables against the installed numpy.
 
 ``ghzsplit._ziggurat`` holds numpy's ``ki_double`` and ``wi_double``, which
-``run_trials`` uses to make standard normals from PCG64 words without a
+``_numpy_bits.trial_draws`` uses to make standard normals from PCG64 words without a
 generator. Here each entry is read back from numpy itself: a PCG64 state is
 crafted so that its next output is a chosen word, and ``standard_normal``
 shows what it makes of it. A numpy with another ziggurat fails here instead
@@ -11,7 +11,7 @@ of changing the bytes a run writes.
 import numpy as np
 
 from ghzsplit._ziggurat import KI, WI
-from ghzsplit.protocol import _PCG64_MULT
+from ghzsplit._numpy_bits import _PCG64_MULT
 
 MOD = 1 << 128
 MAGNITUDE = 2**52  # a word's magnitude has 52 bits
