@@ -24,10 +24,10 @@ time: a slice's pieces and leaf texts are one object array, joined and
 written a few trials at a time, and its floats get one ``repr`` per
 distinct magnitude (a negative float is ``-`` and its magnitude's text). A
 block's csv rows or text lines are one object array too, (trials, 4),
-joined once: the trial number, the row text, made once per distinct
-(outcome, bit, correction) row, the fidelity text, made once per distinct
-value, and the line end. One step (``_distinct_rows``) finds the distinct
-rows for csv, text and JSON.
+joined once: the trial number, the row text, made once per distinct table
+row, the fidelity text, made once per distinct value, and the line end. A
+trial's table row is one integer (``TrialChunk.rows``), and one step
+(``_distinct_rows``) finds the distinct rows for csv, text and JSON.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -42,9 +42,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -65,6 +63,7 @@ from .protocol import (
     SecretSpec,
     TrialChunk,
     Variant,
+    _distinct_rows,
     _joint_weights,
     _resolve_forced,
     alice_cbits,
@@ -310,74 +309,47 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> list[str]:
     if secret is None:
         secret = random_secret(chunk.variant, rng)
     t = run_protocol(secret, rng=rng, forced=forced)
-    row = (chunk.alice_outcomes[0], chunk.charlie_bits[0], chunk.fidelities[0])
+    row = (*divmod(int(chunk.rows[0]), 2), chunk.fidelities[0])
     if (t.alice_outcome, t.charlie_bit, t.fidelity) != row:
         raise NumpyBitsError(f"the kernel's trial 0 {row} differs from run_protocol's")
     tree = {key: _skeleton(v, key in _PER_TRIAL) for key, v in t.to_dict().items()}
     return _json_text(tree, 2).split(json.dumps(_LEAF))
 
 
-def _distinct_rows(chunk: TrialChunk) -> tuple[list[tuple], list[int]]:
-    """A chunk's distinct (outcome, bit, correction labels) rows in the
-    order they first appear, and each trial's index into them: csv, text
-    and JSON make each row's text once per distinct row."""
-    # a correction need not be hashable: its labels are
-    labels = [correction.labels for correction in chunk.corrections]
-    index = {}
-    trials = zip(chunk.alice_outcomes, chunk.charlie_bits, labels)
-    rows = [index.setdefault(key, len(index)) for key in trials]
-    return list(index), rows
-
-
-def _slices(chunk: TrialChunk) -> Iterator[TrialChunk]:
-    """``chunk``'s trials as consecutive chunks of at most ``_ENCODED``."""
-    for lo in range(0, len(chunk.fidelities), _ENCODED):
-        part = slice(lo, lo + _ENCODED)
-        yield TrialChunk(
-            variant=chunk.variant,
-            coefficients=chunk.coefficients[part],
-            alice_outcomes=chunk.alice_outcomes[part],
-            charlie_bits=chunk.charlie_bits[part],
-            corrections=chunk.corrections[part],
-            bob_before=chunk.bob_before[part],
-            bob_after=chunk.bob_after[part],
-            fidelities=chunk.fidelities[part],
-            alice_branches=chunk.alice_branches[part],
-            alice_kets=chunk.alice_kets,
-        )
-
-
 def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
     """``_json_text(t.to_dict(), 2)`` for the Transcript t ``run_protocol``
     makes of each trial of ``chunk``, each after its separator (the run's
     first one if ``first``), joined ``_JOINED`` trials at a time. Each
-    slice of ``_ENCODED`` trials (``_slices``) is encoded when the last
-    one's texts are out: one object array holds the slice's texts,
-    ``pieces`` in the even columns, and in the odd ones the leaves in
-    document order, from the slice's arrays: its floats as one array
-    (``_float_texts``), the other leaves one row per distinct outcome, bit
-    and correction (``_distinct_rows``). A trial whose leaf count does not
-    fit the pieces raises ValueError instead of writing other bytes.
+    slice of ``_ENCODED`` trials is encoded when the last one's texts are
+    out: one object array holds the slice's texts, ``pieces`` in the even
+    columns, and in the odd ones the leaves in document order, from the
+    chunk's arrays: the slice's floats as one array (``_float_texts``), the
+    other leaves one row per distinct table row (``_distinct_rows``). A
+    trial whose leaf count does not fit the pieces raises ValueError instead
+    of writing other bytes.
     """
-    for part in _slices(chunk):
-        yield from _encoded(part, pieces, first)
+    for lo in range(0, len(chunk.fidelities), _ENCODED):
+        yield from _encoded(chunk, slice(lo, lo + _ENCODED), pieces, first)
         first = False
 
 
-def _encoded(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
-    """``_transcripts`` of one slice, one cell array."""
-    coefficients = chunk.coefficients
-    weights = _joint_weights(chunk.alice_branches, chunk.alice_kets)
+def _encoded(
+    chunk: TrialChunk, part: slice, pieces: list[str], first: bool
+) -> Iterator[str]:
+    """``_transcripts`` of the slice ``part`` of ``chunk``, one cell array."""
+    coefficients = chunk.coefficients[part]
+    weights = _joint_weights(chunk.alice_branches[part], chunk.alice_kets)
     weights = weights.reshape(len(coefficients), -1)
-    pairs = np.column_stack([coefficients, chunk.bob_before, chunk.bob_after])
-    floats = np.column_stack([pairs.view(np.float64), chunk.fidelities, weights])
+    before, after = chunk.bob_before[part], chunk.bob_after[part]
+    pairs = np.column_stack([coefficients, before, after])
+    floats = np.column_stack([pairs.view(np.float64), chunk.fidelities[part], weights])
     string, others = encode_basestring_ascii, []
-    keys, rows = _distinct_rows(chunk)
-    for i, b, labels in keys:
+    keys, rows = _distinct_rows(chunk.rows[part], chunk.table)
+    for i, b, correction in keys:
         cbits = string(alice_cbits(i))
         others.append((
             int.__repr__(i), cbits, int.__repr__(b), cbits, string(str(b)),
-            *map(string, labels),
+            *map(string, correction.labels),
         ))
     count, width = len(pieces) - 1, floats.shape[1]
     for leaves in others:
@@ -401,10 +373,10 @@ def _encoded(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]
         yield "".join(cells[start : start + _JOINED].ravel().tolist())
 
 
-def _csv_payload(rows: list[list]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _csv_payload(rows) -> str:
+    """Each row's fields' ``str`` joined by commas: no field can hold a
+    delimiter, a quote or a line break, so these are ``csv.writer``'s bytes."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 _RUN_CSV_HEADER = [
@@ -440,21 +412,17 @@ def _texts_once(floats: list[float], text: Callable[[float], str]) -> np.ndarray
 def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     """CSV rows or text lines of one chunk, whose first trial is ``first``,
     joined once from a (trials, 4) object array: the trial number, the row
-    text, made once per distinct row (``_distinct_rows``), the fidelity's
-    text, made once per distinct value (``_texts_once``), and the line end.
-    No csv field can hold a delimiter, a quote or a line break, so
+    text, made once per distinct table row (``_distinct_rows``), the
+    fidelity's text, made once per distinct value (``_texts_once``), and the
+    line end. No csv field can hold a delimiter, a quote or a line break, so
     ``csv.writer`` would write every one as it is.
     """
     number, row, fidelity = _ROW_TEXTS[fmt]
     name = chunk.variant.value
-    keys, rows = _distinct_rows(chunk)
-    # one correction per distinct row; every one of a row has its labels
-    corrections = dict(zip(rows, chunk.corrections))
+    keys, rows = _distinct_rows(chunk.rows, chunk.table)
     texts = [
-        row.format(
-            variant=name, i=i, cbits=alice_cbits(i), b=b, correction=corrections[k]
-        )
-        for k, (i, b, _) in enumerate(keys)
+        row.format(variant=name, i=i, cbits=alice_cbits(i), b=b, correction=p)
+        for i, b, p in keys
     ]
     cells = np.empty((len(rows), 4), dtype=object)
     cells[:, 0] = list(map(number, range(first, first + len(rows))))
@@ -505,7 +473,7 @@ def _cmd_run(args) -> int:
             if args.format == "json":
                 for text in _transcripts(chunk, pieces, not fidelities):
                     write(text)
-                counts.update(zip(chunk.alice_outcomes, chunk.charlie_bits))
+                counts.update(chunk.rows.tolist())
             else:
                 write(_run_rows(chunk, len(fidelities), args.format))
             fidelities.extend(chunk.fidelities)
@@ -517,8 +485,8 @@ def _cmd_run(args) -> int:
                 "mean_fidelity": mean,
                 "all_above_threshold": ok,
                 "outcome_counts": [
-                    {"alice_outcome": i, "charlie_bit": b, "count": n}
-                    for (i, b), n in sorted(counts.items())
+                    {"alice_outcome": row // 2, "charlie_bit": row % 2, "count": n}
+                    for row, n in sorted(counts.items())
                 ],
             }
             write('\n  ],\n  "summary": ' + _json_text(summary, 1) + "\n}\n")
@@ -612,14 +580,12 @@ def _cmd_export(args) -> int:
             "real",
             "imag",
         ]
+        # re or im is amp != 0, signed zeros too; a float's str is its repr
         rows = (
-            [
-                variant.value, encoding, i, k, format(k, f"0{width}b"),
-                repr(float(amp.real)), repr(float(amp.imag)),
-            ]
-            for i, vec in enumerate(basis.vectors)
-            for k, amp in enumerate(vec.amplitudes)
-            if amp != 0
+            [variant.value, encoding, vec["index"], k, format(k, f"0{width}b"), re, im]
+            for vec in doc["vectors"]
+            for k, (re, im) in enumerate(vec["amplitudes"])
+            if re or im
         )
     else:
         if args.source == "derived":

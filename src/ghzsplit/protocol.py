@@ -630,14 +630,15 @@ class TrialChunk:
     ``run_trials`` block or ``run_protocol``'s one trial; entry or row t is
     the chunk's trial t. ``coefficients`` are the trials' class
     coefficients, drawn or fixed; None in ``run_protocol``'s chunk.
+    ``rows`` holds each trial's row of ``table``, the table the kernel used,
+    as ``2 * alice_outcome + charlie_bit`` (``sorted_rows``' order).
     ``alice_branches`` holds Alice's branches on the kets ``alice_kets``,
     ``bob_before`` and ``bob_after`` Bob's full rows."""
 
     variant: Variant
     coefficients: np.ndarray | None
-    alice_outcomes: list[int]
-    charlie_bits: list[int]
-    corrections: list[PauliString]
+    rows: np.ndarray
+    table: CorrectionTable
     bob_before: np.ndarray
     bob_after: np.ndarray
     fidelities: list[float]
@@ -671,23 +672,32 @@ def _run_chunk(
         charlie = force_hadamard_outcome(alice.residual, forced[1], kets)
     bob_before = kets.halves[0].scatter(charlie.residual)
 
-    keys = list(zip(alice.outcome.tolist(), charlie.outcome.tolist()))
-    rows = table.rows  # the keys are ints; a missing one raises the table's KeyError
-    corrections = [rows[key] if key in rows else table[key] for key in keys]
-    bob_after = apply_pauli_string(bob_before, corrections)
+    rows = 2 * alice.outcome + charlie.outcome
+    keys, inverse = _distinct_rows(rows, table)
+    bob_after = apply_pauli_string(bob_before, [keys[k][2] for k in inverse.tolist()])
     check_normalized(bob_after)
     return TrialChunk(
         variant=variant,
         coefficients=coefficients,
-        alice_outcomes=[i for i, _ in keys],
-        charlie_bits=[b for _, b in keys],
-        corrections=corrections,
+        rows=rows,
+        table=table,
         bob_before=bob_before,
         bob_after=bob_after,
         fidelities=fidelity(bob_after, secret_rows),
         alice_branches=alice.branches,
         alice_kets=kets,
     )
+
+
+def _distinct_rows(rows: np.ndarray, table: CorrectionTable) -> tuple[list, np.ndarray]:
+    """The distinct rows among ``rows`` (``TrialChunk.rows``) in row order,
+    each as (outcome, bit, its correction in ``table``), and each trial's
+    index into them: one table lookup per distinct row for the kernel, one
+    text for csv, text and JSON. A row that ``table`` lacks raises the
+    table's KeyError."""
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    pairs = [divmod(row, 2) for row in distinct.tolist()]
+    return [(i, b, table[i, b]) for i, b in pairs], inverse
 
 
 def run_trials(
@@ -781,14 +791,14 @@ def run_protocol(
             raise ValueError("need rng, seed, or forced outcomes")
         uniforms = rng.random((2, 1))
     chunk = _run_chunk(variant, None, rows, uniforms, forced, table)
-    outcome = chunk.alice_outcomes[0]
+    outcome, bit = divmod(int(chunk.rows[0]), 2)
     return Transcript(
         variant=variant,
         secret=secret,
         alice_outcome=outcome,
         alice_cbits=alice_cbits(outcome),
-        charlie_bit=chunk.charlie_bits[0],
-        correction=chunk.corrections[0],
+        charlie_bit=bit,
+        correction=chunk.table[outcome, bit],
         bob_state_before=StateVector(chunk.bob_before[0]),
         bob_state_after=StateVector(chunk.bob_after[0]),
         fidelity=chunk.fidelities[0],

@@ -377,8 +377,10 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
     ``_json_text`` gives of the Transcripts ``run_protocol`` makes of them;
     entry k of ``trials`` replaces fields of trial k in both: Transcript
     field names, with the coefficients as ``secret`` and the joint weights,
-    outcome-major, as ``probabilities``. The chunk gives the coefficient
-    rows. No field is checked."""
+    outcome-major, as ``probabilities``. ``alice_outcome`` and
+    ``charlie_bit`` move the trial to another row, and ``correction`` is its
+    row's in the chunk's hand-built table, which the trials of one row
+    share. The chunk gives the coefficient rows. No field is checked."""
     secret = SecretSpec(variant, FIXED_COEFFICIENTS[variant])
     chunks = protocol.run_trials(variant, 0, len(trials), secret=secret, forced=FORCED)
     (chunk,) = chunks
@@ -387,9 +389,16 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
     coefficients = chunk.coefficients.copy()
     weights = protocol._joint_weights(chunk.alice_branches, chunk.alice_kets)
     before, fidelities = chunk.bob_before.copy(), list(chunk.fidelities)
-    corrections, want = list(chunk.corrections), []
+    rows, changed, want = chunk.rows.copy(), {}, []
     for k, fields in enumerate(trials):
         fields = dict(fields)
+        i = fields.get("alice_outcome", FORCED[0])
+        b = fields.get("charlie_bit", FORCED[1])
+        rows[k] = 2 * i + b
+        fields["alice_cbits"] = protocol.alice_cbits(i)
+        if "correction" in fields:
+            correction = fields["correction"]
+            assert changed.setdefault((i, b), correction) is correction
         if "secret" in fields:
             coefficients[k] = fields["secret"]
             fields["secret"] = SecretSpec(variant, fields["secret"])
@@ -405,12 +414,13 @@ def _hand_built(monkeypatch, trials: list[dict], variant=Variant.FOUR):
             state = object.__new__(StateVector)
             object.__setattr__(state, "amplitudes", before[k].copy())
             fields["bob_state_before"] = state
-        corrections[k] = fields.get("correction", corrections[k])
         fidelities[k] = fields.get("fidelity", fidelities[k])
         want.append(cli._json_text(dataclasses.replace(t, **fields).to_dict(), 2))
+    table = {**chunk.table.rows, **changed}
+    table = protocol.CorrectionTable(variant, "hand-built", table)
     chunk = dataclasses.replace(
-        chunk, coefficients=coefficients, bob_before=before,
-        corrections=corrections, fidelities=fidelities,
+        chunk, coefficients=coefficients, rows=rows, table=table,
+        bob_before=before, fidelities=fidelities,
     )
     monkeypatch.setattr(cli, "_joint_weights", lambda branches, kets: weights)
     return list(cli._transcripts(chunk, pieces, True)), want
@@ -537,8 +547,12 @@ class TestFilledJson:
 
     @pytest.mark.parametrize("count", [2, 4], ids=["fewer", "more"])
     def test_leaf_count_off_its_template_raises(self, monkeypatch, count):
-        # three-a corrections have 3 labels
-        correction = {"correction": PauliString(("I",) * count)}
+        # three-a corrections have 3 labels; trial 0's row fits, and trial
+        # 1's is another row
+        correction = {
+            "alice_outcome": 6, "charlie_bit": 0,
+            "correction": PauliString(("I",) * count),
+        }
         with pytest.raises(ValueError, match="leaves"):
             _hand_built(monkeypatch, [{}, correction], Variant.THREE_A)
 

@@ -22,6 +22,7 @@ from ghzsplit._numpy_bits import (
     _ziggurat_normals,
     trial_draws,
 )
+from ghzsplit.oracle import derive_table
 from ghzsplit.protocol import (
     CANONICAL,
     LITERAL,
@@ -825,11 +826,9 @@ def _same_bits(got, want):
 
 def _same_trial(chunk, row, want):
     """Row ``row`` of a kernel chunk agrees with a transcript bit for bit."""
-    assert (chunk.alice_outcomes[row], chunk.charlie_bits[row]) == (
-        want.alice_outcome,
-        want.charlie_bit,
-    )
-    assert chunk.corrections[row].labels == want.correction.labels
+    i, b = divmod(int(chunk.rows[row]), 2)
+    assert (i, b) == (want.alice_outcome, want.charlie_bit)
+    assert chunk.table[i, b].labels == want.correction.labels
     for rows, state in (
         (chunk.bob_before, want.bob_state_before),
         (chunk.bob_after, want.bob_state_after),
@@ -911,6 +910,48 @@ class TestTrialKernel:
         for trial in (0, TRIAL_BLOCK - 1, TRIAL_BLOCK):
             chunk, row = chunks[trial // TRIAL_BLOCK], trial % TRIAL_BLOCK
             _same_trial(chunk, row, run_protocol(spec, rng=substream(1, trial)))
+
+    @pytest.mark.parametrize("how", ["sampled", "forced", "table"])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_chunk_rows_are_run_protocols_outcome_and_bit(
+        self, variant, how, monkeypatch
+    ):
+        # trial t's row is 2 * outcome + bit of trial t run alone, in the
+        # block and in run_protocol's one-trial chunk, and each chunk keeps
+        # the very table its kernel was given: the published one in
+        # run_trials, a caller's (here the derived one) in run_protocol
+        made = []
+        run_chunk = ghzsplit.protocol._run_chunk
+
+        def recording(*args):
+            made.append((args[-1], run_chunk(*args)))
+            return made[-1][1]
+
+        monkeypatch.setattr(ghzsplit.protocol, "_run_chunk", recording)
+        seed, trials = 23, 40
+        forced = (3, 1) if how == "forced" else None
+        published = published_correction_table(variant)
+        table = derive_table(variant).preferred_table() if how == "table" else None
+        used = published if table is None else table
+        (block,) = run_trials(variant, seed, trials, forced=forced)
+        ((given, chunk),) = made
+        assert given is published and chunk is block and block.table is published
+        rows = block.rows.tolist()
+        for trial in range(trials):
+            made.clear()
+            rng = substream(seed, trial)
+            spec = random_secret(variant, rng)
+            want = run_protocol(spec, rng=rng, forced=forced, table=table)
+            ((given, chunk),) = made
+            assert given is used and chunk.table is used
+            i, b = want.alice_outcome, want.charlie_bit
+            assert chunk.rows.tolist() == [2 * i + b]
+            assert divmod(rows[trial], 2) == (i, b)
+            assert want.correction is used[i, b]
+        if forced:
+            assert set(rows) == {7}
+        else:
+            assert len(set(rows)) > 2
 
 
 class TestOutcomeDistribution:

@@ -1,7 +1,7 @@
 """``run --format csv|text`` rows against their per-trial definitions.
 
 ``cli._run_rows`` writes a chunk's rows from one object array, with one
-text per distinct (outcome, bit, correction) row and one per distinct
+text per distinct row of the correction table and one per distinct
 fidelity. These tests compare it byte for byte with the rows that
 ``csv.writer`` and the per-trial text line give of each trial alone.
 """
@@ -14,10 +14,20 @@ import io
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ghzsplit import cli, protocol
-from ghzsplit.protocol import TRIAL_BLOCK, Variant, alice_cbits
+from ghzsplit.oracle import derive_table
+from ghzsplit.protocol import (
+    CANONICAL,
+    LITERAL,
+    TRIAL_BLOCK,
+    CorrectionTable,
+    Variant,
+    alice_cbits,
+    build_alice_basis,
+)
 from ghzsplit.statevec import _PAULI_BITS, PauliString
 
 # fidelities whose texts are easy to get wrong: a repr with an exponent, the
@@ -28,13 +38,11 @@ QUOTED = (",", '"', "\r", "\n")
 
 
 def _trials(chunk, first: int):
-    return zip(
-        itertools.count(first),
-        chunk.alice_outcomes,
-        chunk.charlie_bits,
-        chunk.corrections,
-        chunk.fidelities,
-    )
+    """(trial number, outcome, bit, correction, fidelity) of each trial."""
+    trials = zip(itertools.count(first), chunk.rows.tolist(), chunk.fidelities)
+    for trial, row, f in trials:
+        i, b = divmod(row, 2)
+        yield trial, i, b, chunk.table[i, b], f
 
 
 def _fields(chunk, first: int) -> list[list]:
@@ -70,15 +78,17 @@ def assert_rows(chunk, first: int) -> None:
 
 def _hand_built(variant: Variant, trials: list[tuple]):
     """A chunk of ``variant`` whose trial k is ``trials[k]``: (outcome,
-    bit, correction labels, fidelity)."""
+    bit, correction labels, fidelity), with a hand-built table of just the
+    trials' rows; trials of one row give it one correction."""
     chunk = next(protocol.run_trials(variant, 0, len(trials)))
-    outcomes, bits, labels, fidelities = zip(*trials)
+    rows = {}
+    for i, b, labels, _ in trials:
+        assert rows.setdefault((i, b), PauliString(labels)).labels == tuple(labels)
     return dataclasses.replace(
         chunk,
-        alice_outcomes=list(outcomes),
-        charlie_bits=list(bits),
-        corrections=[PauliString(p) for p in labels],
-        fidelities=list(fidelities),
+        rows=np.array([2 * i + b for i, b, _, _ in trials]),
+        table=CorrectionTable(variant, "hand-built", rows),
+        fidelities=[f for *_, f in trials],
     )
 
 
@@ -87,16 +97,16 @@ X, Z, I = "X", "Z", "I"  # noqa: E741
 
 @pytest.mark.parametrize("first", [0, 1, TRIAL_BLOCK, 10**6 + 7])
 def test_hand_built_rows_match_each_trial_alone(first):
-    # rows repeat and interleave; one outcome takes both bits, and one
-    # (outcome, bit) takes two corrections, so no key shorter than all
-    # three gives these bytes
+    # rows repeat and interleave; one outcome takes both bits, and two
+    # rows share one correction, so neither the outcome nor the correction
+    # alone tells these rows apart
     rows = [
         (5, 0, (X, I, Z)),
         (5, 1, (I, Z, X)),
         (5, 0, (X, I, Z)),
         (12, 1, ("iY", I, I)),
         (5, 1, (I, Z, X)),
-        (5, 1, (Z, Z, X)),
+        (7, 0, (I, Z, X)),
         (12, 1, ("iY", I, I)),
         (0, 0, (I, I, I)),
     ]
@@ -104,7 +114,7 @@ def test_hand_built_rows_match_each_trial_alone(first):
     trials = [(*row, f) for row, f in zip(rows * 3, fidelities)]
     chunk = _hand_built(Variant.THREE_A, trials)
     assert_rows(chunk, first)
-    assert len(cli._distinct_rows(chunk)[0]) == 5
+    assert len(cli._distinct_rows(chunk.rows, chunk.table)[0]) == 5
 
 
 def test_every_row_text_and_edge_fidelity_of_each_variant():
@@ -169,7 +179,54 @@ def test_no_run_field_can_hold_a_quoted_character():
         assert not any(c in part for c in QUOTED), part
 
 
-def test_distinct_rows_first_seen_order_and_index():
+def _export_fields(variant: Variant) -> list[str]:
+    """Every text an ``export --format csv`` field of ``variant`` is made
+    of: the variant, encoding and source names, each basis component's
+    bitstring and the ``repr`` of its amplitude's parts, and each table
+    row's bits and joined labels, published and derived."""
+    fields = [variant.value]
+    for encoding in (CANONICAL, LITERAL):
+        vectors = build_alice_basis(variant, encoding).vectors
+        width = vectors[0].num_qubits
+        fields.append(encoding)
+        for vec in vectors:
+            for k, amp in enumerate(vec.amplitudes.tolist()):
+                fields += [format(k, f"0{width}b"), repr(amp.real), repr(amp.imag)]
+    tables = [protocol.published_correction_table(variant)]
+    tables.append(derive_table(variant).preferred_table())
+    for table in tables:
+        fields.append(table.source)
+        for i, b, p in table.sorted_rows():
+            fields += [str(i), alice_cbits(i), str(b), str(p)]
+    return fields
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_no_export_field_can_hold_a_quoted_character(variant):
+    # so a plain comma join writes csv.writer's bytes
+    for field in _export_fields(variant):
+        assert not any(c in field for c in QUOTED), field
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_export_csv_is_csv_writers_bytes(variant, capsys):
+    # each export command's csv, read back, has the header's field count
+    # on every row, and csv.writer writes it in the same bytes
+    commands = [["--what", "basis"], ["--what", "basis", "--paper-literal"]]
+    commands += [["--what", "table", "--source", s] for s in ("published", "derived")]
+    for command in commands:
+        argv = ["export", "--variant", variant.value, "--format", "csv", *command]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 4 and {len(row) for row in rows} == {len(rows[0])}
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue() == out
+
+
+def test_distinct_rows_row_order_and_index():
+    # the distinct rows in row order, each with its table's own correction
     trials = [
         (3, 0, (X, X, I), 1.0),
         (1, 1, (I, I, Z), 1.0),
@@ -177,6 +234,10 @@ def test_distinct_rows_first_seen_order_and_index():
         (3, 1, (X, X, I), 1.0),
         (1, 1, (I, I, Z), 1.0),
     ]
-    keys, rows = cli._distinct_rows(_hand_built(Variant.THREE_A, trials))
-    assert keys == [(3, 0, (X, X, I)), (1, 1, (I, I, Z)), (3, 1, (X, X, I))]
-    assert rows == [0, 1, 0, 2, 1]
+    chunk = _hand_built(Variant.THREE_A, trials)
+    keys, rows = cli._distinct_rows(chunk.rows, chunk.table)
+    assert [(i, b, p.labels) for i, b, p in keys] == [
+        (1, 1, (I, I, Z)), (3, 0, (X, X, I)), (3, 1, (X, X, I))
+    ]
+    assert all(p is chunk.table.rows[i, b] for i, b, p in keys)
+    assert rows.tolist() == [1, 0, 1, 2, 0]
