@@ -26,8 +26,8 @@ distinct magnitude (a negative float is ``-`` and its magnitude's text). A
 block's csv rows or text lines are one object array too, (trials, 4),
 joined once: the trial number, the row text, made once per distinct table
 row, the fidelity text, made once per distinct value, and the line end. A
-trial's table row is one integer (``TrialChunk.rows``), and one step
-(``_distinct_rows``) finds the distinct rows for csv, text and JSON.
+trial's table row is one integer (``TrialChunk.rows``); the kernel finds a
+block's distinct rows (``_distinct_rows``) for csv and text, JSON a slice's.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -412,21 +412,20 @@ def _texts_once(floats: list[float], text: Callable[[float], str]) -> np.ndarray
 def _run_rows(chunk: TrialChunk, first: int, fmt: str) -> str:
     """CSV rows or text lines of one chunk, whose first trial is ``first``,
     joined once from a (trials, 4) object array: the trial number, the row
-    text, made once per distinct table row (``_distinct_rows``), the
+    text, made once per distinct table row (the kernel's ``distinct``), the
     fidelity's text, made once per distinct value (``_texts_once``), and the
     line end. No csv field can hold a delimiter, a quote or a line break, so
     ``csv.writer`` would write every one as it is.
     """
     number, row, fidelity = _ROW_TEXTS[fmt]
     name = chunk.variant.value
-    keys, rows = _distinct_rows(chunk.rows, chunk.table)
     texts = [
         row.format(variant=name, i=i, cbits=alice_cbits(i), b=b, correction=p)
-        for i, b, p in keys
+        for i, b, p in chunk.distinct
     ]
-    cells = np.empty((len(rows), 4), dtype=object)
-    cells[:, 0] = list(map(number, range(first, first + len(rows))))
-    cells[:, 1] = np.array(texts, dtype=object)[rows]
+    cells = np.empty((len(chunk.rows), 4), dtype=object)
+    cells[:, 0] = list(map(number, range(first, first + len(cells))))
+    cells[:, 1] = np.array(texts, dtype=object)[chunk.inverse]
     cells[:, 2] = _texts_once(chunk.fidelities, fidelity)
     cells[:, 3] = "\n"
     return "".join(cells.ravel().tolist())

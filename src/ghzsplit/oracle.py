@@ -26,17 +26,16 @@ carries basis anomalies (Gram-matrix defects of the active encoding) and
 structural inconsistencies between the canonical and literal encodings, so
 defective source rows are surfaced as data rather than hidden.
 
-Like the integer images, the test secrets' states before Bob's correction
-are built once per (variant, basis) per process, read-only; every
-``verify_table`` call still derives its table, finds the basis anomalies and
-grades its rows afresh. Only a process that verifies one (variant, encoding)
-more than once gains by it: one ``ghzsplit verify`` builds each state once
-either way.
+The integer images and the test secrets' states before Bob's correction
+are built once per variant per process, read-only, on the canonical basis:
+the literal encoding's row (i, b) is the canonical row (m[i], b) under its
+outcome map m (``VariantSpec.literal_outcomes``), and the notes on the two
+encodings are read off m. Every ``verify_table`` call still derives its
+table, finds the basis anomalies and grades its rows afresh.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ import numpy as np
 from .protocol import (
     CANONICAL,
     FIDELITY_ATOL,
-    LITERAL,
     SCHEMA_VERSION,
     CorrectionTable,
     Variant,
@@ -61,7 +59,6 @@ from .protocol import (
     substream,
 )
 from .statevec import (
-    NORM_ATOL,
     OrthonormalBasis,
     PauliString,
     StateVector,
@@ -202,7 +199,7 @@ def derive_corrections(
     """All Pauli corrections that recover every secret of the class on this row."""
     variant = Variant.parse(variant)
     outcome, bit = _check_row(variant, outcome, bit)
-    images, target = _class_images(variant, build_alice_basis(variant, CANONICAL))
+    images, target = _class_images(variant, build_alice_basis(variant))
     candidates, _, _ = _every_pauli(VARIANT_SPECS[variant].bob_qubits)
     return tuple(_solutions_for_row(images[outcome, bit], target, candidates))
 
@@ -249,12 +246,11 @@ class DerivedTable:
 
 def derive_table(variant: Variant | str) -> DerivedTable:
     """Exhaustively derive the correction table for every row of a variant."""
-    variant = Variant.parse(variant)
-    return _derived_table(variant, build_alice_basis(variant, CANONICAL))
+    return _derived_table(Variant.parse(variant))
 
 
-def _derived_table(variant: Variant, basis: OrthonormalBasis) -> DerivedTable:
-    images, target = _class_images(variant, basis)
+def _derived_table(variant: Variant) -> DerivedTable:
+    images, target = _class_images(variant, build_alice_basis(variant))
     candidates, _, _ = _every_pauli(VARIANT_SPECS[variant].bob_qubits)
     solutions: dict[tuple[int, int], tuple[PauliString, ...]] = {}
     exact: dict[tuple[int, int], tuple[PauliString, ...]] = {}
@@ -280,38 +276,28 @@ def _basis_anomalies(basis: OrthonormalBasis) -> list[dict]:
     return out
 
 
-@functools.cache
 def _encoding_inconsistencies(variant: Variant) -> tuple[dict, ...]:
     """Structural disagreements between the canonical and literal encodings,
-    made once per variant: each report takes copies of them."""
-    cmat = build_alice_basis(variant, CANONICAL).matrix()
-    literal = build_alice_basis(variant, LITERAL)
-    lmat = literal.matrix()
-    differing = np.flatnonzero(np.max(np.abs(lmat - cmat), axis=1) > NORM_ATOL).tolist()
-    if not differing:
+    read off the literal outcome map, made afresh for each report."""
+    outcomes = VARIANT_SPECS[variant].literal_outcomes
+    moved = [i for i, m in enumerate(outcomes) if m != i]
+    if not moved:
         return ()
-    if literal.gram_defects():  # four's literal basis repeats a vector
+    if len(set(outcomes)) < len(outcomes):  # four's literal basis repeats a vector
         return (
             {
                 "kind": "duplicated_basis_vector_in_literal_encoding",
-                "indices": differing,
+                "indices": moved,
                 "description": "the literal encoding repeats an earlier basis "
                 "vector; the canonical encoding restores the sign pattern "
                 "required for orthonormality",
             },
         )
-    # literal vectors are a relabeling of canonical ones; recover the pairing
-    overlaps = np.abs(lmat.conj() @ cmat.T)
-    relabeling = sorted(
-        [i, int(np.argmax(overlaps[i]))]
-        for i in differing
-        if np.max(overlaps[i]) > 1.0 - FIDELITY_ATOL
-    )
     return (
         {
             "kind": "phase_exponent_swap_in_literal_encoding",
-            "indices": differing,
-            "relabeling": relabeling,
+            "indices": moved,
+            "relabeling": [[i, outcomes[i]] for i in moved],
             "description": "the literal sign expansion swaps the two phase "
             "exponents, permuting which outcome labels which basis vector",
         },
@@ -353,12 +339,10 @@ class DiscrepancyReport:
 
 
 @functools.cache
-def _sampled_rows(
-    variant: Variant, basis: OrthonormalBasis
-) -> tuple[np.ndarray, np.ndarray]:
+def _sampled_rows(variant: Variant) -> tuple[np.ndarray, np.ndarray]:
     """Bob's pre-correction states for every (row, test secret) pair, rows
     in ``_all_rows`` order, (rows, secrets, 2**bob), and the test secrets'
-    amplitude rows, both read-only, built once per (variant, basis).
+    amplitude rows, both read-only, built once per variant (canonical basis).
 
     One ``_alice_measurement`` of the stacked test secrets, its span checked
     once; then one stacked ``collapse`` of the pairs' branches, picked by
@@ -367,7 +351,7 @@ def _sampled_rows(
     """
     keys = _all_rows(variant)
     secrets = _secret_rows(variant, _test_secrets(variant))
-    lifted = _alice_measurement(variant, basis)
+    lifted = _alice_measurement(variant, build_alice_basis(variant))
     branches, probs = lifted.project(secrets)
     _check_span(probs)
     count = len(secrets)
@@ -386,13 +370,16 @@ def verify_table(
     variant: Variant | str, *, encoding: str = CANONICAL
 ) -> DiscrepancyReport:
     """Grade every published row against the exhaustively derived solutions,
-    in Alice's basis of the given encoding."""
+    in Alice's basis of the given encoding, read through its outcome map."""
     variant = Variant.parse(variant)
     basis = build_alice_basis(variant, encoding)
+    outcomes = VARIANT_SPECS[variant].outcome_map(encoding)
     table = published_correction_table(variant)
-    derived = _derived_table(variant, basis)
+    derived = _derived_table(variant)
     keys = _all_rows(variant)
-    pre, secrets = _sampled_rows(variant, basis)
+    canonical = [(outcomes[i], b) for i, b in keys]
+    pre, secrets = _sampled_rows(variant)
+    pre = pre[[2 * i + b for i, b in canonical]]
     published_rows = [table[key] for key in keys]
     # every row's overlaps <secret|P pre> at once, (keys, secrets)
     matrices = np.stack([p.matrix() for p in published_rows])
@@ -400,12 +387,12 @@ def verify_table(
     fidelities = np.min(np.abs(overlaps) ** 2, axis=1).tolist()
     phases = overlaps[:, 0].tolist()
     findings = []
-    rows = zip(keys, published_rows, fidelities, phases)
-    for (outcome, bit), published, fidelity, first_overlap in rows:
-        sols = derived.solutions[(outcome, bit)]
+    rows = zip(keys, canonical, published_rows, fidelities, phases)
+    for (outcome, bit), row, published, fidelity, first_overlap in rows:
+        sols = derived.solutions[row]
         if published not in sols:
             status, phase = MISMATCH, None
-        elif published in derived.exact[(outcome, bit)]:
+        elif published in derived.exact[row]:
             status, phase = MATCH, None
         else:
             status, phase = PHASE_ONLY_MATCH, first_overlap
@@ -425,7 +412,7 @@ def verify_table(
         encoding=encoding,
         rows=tuple(findings),
         basis_anomalies=tuple(_basis_anomalies(basis)),
-        formula_inconsistencies=copy.deepcopy(_encoding_inconsistencies(variant)),
+        formula_inconsistencies=_encoding_inconsistencies(variant),
     )
 
 

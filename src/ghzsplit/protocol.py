@@ -17,8 +17,8 @@ Variant ids (also the CLI spellings):
   qubit 0 to Alice, 1,2,3,4 to Bob, 5 to Charlie.
 
 Alice's basis vectors are Pauli frames on one anchor vector per variant
-(``build_alice_basis``). The literal encoding keeps the source's two basis
-defects: reversed phase qubits and a repeated last ``four`` vector.
+(``build_alice_basis``). The literal encoding relabels them by an outcome
+map that keeps the source's two defects (``VariantSpec.literal_outcomes``).
 
 The correction tables shipped here are verbatim transcriptions of the
 published reference tables, including rows known to be defective; the oracle
@@ -99,6 +99,7 @@ class VariantSpec:
     alice_anchor: tuple[str, ...]
     alice_flips: tuple[int, ...]
     alice_phases: tuple[int, ...]
+    literal_outcomes: tuple[int, ...]  # see build_alice_basis
 
     @property
     def secret_qubits(self) -> int:
@@ -119,6 +120,11 @@ class VariantSpec:
     def num_outcomes(self) -> int:
         return 2 ** (len(self.alice_flips) + len(self.alice_phases))
 
+    def outcome_map(self, encoding: str) -> tuple[int, ...]:
+        """The canonical outcome that each label of ``encoding`` stands for."""
+        identity = tuple(range(self.num_outcomes))
+        return {CANONICAL: identity, LITERAL: self.literal_outcomes}[encoding]
+
 
 # Channel permutations: qubit i of the dealt channel is qubit perm[i] of the
 # raw GHZ (x) GHZ product, whose order is (first triplet 0,1,2, second 3,4,5).
@@ -131,6 +137,7 @@ VARIANT_SPECS = {
         alice_anchor=("00000", "01101", "10010", "11111"),
         alice_flips=(3, 4),
         alice_phases=(3, 4),
+        literal_outcomes=(0, 2, 1, 3, 4, 6, 5, 7, 8, 10, 9, 11, 12, 14, 13, 15),
     ),
     Variant.THREE_B: VariantSpec(
         variant=Variant.THREE_B,
@@ -140,6 +147,7 @@ VARIANT_SPECS = {
         alice_anchor=("00000", "00101", "11010", "11111"),
         alice_flips=(3, 4),
         alice_phases=(3, 4),
+        literal_outcomes=(0, 2, 1, 3, 4, 6, 5, 7, 8, 10, 9, 11, 12, 14, 13, 15),
     ),
     Variant.FOUR: VariantSpec(
         variant=Variant.FOUR,
@@ -149,6 +157,7 @@ VARIANT_SPECS = {
         alice_anchor=("00000", "00110", "11001", "11111"),
         alice_flips=(4,),
         alice_phases=(0,),
+        literal_outcomes=(0, 1, 2, 2),
     ),
 }
 
@@ -323,10 +332,10 @@ def build_alice_basis(
     ``alice_flips`` qubits and its low bits set z on the ``alice_phases``.
     That is ``(-1)**popcount(x & z)`` times the anchor under statevec's
     Pauli rule for the masks (x, z), which applies ``Z**z X**x``.
-    ``encoding="literal"`` reproduces the source verbatim, unchecked for
-    orthonormality, with its two defects: its sign expansion reverses the
-    phase qubits (a label swap in the 16-outcome bases), and its ``four``
-    basis repeats vector 2 as vector 3.
+    ``encoding="literal"`` gives the source's printed form, unchecked: its
+    vector i is canonical vector ``literal_outcomes[i]``. That map keeps the
+    source's two defects: reversed phase qubits swap labels 1/2, 5/6, 9/10
+    and 13/14 of the 16-outcome bases, and ``four`` repeats vector 2 as 3.
     """
     # checked before the cache, which cannot hash every wrong value
     if encoding not in ENCODINGS:
@@ -338,9 +347,8 @@ def build_alice_basis(
 def _alice_basis(variant: Variant, encoding: str) -> OrthonormalBasis:
     vs = VARIANT_SPECS[variant]
     width = len(vs.alice_anchor[0])
-    phases = vs.alice_phases[::-1] if encoding == LITERAL else vs.alice_phases
     # bit j of i, most significant first, drives qubit frame[j]
-    frame = (*vs.alice_flips, *phases)
+    frame = (*vs.alice_flips, *vs.alice_phases)
     anchor = np.zeros(2**width)
     anchor[[int(ket, 2) for ket in vs.alice_anchor]] = 0.5
     vectors = []
@@ -352,9 +360,8 @@ def _alice_basis(variant: Variant, encoding: str) -> OrthonormalBasis:
         order = (-1.0) ** bin(x & z).count("1")  # X**x Z**z = order * Z**z X**x
         # + 0.0 turns the -0.0 a sign flip leaves on a zero component into 0.0
         vectors.append(StateVector(order * sign * anchor[source] + 0.0))
-    if encoding == LITERAL and variant is Variant.FOUR:
-        vectors[3] = vectors[2]
-    return OrthonormalBasis(tuple(vectors), validate=(encoding == CANONICAL))
+    vectors = tuple(vectors[m] for m in vs.outcome_map(encoding))
+    return OrthonormalBasis(vectors, validate=encoding == CANONICAL)
 
 
 # the cache's hits and misses, read through the public name
@@ -631,7 +638,8 @@ class TrialChunk:
     the chunk's trial t. ``coefficients`` are the trials' class
     coefficients, drawn or fixed; None in ``run_protocol``'s chunk.
     ``rows`` holds each trial's row of ``table``, the table the kernel used,
-    as ``2 * alice_outcome + charlie_bit`` (``sorted_rows``' order).
+    as ``2 * alice_outcome + charlie_bit`` (``sorted_rows``' order), and
+    ``distinct`` and ``inverse`` are the kernel's ``_distinct_rows`` of them.
     ``alice_branches`` holds Alice's branches on the kets ``alice_kets``,
     ``bob_before`` and ``bob_after`` Bob's full rows."""
 
@@ -639,6 +647,8 @@ class TrialChunk:
     coefficients: np.ndarray | None
     rows: np.ndarray
     table: CorrectionTable
+    distinct: list[tuple[int, int, PauliString]]
+    inverse: np.ndarray
     bob_before: np.ndarray
     bob_after: np.ndarray
     fidelities: list[float]
@@ -681,6 +691,8 @@ def _run_chunk(
         coefficients=coefficients,
         rows=rows,
         table=table,
+        distinct=keys,
+        inverse=inverse,
         bob_before=bob_before,
         bob_after=bob_after,
         fidelities=fidelity(bob_after, secret_rows),
@@ -791,14 +803,14 @@ def run_protocol(
             raise ValueError("need rng, seed, or forced outcomes")
         uniforms = rng.random((2, 1))
     chunk = _run_chunk(variant, None, rows, uniforms, forced, table)
-    outcome, bit = divmod(int(chunk.rows[0]), 2)
+    [(outcome, bit, correction)] = chunk.distinct
     return Transcript(
         variant=variant,
         secret=secret,
         alice_outcome=outcome,
         alice_cbits=alice_cbits(outcome),
         charlie_bit=bit,
-        correction=chunk.table[outcome, bit],
+        correction=correction,
         bob_state_before=StateVector(chunk.bob_before[0]),
         bob_state_after=StateVector(chunk.bob_after[0]),
         fidelity=chunk.fidelities[0],

@@ -19,7 +19,6 @@ from ghzsplit.oracle import (
     _basis_anomalies,
     _class_images,
     _class_mass,
-    _derived_table,
     _image_sign,
     _preimage_index,
     _solutions_for_row,
@@ -37,6 +36,8 @@ from ghzsplit.protocol import (
     SecretSpec,
     Variant,
     VARIANT_SPECS,
+    _alice_measurement,
+    _secret_rows,
     build_alice_basis,
     build_secret,
     published_correction_table,
@@ -399,18 +400,30 @@ class TestVerifyTable:
         assert note["indices"] == [3]
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_encoding_notes_made_once_per_variant(self, variant):
-        # both encodings' reports, twice each: one comparison of the two
-        # bases per variant, its notes a tuple, and each report its own copy
-        oracle._encoding_inconsistencies.cache_clear()
+    def test_encoding_notes_match_the_bases(self, variant):
+        # the notes, read off the outcome map, against a comparison of the
+        # two bases' vectors: the literal labels whose vector differs, and
+        # the canonical label of the vector each one holds
+        cmat = build_alice_basis(variant, CANONICAL).matrix()
+        lmat = build_alice_basis(variant, LITERAL).matrix()
+        moved = [i for i in range(len(lmat)) if not np.array_equal(lmat[i], cmat[i])]
+        pairs = [
+            [i, j] for i in moved for j in range(len(cmat))
+            if np.array_equal(lmat[i], cmat[j])
+        ]
+        # both encodings' reports, twice each: each report its own notes
         reports = [verify_table(variant, encoding=e) for e in ENCODINGS * 2]
-        info = oracle._encoding_inconsistencies.cache_info()
-        assert (info.misses, info.hits) == (1, len(reports) - 1)
-        cached = oracle._encoding_inconsistencies(variant)
-        assert isinstance(cached, tuple) and len(cached) == 1
-        for report in reports:
-            assert report.formula_inconsistencies == cached
-            assert report.formula_inconsistencies[0] is not cached[0]
+        (note,) = reports[0].formula_inconsistencies
+        assert note["indices"] == moved
+        if variant is Variant.FOUR:  # literal vector 3 repeats canonical 2
+            assert note["kind"] == "duplicated_basis_vector_in_literal_encoding"
+            assert pairs == [[3, 2]] and "relabeling" not in note
+        else:
+            assert note["relabeling"] == pairs
+        for report in reports[1:]:
+            assert report.formula_inconsistencies == (note,)
+            assert report.formula_inconsistencies[0] is not note
+            assert report.formula_inconsistencies[0]["indices"] is not note["indices"]
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_changing_a_reports_notes_leaves_the_next_report(self, variant):
@@ -434,9 +447,9 @@ class TestVerifyTable:
         )
         anomalies = _basis_anomalies(bad)
         assert any(a["kind"] == "duplicated_basis_vector" for a in anomalies)
-        derived = _derived_table(Variant.THREE_A, bad)
+        solutions = _solutions_in(Variant.THREE_A, bad)
         table = published_correction_table(Variant.THREE_A)
-        assert any(table[key] not in sols for key, sols in derived.solutions.items())
+        assert any(table[key] not in sols for key, sols in solutions.items())
 
     def test_report_round_trips_through_json(self):
         report = verify_table(Variant.THREE_B)
@@ -459,11 +472,11 @@ class TestVerifyTable:
         # from one PauliString.matrix call per graded row
         keys = _all_rows(variant)
         table = published_correction_table(variant)
-        pre, secrets = oracle._sampled_rows(
-            variant, build_alice_basis(variant, encoding)
-        )
+        pre, secrets = oracle._sampled_rows(variant)
+        outcomes = VARIANT_SPECS[variant].outcome_map(encoding)
         want = {}
-        for key, row_pre in zip(keys, pre):
+        for key in keys:
+            row_pre = pre[2 * outcomes[key[0]] + key[1]]  # its canonical row
             product = row_pre @ table[key].matrix().T
             overlaps = np.sum(secrets.conj() * product, axis=1)
             want[key] = np.min(np.abs(overlaps) ** 2), complex(overlaps[0])
@@ -492,8 +505,8 @@ class TestVerifyTable:
 
 
 class TestCachedStates:
-    """The test secrets' states are built once per (variant, basis) per
-    process, read-only."""
+    """The test secrets' states are built once per variant per process, on
+    the canonical basis, read-only, for reports of either encoding."""
 
     CASES = [(v, e) for v in ALL_VARIANTS for e in ENCODINGS]
 
@@ -501,8 +514,8 @@ class TestCachedStates:
         "variant,encoding", CASES, ids=[f"{v.value}-{e}" for v, e in CASES]
     )
     def test_cached_arrays_refuse_writes(self, variant, encoding, fresh_caches):
-        basis = build_alice_basis(variant, encoding)
-        pre, secrets = oracle._sampled_rows(variant, basis)
+        verify_table(variant, encoding=encoding)
+        pre, secrets = oracle._sampled_rows(variant)
         rows = len(_all_rows(variant))
         assert pre.shape[:2] == (rows, len(secrets))
         for array in (pre, secrets):
@@ -513,7 +526,7 @@ class TestCachedStates:
                 array[(0,) * array.ndim] = 1
             with pytest.raises(ValueError, match="read-only"):
                 array *= 2
-        again = oracle._sampled_rows(variant, basis)
+        again = oracle._sampled_rows(variant)
         assert again[0] is pre and again[1] is secrets
         assert oracle._sampled_rows.cache_info().misses == 1
 
@@ -637,6 +650,17 @@ def _duplicated_first_vector(vectors):
     return (vectors[1], *vectors[1:])
 
 
+def _solutions_in(variant, basis):
+    """Each row's signed solutions in ``basis``: ``_derived_table``'s search,
+    one lookup per row in the integer images, on any basis."""
+    images, target = _class_images(variant, basis)
+    candidates = _every_pauli(VARIANT_SPECS[variant].bob_qubits)[0]
+    return {
+        key: _solutions_for_row(images[key], target, candidates)
+        for key in _all_rows(variant)
+    }
+
+
 class TestVariantByName:
     """The oracle's entry points take a variant's name as its Variant."""
 
@@ -703,13 +727,14 @@ class TestExactOracleAgainstReference:
         "variant,encoding", CASES, ids=[f"{v.value}-{e}" for v, e in CASES]
     )
     def test_rows_match_reference(self, variant, encoding, reference):
-        # a built-in encoding goes through verify_table; the duplicated
-        # basis, which no caller can pass to it, through _derived_table
+        # each row's search on the basis itself, through the integer images;
+        # a built-in encoding also through verify_table, which reads the
+        # literal rows off the canonical ones
         ref_oracle = reference("oracle")
         ref_variant = reference("protocol").Variant(variant.value)
         basis, ref_basis = self.bases(variant, encoding, reference)
         theirs = ref_oracle.verify_table(ref_variant, basis=ref_basis)
-        derived = _derived_table(variant, basis)
+        signed = _solutions_in(variant, basis)
         ref_derived = ref_oracle.derive_table(ref_variant, basis=ref_basis)
         table = published_correction_table(variant)
 
@@ -718,12 +743,14 @@ class TestExactOracleAgainstReference:
 
         for ref_row in theirs.rows:
             key = (ref_row.alice_outcome, ref_row.charlie_bit)
-            assert labels(derived.solutions[key]) == labels(ref_row.solutions), key
-            assert labels(derived.exact[key]) == labels(ref_derived.exact[key]), key
-            if table[key] not in derived.solutions[key]:
+            solutions = list(signed[key])
+            exact = [p for p, sign in signed[key].items() if sign > 0]
+            assert labels(solutions) == labels(ref_row.solutions), key
+            assert labels(exact) == labels(ref_derived.exact[key]), key
+            if table[key] not in solutions:
                 status = MISMATCH
             else:
-                status = MATCH if table[key] in derived.exact[key] else PHASE_ONLY_MATCH
+                status = MATCH if table[key] in exact else PHASE_ONLY_MATCH
             assert status == ref_row.status, key
         if encoding == "duplicated":  # the defect reaches the verdicts
             assert any(r.status == MISMATCH for r in theirs.rows)
@@ -748,3 +775,34 @@ class TestExactOracleAgainstReference:
         rotated = OrthonormalBasis(tuple(vectors))
         with pytest.raises(ValueError, match="integer Kraus operators"):
             _class_images(variant, rotated)
+
+
+class TestLiteralOutcomeMap:
+    """The literal basis is the canonical one relabelled: the oracle builds
+    on the canonical basis alone and reads a literal row (i, b) as the
+    canonical row (literal_outcomes[i], b). These build on the literal
+    basis itself, which the oracle never does."""
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_literal_images_are_the_canonical_ones_through_the_map(self, variant):
+        outcomes = list(VARIANT_SPECS[variant].literal_outcomes)
+        canonical, target = _class_images(variant, build_alice_basis(variant))
+        literal = build_alice_basis(variant, LITERAL)
+        images, literal_target = _class_images(variant, literal)
+        assert np.array_equal(literal_target, target)
+        assert np.array_equal(images, canonical[outcomes])
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_literal_branches_are_the_canonical_ones_through_the_map(self, variant):
+        # Alice's branches of the test secrets, bit for bit: every later step
+        # of a row's states works on its branch alone
+        outcomes = list(VARIANT_SPECS[variant].literal_outcomes)
+        secrets = _secret_rows(variant, _test_secrets(variant))
+        canonical = _alice_measurement(variant, build_alice_basis(variant))
+        literal = _alice_measurement(variant, build_alice_basis(variant, LITERAL))
+        assert literal.kets.live == canonical.kets.live
+        (want, want_probs), (got, probs) = (
+            lifted.project(secrets) for lifted in (canonical, literal)
+        )
+        assert np.array_equal(got.view(np.uint64), want[:, outcomes].view(np.uint64))
+        assert np.array_equal(probs.view(np.uint64), want_probs[:, outcomes].view(np.uint64))

@@ -106,19 +106,21 @@ def test_run_projects_once_per_party_per_block(fmt, alone, projections, capsys):
 
 
 def test_integer_operators_take_one_projection_per_basis(fresh_caches, projections):
-    # the secret's unit kets, stacked, projected onto Alice's basis once per
-    # (variant, basis); derive_table itself projects nothing
+    # the secret's unit kets, stacked, projected onto Alice's canonical
+    # basis once per variant; derive_table itself projects nothing
     derive_table(Variant.THREE_A)
     assert projections == {5: 1}
     derive_table(Variant.THREE_A)
     assert projections == {5: 1}
-    # another basis: its operators, then its test secrets and their Hadamard
+    # the literal encoding reads the canonical operators through its
+    # outcome map: only the test secrets and their Hadamard are projected
     verify_table(Variant.THREE_A, encoding="literal")
-    assert projections == {5: 3, 1: 1}
-    # both are kept: a repeat projects nothing
+    assert projections == {5: 2, 1: 1}
+    # both are kept: a repeat, in either encoding, projects nothing
     verify_table(Variant.THREE_A, encoding="literal")
+    verify_table(Variant.THREE_A)
     derive_table(Variant.THREE_A)
-    assert projections == {5: 3, 1: 1}
+    assert projections == {5: 2, 1: 1}
 
 
 def test_oracle_projects_each_test_secret_once_per_basis(

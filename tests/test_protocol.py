@@ -43,7 +43,12 @@ from ghzsplit.protocol import (
     run_trials,
     substream,
 )
-from ghzsplit.statevec import NormalizationError, OutOfSpanError, StateVector
+from ghzsplit.statevec import (
+    NormalizationError,
+    OutOfSpanError,
+    StateVector,
+    _xor_sign_tables,
+)
 
 THREE_VARIANTS = [Variant.THREE_A, Variant.THREE_B]
 ALL_VARIANTS = list(Variant)
@@ -427,6 +432,28 @@ class TestGeneratorsBuilt:
         assert built == {"substream": 0, "Generator": 0}
 
 
+def source_literal_matrix(variant: Variant) -> np.ndarray:
+    """The literal basis by the source's own rule, as a matrix: the frame
+    rule with the phase qubits taken in reverse order, and ``four``'s
+    vector 2 written again as vector 3."""
+    vs = VARIANT_SPECS[variant]
+    width = len(vs.alice_anchor[0])
+    frame = (*vs.alice_flips, *vs.alice_phases[::-1])
+    anchor = np.zeros(2**width)
+    anchor[[int(ket, 2) for ket in vs.alice_anchor]] = 0.5
+    vectors = []
+    for i in range(vs.num_outcomes):
+        bits = format(i, f"0{len(frame)}b")
+        on = [1 << (width - 1 - q) if b == "1" else 0 for q, b in zip(frame, bits)]
+        x, z = sum(on[: len(vs.alice_flips)]), sum(on[len(vs.alice_flips) :])
+        source, sign = _xor_sign_tables(2**width, x, z)
+        order = (-1.0) ** bin(x & z).count("1")
+        vectors.append(order * sign * anchor[source] + 0.0)
+    if variant is Variant.FOUR:
+        vectors[3] = vectors[2]
+    return np.array(vectors, dtype=complex)
+
+
 class TestAliceBasis:
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
     def test_canonical_is_orthonormal(self, variant):
@@ -470,6 +497,20 @@ class TestAliceBasis:
                 atol=1e-15,
             )
         assert literal.gram_defects(1e-12) == []
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_ids(ALL_VARIANTS))
+    def test_literal_basis_is_the_source_rule(self, variant):
+        # the canonical vectors through the outcome map give the source's
+        # reversed phases and repeated vector, bit for bit, signed zeros too
+        literal = build_alice_basis(variant, LITERAL)
+        want = source_literal_matrix(variant)
+        assert literal.matrix().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        canonical = build_alice_basis(variant).vectors
+        outcomes = VARIANT_SPECS[variant].literal_outcomes
+        assert len(outcomes) == VARIANT_SPECS[variant].num_outcomes
+        for vector, m in zip(literal.vectors, outcomes):
+            assert vector.amplitudes.tobytes() == canonical[m].amplitudes.tobytes()
+        assert not literal.validate
 
     def test_four_literal_duplicates_last_vector(self):
         literal = build_alice_basis(Variant.FOUR, LITERAL)

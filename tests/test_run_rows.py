@@ -84,10 +84,15 @@ def _hand_built(variant: Variant, trials: list[tuple]):
     rows = {}
     for i, b, labels, _ in trials:
         assert rows.setdefault((i, b), PauliString(labels)).labels == tuple(labels)
+    table = CorrectionTable(variant, "hand-built", rows)
+    rows = np.array([2 * i + b for i, b, _, _ in trials])
+    distinct, inverse = protocol._distinct_rows(rows, table)
     return dataclasses.replace(
         chunk,
-        rows=np.array([2 * i + b for i, b, _, _ in trials]),
-        table=CorrectionTable(variant, "hand-built", rows),
+        rows=rows,
+        table=table,
+        distinct=distinct,
+        inverse=inverse,
         fidelities=[f for *_, f in trials],
     )
 
@@ -137,6 +142,25 @@ def test_kernel_chunks_match_each_trial_alone(variant, forced):
     for chunk in chunks:
         assert_rows(chunk, first)
         first += len(chunk.fidelities)
+
+
+def test_csv_run_finds_distinct_rows_once_per_block(monkeypatch, capsys):
+    # the kernel finds each block's distinct rows, and the csv writer reads
+    # them off the chunk: three blocks, three calls
+    calls = []
+    original = protocol._distinct_rows
+
+    def counting(rows, table):
+        calls.append(len(rows))
+        return original(rows, table)
+
+    for module in (protocol, cli):
+        monkeypatch.setattr(module, "_distinct_rows", counting)
+    trials = 2 * TRIAL_BLOCK + 1
+    argv = ["run", "--variant", "three-a", "--trials", str(trials), "--format", "csv"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == trials + 1
+    assert calls == [TRIAL_BLOCK, TRIAL_BLOCK, 1]
 
 
 def test_three_b_minus_rows_take_many_fidelities():
