@@ -12,22 +12,28 @@ Three subcommands:
 Every command writes through one writer, to stdout and to the ``--emit``
 file. Every JSON document, the error on stderr too, comes out in the bytes
 ``json.dumps(document, indent=2)`` gives, from ``_json_text``, which joins
-each dict's and list's item texts once and never runs json's pure-Python
-indenting encoder. ``run`` makes its trials one ``run_trials`` block of
-1024 at a time, whatever the format, and writes each block's csv rows,
-text lines or JSON transcripts before the next block is made. Transcripts
-are filled straight from the block's arrays between literal pieces of
-text, cut once per run from the ``to_dict`` tree of trial 0 remade by
-``substream``, ``random_secret`` and ``run_protocol``; the pieces hold the
-leaves every trial of the run shares. JSON encodes a block 128 trials at a
-time: a slice's pieces and leaf texts are one object array, joined and
-written a few trials at a time, and its floats get one ``repr`` per
-distinct magnitude (a negative float is ``-`` and its magnitude's text). A
-block's csv rows or text lines are one object array too, (trials, 4),
-joined once: the trial number, the row text, made once per distinct table
-row, the fidelity text, made once per distinct value, and the line end. A
-trial's table row is one integer (``TrialChunk.rows``); the kernel finds a
-block's distinct rows (``_distinct_rows``) for csv and text, JSON a slice's.
+each dict's and list's item texts once, writes leaf items inline and never
+runs json's pure-Python indenting encoder. A ``verify`` report's rows and
+an ``export --what table`` document's are written by ``_with_rows``
+without a dict per row: each row fills one format, cut once per document
+from the first row's ``to_dict`` keys, with value texts made straight from
+the ``RowFinding`` or table row, and each Pauli's label-list text is made
+once per (labels, depth) per document. ``run`` makes its trials one
+``run_trials`` block of 1024 at a time, whatever the format, and writes
+each block's csv rows, text lines or JSON transcripts before the next
+block is made. Transcripts are filled straight from the block's arrays
+between literal pieces of text, cut once per run from the ``to_dict`` tree
+of trial 0 remade by ``substream``, ``random_secret`` and ``run_protocol``;
+the pieces hold the leaves every trial of the run shares. JSON encodes a
+block 128 trials at a time: a slice's pieces and leaf texts are one object
+array, joined and written a few trials at a time, and its floats get one
+``repr`` per distinct magnitude (a negative float is ``-`` and its
+magnitude's text). A block's csv rows or text lines are one object array
+too, (trials, 4), joined once: the trial number, the row text, made once
+per distinct table row, the fidelity text, made once per distinct value,
+and the line end. A trial's table row is one integer (``TrialChunk.rows``);
+the kernel finds a block's distinct rows (``_distinct_rows``) for csv and
+text, JSON a slice's.
 
 Output is deterministic: no timestamps, hostnames, or filesystem paths appear
 in any document, so identical invocations are byte-identical. Configuration
@@ -54,7 +60,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._numpy_bits import NumpyBitsError
-from .oracle import derive_table, verify_table
+from .oracle import RowFinding, derive_table, verify_table
 from .protocol import (
     CANONICAL,
     FIDELITY_ATOL,
@@ -66,6 +72,7 @@ from .protocol import (
     _distinct_rows,
     _joint_weights,
     _resolve_forced,
+    _table_row,
     alice_cbits,
     build_alice_basis,
     published_correction_table,
@@ -224,38 +231,57 @@ def _json_text(value, depth: int = 0) -> str:
     """``value`` as ``json.dumps(doc, indent=2)`` writes it ``depth`` levels
     inside ``doc``, without json's pure-Python indenting encoder: a leaf by
     its exact type (``_LEAF_TEXTS``), a dict with str keys only, a list or
-    a tuple as its items' texts joined once. Any other value goes to
-    ``json.dumps``, and no JSON string holds a raw newline, so each of its
-    line breaks just gains the outer indent: json's bytes and errors stay.
-    Values are fresh trees: no cycle checks."""
+    a tuple as its items' texts joined once, a leaf item's text written
+    inline. Any other value goes to ``json.dumps``, and no JSON string holds
+    a raw newline, so each of its line breaks just gains the outer indent:
+    json's bytes and errors stay. Values are fresh trees: no cycle checks."""
     kind = type(value)
     leaf = _LEAF_TEXTS.get(kind)
     if leaf is not None:
         return leaf(value)
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
+    texts = _LEAF_TEXTS
     if kind is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
         items = [
-            encode_basestring_ascii(key) + ": " + _json_text(item, depth + 1)
+            encode_basestring_ascii(key)
+            + ": "
+            + (
+                texts[type(item)](item)
+                if type(item) in texts
+                else _json_text(item, depth + 1)
+            )
             for key, item in value.items()
         ]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
+        return _joined(items, depth, "{}")
     if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = [_json_text(item, depth + 1) for item in value]
-        return "[" + inner + ("," + inner).join(items) + outer + "]"
-    return json.dumps(value, indent=2).replace("\n", outer)
+        items = [
+            texts[type(item)](item)
+            if type(item) in texts
+            else _json_text(item, depth + 1)
+            for item in value
+        ]
+        return _joined(items, depth)
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _joined(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A list's, or with ``brackets`` ``"{}"`` a dict's, item texts as
+    ``json.dumps(indent=2)`` joins them ``depth`` levels deep."""
+    if not items:
+        return brackets
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
 
 
 # what json.dumps writes for the magnitudes whose repr is not JSON
 _FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity"}
 # every bit of a float64 but its sign
 _MAGNITUDE = np.int64(2**63 - 1)
-# stands in for every per-trial leaf of a template's tree; JSON writes it escaped
+# stands in for every per-trial leaf of a template's tree, and for each
+# per-row value of a verify report's or a table's rows
 _LEAF = "\x00"
+# the stand-in as JSON writes it, escaped: where a template is cut
+_STAND_IN = json.dumps(_LEAF)
 # the transcript fields that differ between a run's trials, besides its floats
 _PER_TRIAL = {"alice_outcome", "alice_cbits", "charlie_bit", "messages", "correction"}
 # transcripts per joined text and write; a 32-trial text, or a 128-trial one,
@@ -313,7 +339,7 @@ def _template(chunk: TrialChunk, seed: int, secret, forced) -> list[str]:
     if (t.alice_outcome, t.charlie_bit, t.fidelity) != row:
         raise NumpyBitsError(f"the kernel's trial 0 {row} differs from run_protocol's")
     tree = {key: _skeleton(v, key in _PER_TRIAL) for key, v in t.to_dict().items()}
-    return _json_text(tree, 2).split(json.dumps(_LEAF))
+    return _json_text(tree, 2).split(_STAND_IN)
 
 
 def _transcripts(chunk: TrialChunk, pieces: list[str], first: bool) -> Iterator[str]:
@@ -497,6 +523,77 @@ def _cmd_run(args) -> int:
     return 0 if ok else 1
 
 
+class _LabelTexts(dict):
+    """One document's Pauli label-list texts, keyed by (labels, depth), each
+    made once: ``_json_text(list(labels), depth)``, the labels all str."""
+
+    def __missing__(self, key):
+        labels, depth = key
+        text = self[key] = _joined(list(map(encode_basestring_ascii, labels)), depth)
+        return text
+
+
+def _finding_texts(row: RowFinding, labels: _LabelTexts, depth: int) -> tuple:
+    """The value texts of ``row.to_dict()`` ``depth`` levels deep, in its
+    key order."""
+    inner = depth + 1
+    phase = row.phase
+    return (
+        int.__repr__(row.alice_outcome),
+        int.__repr__(row.charlie_bit),
+        encode_basestring_ascii(row.status),
+        labels[row.published.labels, inner],
+        _joined([labels[p.labels, inner + 1] for p in row.solutions], inner),
+        _float_json(row.published_min_fidelity),
+        "null"
+        if phase is None
+        else _joined([_float_json(phase.real), _float_json(phase.imag)], inner),
+    )
+
+
+def _table_row_texts(row: tuple, labels: _LabelTexts, depth: int) -> tuple:
+    """The value texts of ``_table_row(row)`` ``depth`` levels deep, for a
+    ``CorrectionTable.sorted_rows()`` row, in its key order."""
+    outcome, bit, correction = row
+    return (
+        int.__repr__(outcome),
+        encode_basestring_ascii(alice_cbits(outcome)),
+        int.__repr__(bit),
+        labels[correction.labels, depth + 1],
+    )
+
+
+def _with_rows(
+    doc: dict,
+    tables: list,
+    row_dict: Callable[..., dict],
+    row_texts: Callable[..., tuple],
+) -> str:
+    """``_json_text(doc)`` with its k-th ``_LEAF`` stand-in, the ``rows``
+    entry of a report's or a table's ``_document``, written as the list of
+    the dicts ``row_dict`` makes of ``tables[k]``'s rows, without making
+    them. A row is one ``%`` of a format cut once per document and depth
+    from the first row's dict, its values the stand-in, with the row's value
+    texts (``row_texts``); a Pauli's label-list text is made once per depth
+    (``_LabelTexts``). A row whose text count does not fit the format
+    raises TypeError instead of writing other bytes.
+    """
+    pieces = _json_text(doc).split(_STAND_IN)
+    if len(pieces) != len(tables) + 1:
+        raise ValueError(f"{len(pieces) - 1} stand-ins for {len(tables)} row lists")
+    labels, formats, out = _LabelTexts(), {}, [pieces[0]]
+    for before, rows, after in zip(pieces, tables, pieces[1:]):
+        # a stand-in is as deep as the line of its key is indented
+        line = before.rpartition("\n")[2]
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        if rows and depth not in formats:
+            cut = _json_text(dict.fromkeys(row_dict(rows[0]), _LEAF), depth + 1)
+            formats[depth] = cut.replace("%", "%%").replace(_STAND_IN, "%s")
+        texts = [formats[depth] % row_texts(row, labels, depth + 1) for row in rows]
+        out += (_joined(texts, depth), after)
+    return "".join(out)
+
+
 def _verify_text(report_dict: dict) -> list[str]:
     counts = report_dict["status_counts"]
     lines = [
@@ -531,18 +628,19 @@ def _cmd_verify(args) -> int:
     encoding = LITERAL if args.paper_literal else CANONICAL
     reports = [verify_table(v, encoding=encoding) for v in variants]
     passed = all(r.passed for r in reports)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "encoding": encoding,
-        "passed": passed,
-        "reports": [r.to_dict() for r in reports],
-    }
     with _output(args.emit) as write:
         if args.format == "json":
-            write(_json_text(doc) + "\n")
+            doc = {
+                "schema_version": SCHEMA_VERSION,
+                "command": "verify",
+                "encoding": encoding,
+                "passed": passed,
+                "reports": [r._document(_LEAF) for r in reports],
+            }
+            rows = [r.rows for r in reports]
+            write(_with_rows(doc, rows, RowFinding.to_dict, _finding_texts) + "\n")
         else:
-            lines = [line for report in doc["reports"] for line in _verify_text(report)]
+            lines = [line for r in reports for line in _verify_text(r.to_dict())]
             lines.append(f"verify: passed={'yes' if passed else 'no'}")
             write("\n".join(lines) + "\n")
     return 0 if passed else 1
@@ -570,6 +668,7 @@ def _cmd_export(args) -> int:
                 for i, vec in enumerate(basis.vectors)
             ],
         }
+        document = functools.partial(_json_text, doc)
         header = [
             "variant",
             "encoding",
@@ -591,13 +690,15 @@ def _cmd_export(args) -> int:
             table = derive_table(variant).preferred_table()
         else:  # published, also when --source is not given
             table = published_correction_table(variant)
-        table_dict = table.to_dict()
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "export",
             "what": "table",
-            **table_dict,
+            **table._document(_LEAF),
         }
+        document = functools.partial(
+            _with_rows, doc, [table.sorted_rows()], _table_row, _table_row_texts
+        )
         header = [
             "variant",
             "source",
@@ -611,11 +712,11 @@ def _cmd_export(args) -> int:
                 variant.value, table.source, row["alice_outcome"],
                 row["alice_cbits"], row["charlie_bit"], "*".join(row["correction"]),
             ]
-            for row in table_dict["rows"]
+            for row in table.to_dict()["rows"]
         )
     with _output(args.emit) as write:
         if args.format == "json":
-            write(_json_text(doc) + "\n")
+            write(document() + "\n")
         else:
             write(_csv_payload([header, *rows]))
     return 0

@@ -10,7 +10,9 @@ correction P recovers every secret iff ``P @ Kint @ V == ±mu * V`` exactly,
 with ``mu = 4 / sqrt(outcomes)``; iY is real, so no other phase can occur.
 Once per variant, the oracle indexes the image each Pauli correction on
 Bob's qubits (64 or 256) maps to ``±mu * V``: one lookup gives a row's
-solutions, a coset of the class stabilizer, with signs. Rows are graded:
+solutions, a coset of the class stabilizer, each mapped to its sign
+(``DerivedTable.signed``). A published row's grade is one signed lookup of
+its correction in that map:
 
 * MATCH: the published correction satisfies it with the + sign, so it
   reproduces every secret exactly, amplitude for amplitude.
@@ -80,6 +82,8 @@ INTEGER_ATOL = 1e-9
 MATCH = "MATCH"
 PHASE_ONLY_MATCH = "PHASE_ONLY_MATCH"
 MISMATCH = "MISMATCH"
+# a published correction's grade by its sign in the row's signed solutions
+_GRADES = {1: MATCH, -1: PHASE_ONLY_MATCH, None: MISMATCH}
 
 # seeded test secrets behind a report's published_min_fidelity and phase
 TEST_SEED = 271828
@@ -164,14 +168,10 @@ def _image_sign(pauli: PauliString, pre: np.ndarray, targets: np.ndarray) -> int
     return int((corrected == targets).all()) - int((corrected == -targets).all())
 
 
-def _solutions_for_row(
-    pre: np.ndarray, targets: np.ndarray, candidates: tuple[PauliString, ...]
-) -> dict[PauliString, int]:
-    """The candidates P (``_every_pauli``'s strings) with ``P @ pre ==
-    ±targets`` exactly, in candidate order, each mapped to its sign, by one
-    ``_preimage_index`` lookup: int64 arrays of one shape are equal exactly
-    when their bytes are. ``pre`` is ``Kint[i, b] @ V``, targets ``mu * V``."""
-    rows = 2 ** len(candidates[0])
+def _refuse_operands(pre, targets, rows: int) -> None:
+    """Raise ValueError naming the first of ``_solutions_for_row``'s two
+    operands that is not an int64 array of the target's shape with ``rows``
+    rows."""
     shape = targets.shape if type(targets) is np.ndarray else np.shape(targets)
     for name, image in (("image", pre), ("target", targets)):
         if not (
@@ -185,7 +185,28 @@ def _solutions_for_row(
                 f"{name} must be an int64 array of the target's shape, with "
                 f"{rows} rows; got {dtype} {np.shape(image)}, target {shape}"
             )
-    hits = _preimage_index(shape, targets.tobytes()).get(pre.tobytes(), ())
+
+
+def _solutions_for_row(
+    pre: np.ndarray, targets: np.ndarray, candidates: tuple[PauliString, ...]
+) -> dict[PauliString, int]:
+    """The candidates P (``_every_pauli``'s strings) with ``P @ pre ==
+    ±targets`` exactly, in candidate order, each mapped to its sign, by one
+    ``_preimage_index`` lookup: int64 arrays of one shape are equal exactly
+    when their bytes are. ``pre`` is ``Kint[i, b] @ V``, targets ``mu * V``;
+    both are tested by one condition, and ``_refuse_operands`` names the
+    one that fails it."""
+    rows = 2 ** len(candidates[0])
+    if not (
+        type(pre) is np.ndarray
+        and type(targets) is np.ndarray
+        and pre.dtype is _INT64
+        and targets.dtype is _INT64
+        and pre.shape == targets.shape
+        and targets.shape[:-1] == (rows,)
+    ):
+        _refuse_operands(pre, targets, rows)
+    hits = _preimage_index(targets.shape, targets.tobytes()).get(pre.tobytes(), ())
     return {candidates[i]: s for i, s in hits}
 
 
@@ -230,11 +251,25 @@ class RowFinding:
 
 @dataclass(frozen=True)
 class DerivedTable:
-    """All valid corrections per row, plus a deterministic preferred pick."""
+    """Each row's valid corrections, each mapped to its sign: +1 if it
+    recovers every secret exactly, -1 if only up to a global phase of -1
+    (``_solutions_for_row``), plus a deterministic preferred pick. A
+    correction's grade on a row is one signed lookup, ``signed[row].get(p)``;
+    ``solutions`` and ``exact`` are read off ``signed``."""
 
     variant: Variant
-    solutions: dict[tuple[int, int], tuple[PauliString, ...]]
-    exact: dict[tuple[int, int], tuple[PauliString, ...]]
+    signed: dict[tuple[int, int], dict[PauliString, int]]
+
+    @functools.cached_property
+    def solutions(self) -> dict[tuple[int, int], tuple[PauliString, ...]]:
+        return {key: tuple(row) for key, row in self.signed.items()}
+
+    @functools.cached_property
+    def exact(self) -> dict[tuple[int, int], tuple[PauliString, ...]]:
+        return {
+            key: tuple(p for p, s in row.items() if s > 0)
+            for key, row in self.signed.items()
+        }
 
     def preferred_table(self) -> CorrectionTable:
         rows = {
@@ -252,13 +287,11 @@ def derive_table(variant: Variant | str) -> DerivedTable:
 def _derived_table(variant: Variant) -> DerivedTable:
     images, target = _class_images(variant, build_alice_basis(variant))
     candidates, _, _ = _every_pauli(VARIANT_SPECS[variant].bob_qubits)
-    solutions: dict[tuple[int, int], tuple[PauliString, ...]] = {}
-    exact: dict[tuple[int, int], tuple[PauliString, ...]] = {}
-    for key in _all_rows(variant):
-        signed = _solutions_for_row(images[key], target, candidates)
-        solutions[key] = tuple(signed)
-        exact[key] = tuple(p for p, s in signed.items() if s > 0)
-    return DerivedTable(variant, solutions, exact)
+    signed = {
+        key: _solutions_for_row(images[key], target, candidates)
+        for key in _all_rows(variant)
+    }
+    return DerivedTable(variant, signed)
 
 
 def _basis_anomalies(basis: OrthonormalBasis) -> list[dict]:
@@ -325,6 +358,10 @@ class DiscrepancyReport:
         return self.status_counts[MISMATCH] == 0 and not self.basis_anomalies
 
     def to_dict(self) -> dict:
+        return self._document([row.to_dict() for row in self.rows])
+
+    def _document(self, rows) -> dict:
+        """``to_dict()`` with ``rows`` as its ``rows`` entry."""
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "table_verification",
@@ -332,7 +369,7 @@ class DiscrepancyReport:
             "encoding": self.encoding,
             "passed": self.passed,
             "status_counts": self.status_counts,
-            "rows": [row.to_dict() for row in self.rows],
+            "rows": rows,
             "basis_anomalies": list(self.basis_anomalies),
             "formula_inconsistencies": list(self.formula_inconsistencies),
         }
@@ -381,30 +418,27 @@ def verify_table(
     pre, secrets = _sampled_rows(variant)
     pre = pre[[2 * i + b for i, b in canonical]]
     published_rows = [table[key] for key in keys]
+    # one dense matrix per distinct correction, indexed per row
+    distinct: dict[PauliString, int] = {}
+    index = [distinct.setdefault(p, len(distinct)) for p in published_rows]
+    matrices = np.stack([p.matrix() for p in distinct])[index]
     # every row's overlaps <secret|P pre> at once, (keys, secrets)
-    matrices = np.stack([p.matrix() for p in published_rows])
     overlaps = np.sum(secrets.conj() * (pre @ matrices.transpose(0, 2, 1)), axis=2)
     fidelities = np.min(np.abs(overlaps) ** 2, axis=1).tolist()
     phases = overlaps[:, 0].tolist()
     findings = []
     rows = zip(keys, canonical, published_rows, fidelities, phases)
     for (outcome, bit), row, published, fidelity, first_overlap in rows:
-        sols = derived.solutions[row]
-        if published not in sols:
-            status, phase = MISMATCH, None
-        elif published in derived.exact[row]:
-            status, phase = MATCH, None
-        else:
-            status, phase = PHASE_ONLY_MATCH, first_overlap
+        status = _GRADES[derived.signed[row].get(published)]
         findings.append(
             RowFinding(
                 alice_outcome=outcome,
                 charlie_bit=bit,
                 status=status,
                 published=published,
-                solutions=sols,
+                solutions=derived.solutions[row],
                 published_min_fidelity=fidelity,
-                phase=phase,
+                phase=first_overlap if status is PHASE_ONLY_MATCH else None,
             )
         )
     return DiscrepancyReport(

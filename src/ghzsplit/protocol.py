@@ -456,19 +456,22 @@ class CorrectionTable:
         return [(i, b, self.rows[(i, b)]) for i, b in sorted(self.rows)]
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "source": self.source,
-            "rows": [
-                {
-                    "alice_outcome": i,
-                    "alice_cbits": alice_cbits(i),
-                    "charlie_bit": b,
-                    "correction": list(p.labels),
-                }
-                for i, b, p in self.sorted_rows()
-            ],
-        }
+        return self._document([_table_row(row) for row in self.sorted_rows()])
+
+    def _document(self, rows) -> dict:
+        """``to_dict()`` with ``rows`` as its ``rows`` entry."""
+        return {"variant": self.variant.value, "source": self.source, "rows": rows}
+
+
+def _table_row(row: tuple[int, int, PauliString]) -> dict:
+    """A ``sorted_rows()`` row as ``CorrectionTable.to_dict`` writes it."""
+    outcome, bit, correction = row
+    return {
+        "alice_outcome": outcome,
+        "alice_cbits": alice_cbits(outcome),
+        "charlie_bit": bit,
+        "correction": list(correction.labels),
+    }
 
 
 def published_correction_table(variant: Variant | str) -> CorrectionTable:
@@ -705,9 +708,13 @@ def _distinct_rows(rows: np.ndarray, table: CorrectionTable) -> tuple[list, np.n
     """The distinct rows among ``rows`` (``TrialChunk.rows``) in row order,
     each as (outcome, bit, its correction in ``table``), and each trial's
     index into them: one table lookup per distinct row for the kernel, one
-    text for csv, text and JSON. A row that ``table`` lacks raises the
+    text for csv, text and JSON. Rows are below ``2 * num_outcomes``, so one
+    table-sized ``np.bincount`` finds them, and the running count of the
+    rows present numbers them. A row that ``table`` lacks raises the
     table's KeyError."""
-    distinct, inverse = np.unique(rows, return_inverse=True)
+    present = np.bincount(rows) > 0
+    distinct = np.flatnonzero(present)
+    inverse = (np.cumsum(present) - 1)[rows]
     pairs = [divmod(row, 2) for row in distinct.tolist()]
     return [(i, b, table[i, b]) for i, b in pairs], inverse
 

@@ -326,6 +326,29 @@ class TestPreimageIndex:
 
 
 class TestVerifyTable:
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=IDS)
+    def test_signed_lookup_grades_as_tuple_membership(self, variant, encoding):
+        # a grade by the published correction's sign in the row's signed
+        # solutions is the grade by membership in its solutions and exact
+        # tuples, on the canonical row the encoding's outcome map names
+        derived = derive_table(variant)
+        outcomes = VARIANT_SPECS[variant].outcome_map(encoding)
+        report = verify_table(variant, encoding=encoding)
+        assert len(report.rows) == len(derived.signed)
+        for row in report.rows:
+            key = (outcomes[row.alice_outcome], row.charlie_bit)
+            sols, exact = derived.solutions[key], derived.exact[key]
+            if row.published not in sols:
+                want = MISMATCH
+            elif row.published in exact:
+                want = MATCH
+            else:
+                want = PHASE_ONLY_MATCH
+            assert row.status == want, key
+            assert row.solutions == sols == tuple(derived.signed[key]), key
+            assert (row.phase is None) == (want != PHASE_ONLY_MATCH), key
+
     def test_three_a_statuses(self):
         report = verify_table(Variant.THREE_A)
         assert report.status_counts == {
@@ -469,7 +492,7 @@ class TestVerifyTable:
     def test_stacked_grade_keeps_the_per_row_bits(self, variant, encoding, monkeypatch):
         # the reference grades each row by its own dense product; the stack
         # must give every fidelity and phase bit for bit, signed zeros too,
-        # from one PauliString.matrix call per graded row
+        # from one PauliString.matrix call per distinct published correction
         keys = _all_rows(variant)
         table = published_correction_table(variant)
         pre, secrets = oracle._sampled_rows(variant)
@@ -489,7 +512,7 @@ class TestVerifyTable:
 
         monkeypatch.setattr(PauliString, "matrix", counting)
         report = verify_table(variant, encoding=encoding)
-        assert calls == [table[key] for key in keys]
+        assert calls == list(dict.fromkeys(table[key] for key in keys))
 
         def bits(*floats):
             return np.array(floats, dtype=np.float64).view(np.uint64).tolist()
